@@ -11,8 +11,8 @@ from .classical import (ClassicalSolution, build_classical, classical_err,
                         h_coefficients, kp_coefficient)
 from .dispersion import (DispersionPoint, SurfaceModeShape, dispersion_det,
                          shear_phase_speed, surface_mode_shape, trace_curve)
-from .energy import (ErrResult, err_classical, err_couple, err_max_sweep,
-                     err_ratio, err_result, err_smalllength_limit)
+from .energy import (ErrResult, err_couple, err_max_sweep, err_ratio,
+                     err_result, err_smalllength_limit)
 from .errors import (BracketError, CrackwaveError, CrossCheckError,
                      DomainError, PoleError, QuadratureError, RealnessError,
                      RegimeError, RootLossError)
@@ -20,21 +20,13 @@ from .fields import (FieldKind, FieldProfile, NearTipCoefficients,
                      balance_integral, crack_opening, field_profile,
                      max_total_shear, neartip_coefficients, stresses_on_line,
                      traction_ahead)
-from .kernel import (FactorizedKernel, KernelParams, KernelValues, factorize,
-                     kernel_eval, sqrt_minus, sqrt_plus)
+from .kernel import (FactorizedKernel, KernelParams, factorize, sqrt_minus,
+                     sqrt_plus)
 from .loading import (LoadProfile, SplitData, build_split, g_minus, g_plus,
-                      liouville_constant, split_coefficients, traction,
-                      traction_transform)
+                      liouville_constant, solve_crack, split_coefficients,
+                      traction, traction_transform)
 from .material import (Material, PropagationState, RayleighRange, Regime,
                        SonicRange, classify_regime, critical_speed, h0_star,
                        lambda_surface, upsilon, zeta)
 
 __version__ = "0.1.0"
-
-
-def solve_crack(material, m, profile, *, cross_check=True):
-    """One-call solution: factorize the symbol at (m, eta, h0) and build the
-    split data for the given loading."""
-    params = KernelParams(m=m, eta=material.eta, h0=material.h0)
-    kernel = factorize(params)
-    return build_split(kernel, material, profile, cross_check=cross_check)

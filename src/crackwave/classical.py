@@ -16,7 +16,7 @@ from scipy.special import gammaln
 
 from .errors import RegimeError
 from .loading import LoadProfile, SplitData, split_coefficients
-from .numerics import QuadratureSpec, adaptive_integral
+from .numerics import oscillatory_halfline
 
 __all__ = [
     "kp_coefficient",
@@ -50,10 +50,6 @@ class _UnitKernel:
 
     @staticmethod
     def k_plus(z):
-        return 1.0 + 0.0j
-
-    @staticmethod
-    def k_minus(z):
         return 1.0 + 0.0j
 
 
@@ -123,19 +119,17 @@ def classical_split(profile: LoadProfile, m: float, G: float) -> SplitData:
         G=G,
         ell=1.0,
         m=m,
-        nu=sol.nu,
-        upsilon_eff=0.0,
-        kernel=None,
-        F_coeffs=sol.H,
-        taylor=None,
-        F=0.0,
+        coeffs=sol.H,
+        F=0j,
         F_alt=None,
-        zeta=None,
+        kernel=None,
     )
 
 
-def half_power_moment_quadrature(tau, spec: QuadratureSpec | None = None) -> float:
-    """∫_{−∞}^0 tau(X)·|X|^{−1/2} dX for a general integrable loading, by
-    adaptive quadrature (substitution X = −v²)."""
-    val, _ = adaptive_integral(lambda v: tau(-v * v) * 2.0, 0.0, np.inf, spec)
+def half_power_moment_quadrature(tau) -> float:
+    """∫_{−∞}^0 tau(X)·|X|^{−1/2} dX for a general integrable loading given
+    as a vectorized callable, by the zero-frequency half-line panel rule
+    (its t^{−1/2} head handled by the substitution t = v²)."""
+    val, _ = oscillatory_halfline(lambda t: tau(-t) / np.sqrt(t), 0.0,
+                                  sqrt_singularity=True)
     return float(np.real(val))

@@ -12,20 +12,21 @@ import csv
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dispersion as disp
 from . import energy, fields
-from .classical import h_coefficients, h_coefficients_contour, kp_coefficient
+from .classical import (classical_err, h_coefficients, h_coefficients_contour,
+                        kp_coefficient)
 from .errors import (BracketError, ConfigError, CrackwaveError, DomainError,
                      PoleError, QuadratureError, RealnessError, RegimeError,
                      RootLossError)
 from .kernel import KernelParams, factorize
-from .loading import LoadProfile, build_split
-from .material import Material, critical_speed, h0_star, lambda_surface, upsilon
+from .loading import LoadProfile, build_split, solve_crack
+from .material import Material, critical_speed, h0_star, lambda_surface
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -33,6 +34,13 @@ EXIT_REGIME = 4
 
 SUBCOMMANDS = ("dispersion", "regime-map", "fields", "tmax-sweep",
                "err-sweep", "limit-study", "validate")
+
+CONFIG_KEYS = frozenset({
+    "material.G", "material.rho", "material.ell", "material.eta", "material.h0",
+    "load.T0", "load.L_over_ell", "load.p", "state.m",
+    "sweep.variable", "sweep.start", "sweep.stop", "sweep.count", "sweep.scale",
+    "fields.points", "dispersion.axis",
+})
 
 
 # ---------------------------------------------------------------------------
@@ -70,17 +78,35 @@ def _get(cfg, key, cast, default=None):
         raise ConfigError(f"bad value for {key!r}: {cfg[key]!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
+
+
+def _axis(text: str) -> str:
+    if text not in ("omega", "k"):
+        raise ValueError(text)
+    return text
+
+
 @dataclass
 class RunConfig:
     material: Material
     profile: LoadProfile
     m: float
     sweep: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
+    points: int = 160
+    axis: str = "omega"
 
     @classmethod
     def from_file(cls, path):
         cfg = parse_config(path)
+        unknown = sorted(set(cfg) - CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config key(s) {unknown}; "
+                              f"known keys are {sorted(CONFIG_KEYS)}")
         material = Material(
             G=_get(cfg, "material.G", float, 1.0),
             rho=_get(cfg, "material.rho", float, 1.0),
@@ -108,10 +134,9 @@ class RunConfig:
                 raise ConfigError(f"sweep.scale must be linear or log")
             if sweep["count"] < 2 or not sweep["stop"] > sweep["start"]:
                 raise ConfigError("sweep grid must be strictly increasing")
-        extra = {k: v for k, v in cfg.items()
-                 if not k.split(".")[0] in ("material", "load", "state", "sweep")}
         return cls(material=material, profile=profile, m=m, sweep=sweep,
-                   extra=extra)
+                   points=_get(cfg, "fields.points", _positive_int, 160),
+                   axis=_get(cfg, "dispersion.axis", _axis, "omega"))
 
     def grid(self):
         if not self.sweep:
@@ -147,9 +172,8 @@ def _write_csv(path: Path, header, rows):
 # ---------------------------------------------------------------------------
 
 def _cmd_dispersion(run: RunConfig, out: Path, jobs: int):
-    axis = run.extra.get("dispersion.axis", "omega")
     grid = run.grid()
-    pts = disp.trace_curve(grid, run.material.eta, run.material.h0, axis=axis)
+    pts = disp.trace_curve(grid, run.material.eta, run.material.h0, axis=run.axis)
     rows = [(run.material.eta, run.material.h0, p.omega_norm, p.k_norm, p.mR)
             for p in pts]
     return _write_csv(out / "dispersion.csv",
@@ -167,16 +191,8 @@ def _cmd_regime_map(run: RunConfig, out: Path, jobs: int):
                       ["curve", "eta", "h0", "value"], rows)
 
 
-def _build_split(run: RunConfig, m=None):
-    m = run.m if m is None else m
-    params = KernelParams(m=m, eta=run.material.eta, h0=run.material.h0)
-    kernel = factorize(params)
-    return build_split(kernel, run.material, run.profile)
-
-
 def _cmd_fields(run: RunConfig, out: Path, jobs: int):
-    split = _build_split(run)
-    n = int(run.extra.get("fields.points", 160))
+    split = solve_crack(run.material, run.m, run.profile)
     T0, ell = run.profile.T0, run.material.ell
     header = ["m", "eta", "h0", "p", "L_over_ell", "X", "X_over_ell",
               "w", "w_G_over_T0_ell", "p3", "p3_ell_over_T0",
@@ -185,7 +201,7 @@ def _cmd_fields(run: RunConfig, out: Path, jobs: int):
     meta = (run.m, run.material.eta, run.material.h0, run.profile.p,
             run.profile.L / ell)
     rows = []
-    for x in np.geomspace(1e-3 * ell, 1e2 * max(run.profile.L, ell), n):
+    for x in np.geomspace(1e-3 * ell, 1e2 * max(run.profile.L, ell), run.points):
         w = fields.crack_opening(-x, split)
         p3 = fields.traction_ahead(x, split)
         st = fields.stresses_on_line(x, split)
@@ -196,44 +212,41 @@ def _cmd_fields(run: RunConfig, out: Path, jobs: int):
     return _write_csv(out / "fields.csv", header, rows)
 
 
-def _tmax_row(args):
-    (G, rho, ell, eta, h0, T0, L, p, m) = args
-    material = Material(G=G, rho=rho, ell=ell, eta=eta, h0=h0)
-    profile = LoadProfile(T0=T0, L=L, p=p)
-    kernel = factorize(KernelParams(m=m, eta=eta, h0=h0))
-    split = build_split(kernel, material, profile)
+def _tmax_row(material: Material, profile: LoadProfile, m: float):
+    split = solve_crack(material, m, profile)
     t23max, x_at = fields.max_total_shear(split)
-    return (m, eta, h0, p, L / ell, t23max, t23max * ell / T0, x_at / ell)
+    ell = material.ell
+    return (m, material.eta, material.h0, profile.p, profile.L / ell, t23max,
+            t23max * ell / profile.T0, x_at / ell)
 
 
-def _err_row(args):
-    (G, rho, ell, eta, h0, T0, L, p, m) = args
-    material = Material(G=G, rho=rho, ell=ell, eta=eta, h0=h0)
-    profile = LoadProfile(T0=T0, L=L, p=p)
+def _err_row(material: Material, profile: LoadProfile, m: float):
     res = energy.err_result(material, m, profile)
-    e_norm = res.E * G * ell / (T0 * T0)
-    return (m, eta, h0, p, L / ell, res.E, e_norm, res.E_cl, res.ratio)
+    T0, ell = profile.T0, material.ell
+    e_norm = res.E * material.G * ell / (T0 * T0)
+    return (m, material.eta, material.h0, profile.p, profile.L / ell, res.E,
+            e_norm, res.E_cl, res.ratio)
 
 
 def _sweep_args(run: RunConfig, variable: str, value: float):
-    mat, prof = run.material, run.profile
-    m, L = run.m, prof.L
+    """(material, profile, m) of one sweep row."""
+    mat, prof, m = run.material, run.profile, run.m
     if variable == "m":
         m = value
     elif variable == "m_of_limit":
         m = value * min(1.0, critical_speed(mat.eta, mat.h0))
     elif variable == "L_over_ell":
-        L = value * mat.ell
+        prof = replace(prof, L=value * mat.ell)
     else:
         raise ConfigError(f"unsupported sweep variable {variable!r}")
-    return (mat.G, mat.rho, mat.ell, mat.eta, mat.h0, prof.T0, L, prof.p, m)
+    return mat, prof, m
 
 
 def _run_rows(worker, args_list, jobs):
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, args_list))
-    return [worker(a) for a in args_list]
+            return list(pool.map(worker, *zip(*args_list)))
+    return [worker(*a) for a in args_list]
 
 
 def _cmd_tmax_sweep(run: RunConfig, out: Path, jobs: int):
@@ -325,7 +338,7 @@ def _validate_checks():
     res = energy.err_result(material, 0.3, profile, kernel)
     checks.append(("err_positive", 1.0, 1.0 if res.E > 0 else 0.0, 0.5))
     checks.append(("err_smalllength_identity",
-                   energy.err_classical(profile, 0.3, 1.0),
+                   classical_err(profile, 0.3, 1.0),
                    energy.err_smalllength_limit(profile, 0.3, 1.0), 1e-12))
     return checks
 

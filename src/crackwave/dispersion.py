@@ -69,28 +69,25 @@ def _branch_boundary_omega(omega_norm: float, h0: float) -> float:
 
 
 def _det_rows(mR, k_norm, eta, h0):
-    """Boundary-system rows in real arithmetic.
+    """Boundary-system rows in real arithmetic, vectorized over (mR, k_norm).
 
     Raises DomainError when beta² is negative beyond rounding (the mode no
     longer decays); rounding-level negatives at the branch boundary are
     clipped to zero.
     """
     k2 = k_norm * k_norm
-    chi = math.sqrt(1.0 + 2.0 * (1.0 - h0 * h0) * (mR * mR) * k2
-                    + (h0 * mR) ** 4 * k2 * k2)
-    base = 1.0 + (1.0 - (h0 * mR) ** 2) * k2
-    alpha = math.sqrt(base + chi)
-    b2 = base - chi
-    if b2 < -1e-10 * (abs(base) + chi):
+    _, alpha, b2 = wave_exponents(k_norm, mR, h0)
+    if np.any(b2 < -1e-10 * (alpha * alpha)):
         raise DomainError(
             f"point (mR={mR}, k={k_norm}) lies off the decaying-mode branch"
         )
-    beta = math.sqrt(max(b2, 0.0))
+    b2 = np.maximum(b2, 0.0)
+    beta = np.sqrt(b2)
     p = k2 * (2.0 + eta - 2.0 * (h0 * mR) ** 2)
     d11 = alpha**3 - alpha * (2.0 + p)
     d12 = beta**3 - beta * (2.0 + p)
     d21 = alpha**2 + eta * k2
-    d22 = beta**2 + eta * k2
+    d22 = b2 + eta * k2
     return alpha, beta, (d11, d12, d21, d22)
 
 
@@ -109,11 +106,11 @@ def dispersion_det(mR: float, omega_norm: float, eta: float, h0: float) -> float
     return d11 * d22 - d12 * d21
 
 
-def _scaled_det(m: float, eta: float, h0: float, *, k_norm=None, omega_norm=None) -> float:
+def _scaled_det(m, eta: float, h0: float, *, k_norm=None, omega_norm=None):
+    """Determinant scaled by (1 + k)^5, vectorized over m."""
     k = omega_norm / m if k_norm is None else k_norm
     _, _, (d11, d12, d21, d22) = _det_rows(m, k, eta, h0)
-    det = d11 * d22 - d12 * d21
-    return float(det.real) / (1.0 + k) ** 5
+    return (d11 * d22 - d12 * d21) / (1.0 + k) ** 5
 
 
 def _root_at(eta, h0, *, k_norm=None, omega_norm=None, hint=None):
@@ -127,7 +124,7 @@ def _root_at(eta, h0, *, k_norm=None, omega_norm=None, hint=None):
         return _scaled_det(m, eta, h0, k_norm=k_norm, omega_norm=omega_norm)
 
     def bisect_on(grid):
-        vals = np.array([f(m) for m in grid])
+        vals = f(grid)
         idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
         if idx.size == 0:
             return None

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .classical import classical_err, half_power_moment_quadrature, kp_coefficient
 from .errors import CrackwaveError, RealnessError, RegimeError
 from .kernel import FactorizedKernel, KernelParams, factorize
@@ -22,7 +20,6 @@ from .material import Material, PropagationState, critical_speed, upsilon
 __all__ = [
     "ErrResult",
     "err_couple",
-    "err_classical",
     "err_ratio",
     "err_smalllength_limit",
     "err_result",
@@ -54,9 +51,9 @@ class ErrResult:
 
 
 def err_couple(F: complex, material: Material, state: PropagationState,
-               T0: float, *, imag_rtol: float = 1e-8) -> float:
+               T0: float) -> float:
     """E = Re[2i·F²·T0²/(G·ℓ·Upsilon)]; raises if the imaginary residue
-    exceeds ``imag_rtol`` relative or the point is not sub-Rayleigh."""
+    exceeds 1e-8 relative or the point is not sub-Rayleigh."""
     ups = upsilon(material.eta, material.h0, state.m)
     if state.m >= 1.0 or ups <= 0.0:
         raise RegimeError(
@@ -64,30 +61,25 @@ def err_couple(F: complex, material: Material, state: PropagationState,
             f"(m={state.m}, upsilon={ups:g})"
         )
     value = 2j * F * F * T0 * T0 / (material.G * material.ell * ups)
-    if abs(value.imag) > imag_rtol * max(abs(value), 1e-300):
+    if abs(value.imag) > 1e-8 * max(abs(value), 1e-300):
         raise RealnessError("energy release rate has a large imaginary residue",
                             value)
     return float(value.real)
 
 
-def err_classical(profile: LoadProfile, m: float, G: float) -> float:
-    """Classical counterpart T0²K_p²/(G·L·sqrt(1−m²))."""
-    return classical_err(profile, m, G)
-
-
 def err_ratio(F: complex, material: Material, state: PropagationState,
-              profile: LoadProfile, *, consistency_rtol: float = 1e-10) -> float:
+              profile: LoadProfile) -> float:
     """E/E_cl, computed both as the quotient and by its closed form
-    2i·F²·L·sqrt(1−m²)/(ℓ·K_p²·Upsilon); the two must agree to
-    ``consistency_rtol``."""
+    2i·F²·L·sqrt(1−m²)/(ℓ·K_p²·Upsilon); the two must agree to 1e-10
+    relative."""
     e = err_couple(F, material, state, profile.T0)
-    e_cl = err_classical(profile, state.m, material.G)
+    e_cl = classical_err(profile, state.m, material.G)
     quotient = e / e_cl
     kp = kp_coefficient(profile.p)
     ups = upsilon(material.eta, material.h0, state.m)
     closed = 2j * F * F * profile.L * math.sqrt(1.0 - state.m**2) / (
         material.ell * kp * kp * ups)
-    if abs(quotient - closed.real) > consistency_rtol * abs(quotient):
+    if abs(quotient - closed.real) > 1e-10 * abs(quotient):
         raise RealnessError("energy ratio closed form disagrees with the quotient",
                             closed)
     return quotient
@@ -97,8 +89,9 @@ def err_smalllength_limit(tau, m: float, G: float) -> float:
     """Vanishing-microstructure limit of the energy release rate:
     (1/(pi·G·sqrt(1−m²)))·(∫tau|X|^{−1/2}dX)².
 
-    ``tau`` is either a LoadProfile (closed-form moment) or a callable
-    loading density on X < 0 (quadrature)."""
+    ``tau`` is either a LoadProfile (closed-form moment) or a vectorized
+    callable loading density on X < 0 (panel quadrature): it is called with
+    numpy arrays of negative X."""
     if m >= 1.0:
         raise RegimeError(f"limit energy release rate needs m < 1, got {m}")
     if isinstance(tau, LoadProfile):
@@ -118,7 +111,7 @@ def err_result(material: Material, m: float, profile: LoadProfile,
             kernel = factorize(KernelParams(m=m, eta=material.eta, h0=material.h0))
         split = build_split(kernel, material, profile)
     e = err_couple(split.F, material, state, profile.T0)
-    e_cl = err_classical(profile, m, material.G)
+    e_cl = classical_err(profile, m, material.G)
     ratio = err_ratio(split.F, material, state, profile)
     return ErrResult(E=e, E_cl=e_cl, ratio=ratio, m=m, eta=material.eta,
                      h0=material.h0, p=profile.p,

@@ -19,9 +19,9 @@ from scipy import special
 
 from .errors import DomainError, RealnessError
 from .kernel import sqrt_minus, sqrt_plus, wave_exponents
-from .loading import SplitData
-from .numerics import (QuadratureSpec, fit_power_tail, oscillatory_halfline,
-                       panel_sums)
+from .loading import SplitData, g_minus
+from .numerics import (TAIL_FIT_POINTS, QuadratureSpec, fit_power_tail,
+                       oscillatory_halfline)
 
 __all__ = [
     "FieldKind",
@@ -90,16 +90,6 @@ _STRESS_KINDS = (FieldKind.SIGMA_SHEAR, FieldKind.TAU_SHEAR,
                  FieldKind.COUPLE_STRESS, FieldKind.TOTAL_SHEAR)
 
 
-def _gminus_xi(split: SplitData, xi):
-    """G⁻ at s = xi/ell, vectorized over real xi of either sign."""
-    u = 1.0 + 1j * np.asarray(xi) * split.L_over_ell
-    p = split.profile.p
-    acc = np.zeros_like(u, dtype=complex)
-    for j, fj in enumerate(split.F_coeffs[: p + 1]):
-        acc = acc + fj * u ** (j - p - 1)
-    return acc
-
-
 def _integrand(split: SplitData, kind: FieldKind, xi):
     """Signed-argument integrand of the inversion integral for ``kind``.
 
@@ -109,23 +99,25 @@ def _integrand(split: SplitData, kind: FieldKind, xi):
     (1+i·xi·L/ℓ)^{−1−p} is transformed in closed form by the caller.
     """
     xi = np.asarray(xi, dtype=float)
+    gm = g_minus(xi / split.ell, split)
     if kind is FieldKind.TRACTION:
-        return sqrt_plus(xi) * (split.F - _gminus_xi(split, xi)) / split.k_plus_line(xi)
+        return sqrt_plus(xi) * (split.F - gm) / split.k_plus_line(xi)
 
-    q = (_gminus_xi(split, xi) - split.F) / (
+    q = (gm - split.F) / (
         sqrt_minus(xi) * split.psi(xi) * split.k_minus_line(xi)
     )
     if kind is FieldKind.OPENING:
         return q
     if split.is_classical:
         raise DomainError(f"{kind.value} requires the couple-stress solution")
-    _, alpha, beta = wave_exponents(xi, split.m, split.h0)
+    _, alpha, beta2 = wave_exponents(xi, split.m, split.h0)
+    beta = np.sqrt(beta2)
     xi2 = xi * xi
     if kind is FieldKind.SIGMA_SHEAR:
         return (alpha * beta - split.eta * xi2) / (alpha + beta) * q
     r_tau = (
-        alpha**2 * beta**2
-        + (alpha**2 + beta**2 + alpha * beta) * split.eta * xi2
+        alpha**2 * beta2
+        + (alpha**2 + beta2 + alpha * beta) * split.eta * xi2
         - (1.0 - 2.0 * (split.h0 * split.m) ** 2) * xi2 * (split.eta * xi2 - alpha * beta)
     ) / (alpha + beta)
     if kind is FieldKind.TAU_SHEAR:
@@ -157,7 +149,6 @@ def _engine_spec(split: SplitData) -> QuadratureSpec:
     zeta = split.zeta or 1.0
     return QuadratureSpec(
         abs_tol=1e-11,
-        rel_tol=1e-10,
         truncation_radius=max(4.0e3, 50.0 * zeta),
     )
 
@@ -169,20 +160,13 @@ def _fit_window_start(split: SplitData, spec: QuadratureSpec) -> float:
 def _tail_coefficients(split: SplitData, kind: FieldKind, spec: QuadratureSpec):
     """Fitted ladder coefficients of the integrand, cached on the split so
     every X-evaluation (and the balance completion) uses the same tail."""
-    cache = getattr(split, "_tail_cache", None)
-    if cache is None:
-        cache = {}
-        split._tail_cache = cache
     key = (kind, spec.truncation_radius)
-    if key not in cache:
-        coeffs, _ = fit_power_tail(
-            lambda t: _integrand(split, kind, t),
-            _ladder_for(split, kind),
-            _fit_window_start(split, spec),
-            spec.truncation_radius,
-        )
-        cache[key] = coeffs
-    return cache[key]
+    if key not in split.tail_cache:
+        ts = np.geomspace(_fit_window_start(split, spec), spec.truncation_radius,
+                          TAIL_FIT_POINTS)
+        split.tail_cache[key], _ = fit_power_tail(
+            ts, _integrand(split, kind, ts), _ladder_for(split, kind))
+    return split.tail_cache[key]
 
 
 def _check_domain(kind: FieldKind, X: float):
@@ -329,7 +313,7 @@ def neartip_coefficients(split: SplitData) -> NearTipCoefficients:
         raise DomainError("near-tip ladder of the classical solution differs; "
                           "use classical_neartip")
     T0, ell, ups = split.T0, split.ell, split.upsilon_eff
-    u = math.sqrt(max(1.0 - 2.0 * (split.h0 * split.m) ** 2, 0.0))
+    u = split.kernel.params.u
     eta = split.eta
     F = split.F
     rt_pi = math.sqrt(math.pi)
@@ -348,13 +332,6 @@ def neartip_coefficients(split: SplitData) -> NearTipCoefficients:
             raise RealnessError(f"near-tip coefficient {name} is not real", c)
         out.append(float(c.real))
     return NearTipCoefficients(C_w=out[0], C_t=out[1], C_mu=out[2])
-
-
-def _power_fit(x, y, exponents):
-    basis = x[:, None] ** np.asarray(exponents, dtype=float)[None, :]
-    scale = np.abs(basis).max(axis=0)
-    c, *_ = np.linalg.lstsq(basis / scale, y, rcond=None)
-    return c / scale
 
 
 def balance_integral(split: SplitData, *, n: int = 201) -> float:
@@ -405,7 +382,7 @@ def balance_integral(split: SplitData, *, n: int = 201) -> float:
     # is fed by the damping expansion of the subtracted model, and by the
     # loading itself in the classical specialization).
     sel = grid <= 100.0 * x_min
-    c = _power_fit(grid[sel], reg[sel], (-0.5, 0.0, 0.5))
+    c, _ = fit_power_tail(grid[sel], reg[sel], (-0.5, 0.0, 0.5))
     tip = float(np.real(2.0 * c[0] * math.sqrt(x_min) + c[1] * x_min
                         + 2.0 / 3.0 * c[2] * x_min ** 1.5))
 
@@ -413,11 +390,11 @@ def balance_integral(split: SplitData, *, n: int = 201) -> float:
     # from the xi^{1/2} term of the integrand at xi = 0, with coefficient
     # F − ΣF_j); only the remainder ladder is fitted.
     pref = _prefactor(split, FieldKind.TRACTION)
-    g2 = split.F - np.sum(split.F_coeffs[: split.profile.p + 1])
+    g2 = split.F - g_minus(0.0, split)
     c_far = math.sqrt(math.pi) * float(np.real(
         pref * g2 * np.exp(-0.75j * np.pi))) * ell ** 1.5
     sel = grid >= x_max / 30.0
-    c = _power_fit(grid[sel], reg[sel] - c_far * grid[sel] ** -1.5, (-2.5, -3.5))
+    c, _ = fit_power_tail(grid[sel], reg[sel] - c_far * grid[sel] ** -1.5, (-2.5, -3.5))
     tail = float(np.real(2.0 * c_far / math.sqrt(x_max)
                          + 2.0 / 3.0 * c[0] * x_max ** -1.5
                          + 0.4 * c[1] * x_max ** -2.5))

@@ -26,7 +26,7 @@ import numpy as np
 
 from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, PoleError, RegimeError
+from .errors import DomainError, RegimeError
 from .material import upsilon as _upsilon
 from .material import zeta as _zeta
 from .numerics import _gauss
@@ -36,8 +36,6 @@ __all__ = [
     "sqrt_minus",
     "wave_exponents",
     "KernelParams",
-    "KernelValues",
-    "kernel_eval",
     "CauchyFactorization",
     "FactorizedKernel",
     "factorize",
@@ -67,16 +65,27 @@ def sqrt_minus(z):
     return out if out.ndim else complex(out)
 
 
-def wave_exponents(xi, m: float, h0: float):
-    """Decay exponents (chi, alpha, beta) at transform variable xi for
-    normalized speed m.  Principal square roots (Re ≥ 0)."""
-    xi = np.asarray(xi, dtype=complex)
+def wave_exponents(xi, m, h0: float):
+    """Decay-exponent pieces (chi, alpha, beta²) at real transform variable
+    xi for normalized speed m (vectorized over both).
+
+    With base = 1 + (1 − h0²m²)·xi², alpha² = base + chi and
+
+        beta² = base − chi = (2(1 − m²) + xi²(1 − 2h0²m²))·xi² / (base + chi),
+
+    formed in that cancellation-free form so that beta ≈ sqrt(1 − m²)·|xi|
+    keeps full relative accuracy as xi → 0.  beta² is returned rather than
+    beta because it is negative off the decaying-mode branch, where
+    2(1 − m²) + xi²(1 − 2h0²m²) < 0 (the unclipped 1 − 2h0²m² may itself be
+    negative there); on the branch beta = sqrt(beta²) ≥ 0.
+    """
     x2 = xi * xi
+    hm2 = (h0 * m) ** 2
     chi = np.sqrt(1.0 + 2.0 * (1.0 - h0 * h0) * (m * m) * x2 + (h0 * m) ** 4 * x2 * x2)
-    base = 1.0 + (1.0 - (h0 * m) ** 2) * x2
+    base = 1.0 + (1.0 - hm2) * x2
     alpha = np.sqrt(base + chi)
-    beta = np.sqrt(base - chi)
-    return chi, alpha, beta
+    beta2 = (2.0 * (1.0 - m * m) + x2 * (1.0 - 2.0 * hm2)) * x2 / (base + chi)
+    return chi, alpha, beta2
 
 
 @dataclass(frozen=True)
@@ -119,42 +128,6 @@ class KernelParams:
         return _zeta(self.eta, self.h0, self.m)
 
 
-@dataclass(frozen=True)
-class KernelValues:
-    chi: complex
-    alpha: complex
-    beta: complex
-    psi: complex
-    k: complex
-
-
-def _psi(xi, params: KernelParams):
-    return params.upsilon * np.asarray(xi, dtype=complex) ** 2 + 2.0 * params.nu
-
-
-def kernel_eval(xi, params: KernelParams, pole_tol: float = 1e-10) -> KernelValues:
-    """Symbol pieces (chi, alpha, beta, Psi, k) at complex xi.
-
-    Off the real axis the |xi| normalization is continued as
-    sqrt_plus(xi)·sqrt_minus(xi).  Evaluation at the poles ±i·zeta of 1/Psi
-    raises PoleError.
-    """
-    z = complex(xi)
-    chi, alpha, beta = wave_exponents(z, params.m, params.h0)
-    psi = complex(_psi(z, params))
-    if abs(psi) < pole_tol * 2.0 * params.nu:
-        raise PoleError(f"xi={z} is at a zero of Psi (pole of the inversion integrand)")
-    if z == 0.0:
-        k = 1.0 + 0.0j
-    else:
-        num = alpha * beta * (alpha**2 + beta**2 + 2.0 * params.eta * z * z)
-        num = num + alpha**2 * beta**2 - params.eta**2 * z**4
-        norm = sqrt_plus(z) * sqrt_minus(z)
-        k = num / (norm * psi * (alpha + beta))
-    return KernelValues(chi=complex(chi), alpha=complex(alpha), beta=complex(beta),
-                        psi=psi, k=complex(k))
-
-
 # ---------------------------------------------------------------------------
 # Cauchy-integral factorization of an even, positive, index-zero kernel.
 # ---------------------------------------------------------------------------
@@ -173,19 +146,15 @@ class CauchyFactorization:
     k_line : callable
         Vectorized kernel on the real axis (called with |t| ≥ 0).
     xi_hi : float
-        Upper end of the cached boundary-phase grid.
-    t_cut : float
-        Truncation of the Cauchy integrals (analytic tail beyond, using the
-        fitted large-t coefficient of log k ~ c2/t²).
+        Upper end of the cached boundary-phase grid.  The Cauchy integrals
+        are truncated at t_cut = 40·xi_hi, with the analytic tail beyond
+        from the fitted large-t coefficient of log k ~ c2/t².
     """
 
-    def __init__(self, k_line, xi_hi: float = 4.0e3, t_cut: float | None = None,
-                 knots_per_decade: int = 48):
+    def __init__(self, k_line, xi_hi: float = 4.0e3, knots_per_decade: int = 48):
         self._k_line = k_line
         self.xi_hi = float(xi_hi)
-        self.t_cut = float(t_cut if t_cut is not None else 40.0 * xi_hi)
-        if self.t_cut < 10.0 * self.xi_hi:
-            raise ValueError("t_cut must exceed 10·xi_hi")
+        self.t_cut = 40.0 * self.xi_hi
         self._xi_lo = 1e-6
         self._c2 = self._fit_tail_coeff()
         self._build_theta_spline(knots_per_decade)
@@ -399,9 +368,8 @@ class CauchyFactorization:
 class FactorizedKernel(CauchyFactorization):
     """Factorization of the physical crack symbol at a sub-Rayleigh point."""
 
-    def __init__(self, params: KernelParams, tol: float = 1e-10):
+    def __init__(self, params: KernelParams):
         self.params = params
-        self.tol = tol
         xi_hi = max(4.0e3, 60.0 * params.zeta)
         super().__init__(self._symbol_line, xi_hi=xi_hi, knots_per_decade=96)
         self._validate_positive()
@@ -411,12 +379,8 @@ class FactorizedKernel(CauchyFactorization):
         p = self.params
         t = np.asarray(t, dtype=float)
         t2 = t * t
-        chi = np.sqrt(1.0 + 2.0 * (1.0 - p.h0**2) * p.m**2 * t2 + (p.h0 * p.m) ** 4 * t2 * t2)
-        base = 1.0 + (1.0 - (p.h0 * p.m) ** 2) * t2
-        alpha = np.sqrt(base + chi)
-        # base − chi = (2(1−m²) + t²(1−2h0²m²)) t² / (base + chi) ≥ 0, computed
-        # in the cancellation-free form.
-        b2 = (2.0 * (1.0 - p.m**2) + t2 * p.u**2) * t2 / (base + chi)
+        # beta² ≥ 0 on the whole axis in the sub-Rayleigh regime.
+        _, alpha, b2 = wave_exponents(t, p.m, p.h0)
         beta = np.sqrt(b2)
         psi = p.upsilon * t2 + 2.0 * p.nu
         num = alpha * beta * (alpha * alpha + b2 + 2.0 * p.eta * t2)
@@ -436,6 +400,6 @@ class FactorizedKernel(CauchyFactorization):
             )
 
 
-def factorize(params: KernelParams, tol: float = 1e-10) -> FactorizedKernel:
+def factorize(params: KernelParams) -> FactorizedKernel:
     """Build evaluable half-plane factors (k⁺, k⁻) of the crack symbol."""
-    return FactorizedKernel(params, tol=tol)
+    return FactorizedKernel(params)

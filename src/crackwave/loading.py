@@ -17,15 +17,15 @@ evaluated by quadrature along the real axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import CrossCheckError, DomainError, PoleError
-from .kernel import FactorizedKernel, sqrt_minus, sqrt_plus
-from .material import Material, zeta as zeta_fn
+from .kernel import FactorizedKernel, KernelParams, factorize, sqrt_minus, sqrt_plus
+from .material import Material
 from .numerics import QuadratureSpec, contour_coefficients, oscillatory_halfline
 
 __all__ = [
@@ -39,11 +39,13 @@ __all__ = [
     "g_plus",
     "liouville_constant",
     "build_split",
+    "solve_crack",
 ]
 
 _CONTOUR_RADIUS = 0.4  # |1 + isL| on the coefficient contour
 _TAYLOR_SWITCH = 0.35  # g_plus switches to the Taylor form inside this radius
 _EXTRA_TAYLOR = 14     # extra coefficients kept for the Taylor form
+_F_CHECK_RTOL = 1e-6   # allowed |F − F_alt|/|F| of the Liouville cross-check
 
 
 @dataclass(frozen=True)
@@ -120,36 +122,58 @@ def split_coefficients(kernel, profile: LoadProfile, ell: float,
                                 check_count=profile.p + 1)
 
 
+@dataclass(frozen=True, eq=False)
 class SplitData:
     """Everything needed to evaluate the split functions and invert the
-    crack-line fields: coefficients F_j, Liouville constant F, the symbol
-    factorization and the parameter echo.
+    crack-line fields: the Taylor coefficients F_0, F_1, … of the split (the
+    first p+1 define G⁻, the rest serve the Taylor form of G⁺), the
+    Liouville constant F, the symbol factorization and the load echo.
 
     A ``kernel`` of None denotes the classical-elasticity specialization
-    (unit symbol, Psi ≡ 2·nu, F = 0).
+    (unit symbol, Psi ≡ 2·nu, F = 0).  ``tail_cache`` holds the fitted
+    large-xi ladder coefficients of the field integrands, keyed by
+    (field kind, truncation radius), so every evaluation on this split
+    shares one tail.
     """
 
-    def __init__(self, *, profile, G, ell, m, nu, upsilon_eff, eta=None, h0=None,
-                 kernel=None, F_coeffs=None, taylor=None, F=0.0, F_alt=None,
-                 zeta=None):
-        self.profile = profile
-        self.G = G
-        self.ell = ell
-        self.m = m
-        self.nu = nu
-        self.upsilon_eff = upsilon_eff
-        self.eta = eta
-        self.h0 = h0
-        self.kernel = kernel
-        self.F_coeffs = np.asarray(F_coeffs, dtype=complex)
-        self.taylor = self.F_coeffs if taylor is None else np.asarray(taylor, dtype=complex)
-        self.F = complex(F)
-        self.F_alt = F_alt
-        self.zeta = zeta
+    profile: LoadProfile
+    G: float
+    ell: float
+    m: float
+    coeffs: np.ndarray
+    F: complex
+    F_alt: complex | None
+    kernel: FactorizedKernel | None
+    tail_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def is_classical(self) -> bool:
         return self.kernel is None
+
+    @property
+    def F_coeffs(self) -> np.ndarray:
+        """F_0..F_p, the coefficients of G⁻."""
+        return self.coeffs[: self.profile.p + 1]
+
+    @property
+    def nu(self) -> float:
+        return math.sqrt(1.0 - self.m * self.m)
+
+    @property
+    def upsilon_eff(self) -> float:
+        return 0.0 if self.kernel is None else self.kernel.params.upsilon
+
+    @property
+    def eta(self):
+        return None if self.kernel is None else self.kernel.params.eta
+
+    @property
+    def h0(self):
+        return None if self.kernel is None else self.kernel.params.h0
+
+    @property
+    def zeta(self):
+        return None if self.kernel is None else self.kernel.params.zeta
 
     @property
     def L_over_ell(self) -> float:
@@ -174,16 +198,21 @@ class SplitData:
         return self.kernel.k_plus_line(xi)
 
 
+def _g_minus_u(u, coeffs, p: int):
+    """G⁻ = Σ_{j=0..p} F_j u^{j−p−1} as a function of u = 1 + isL."""
+    acc = 0.0
+    for j in range(p + 1):
+        acc = acc + coeffs[j] * u ** (j - p - 1)
+    return acc
+
+
 def g_minus(s, split: SplitData):
     """G⁻(s) = Σ_j F_j (1+isL)^{j−p−1}; analytic off its pole at s = i/L."""
     s = np.asarray(s, dtype=complex)
     u = 1.0 + 1j * s * split.profile.L
     if np.any(np.abs(u) < 1e-12):
         raise PoleError("g_minus evaluated at its pole s = i/L")
-    p = split.profile.p
-    acc = np.zeros_like(u)
-    for j, fj in enumerate(split.F_coeffs[: p + 1]):
-        acc = acc + fj * u ** (j - p - 1)
+    acc = np.asarray(_g_minus_u(u, split.coeffs, split.profile.p), dtype=complex)
     return complex(acc) if acc.ndim == 0 else acc
 
 
@@ -201,9 +230,9 @@ def g_plus(s, split: SplitData):
     out = np.empty_like(s_arr)
     for i, sv in enumerate(s_arr):
         u = 1.0 + 1j * sv * L
-        if abs(u) < _TAYLOR_SWITCH and len(split.taylor) > p + 1:
-            js = np.arange(p + 1, len(split.taylor))
-            out[i] = np.sum(split.taylor[p + 1:] * u ** (js - p - 1))
+        if abs(u) < _TAYLOR_SWITCH and len(split.coeffs) > p + 1:
+            js = np.arange(p + 1, len(split.coeffs))
+            out[i] = np.sum(split.coeffs[p + 1:] * u ** (js - p - 1))
         else:
             z = sv * split.ell
             full = kp(z) / (sqrt_plus(z) * u ** (1 + p))
@@ -211,29 +240,25 @@ def g_plus(s, split: SplitData):
     return complex(out[0]) if np.ndim(s) == 0 else out
 
 
-def _appendix_ratio(kernel: FactorizedKernel, F_coeffs, profile: LoadProfile,
-                    ell: float, params) -> complex:
+def _appendix_ratio(kernel: FactorizedKernel, coeffs, profile: LoadProfile,
+                    ell: float) -> complex:
     """Ratio-of-integrals definition of F, by real-axis quadrature.
 
     Both half-lines are evaluated explicitly through the branch functions,
     exercising the factor boundary values rather than any symmetry shortcut.
     """
+    params = kernel.params
     Lt = profile.L / ell
-    p = profile.p
 
     def gm(x):
-        u = 1.0 + 1j * x * Lt
-        acc = np.zeros_like(u)
-        for j, fj in enumerate(F_coeffs[: p + 1]):
-            acc = acc + fj * u ** (j - p - 1)
-        return acc
+        return _g_minus_u(1.0 + 1j * x * Lt, coeffs, profile.p)
 
     def h(x):
         psi = params.upsilon * x * x + 2.0 * params.nu
         return 1.0 / (sqrt_minus(x) * psi * kernel.k_minus_line(x))
 
     zeta_v = params.zeta
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11,
+    spec = QuadratureSpec(abs_tol=1e-12,
                           truncation_radius=max(2.0e3, 50.0 * zeta_v))
     fit = max(25.0, 30.0 * zeta_v)
 
@@ -249,57 +274,50 @@ def _appendix_ratio(kernel: FactorizedKernel, F_coeffs, profile: LoadProfile,
 
 
 def liouville_constant(kernel: FactorizedKernel, profile: LoadProfile,
-                       material: Material, *, cross_check: bool = True,
-                       check_rtol: float = 1e-6):
+                       material: Material):
     """Liouville constant F = G⁻(−i·zeta/ℓ), with the mandatory agreement
-    check against the ratio-of-integrals computation.
+    check (relative 1e-6) against the ratio-of-integrals computation.
 
     Returns ``(F, F_alt, F_coeffs_extended)``.
     """
-    params = kernel.params
     ell = material.ell
-    zeta_v = params.zeta
     coeffs = split_coefficients(kernel, profile, ell,
                                 count=profile.p + 1 + _EXTRA_TAYLOR)
-    u_pole = 1.0 + zeta_v * profile.L / ell  # real, > 1
-    p = profile.p
-    F = complex(sum(coeffs[j] * u_pole ** (j - p - 1) for j in range(p + 1)))
-
-    F_alt = None
-    if cross_check:
-        F_alt = _appendix_ratio(kernel, coeffs, profile, ell, params)
-        if abs(F - F_alt) > check_rtol * abs(F):
-            raise CrossCheckError(
-                "Liouville constant disagrees with its ratio-of-integrals form",
-                F, F_alt,
-            )
+    u_pole = 1.0 + kernel.params.zeta * profile.L / ell  # real, > 1
+    F = complex(_g_minus_u(u_pole, coeffs, profile.p))
+    F_alt = _appendix_ratio(kernel, coeffs, profile, ell)
+    if abs(F - F_alt) > _F_CHECK_RTOL * abs(F):
+        raise CrossCheckError(
+            "Liouville constant disagrees with its ratio-of-integrals form",
+            F, F_alt,
+        )
     return F, F_alt, coeffs
 
 
 def build_split(kernel: FactorizedKernel, material: Material,
-                profile: LoadProfile, *, cross_check: bool = True) -> SplitData:
+                profile: LoadProfile) -> SplitData:
     """Assemble the full split data for a sub-Rayleigh crack solution."""
     params = kernel.params
     if not (material.eta == params.eta and material.h0 == params.h0):
         raise DomainError("kernel parameters do not match the material")
-    F, F_alt, coeffs = liouville_constant(kernel, profile, material,
-                                          cross_check=cross_check)
+    F, F_alt, coeffs = liouville_constant(kernel, profile, material)
     return SplitData(
         profile=profile,
         G=material.G,
         ell=material.ell,
         m=params.m,
-        nu=params.nu,
-        upsilon_eff=params.upsilon,
-        eta=params.eta,
-        h0=params.h0,
-        kernel=kernel,
-        F_coeffs=coeffs[: profile.p + 1],
-        taylor=coeffs,
+        coeffs=coeffs,
         F=F,
         F_alt=F_alt,
-        zeta=zeta_fn(params.eta, params.h0, params.m),
+        kernel=kernel,
     )
+
+
+def solve_crack(material: Material, m: float, profile: LoadProfile) -> SplitData:
+    """One-call solution: factorize the symbol at (m, eta, h0) and build the
+    split data for the given loading."""
+    kernel = factorize(KernelParams(m=m, eta=material.eta, h0=material.h0))
+    return build_split(kernel, material, profile)
 
 
 def limit_constant(profile: LoadProfile, zeta_value: float) -> complex:

@@ -158,9 +158,9 @@ def lambda_surface(eta: float, h0: float, m) -> float:
     return float(val) if np.ndim(m) == 0 else val
 
 
-def critical_speed(eta: float, h0: float, tol: float = 1e-10) -> float:
-    """Smallest positive zero of upsilon in m, capped at the shear-wave
-    value 1 (returned as exactly 1 when no slower zero exists)."""
+def critical_speed(eta: float, h0: float) -> float:
+    """Smallest positive zero of upsilon in m (to 1e-10), capped at the
+    shear-wave value 1 (returned as exactly 1 when no slower zero exists)."""
     _check_eta(eta)
     if h0 < 0:
         raise DomainError(f"h0 must be nonnegative, got {h0}")
@@ -180,14 +180,14 @@ def critical_speed(eta: float, h0: float, tol: float = 1e-10) -> float:
             )
         return 1.0
     i = sign_change[0]
-    root = bracketed_root(lambda m: upsilon(eta, h0, m), grid[i], grid[i + 1], tol=tol)
+    root = bracketed_root(lambda m: upsilon(eta, h0, m), grid[i], grid[i + 1], tol=1e-10)
     return min(root, 1.0)
 
 
-def h0_star(eta: float, tol: float = 1e-12) -> float:
+def h0_star(eta: float) -> float:
     """Rotational inertia threshold: for h0 > h0*(eta) the critical speed
     drops below the shear-wave speed.  Solves upsilon(eta, h0, 1) = 0 on
-    (0, 1/sqrt(2)]."""
+    (0, 1/sqrt(2)] to 1e-12."""
     _check_eta(eta)
     if eta == 0.0:
         return 1.0 / SQRT2
@@ -196,7 +196,7 @@ def h0_star(eta: float, tol: float = 1e-12) -> float:
     def f(h0):
         return upsilon(eta, h0, 1.0)
 
-    return bracketed_root(f, lo, hi, tol=tol)
+    return bracketed_root(f, lo, hi, tol=1e-12)
 
 
 def zeta(eta: float, h0: float, m: float) -> float:

@@ -1,8 +1,9 @@
 """Shared numerical machinery.
 
-Adaptive real-line quadrature, oscillatory half-line quadrature, circle-contour
-Taylor coefficients and bracketed root finding.  Every routine is deterministic
-(no randomized algorithms) and every quadrature returns ``(value, error_estimate)``.
+Oscillatory half-line panel quadrature with its algebraic tail ladder fit,
+circle-contour Taylor coefficients and bracketed root finding.  Every routine
+is deterministic (no randomized algorithms) and every quadrature returns
+``(value, error_estimate)``.
 """
 from __future__ import annotations
 
@@ -12,14 +13,13 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate
 
 from .errors import BracketError, QuadratureError
 
 __all__ = [
     "QuadratureSpec",
     "DEFAULT_SPEC",
-    "adaptive_integral",
+    "fit_power_tail",
     "oscillatory_halfline",
     "contour_coefficients",
     "bracketed_root",
@@ -28,29 +28,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation controls for the quadrature routines.
+    """Tolerance and truncation controls for the half-line quadrature.
 
+    ``abs_tol`` bounds negligible tails and the averaging limit;
     ``truncation_radius`` is where direct panel integration stops and the
-    analytic tail model takes over; ``tail_order`` is the number of powers
-    kept in that model.
+    analytic tail model takes over.
     """
 
     abs_tol: float = 1e-11
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 400
     truncation_radius: float = 2.0e3
-    tail_order: int = 3
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.abs_tol <= 0:
+            raise ValueError("tolerance must be positive")
         if self.truncation_radius <= 0:
             raise ValueError("truncation_radius must be positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions too small")
 
 
 DEFAULT_SPEC = QuadratureSpec()
+
+TAIL_FIT_POINTS = 32   # log-spaced samples of a tail-ladder fit
+_CONTOUR_NODES = 256   # trapezoid nodes on each coefficient circle
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -71,48 +69,6 @@ def panel_sums(f, edges, order=12):
     nodes = mid[:, None] + half[:, None] * x[None, :]
     vals = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
     return (vals * w[None, :]).sum(axis=1) * half
-
-
-def _quad_part(g, a, b, spec, points):
-    kwargs = dict(
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        full_output=1,
-    )
-    if points is not None:
-        pts = [p for p in points if a < p < b]
-        if pts:
-            if math.isinf(b) or math.isinf(a):
-                # QUADPACK rejects break points on infinite ranges: split.
-                cut = 2.0 * max(abs(p) for p in pts) + 1.0
-                if math.isinf(b):
-                    v1, e1 = _quad_part(g, a, cut, spec, points)
-                    v2, e2 = _quad_part(g, cut, b, spec, None)
-                    return v1 + v2, e1 + e2
-                v1, e1 = _quad_part(g, a, -cut, spec, None)
-                v2, e2 = _quad_part(g, -cut, b, spec, points)
-                return v1 + v2, e1 + e2
-            kwargs["points"] = pts
-    out = integrate.quad(g, a, b, **kwargs)
-    val, err = out[0], out[1]
-    if len(out) > 3 and err > 100 * max(spec.abs_tol, spec.rel_tol * abs(val)):
-        raise QuadratureError(f"quad did not converge: {out[3]}")
-    return val, err
-
-
-def adaptive_integral(f, a, b, spec: QuadratureSpec | None = None, *, points=None):
-    """Adaptive integral of a scalar (possibly complex-valued) ``f`` on [a, b].
-
-    Integrable endpoint singularities are handled by QUADPACK's extrapolation;
-    interior breakpoints may be passed via ``points``.  Returns
-    ``(value, error_estimate)`` with error ≤ max(abs_tol, rel_tol·|value|)
-    on success.
-    """
-    spec = spec or DEFAULT_SPEC
-    re, ere = _quad_part(lambda t: float(np.real(f(t))), a, b, spec, points)
-    im, eim = _quad_part(lambda t: float(np.imag(f(t))), a, b, spec, points)
-    return complex(re, im), ere + eim
 
 
 def _upper_gamma(s: float, z: complex) -> complex:
@@ -141,16 +97,15 @@ def power_tail(coeffs, exponents, freq, t0) -> complex:
     return total
 
 
-def _fit_tail(f, exponents, fit_lo, fit_hi, n_fit=32):
-    """Least-squares fit of ``f`` to Σ c_k t^{λ_k} on [fit_lo, fit_hi] (log grid)."""
-    ts = np.geomspace(fit_lo, fit_hi, n_fit)
-    vals = np.asarray(f(ts), dtype=complex)
-    basis = ts[:, None] ** np.asarray(exponents, dtype=float)[None, :]
+def fit_power_tail(t, values, exponents):
+    """Least-squares coefficients c_k of values ≈ Σ c_k t^{λ_k} at the
+    sample points ``t``.  Returns ``(coeffs, max_residual)``."""
+    basis = t[:, None] ** np.asarray(exponents, dtype=float)[None, :]
     # Column scaling keeps the normal equations well conditioned.
     scale = np.abs(basis).max(axis=0)
-    coeffs, *_ = np.linalg.lstsq(basis / scale, vals, rcond=None)
+    coeffs, *_ = np.linalg.lstsq(basis / scale, values, rcond=None)
     coeffs = coeffs / scale
-    resid = np.abs(basis @ coeffs - vals).max()
+    resid = np.abs(basis @ coeffs - values).max()
     return coeffs, resid
 
 
@@ -205,12 +160,13 @@ def _head_integral(f, freq, b, sqrt_singularity, order=20):
     return val, abs(val - ref)
 
 
-def _build_edges(lo, hi, freq, breakpoints, per_decade):
-    """Panel edges on [lo, hi] resolving both geometric structure and the
-    oscillation of e^{−i·freq·t} (≤ half a period per panel)."""
+def _build_edges(lo, hi, freq, breakpoints):
+    """Panel edges on [lo, hi] resolving both geometric structure (eight
+    panels per decade) and the oscillation of e^{−i·freq·t} (≤ half a period
+    per panel)."""
     pts = {lo, hi}
     if hi / max(lo, 1e-300) > 1.0:
-        n_geo = max(2, int(math.ceil(per_decade * math.log10(hi / lo))))
+        n_geo = max(2, int(math.ceil(8 * math.log10(hi / lo))))
         pts.update(np.geomspace(lo, hi, n_geo))
     if freq != 0.0:
         h = math.pi / abs(freq)
@@ -225,12 +181,6 @@ def _build_edges(lo, hi, freq, breakpoints, per_decade):
     return np.array(sorted(pts))
 
 
-def fit_power_tail(f, exponents, fit_lo, fit_hi, n_fit=32):
-    """Public access to the tail-ladder fit: coefficients c_k of
-    f ≈ Σ c_k t^{λ_k} on [fit_lo, fit_hi].  Returns (coeffs, max_residual)."""
-    return _fit_tail(f, exponents, fit_lo, fit_hi, n_fit=n_fit)
-
-
 def oscillatory_halfline(
     f,
     freq: float,
@@ -241,21 +191,21 @@ def oscillatory_halfline(
     tail_exponents=None,
     tail_coefficients=None,
     fit_start: float | None = None,
-    per_decade: int = 8,
-    head: float = 1e-4,
 ):
     """Compute ∫₀^∞ f(t)·exp(−i·freq·t) dt for a vectorized integrand.
 
     ``f`` must accept numpy arrays.  Strategy:
 
-    * a small head panel handles an optional t^{−1/2} endpoint singularity
-      (substitution t = v²);
+    * a small head panel on [0, 1e-4] handles an optional t^{−1/2} endpoint
+      singularity (substitution t = v²);
     * panels that resolve both the integrand's geometric structure and the
       oscillation cover the midrange;
     * the tail is either the closed-form transform of a fitted algebraic
       ladder Σ c_k t^{λ_k} (``tail_exponents`` given, slow oscillation) or the
       iterated-averaging limit of half-period partial sums (fast oscillation
-      or no ladder supplied).
+      or no ladder supplied).  The ladder is fitted by least squares on
+      ``TAIL_FIT_POINTS`` log-spaced points of [``fit_start``, truncation
+      radius] unless ``tail_coefficients`` are given.
 
     Returns ``(value, error_estimate)``.
     """
@@ -284,7 +234,7 @@ def oscillatory_halfline(
                 "zero-frequency half-line integral needs decaying tail_exponents"
             )
 
-    head_end = min(head, T)
+    head_end = min(1e-4, T)
     if a != 0.0 and not use_ladder:
         head_end = max(head_end, math.pi / abs(a))
     head_end = min(head_end, T)
@@ -295,7 +245,7 @@ def oscillatory_halfline(
         return np.asarray(f(t), dtype=complex) * np.exp(-1j * a * t)
 
     if use_ladder:
-        edges = _build_edges(head_end, T, a, breakpoints, per_decade)
+        edges = _build_edges(head_end, T, a, breakpoints)
         body = panel_sums(fw, edges, order=12)
         body_ref = panel_sums(fw, edges, order=8)
         val_body = body.sum()
@@ -306,7 +256,9 @@ def oscillatory_halfline(
         else:
             lo_default = max(head_end * 4.0, T / 25.0)
             fit_lo = min(max(fit_start or lo_default, head_end * 2.0), T / 2.0)
-            coeffs, resid = _fit_tail(f, tail_exponents, fit_lo, T)
+            ts = np.geomspace(fit_lo, T, TAIL_FIT_POINTS)
+            coeffs, resid = fit_power_tail(ts, np.asarray(f(ts), dtype=complex),
+                                           tail_exponents)
         val_tail = power_tail(coeffs, tail_exponents, a, T)
         err_tail = resid * min(T, 2.0 / abs(a) if a != 0.0 else T)
         return val_head + val_body + val_tail, err_head + err_body + err_tail
@@ -315,7 +267,7 @@ def oscillatory_halfline(
     h = math.pi / abs(a)
     max_halves = 600
     halves = np.arange(max_halves + 1, dtype=float) * h + head_end
-    geo = _build_edges(head_end, halves[-1], 0.0, breakpoints, per_decade)
+    geo = _build_edges(head_end, halves[-1], 0.0, breakpoints)
     edges = np.unique(np.concatenate([halves, geo]))
     sums = panel_sums(fw, edges, order=12)
     sums_ref = panel_sums(fw, edges, order=8)
@@ -332,39 +284,33 @@ def contour_coefficients(
     radius: float,
     count: int,
     *,
-    n_nodes: int = 256,
-    invariance_tol: float = 1e-10,
     check_count: int | None = None,
 ):
-    """First ``count`` Taylor coefficients of ``g`` about ``center`` via a
-    trapezoid rule on a circle (spectrally accurate for analytic ``g``).
+    """First ``count`` Taylor coefficients of a vectorized ``g`` about
+    ``center`` via a trapezoid rule on a circle (spectrally accurate for
+    analytic ``g``).
 
     The coefficients are recomputed at half the radius; disagreement beyond
-    ``invariance_tol`` on the first ``check_count`` of them signals a
-    singularity inside the disc and raises QuadratureError.
+    1e-10 (relative to max(1, |c|)) on the first ``check_count`` of them
+    signals a singularity inside the disc and raises QuadratureError.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     check_count = count if check_count is None else min(check_count, count)
 
     def coeffs_at(r):
-        phi = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
+        phi = 2.0 * np.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES
         z = center + r * np.exp(1j * phi)
-        try:
-            vals = np.asarray(g(z), dtype=complex)
-            if vals.shape != z.shape:
-                raise TypeError
-        except TypeError:
-            vals = np.array([g(zz) for zz in z], dtype=complex)
+        vals = np.asarray(g(z), dtype=complex)
         j = np.arange(count)
         modes = np.exp(-1j * np.outer(j, phi))
-        return (modes @ vals) / n_nodes / r ** j
+        return (modes @ vals) / _CONTOUR_NODES / r ** j
 
     c_full = coeffs_at(radius)
     c_half = coeffs_at(0.5 * radius)
     scale = max(1.0, float(np.abs(c_full[:check_count]).max(initial=0.0)))
     drift = float(np.abs(c_full[:check_count] - c_half[:check_count]).max(initial=0.0))
-    if drift > invariance_tol * scale:
+    if drift > 1e-10 * scale:
         raise QuadratureError(
             f"contour coefficients not radius-invariant (drift {drift:.3e}); "
             f"is g analytic on the disc of radius {radius}?"
@@ -372,8 +318,9 @@ def contour_coefficients(
     return c_full
 
 
-def bracketed_root(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 300):
-    """Root of ``f`` on a sign-change bracket [lo, hi].
+def bracketed_root(f, lo: float, hi: float, tol: float = 1e-12):
+    """Root of ``f`` on a sign-change bracket [lo, hi], to bracket width
+    ``tol`` or after 300 steps.
 
     Bisection with a secant proposal each step: guaranteed convergence, and
     exact in one secant step for affine ``f``.
@@ -388,7 +335,7 @@ def bracketed_root(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo!r}, {fhi!r}")
 
     stalled = 0
-    for _ in range(max_iter):
+    for _ in range(300):
         if hi - lo <= tol:
             break
         x = hi - fhi * (hi - lo) / (fhi - flo)

@@ -11,7 +11,8 @@ from crackwave import fields
 from crackwave.classical import (build_classical, classical_err,
                                  classical_neartip, classical_sif,
                                  classical_split, h_coefficients,
-                                 h_coefficients_contour, kp_coefficient)
+                                 h_coefficients_contour,
+                                 half_power_moment_quadrature, kp_coefficient)
 from crackwave.errors import RegimeError
 from crackwave.loading import LoadProfile
 
@@ -125,3 +126,22 @@ class TestSifAndErr:
     def test_regime(self):
         with pytest.raises(RegimeError):
             classical_err(LoadProfile(T0=1.0, L=1.0, p=0), 1.0, 1.0)
+
+
+class TestHalfPowerMoment:
+    """∫_{−∞}^0 tau(X)|X|^{−1/2} dX for loadings given as callables; the
+    weight is endpoint-singular at X = 0."""
+
+    def test_exponential(self):
+        val = half_power_moment_quadrature(np.exp)
+        assert val == pytest.approx(math.sqrt(math.pi), abs=1e-11)
+
+    def test_gamma(self):
+        val = half_power_moment_quadrature(lambda X: np.abs(X) * np.exp(X))
+        assert val == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-11)
+
+    def test_algebraic(self):
+        # B(1/2, 5/2) = 3π/8; the slow algebraic decay goes through the
+        # engine's fitted power tail.
+        val = half_power_moment_quadrature(lambda X: (1.0 + np.abs(X)) ** -3)
+        assert val == pytest.approx(3.0 * math.pi / 8.0, rel=1e-9)

@@ -53,6 +53,10 @@ class TestDeterminant:
             dispersion_det(-0.5, 1.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             dispersion_det(0.5, 0.0, 0.0, 0.0)
+        # Above the planar-shear speed beta² < 0: the mode does not decay.
+        mB = shear_phase_speed(1.0, 0.707)
+        with pytest.raises(DomainError):
+            dispersion_det(1.01 * mB, 1.01 * mB, 0.5, 0.707)
 
 
 class TestTraceCurve:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from crackwave.classical import kp_coefficient
-from crackwave.energy import (err_classical, err_couple, err_max_sweep,
-                              err_ratio, err_result, err_smalllength_limit)
+from crackwave.classical import classical_err, kp_coefficient
+from crackwave.energy import (err_couple, err_max_sweep, err_ratio, err_result,
+                              err_smalllength_limit)
 from crackwave.errors import RegimeError
 from crackwave.kernel import KernelParams, factorize
 from crackwave.loading import LoadProfile, build_split, traction
@@ -19,7 +19,7 @@ MAT = dict(G=1.0, rho=1.0, ell=1.0)
 
 class TestClassical:
     def test_static_p0(self):
-        assert err_classical(LoadProfile(T0=1.0, L=1.0, p=0), 0.0, 1.0) == 1.0
+        assert classical_err(LoadProfile(T0=1.0, L=1.0, p=0), 0.0, 1.0) == 1.0
 
     def test_kp_identity(self):
         for p in range(6):
@@ -30,7 +30,7 @@ class TestClassical:
 
     def test_divergence_scaling(self):
         prof = LoadProfile(T0=1.0, L=1.0, p=0)
-        e1 = err_classical(prof, 0.6, 1.0)
+        e1 = classical_err(prof, 0.6, 1.0)
         assert e1 == pytest.approx(1.0 / 0.8)
 
 
@@ -41,7 +41,7 @@ class TestSmallLengthLimit:
         # value exactly (Gamma reflection identity).
         prof = LoadProfile(T0=1.3, L=2.7, p=p)
         a = err_smalllength_limit(prof, 0.4, 2.0)
-        b = err_classical(prof, 0.4, 2.0)
+        b = classical_err(prof, 0.4, 2.0)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_static_p0(self):
@@ -77,7 +77,7 @@ class TestCouple:
         prof = LoadProfile(T0=1.0, L=10.0, p=1)
         r = err_ratio(sp.F, mat, PropagationState(0.3), prof)
         e = err_couple(sp.F, mat, PropagationState(0.3), 1.0)
-        assert r == pytest.approx(e / err_classical(prof, 0.3, 1.0), rel=1e-12)
+        assert r == pytest.approx(e / classical_err(prof, 0.3, 1.0), rel=1e-12)
 
     def test_shielding_weakening(self, kernel_factory):
         # Ratio below one for tip-concentrated loading (p = 0), above one

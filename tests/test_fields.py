@@ -1,5 +1,6 @@
 """Crack-line field inversion: tip closure, near-tip asymptotics, balance,
 fold consistency and the windowed total-shear maximum."""
+import dataclasses
 import math
 
 import numpy as np
@@ -157,6 +158,26 @@ class TestMaxTotalShear:
         lo = max_total_shear(split_factory(0.3, 0.9, 0.707, 0.5, 1), n_grid=60)[0]
         hi = max_total_shear(split_factory(0.3, 0.9, 0.707, 1.0, 1), n_grid=60)[0]
         assert lo < hi
+
+
+class TestSplitData:
+    def test_frozen_with_one_tail_fit_per_kind_and_radius(self, split, monkeypatch):
+        fresh = dataclasses.replace(split)  # same solution, empty tail cache
+        assert fresh.tail_cache == {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fresh.F = 0j
+        fits = []
+        real_fit = fields.fit_power_tail
+        monkeypatch.setattr(fields, "fit_power_tail",
+                            lambda *args: fits.append(args) or real_fit(*args))
+        for X in (0.2, 0.5, 3.0):
+            traction_ahead(X, fresh)
+            crack_opening(-X, fresh)
+        radius = fields._engine_spec(fresh).truncation_radius
+        assert len(fits) == 2
+        assert set(fresh.tail_cache) == {(FieldKind.TRACTION, radius),
+                                         (FieldKind.OPENING, radius)}
+        assert traction_ahead(0.5, fresh) == traction_ahead(0.5, split)
 
 
 class TestProfiles:

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crackwave.errors import DomainError, PoleError, RegimeError
+from crackwave.errors import DomainError, RegimeError
 from crackwave.kernel import (CauchyFactorization, FactorizedKernel,
-                              KernelParams, factorize, kernel_eval, sqrt_minus,
-                              sqrt_plus)
+                              KernelParams, factorize, sqrt_minus, sqrt_plus,
+                              wave_exponents)
 from crackwave.material import critical_speed, zeta
 
 RATIONAL_A, RATIONAL_B = 2.0, 1.0
@@ -79,31 +79,33 @@ class TestKernelParams:
 
 
 class TestKernelEval:
-    def test_origin(self):
-        kv = kernel_eval(0.0, KernelParams(m=0.3, eta=0.5, h0=0.6))
-        assert kv.chi == pytest.approx(1.0)
-        assert kv.alpha == pytest.approx(math.sqrt(2.0))
-        assert kv.beta == pytest.approx(0.0)
-        assert kv.psi == pytest.approx(2.0 * math.sqrt(1.0 - 0.09))
-        assert kv.k == pytest.approx(1.0)
+    def test_origin(self, kernel_factory, split_factory):
+        chi, alpha, beta2 = wave_exponents(0.0, 0.3, 0.707)
+        assert chi == pytest.approx(1.0)
+        assert alpha == pytest.approx(math.sqrt(2.0))
+        assert beta2 == pytest.approx(0.0)
+        psi = split_factory(0.3, 0.9, 0.707, 10.0, 1).psi(0.0)
+        assert psi == pytest.approx(2.0 * math.sqrt(1.0 - 0.09))
+        assert kernel_factory(0.3, 0.9, 0.707).k_real(0.0) == pytest.approx(1.0)
 
     def test_static_collapse(self):
-        p = KernelParams(m=0.0, eta=0.5, h0=0.3)
-        for xi in (0.5, 3.0, 40.0):
-            kv = kernel_eval(xi, p)
-            assert kv.chi == pytest.approx(1.0)
-            assert kv.alpha == pytest.approx(math.sqrt(2.0 + xi * xi))
-            assert kv.beta == pytest.approx(abs(xi))
+        xi = np.array([0.5, 3.0, 40.0])
+        chi, alpha, beta2 = wave_exponents(xi, 0.0, 0.3)
+        assert chi == pytest.approx(1.0)
+        assert alpha == pytest.approx(np.sqrt(2.0 + xi * xi))
+        assert np.sqrt(beta2) == pytest.approx(np.abs(xi))
 
-    def test_large_xi_near_unity(self):
-        p = KernelParams(m=0.3, eta=0.5, h0=0.6)
-        assert abs(kernel_eval(1e3, p).k - 1.0) <= 1e-2
-        assert abs(kernel_eval(-1e3, p).k - 1.0) <= 1e-2
+    def test_large_xi_near_unity(self, kernel_factory):
+        k = kernel_factory(0.3, 0.9, 0.707)
+        assert abs(k.k_real(1e3) - 1.0) <= 1e-2
+        assert abs(k.k_real(-1e3) - 1.0) <= 1e-2
 
-    def test_pole_detected(self):
-        p = KernelParams(m=0.3, eta=0.5, h0=0.6)
-        with pytest.raises(PoleError):
-            kernel_eval(1j * p.zeta, p)
+    def test_small_xi_beta_keeps_relative_accuracy(self):
+        # beta ~ sqrt(1 - m²)·xi as xi -> 0; base - chi would cancel to 0.
+        m = 0.3
+        _, _, beta2 = wave_exponents(1e-9, m, 0.707)
+        assert math.sqrt(beta2) / (math.sqrt(1.0 - m * m) * 1e-9) \
+            == pytest.approx(1.0, abs=1e-12)
 
     def test_psi_zero_matches_zeta(self, kernel_factory):
         k = kernel_factory(0.3, 0.9, 0.707)

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from crackwave.errors import BracketError, QuadratureError
-from crackwave.numerics import (QuadratureSpec, adaptive_integral,
-                                bracketed_root, contour_coefficients,
-                                oscillatory_halfline)
+from crackwave.numerics import (QuadratureSpec, bracketed_root,
+                                contour_coefficients, oscillatory_halfline)
 from crackwave.material import lambda_surface
 
 # ∫₀^∞ e^{−it}/(1+t²) dt ; real part is pi/(2e) by residue calculus.
@@ -22,33 +21,6 @@ OSC_SQRT_JUMP = 0.049966497376164613 + 0.085953677120606257j
 OSC_SLOW = 1.4403341372927241 - 0.46050745439444636j
 # ∫₀^∞ t^{−1/2} e^{−(1+3i)t} dt = sqrt(pi)·(1+3i)^{−1/2}
 OSC_SING = 0.80858459419487750 - 0.58279480146129941j
-
-
-class TestAdaptiveIntegral:
-    def test_polynomial(self):
-        val, err = adaptive_integral(lambda x: x * x, 0.0, 1.0)
-        assert abs(val - 1.0 / 3.0) <= max(err, 1e-14)
-
-    def test_endpoint_singularity(self):
-        val, err = adaptive_integral(lambda x: x ** -0.5, 0.0, 1.0)
-        assert abs(val - 2.0) <= max(err, 1e-11)
-
-    def test_halfline_gamma(self):
-        val, err = adaptive_integral(lambda x: math.exp(-x) * math.sqrt(x),
-                                     0.0, np.inf)
-        assert abs(val - math.sqrt(math.pi) / 2.0) <= max(err, 1e-11)
-
-    def test_error_estimate_honest(self):
-        for f, a, b, exact in (
-            (lambda x: x * x, 0.0, 1.0, 1.0 / 3.0),
-            (lambda x: x ** -0.5, 0.0, 1.0, 2.0),
-        ):
-            val, err = adaptive_integral(f, a, b)
-            assert abs(val - exact) <= max(err, 1e-13)
-
-    def test_complex_integrand(self):
-        val, _ = adaptive_integral(lambda x: np.exp(1j * x), 0.0, np.pi)
-        assert abs(val - 2j) < 1e-10
 
 
 class TestOscillatoryHalfline:
@@ -89,8 +61,32 @@ class TestOscillatoryHalfline:
             return np.exp(-np.asarray(t, dtype=float))
 
         val, _ = oscillatory_halfline(f, 0.0)
-        ref, _ = adaptive_integral(lambda t: math.exp(-t), 0.0, np.inf)
-        assert abs(val - ref) < 1e-9
+        assert abs(val - 1.0) < 1e-9
+
+    @staticmethod
+    def _on_unit_interval(g):
+        return lambda t: np.where(np.asarray(t) < 1.0, g(np.asarray(t)), 0.0)
+
+    def test_finite_support_polynomial(self):
+        val, err = oscillatory_halfline(self._on_unit_interval(lambda t: t * t),
+                                        0.0, breakpoints=(1.0,))
+        assert abs(val - 1.0 / 3.0) <= max(err, 1e-14)
+
+    def test_finite_support_complex_integrand(self):
+        def f(t):
+            t = np.asarray(t)
+            return np.where(t < np.pi, np.exp(1j * t), 0.0)
+
+        val, _ = oscillatory_halfline(f, 0.0, breakpoints=(np.pi,))
+        assert abs(val - 2j) < 1e-10
+
+    def test_error_estimate_honest(self):
+        for g, singular, exact in ((lambda t: t * t, False, 1.0 / 3.0),
+                                   (lambda t: t ** -0.5, True, 2.0)):
+            val, err = oscillatory_halfline(self._on_unit_interval(g), 0.0,
+                                            breakpoints=(1.0,),
+                                            sqrt_singularity=singular)
+            assert abs(val - exact) <= max(err, 1e-13)
 
     def test_zero_frequency_divergent_rejected(self):
         def f(t):
