@@ -25,7 +25,7 @@ from .errors import (BracketError, ConfigError, CrackwaveError, DomainError,
                      PoleError, QuadratureError, RealnessError, RegimeError,
                      RootLossError)
 from .kernel import KernelParams, factorize
-from .loading import LoadProfile, build_split, solve_crack
+from .loading import LoadProfile, build_split, limit_constant, solve_crack
 from .material import Material, critical_speed, h0_star, lambda_surface
 
 EXIT_CONFIG = 2
@@ -39,7 +39,7 @@ CONFIG_KEYS = frozenset({
     "material.G", "material.rho", "material.ell", "material.eta", "material.h0",
     "load.T0", "load.L_over_ell", "load.p", "state.m",
     "sweep.variable", "sweep.start", "sweep.stop", "sweep.count", "sweep.scale",
-    "fields.points", "dispersion.axis",
+    "fields.points",
 })
 
 
@@ -85,12 +85,6 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _axis(text: str) -> str:
-    if text not in ("omega", "k"):
-        raise ValueError(text)
-    return text
-
-
 @dataclass
 class RunConfig:
     material: Material
@@ -98,7 +92,6 @@ class RunConfig:
     m: float
     sweep: dict = field(default_factory=dict)
     points: int = 160
-    axis: str = "omega"
 
     @classmethod
     def from_file(cls, path):
@@ -135,8 +128,7 @@ class RunConfig:
             if sweep["count"] < 2 or not sweep["stop"] > sweep["start"]:
                 raise ConfigError("sweep grid must be strictly increasing")
         return cls(material=material, profile=profile, m=m, sweep=sweep,
-                   points=_get(cfg, "fields.points", _positive_int, 160),
-                   axis=_get(cfg, "dispersion.axis", _axis, "omega"))
+                   points=_get(cfg, "fields.points", _positive_int, 160))
 
     def grid(self):
         if not self.sweep:
@@ -173,7 +165,11 @@ def _write_csv(path: Path, header, rows):
 
 def _cmd_dispersion(run: RunConfig, out: Path, jobs: int):
     grid = run.grid()
-    pts = disp.trace_curve(grid, run.material.eta, run.material.h0, axis=run.axis)
+    axis = run.sweep["variable"]
+    if axis not in ("omega", "k"):
+        raise ConfigError(f"unsupported sweep variable {axis!r}; "
+                          "dispersion sweeps omega or k")
+    pts = disp.trace_curve(grid, run.material.eta, run.material.h0, axis=axis)
     rows = [(run.material.eta, run.material.h0, p.omega_norm, p.k_norm, p.mR)
             for p in pts]
     return _write_csv(out / "dispersion.csv",
@@ -228,6 +224,16 @@ def _err_row(material: Material, profile: LoadProfile, m: float):
             e_norm, res.E_cl, res.ratio)
 
 
+def _limit_row(material: Material, profile: LoadProfile, m: float):
+    """ERR ratio and the drift of F from its vanishing-microstructure limit."""
+    split = solve_crack(material, m, profile)
+    res = energy.err_result(material, m, profile, split=split)
+    c_lim = limit_constant(profile, split.kernel.params.zeta)
+    drift = abs(split.F / (c_lim * math.sqrt(material.ell)) - 1.0)
+    return (m, material.eta, material.h0, profile.p, profile.L / material.ell,
+            res.E, res.E_cl, res.ratio, abs(res.ratio - 1.0), drift)
+
+
 def _sweep_args(run: RunConfig, variable: str, value: float):
     """(material, profile, m) of one sweep row."""
     mat, prof, m = run.material, run.profile, run.m
@@ -242,48 +248,32 @@ def _sweep_args(run: RunConfig, variable: str, value: float):
     return mat, prof, m
 
 
-def _run_rows(worker, args_list, jobs):
+def _run_rows(worker, run: RunConfig, jobs: int):
+    """worker(material, profile, m) at every point of the run's sweep."""
+    grid = run.grid()
+    args = [_sweep_args(run, run.sweep["variable"], v) for v in grid]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, *zip(*args_list)))
-    return [worker(*a) for a in args_list]
+            return list(pool.map(worker, *zip(*args)))
+    return [worker(*a) for a in args]
 
 
 def _cmd_tmax_sweep(run: RunConfig, out: Path, jobs: int):
-    variable = run.sweep["variable"]
-    args = [_sweep_args(run, variable, v) for v in run.grid()]
-    rows = _run_rows(_tmax_row, args, jobs)
+    rows = _run_rows(_tmax_row, run, jobs)
     return _write_csv(out / "tmax-sweep.csv",
                       ["m", "eta", "h0", "p", "L_over_ell", "t23max",
                        "t23max_ell_over_T0", "X_at_over_ell"], rows)
 
 
 def _cmd_err_sweep(run: RunConfig, out: Path, jobs: int):
-    variable = run.sweep["variable"]
-    args = [_sweep_args(run, variable, v) for v in run.grid()]
-    rows = _run_rows(_err_row, args, jobs)
+    rows = _run_rows(_err_row, run, jobs)
     return _write_csv(out / "err-sweep.csv",
                       ["m", "eta", "h0", "p", "L_over_ell", "E",
                        "E_G_ell_over_T0sq", "E_classical", "ratio"], rows)
 
 
 def _cmd_limit_study(run: RunConfig, out: Path, jobs: int):
-    from .loading import limit_constant
-    from .material import zeta as zeta_fn
-
-    mat, prof0 = run.material, run.profile
-    params = KernelParams(m=run.m, eta=mat.eta, h0=mat.h0)
-    kernel = factorize(params)
-    zv = zeta_fn(mat.eta, mat.h0, run.m)
-    rows = []
-    for val in run.grid():
-        profile = LoadProfile(T0=prof0.T0, L=val * mat.ell, p=prof0.p)
-        split = build_split(kernel, mat, profile)
-        res = energy.err_result(mat, run.m, profile, split=split)
-        c_lim = limit_constant(profile, zv)
-        drift = abs(split.F / (c_lim * math.sqrt(mat.ell)) - 1.0)
-        rows.append((run.m, mat.eta, mat.h0, prof0.p, val, res.E, res.E_cl,
-                     res.ratio, abs(res.ratio - 1.0), drift))
+    rows = _run_rows(_limit_row, run, jobs)
     return _write_csv(out / "limit-study.csv",
                       ["m", "eta", "h0", "p", "L_over_ell", "E", "E_classical",
                        "ratio", "abs_ratio_minus_1", "F_limit_drift"], rows)
@@ -320,12 +310,13 @@ def _validate_checks():
                  for p, v in enumerate((1.0, 0.5, 0.375, 0.3125)))
     checks.append(("kp_closed_form", 0.0, kp_dev, 1e-12))
 
-    params = KernelParams(m=0.3, eta=0.9, h0=0.707)
-    kernel = factorize(params)
+    kernel = factorize(KernelParams(m=0.3, eta=0.9, h0=0.707))
+    # The spline boundary value k⁺_line, which the field integrands use,
+    # against the off-axis Cauchy integral just above the axis.
     xi = np.geomspace(1e-2, 1e3, 100)
-    ident = max(abs(kernel.k_minus(x) / kernel.k_plus(x) - kernel.k_real(x))
-                / kernel.k_real(x) for x in xi)
-    checks.append(("factorization_identity", 0.0, float(ident), 1e-8))
+    jump = max(abs(kernel.k_plus(x + 1e-6j * x) - kernel.k_plus_line(x))
+               / abs(kernel.k_plus_line(x)) for x in xi)
+    checks.append(("kplus_boundary_value", 0.0, float(jump), 1e-6))
 
     material = Material(G=1.0, rho=1.0, ell=1.0, eta=0.9, h0=0.707)
     profile = LoadProfile(T0=1.0, L=10.0, p=1)

@@ -27,9 +27,10 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, RegimeError
+from .material import _u_radical
 from .material import upsilon as _upsilon
 from .material import zeta as _zeta
-from .numerics import _gauss
+from .numerics import panel_nodes
 
 __all__ = [
     "sqrt_plus",
@@ -121,7 +122,7 @@ class KernelParams:
 
     @cached_property
     def u(self) -> float:
-        return math.sqrt(max(1.0 - 2.0 * (self.h0 * self.m) ** 2, 0.0))
+        return _u_radical(self.eta, self.h0, self.m)
 
     @cached_property
     def zeta(self) -> float:
@@ -132,9 +133,27 @@ class KernelParams:
 # Cauchy-integral factorization of an even, positive, index-zero kernel.
 # ---------------------------------------------------------------------------
 
+_KNOTS_PER_DECADE = 96  # boundary-phase spline knots per decade of xi
+
+
 def _quarter_decade_edges(lo: float, hi: float) -> np.ndarray:
     n = max(2, int(math.ceil(4.0 * math.log10(hi / lo))) + 1)
     return np.geomspace(lo, hi, n)
+
+
+def _clustered_edges(x: float, lo: float, hi: float, delta: float, n: int) -> np.ndarray:
+    """Panel edges on [lo, hi] graded geometrically toward x from both sides,
+    n per side, the innermost a distance delta from x."""
+    left = x - np.geomspace(x - lo, delta, n)
+    right = x + np.geomspace(delta, hi - x, n)
+    return np.concatenate([[lo], left, right, [hi]])
+
+
+def _artanh_excess(w):
+    """artanh(w) − w; the difference cancels for small |w|, where the series
+    w³/3 + w⁵/5 is used instead."""
+    w = np.asarray(w)
+    return np.where(np.abs(w) < 1e-4, w**3 / 3.0 + w**5 / 5.0, np.arctanh(w) - w)
 
 
 class CauchyFactorization:
@@ -151,13 +170,13 @@ class CauchyFactorization:
         from the fitted large-t coefficient of log k ~ c2/t².
     """
 
-    def __init__(self, k_line, xi_hi: float = 4.0e3, knots_per_decade: int = 48):
+    def __init__(self, k_line, xi_hi: float):
         self._k_line = k_line
         self.xi_hi = float(xi_hi)
         self.t_cut = 40.0 * self.xi_hi
         self._xi_lo = 1e-6
         self._c2 = self._fit_tail_coeff()
-        self._build_theta_spline(knots_per_decade)
+        self._build_theta_spline()
 
     # -- real-axis kernel -----------------------------------------------
     def k_real(self, xi):
@@ -176,57 +195,37 @@ class CauchyFactorization:
     # -- boundary phase ---------------------------------------------------
     def _theta_tail(self, xi: np.ndarray) -> np.ndarray:
         """Closed-form t > t_cut contribution to the PV integral, using
-        log k ≈ c2/t².
-
-        The combination Q − 1/T with Q = artanh(xi/T)/xi cancels to
-        O((xi/T)²/T); it is evaluated by series for small xi/T since the
-        c2/xi² prefactor amplifies rounding in the naive log form.
-        """
+        log k ≈ c2/t²: (c2/xi²)·d − L(xi)·(d + 1/T) with
+        d = (artanh(xi/T) − xi/T)/xi, which is O((xi/T)²/T)."""
         T = self.t_cut
-        r = xi / T
-        r2 = r * r
-        small = r < 1e-4
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q_exact = np.arctanh(np.clip(r, None, 1.0 - 1e-12)) / xi
-            d_exact = q_exact - 1.0 / T
-        q_series = (1.0 + r2 / 3.0 + r2 * r2 / 5.0) / T
-        d_series = (r2 / 3.0 + r2 * r2 / 5.0) / T
-        q = np.where(small, q_series, q_exact)
-        d = np.where(small, d_series, d_exact)
-        return (self._c2 / xi**2) * d - self.log_k(xi) * q
+        d = _artanh_excess(xi / T) / xi
+        return (self._c2 / xi**2) * d - self.log_k(xi) * (d + 1.0 / T)
 
     def _theta_grid(self, knots: np.ndarray) -> np.ndarray:
         """theta at many xi simultaneously: PV fold with the plain part
-        removed, theta = (xi/π) ∫₀^∞ (L(t) − L(xi))/(t² − xi²) dt."""
-        edges = np.concatenate([[0.0, 1e-3], _quarter_decade_edges(1e-3, self.t_cut)[1:]])
-        x, w = _gauss(16)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        t = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        wt = (half[:, None] * w[None, :]).ravel()
-        Lt = self.log_k(t)
-        Lx = self.log_k(knots)
-        denom = t[None, :] ** 2 - knots[:, None] ** 2
-        num = Lt[None, :] - Lx[:, None]
-        # Knots and Gauss nodes never coincide by construction; guard anyway.
-        tiny = np.abs(denom) < 1e-300
-        if np.any(tiny):
-            denom = np.where(tiny, 1.0, denom)
-            num = np.where(tiny, 0.0, num)
-        integral = (num / denom) @ wt
-        return knots / np.pi * (integral + self._theta_tail(knots))
+        removed, theta = (xi/π) ∫₀^∞ (L(t) − L(xi))/(t² − xi²) dt.
 
-    def _build_theta_spline(self, knots_per_decade: int):
+        One set of quarter-decade Gauss panels serves every knot.  They run
+        down to 1e-7, a decade below the smallest knot, so the panels about
+        each knot are no wider than the knot itself.
+        """
+        edges = np.concatenate([[0.0], _quarter_decade_edges(1e-7, self.t_cut)])
+        t, wt = panel_nodes(edges, 16)
+        t, wt = t.ravel(), wt.ravel()
+        num = self.log_k(t)[None, :] - self.log_k(knots)[:, None]
+        # In place: the knot × node matrix is the largest array of a build.
+        # A node equal to a knot keeps its zero numerator.
+        denom = t[None, :] ** 2 - knots[:, None] ** 2
+        np.divide(num, denom, out=num, where=denom != 0.0)
+        return knots / np.pi * (num @ wt + self._theta_tail(knots))
+
+    def _build_theta_spline(self):
+        """Cubic spline of theta in log xi through _KNOTS_PER_DECADE knots per
+        decade of [_xi_lo, xi_hi], all from the shared-node rule."""
         decades = math.log10(self.xi_hi / self._xi_lo)
-        n = max(2, int(math.ceil(knots_per_decade * decades)))
+        n = max(2, int(math.ceil(_KNOTS_PER_DECADE * decades)))
         knots = np.geomspace(self._xi_lo, self.xi_hi, n)
         vals = self._theta_grid(knots)
-        # The shared-node grid quadrature cannot resolve the removable
-        # t = xi structure for knots far below its panel scale; recompute
-        # those with the per-point clustered rule.
-        crossover = 2e-3
-        for i in np.nonzero(knots < crossover)[0]:
-            vals[i] = self.theta_exact(knots[i])
         self._theta_spline = CubicSpline(np.log(knots), vals)
         self._theta_lo_slope = vals[0] / knots[0]
 
@@ -248,12 +247,12 @@ class CauchyFactorization:
         return out if out.ndim else float(out)
 
     def theta_exact(self, xi: float) -> float:
-        """Boundary phase by heavily refined panel quadrature (reference path,
-        independent of the cached spline)."""
+        """Boundary phase at one xi by a rule refined around t = xi (reference
+        path, independent of the cached spline and of its shared nodes; the
+        real-axis k_plus and k_minus use it)."""
         x = abs(float(xi))
         if x == 0.0:
             return 0.0
-        Lx = float(self.log_k(x))
         T = self.t_cut
 
         # Panels clustered toward t = x; the window |t−x| < delta, where the
@@ -261,20 +260,14 @@ class CauchyFactorization:
         # handled by its Taylor value L'(x)/(2x).
         delta = 1e-4 * x
         lo, hi = x / math.sqrt(10.0), min(x * math.sqrt(10.0), T)
-        base = np.concatenate([[0.0, min(1e-3, 0.5 * lo)],
-                               _quarter_decade_edges(min(1e-3, 0.5 * lo), T)[1:]])
-        keep = base[(base < lo) | (base > hi)]
-        left = x - np.geomspace(x - lo, delta, 18)
-        right = x + np.geomspace(delta, hi - x, 18)
-        edges = np.unique(np.concatenate([keep, [lo, hi], left, right]))
-        edges = edges[(edges >= 0.0) & (edges <= T)]
-
-        xg, wg = _gauss(16)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        inside = np.abs(mid - x) < delta
-        t = (mid[~inside][:, None] + half[~inside][:, None] * xg[None, :]).ravel()
-        wt = (half[~inside][:, None] * wg[None, :]).ravel()
+        base = np.concatenate([[0.0], _quarter_decade_edges(min(1e-3, 0.5 * lo), T)])
+        edges = np.union1d(base[(base < lo) | (base > hi)],
+                           _clustered_edges(x, lo, hi, delta, 18))
+        edges = edges[edges <= T]
+        t, wt = panel_nodes(edges, 16)
+        outside = np.abs(0.5 * (edges[1:] + edges[:-1]) - x) >= delta
+        t, wt = t[outside], wt[outside]
+        Lx = float(self.log_k(x))
         val = float(np.sum((self.log_k(t) - Lx) / (t * t - x * x) * wt))
 
         h = 1e-5 * x
@@ -290,23 +283,14 @@ class CauchyFactorization:
         clustered geometrically around |Re z| when the integrand peaks there."""
         x = abs(z.real)
         y = abs(z.imag)
-        base = np.concatenate([[0.0, 1e-3], _quarter_decade_edges(1e-3, T)[1:]])
+        edges = np.concatenate([[0.0], _quarter_decade_edges(1e-3, T)])
         if x > max(4.0 * y, 1e-5) and x < T / 3.0:
             lo, hi = x / math.sqrt(10.0), x * math.sqrt(10.0)
-            keep = (base < lo) | (base > hi)
             delta = 0.5 * max(y, 1e-8 * max(x, 1.0))
-            left = x - np.geomspace(x - lo, delta, 12)
-            right = x + np.geomspace(delta, hi - x, 12)
-            cluster = np.concatenate([[lo], left, right, [hi]])
-            edges = np.unique(np.concatenate([base[keep], cluster]))
-        else:
-            edges = base
-        xg, wg = _gauss(12)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        t = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        wt = (half[:, None] * wg[None, :]).ravel()
-        return t, wt
+            edges = np.union1d(edges[(edges < lo) | (edges > hi)],
+                               _clustered_edges(x, lo, hi, delta, 12))
+        t, wt = panel_nodes(edges, 12)
+        return t.ravel(), wt.ravel()
 
     def cauchy_integral(self, z: complex) -> complex:
         """E(z) = ∫_R log k(t)/(t − z) dt for z off the real axis.
@@ -321,41 +305,36 @@ class CauchyFactorization:
         t, wt = self._cauchy_nodes(z, T)
         L = self.log_k(t)
         val = complex(np.sum(L * wt * (1.0 / (t - z) - 1.0 / (t + z))))
-        # ∫_T^∞ (c2/t²)(1/(t−z) − 1/(t+z)) dt = −(c2/z²)(ln((T−z)/(T+z)) + 2z/T),
-        # evaluated through the stable artanh form (the log cancels to O((z/T)³)).
-        w = z / T
-        if abs(w) < 1e-4:
-            series = w**3 / 3.0 + w**5 / 5.0
-        else:
-            series = np.arctanh(w) - w
-        val += 2.0 * self._c2 / (z * z) * series
-        return val
+        # ∫_T^∞ (c2/t²)(1/(t−z) − 1/(t+z)) dt = −(c2/z²)(ln((T−z)/(T+z)) + 2z/T)
+        # = (2c2/z²)(artanh(z/T) − z/T); the log cancels to O((z/T)³).
+        return val + complex(2.0 * self._c2 / (z * z) * _artanh_excess(z / T))
 
     # -- factors -----------------------------------------------------------
-    def k_plus(self, z):
-        """Upper factor; analytic and zero-free for Im z > 0, boundary value
-        from above on the real axis, k⁺(∞) = 1."""
+    def _factor(self, z, upper: bool) -> complex:
+        """k⁺ (upper) or k⁻ at z in its closed half-plane: the boundary value
+        e^{iθ}/√k or e^{iθ}·√k on the real axis, exp(−E(z)/2πi) off it."""
         z = complex(z)
-        if z.imag < 0.0:
+        if upper and z.imag < 0.0:
             raise DomainError("k_plus is defined for Im z >= 0")
-        if z.imag == 0.0:
-            x = z.real
-            if x == 0.0:
-                return 1.0 + 0.0j
-            return complex(np.exp(1j * self.theta_exact(x)) / math.sqrt(float(self.k_real(x))))
-        return complex(np.exp(-self.cauchy_integral(z) / (2j * np.pi)))
-
-    def k_minus(self, z):
-        """Lower factor; analytic and zero-free for Im z < 0, k⁻(∞) = 1."""
-        z = complex(z)
-        if z.imag > 0.0:
+        if not upper and z.imag > 0.0:
             raise DomainError("k_minus is defined for Im z <= 0")
         if z.imag == 0.0:
             x = z.real
             if x == 0.0:
                 return 1.0 + 0.0j
-            return complex(np.exp(1j * self.theta_exact(x)) * math.sqrt(float(self.k_real(x))))
+            phase = np.exp(1j * self.theta_exact(x))
+            root = math.sqrt(float(self.k_real(x)))
+            return complex(phase / root if upper else phase * root)
         return complex(np.exp(-self.cauchy_integral(z) / (2j * np.pi)))
+
+    def k_plus(self, z):
+        """Upper factor; analytic and zero-free for Im z > 0, boundary value
+        from above on the real axis, k⁺(∞) = 1."""
+        return self._factor(z, upper=True)
+
+    def k_minus(self, z):
+        """Lower factor; analytic and zero-free for Im z < 0, k⁻(∞) = 1."""
+        return self._factor(z, upper=False)
 
     # Fast vectorized boundary values from the cached phase (fields path).
     def k_plus_line(self, xi):
@@ -371,7 +350,7 @@ class FactorizedKernel(CauchyFactorization):
     def __init__(self, params: KernelParams):
         self.params = params
         xi_hi = max(4.0e3, 60.0 * params.zeta)
-        super().__init__(self._symbol_line, xi_hi=xi_hi, knots_per_decade=96)
+        super().__init__(self._symbol_line, xi_hi=xi_hi)
         self._validate_positive()
 
     def _symbol_line(self, t):

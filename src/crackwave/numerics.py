@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -50,25 +51,25 @@ DEFAULT_SPEC = QuadratureSpec()
 TAIL_FIT_POINTS = 32   # log-spaced samples of a tail-ladder fit
 _CONTOUR_NODES = 256   # trapezoid nodes on each coefficient circle
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_gauss = lru_cache(maxsize=None)(leggauss)
 
 
-def _gauss(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = leggauss(n)
-    return _GL_CACHE[n]
+def panel_nodes(edges, order: int):
+    """Gauss-Legendre nodes ``t`` and weights ``w`` of ``order`` points on
+    each panel between consecutive ``edges``; both of shape (panels, order)."""
+    edges = np.asarray(edges, dtype=float)
+    x, w = _gauss(order)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
 
 
 def panel_sums(f, edges, order=12):
     """Per-panel Gauss-Legendre integrals of a vectorized ``f`` over consecutive
     ``edges``.  Returns a complex array with one entry per panel."""
-    edges = np.asarray(edges, dtype=float)
-    x, w = _gauss(order)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    vals = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
-    return (vals * w[None, :]).sum(axis=1) * half
+    t, w = panel_nodes(edges, order)
+    vals = np.asarray(f(t.ravel()), dtype=complex).reshape(t.shape)
+    return (vals * w).sum(axis=1)
 
 
 def _upper_gamma(s: float, z: complex) -> complex:

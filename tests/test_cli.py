@@ -1,5 +1,6 @@
 """Command-line configuration: a bad key or value is a config error (exit 2)
 before any computation starts."""
+import csv
 from pathlib import Path
 
 import pytest
@@ -36,7 +37,18 @@ sweep.start = 0.05
 sweep.stop = 50
 sweep.count = 120
 sweep.scale = log
-dispersion.axis = omega
+"""
+
+LIMIT_STUDY = """\
+material.eta = 0.9
+material.h0 = 0.6
+state.m = 0.3
+load.L_over_ell = 2
+load.p = 1
+sweep.variable = m
+sweep.start = 0.1
+sweep.stop = 0.3
+sweep.count = 2
 """
 
 
@@ -46,9 +58,15 @@ dispersion.axis = omega
      "unknown config key(s) ['load.L_over_el']"),
     ("fields", FIELDS.replace("= 160", "= abc"), "bad value for 'fields.points'"),
     ("fields", FIELDS.replace("= 160", "= -3"), "bad value for 'fields.points'"),
-    ("dispersion", DISPERSION.replace("axis = omega", "axis = kk"),
-     "bad value for 'dispersion.axis'"),
-], ids=["misspelt-key", "points-not-int", "points-negative", "axis-unknown"])
+    # A dispersion config used to trace an m grid as omega, with exit 0.
+    ("dispersion", DISPERSION.replace("variable = omega", "variable = m"),
+     "unsupported sweep variable 'm'"),
+    ("limit-study", LIMIT_STUDY.replace("variable = m", "variable = h0"),
+     "unsupported sweep variable 'h0'"),
+    # Used to end in a KeyError traceback.
+    ("err-sweep", ERR_SWEEP.split("sweep.")[0], "this subcommand needs a sweep block"),
+], ids=["misspelt-key", "points-not-int", "points-negative", "variable-unknown",
+        "limit-variable-unknown", "no-sweep-block"])
 def test_bad_config_exits_with_config_error(tmp_path, capsys, subcommand, text, message):
     config = tmp_path / "run.conf"
     config.write_text(text)
@@ -61,4 +79,18 @@ def test_bad_config_exits_with_config_error(tmp_path, capsys, subcommand, text, 
 @pytest.mark.parametrize("preset", sorted(PRESETS.glob("*.conf")), ids=lambda p: p.stem)
 def test_every_preset_parses(preset):
     run = cli.RunConfig.from_file(preset)
-    assert run.points >= 1 and run.axis in ("omega", "k")
+    assert run.points >= 1
+    assert run.sweep.get("variable") in (None, "omega", "k", "m", "m_of_limit",
+                                         "L_over_ell")
+
+
+def test_limit_study_sweeps_its_variable(tmp_path):
+    # limit-study used to run any sweep grid as L/ell.
+    config = tmp_path / "run.conf"
+    config.write_text(LIMIT_STUDY)
+    rc = cli.main(["limit-study", "--config", str(config), "--out", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "limit-study.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["m"]) for r in rows] == [0.1, 0.3]
+    assert [float(r["L_over_ell"]) for r in rows] == [2.0, 2.0]
