@@ -196,15 +196,15 @@ def _cmd_fields(run: RunConfig, out: Path, jobs: int):
               "t23_ell_over_T0"]
     meta = (run.m, run.material.eta, run.material.h0, run.profile.p,
             run.profile.L / ell)
-    rows = []
-    for x in np.geomspace(1e-3 * ell, 1e2 * max(run.profile.L, ell), run.points):
-        w = fields.crack_opening(-x, split)
-        p3 = fields.traction_ahead(x, split)
-        st = fields.stresses_on_line(x, split)
-        rows.append(meta + (x, x / ell, w, w * run.material.G / (T0 * ell),
-                            p3, p3 * ell / T0, st["sigma23"] * ell / T0,
-                            st["tau23"] * ell / T0, st["mu22"] / T0,
-                            st["t23"] * ell / T0))
+    xs = np.geomspace(1e-3 * ell, 1e2 * max(run.profile.L, ell), run.points)
+    w = fields.crack_opening(-xs, split)
+    p3 = fields.traction_ahead(xs, split)
+    st = fields.stresses_on_line(xs, split)
+    rows = [meta + (x, x / ell, w[i], w[i] * run.material.G / (T0 * ell),
+                    p3[i], p3[i] * ell / T0, st["sigma23"][i] * ell / T0,
+                    st["tau23"][i] * ell / T0, st["mu22"][i] / T0,
+                    st["t23"][i] * ell / T0)
+            for i, x in enumerate(xs)]
     return _write_csv(out / "fields.csv", header, rows)
 
 

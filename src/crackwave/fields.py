@@ -7,6 +7,11 @@ evaluated by the shared oscillatory engine; the large-xi behaviour of each
 integrand is an algebraic half-integer ladder, fitted numerically and summed
 in closed form beyond the truncation radius.  The total shear grows like
 xi^{1/2} (its transform is square-root singular), handled the same way.
+
+The public evaluators take a scalar X (giving floats) or an array of X.  An
+array is one engine call: the integrand is evaluated once per (split, field
+kind) on nodes that do not depend on X, and each X's value is the same as
+when it is evaluated alone.
 """
 from __future__ import annotations
 
@@ -50,9 +55,12 @@ class FieldKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class FieldProfile:
+    """Sampled field with the quadrature's error estimate at each X."""
+
     X: np.ndarray
     values: np.ndarray
     kind: FieldKind
+    error: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -146,10 +154,12 @@ def _prefactor(split: SplitData, kind: FieldKind) -> complex:
 
 
 def _engine_spec(split: SplitData) -> QuadratureSpec:
+    """Truncation radius far beyond both scales of the integrands: zeta and
+    ℓ/L, on which G⁻ varies (the tail ladder is an expansion in 1/(xi·L/ℓ))."""
     zeta = split.zeta or 1.0
     return QuadratureSpec(
         abs_tol=1e-11,
-        truncation_radius=max(4.0e3, 50.0 * zeta),
+        truncation_radius=max(4.0e3, 50.0 * zeta, 2.0e3 / split.L_over_ell),
     )
 
 
@@ -157,40 +167,47 @@ def _fit_window_start(split: SplitData, spec: QuadratureSpec) -> float:
     return max(40.0, 30.0 * (split.zeta or 0.0), spec.truncation_radius / 50.0)
 
 
-def _tail_coefficients(split: SplitData, kind: FieldKind, spec: QuadratureSpec):
-    """Fitted ladder coefficients of the integrand, cached on the split so
-    every X-evaluation (and the balance completion) uses the same tail."""
+def _tail_fit(split: SplitData, kind: FieldKind, spec: QuadratureSpec):
+    """Fitted ladder ``(coeffs, max_residual)`` of the integrand, cached on
+    the split so every X-evaluation (and the balance completion) uses the
+    same tail and reports its residual."""
     key = (kind, spec.truncation_radius)
     if key not in split.tail_cache:
         ts = np.geomspace(_fit_window_start(split, spec), spec.truncation_radius,
                           TAIL_FIT_POINTS)
-        split.tail_cache[key], _ = fit_power_tail(
+        split.tail_cache[key] = fit_power_tail(
             ts, _integrand(split, kind, ts), _ladder_for(split, kind))
     return split.tail_cache[key]
 
 
-def _check_domain(kind: FieldKind, X: float):
+def _check_domain(kind: FieldKind, X):
+    X = np.asarray(X)
     if kind is FieldKind.OPENING:
-        if X >= 0.0:
-            raise DomainError(f"crack opening is defined for X < 0, got {X}")
-    elif X <= 0.0:
-        raise DomainError(f"{kind.value} is defined ahead of the tip, X > 0; got {X}")
+        if np.any(X >= 0.0):
+            raise DomainError(f"crack opening is defined for X < 0, got {X.max()}")
+    elif np.any(X <= 0.0):
+        raise DomainError(f"{kind.value} is defined ahead of the tip, X > 0; "
+                          f"got {X.min()}")
 
 
-def _scaled_expn(q: int, w: float) -> float:
-    """e^w · E_q(w) evaluated without overflow (asymptotic series for large w)."""
-    if w <= 50.0:
-        return math.exp(w) * float(special.expn(q, w))
-    total, term = 0.0, 1.0 / w
+def _scaled_expn(q: int, w):
+    """e^w · E_q(w) for w ≥ 0, elementwise, without overflow (asymptotic
+    series for w > 50)."""
+    w = np.asarray(w, dtype=float)
+    small = w <= 50.0
+    ws = np.where(small, w, 1.0)
+    out = np.exp(ws) * special.expn(q, ws)
+    wl = np.where(small, 1.0, w)
+    total, term = np.zeros_like(wl), 1.0 / wl
+    done = np.zeros(wl.shape, dtype=bool)
     for k in range(12):
-        total += term
-        term *= -(q + k) / w
-        if abs(term) < 1e-16 * abs(total):
-            break
-    return total
+        total = np.where(done, total, total + term)
+        term = term * (-(q + k) / wl)
+        done |= np.abs(term) < 1e-16 * np.abs(total)
+    return np.where(small, out, total)
 
 
-def _rational_transform(split: SplitData, a: float) -> complex:
+def _rational_transform(split: SplitData, a):
     """Closed form of ∫₀^∞ (1+i·t·L̃)^{−1−p} e^{−iat} dt for a > 0:
     e^{w}·E_{p+1}(w)/(i·L̃) with w = a/L̃."""
     Lt = split.L_over_ell
@@ -199,22 +216,34 @@ def _rational_transform(split: SplitData, a: float) -> complex:
     return _scaled_expn(q, w) / (1j * Lt)
 
 
-def _field_value(split: SplitData, kind: FieldKind, X: float, *,
-                 spec: QuadratureSpec | None = None) -> float:
+def _field_values(split: SplitData, kind: FieldKind, X):
+    """Field ``kind`` and its error estimate at every X of an array, by one
+    laddered inversion: the integrand is evaluated once for all X.  A
+    scalar X gives scalars."""
     _check_domain(kind, X)
-    spec = spec or _engine_spec(split)
-    a = X / split.ell
-    val, _ = oscillatory_halfline(
+    spec = _engine_spec(split)
+    a = np.asarray(X, dtype=float) / split.ell
+    val, err = oscillatory_halfline(
         lambda t: _integrand(split, kind, t),
         a,
         spec,
         sqrt_singularity=kind is not FieldKind.TRACTION,
         tail_exponents=_ladder_for(split, kind),
-        tail_coefficients=_tail_coefficients(split, kind, spec),
+        tail_fit=_tail_fit(split, kind, spec),
     )
     if kind is FieldKind.TRACTION:
         val = val + _rational_transform(split, a)
-    return 2.0 * float(np.real(_prefactor(split, kind) * val))
+    pref = _prefactor(split, kind)
+    return 2.0 * np.real(pref * val), 2.0 * abs(pref) * err
+
+
+def _field_value(split: SplitData, kind: FieldKind, X: float) -> float:
+    return float(_field_values(split, kind, X)[0])
+
+
+def _out(values):
+    """A float for a scalar evaluation, the array otherwise."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def _field_unfolded(split: SplitData, kind: FieldKind, X: float) -> complex:
@@ -236,21 +265,24 @@ def _field_unfolded(split: SplitData, kind: FieldKind, X: float) -> complex:
     return _prefactor(split, kind) * total
 
 
-def crack_opening(X: float, split: SplitData) -> float:
-    """Opening displacement w(X) behind the tip (X < 0)."""
-    return _field_value(split, FieldKind.OPENING, X)
+def crack_opening(X, split: SplitData):
+    """Opening displacement w(X) behind the tip (X < 0); a float for a
+    scalar X, an array for an array."""
+    return _out(_field_values(split, FieldKind.OPENING, X)[0])
 
 
-def traction_ahead(X: float, split: SplitData) -> float:
-    """Reduced traction p3(X) ahead of the tip (X > 0)."""
-    return _field_value(split, FieldKind.TRACTION, X)
+def traction_ahead(X, split: SplitData):
+    """Reduced traction p3(X) ahead of the tip (X > 0); a float for a
+    scalar X, an array for an array."""
+    return _out(_field_values(split, FieldKind.TRACTION, X)[0])
 
 
-def stresses_on_line(X: float, split: SplitData) -> dict:
-    """sigma23, tau23, mu22 and t23 = sigma23 + tau23 at X > 0."""
-    sigma = _field_value(split, FieldKind.SIGMA_SHEAR, X)
-    tau = _field_value(split, FieldKind.TAU_SHEAR, X)
-    mu = _field_value(split, FieldKind.COUPLE_STRESS, X)
+def stresses_on_line(X, split: SplitData) -> dict:
+    """sigma23, tau23, mu22 and t23 = sigma23 + tau23 at X > 0; floats for
+    a scalar X, arrays for an array."""
+    sigma = _out(_field_values(split, FieldKind.SIGMA_SHEAR, X)[0])
+    tau = _out(_field_values(split, FieldKind.TAU_SHEAR, X)[0])
+    mu = _out(_field_values(split, FieldKind.COUPLE_STRESS, X)[0])
     return {"sigma23": sigma, "tau23": tau, "mu22": mu, "t23": sigma + tau}
 
 
@@ -263,9 +295,8 @@ def field_profile(split: SplitData, kind: FieldKind, *, n: int = 400,
     grid = np.geomspace(x_lo, x_hi, n)
     sign = -1.0 if kind is FieldKind.OPENING else 1.0
     X = sign * grid
-    spec = _engine_spec(split)
-    values = np.array([_field_value(split, kind, x, spec=spec) for x in X])
-    return FieldProfile(X=X, values=values, kind=kind)
+    values, error = _field_values(split, kind, X)
+    return FieldProfile(X=X, values=values, kind=kind, error=error)
 
 
 def max_total_shear(split: SplitData, X_window=None, n_grid: int = 90):
@@ -286,9 +317,7 @@ def max_total_shear(split: SplitData, X_window=None, n_grid: int = 90):
             "the singular tip zone"
         )
     grid = np.geomspace(x_lo, x_hi, n_grid)
-    spec = _engine_spec(split)
-    vals = np.array([_field_value(split, FieldKind.TOTAL_SHEAR, x, spec=spec)
-                     for x in grid])
+    vals, _ = _field_values(split, FieldKind.TOTAL_SHEAR, grid)
     i = int(np.argmax(vals))
     if 0 < i < n_grid - 1:
         # Parabolic refinement in log X.
@@ -298,7 +327,7 @@ def max_total_shear(split: SplitData, X_window=None, n_grid: int = 90):
         if denom < 0.0:
             du = 0.5 * (y[0] - y[2]) / denom * (u[1] - u[0])
             x_ref = math.exp(u[1] + du)
-            v_ref = _field_value(split, FieldKind.TOTAL_SHEAR, x_ref, spec=spec)
+            v_ref = _field_value(split, FieldKind.TOTAL_SHEAR, x_ref)
             if v_ref > vals[i]:
                 return float(v_ref), float(x_ref)
     return float(vals[i]), float(grid[i])
@@ -355,7 +384,7 @@ def balance_integral(split: SplitData, *, n: int = 201) -> float:
     # subtracting the noise-consistent value is exactly what removes it from
     # the sampled values again.)
     pref = _prefactor(split, FieldKind.TRACTION)
-    coeffs = _tail_coefficients(split, FieldKind.TRACTION, spec)
+    coeffs, _ = _tail_fit(split, FieldKind.TRACTION, spec)
     c32 = math.sqrt(math.pi) * float(np.real(
         pref * coeffs[0] * np.exp(-0.75j * np.pi))) * ell ** 1.5
     c12 = 2.0 * math.sqrt(math.pi) * float(np.real(
@@ -367,8 +396,7 @@ def balance_integral(split: SplitData, *, n: int = 201) -> float:
 
     x_min, x_max = 1e-6 * ell, 400.0 * lam
     grid = np.geomspace(x_min, x_max, n)
-    p3 = np.array([_field_value(split, FieldKind.TRACTION, x, spec=spec)
-                   for x in grid])
+    p3, _ = _field_values(split, FieldKind.TRACTION, grid)
     reg = p3 - (c_sing[0] * grid ** -1.5 + c_sing[1] * grid ** -0.5) \
         * np.exp(-grid / lam)
 

@@ -278,13 +278,20 @@ class CauchyFactorization:
         return theta if xi >= 0 else -theta
 
     # -- off-axis Cauchy integral ----------------------------------------
+    @staticmethod
+    def _clustered(z) -> np.ndarray:
+        """Whether the integrand ∫ L(t)(1/(t−z) − 1/(t+z))dt peaks near
+        t = |Re z| sharply enough to need panels clustered there."""
+        x, y = np.abs(z.real), np.abs(z.imag)
+        return x > np.maximum(4.0 * y, 1e-5)
+
     def _cauchy_nodes(self, z: complex, T: float):
         """Panel nodes/weights on [0, T] for ∫ L(t)(1/(t−z) − 1/(t+z))dt,
         clustered geometrically around |Re z| when the integrand peaks there."""
         x = abs(z.real)
         y = abs(z.imag)
         edges = np.concatenate([[0.0], _quarter_decade_edges(1e-3, T)])
-        if x > max(4.0 * y, 1e-5) and x < T / 3.0:
+        if self._clustered(z) and x < T / 3.0:
             lo, hi = x / math.sqrt(10.0), x * math.sqrt(10.0)
             delta = 0.5 * max(y, 1e-8 * max(x, 1.0))
             edges = np.union1d(edges[(edges < lo) | (edges > hi)],
@@ -292,40 +299,59 @@ class CauchyFactorization:
         t, wt = panel_nodes(edges, 12)
         return t.ravel(), wt.ravel()
 
-    def cauchy_integral(self, z: complex) -> complex:
-        """E(z) = ∫_R log k(t)/(t − z) dt for z off the real axis.
+    def _cauchy_sums(self, z: np.ndarray, T: float) -> np.ndarray:
+        """∫₀^T L(t)(1/(t−z) − 1/(t+z))dt at points z (1-D) that all take
+        the panel nodes of z[0]."""
+        t, wt = self._cauchy_nodes(z[0], T)
+        Lw = self.log_k(t) * wt
+        zz = z[:, None]
+        return (Lw * (1.0 / (t - zz) - 1.0 / (t + zz))).sum(axis=-1)
+
+    def cauchy_integral(self, z):
+        """E(z) = ∫_R log k(t)/(t − z) dt for z off the real axis (a scalar
+        gives a complex scalar, an array an array of its shape).
 
         Integrated directly on [0, T] with T = max(t_cut, 4|z|); beyond T the
-        kernel's log ≈ c2/t² tail is added in closed form.
+        kernel's log ≈ c2/t² tail is added in closed form.  Points that need
+        neither clustered panels nor a larger T share one node set.
         """
-        z = complex(z)
-        if z.imag == 0.0:
+        zs = np.asarray(z, dtype=complex)
+        flat = zs.ravel()
+        if np.any(flat.imag == 0.0):
             raise DomainError("cauchy_integral requires Im z != 0")
-        T = max(self.t_cut, 4.0 * abs(z))
-        t, wt = self._cauchy_nodes(z, T)
-        L = self.log_k(t)
-        val = complex(np.sum(L * wt * (1.0 / (t - z) - 1.0 / (t + z))))
+        T = np.maximum(self.t_cut, 4.0 * np.abs(flat))
+        val = np.empty_like(flat)
+        shared = (T == self.t_cut) & ~self._clustered(flat)
+        if shared.any():
+            val[shared] = self._cauchy_sums(flat[shared], self.t_cut)
+        for i in np.flatnonzero(~shared):
+            val[i] = self._cauchy_sums(flat[i:i + 1], T[i])[0]
         # ∫_T^∞ (c2/t²)(1/(t−z) − 1/(t+z)) dt = −(c2/z²)(ln((T−z)/(T+z)) + 2z/T)
         # = (2c2/z²)(artanh(z/T) − z/T); the log cancels to O((z/T)³).
-        return val + complex(2.0 * self._c2 / (z * z) * _artanh_excess(z / T))
+        val = val + 2.0 * self._c2 / (flat * flat) * _artanh_excess(flat / T)
+        return val.reshape(zs.shape) if zs.ndim else complex(val[0])
 
     # -- factors -----------------------------------------------------------
-    def _factor(self, z, upper: bool) -> complex:
+    def _factor(self, z, upper: bool):
         """k⁺ (upper) or k⁻ at z in its closed half-plane: the boundary value
-        e^{iθ}/√k or e^{iθ}·√k on the real axis, exp(−E(z)/2πi) off it."""
-        z = complex(z)
-        if upper and z.imag < 0.0:
+        e^{iθ}/√k or e^{iθ}·√k on the real axis, exp(−E(z)/2πi) off it.
+        A scalar gives a complex scalar, an array an array of its shape."""
+        zs = np.asarray(z, dtype=complex)
+        flat = zs.ravel()
+        if upper and np.any(flat.imag < 0.0):
             raise DomainError("k_plus is defined for Im z >= 0")
-        if not upper and z.imag > 0.0:
+        if not upper and np.any(flat.imag > 0.0):
             raise DomainError("k_minus is defined for Im z <= 0")
-        if z.imag == 0.0:
-            x = z.real
-            if x == 0.0:
-                return 1.0 + 0.0j
+        out = np.ones_like(flat)
+        off = flat.imag != 0.0
+        if off.any():
+            out[off] = np.exp(-self.cauchy_integral(flat[off]) / (2j * np.pi))
+        for i in np.flatnonzero(~off & (flat.real != 0.0)):
+            x = flat[i].real
             phase = np.exp(1j * self.theta_exact(x))
             root = math.sqrt(float(self.k_real(x)))
-            return complex(phase / root if upper else phase * root)
-        return complex(np.exp(-self.cauchy_integral(z) / (2j * np.pi)))
+            out[i] = phase / root if upper else phase * root
+        return out.reshape(zs.shape) if zs.ndim else complex(out[0])
 
     def k_plus(self, z):
         """Upper factor; analytic and zero-free for Im z > 0, boundary value

@@ -115,8 +115,7 @@ def split_coefficients(kernel, profile: LoadProfile, ell: float,
     def g(u):
         u = np.atleast_1d(u)
         z = zl * (1.0 - u)
-        kp = np.array([kernel.k_plus(zz) for zz in z], dtype=complex)
-        return kp / sqrt_plus(z)
+        return kernel.k_plus(z) / sqrt_plus(z)
 
     return contour_coefficients(g, 0.0, _CONTOUR_RADIUS, n,
                                 check_count=profile.p + 1)

@@ -1,9 +1,30 @@
-"""Shared numerical machinery.
+"""Shared numerical machinery: the half-line transform with its algebraic
+tail ladder, circle-contour Taylor coefficients and bracketed root finding.
 
-Oscillatory half-line panel quadrature with its algebraic tail ladder fit,
-circle-contour Taylor coefficients and bracketed root finding.  Every routine
-is deterministic (no randomized algorithms) and every quadrature returns
-``(value, error_estimate)``.
+The half-line transform ∫₀^∞ f(t)·e^{−iat}dt takes one of two routes.
+
+* **Laddered** (``tail_exponents`` given): ``a`` may be an array, and f is
+  evaluated once, on nodes that do not depend on ``a``.
+  - Head [0, 1e-4]: geometrically graded Gauss panels (orders 20 and 14),
+    in v = √t when f has a t^{−1/2} endpoint singularity; the phase is
+    applied at the nodes, so the head must span at most two periods
+    (|a| ≤ 4π·1e4), or ``QuadratureError`` is raised.
+  - Body [1e-4, T]: Legendre–Filon panels, eight per decade.  Each panel
+    turns its order-12 Gauss values into the Legendre coefficients of the
+    interpolant, whose transform is a sum of the closed-form moments
+    ∫₋₁¹ P_k(x)e^{−iωx}dx = 2(−i)^k·j_k(ω) (Iserles & Nørsett 2005,
+    Proc. R. Soc. A 461).  At ω = 0 this is plain Gauss-Legendre.
+  - Tail [T, ∞): the fitted ladder Σ c_k t^{λ_k} in closed form through
+    Γ(λ+1, iaT) for half-integer λ (``power_tail``).
+  The error estimate adds the order-14 head and order-8 body differences
+  and the tail bound max_residual·min(T, 2/|a|).
+* **Averaged** (no ladder, scalar ``a`` ≠ 0): half-period panel sums past
+  the head and the iterated-averaging limit of their partial sums, which
+  resolves the tail without a model.  A zero frequency without a ladder
+  fits one decaying power to f on [T/4, T] and takes the laddered route.
+
+Every routine is deterministic (no randomized algorithms) and every
+quadrature returns ``(value, error_estimate)``.
 """
 from __future__ import annotations
 
@@ -11,9 +32,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
+from scipy import special
 
 from .errors import BracketError, QuadratureError
 
@@ -72,30 +93,103 @@ def panel_sums(f, edges, order=12):
     return (vals * w).sum(axis=1)
 
 
-def _upper_gamma(s: float, z: complex) -> complex:
-    """Upper incomplete gamma Γ(s, z) for complex z (mpmath-backed)."""
-    return complex(mpmath.gammainc(s, a=z))
+def _upper_gamma_half(s_values, z):
+    """Upper incomplete gamma Γ(s, z) for half-integer ``s_values`` and
+    complex ``z`` ≠ 0 (1-D); shape (len(s_values), len(z)).
 
-
-def power_tail(coeffs, exponents, freq, t0) -> complex:
-    """Closed form of ∫_{t0}^∞ Σ c_k t^{λ_k} e^{−i·freq·t} dt.
-
-    Uses ∫_T^∞ t^λ e^{−iat} dt = (ia)^{−λ−1} Γ(λ+1, iaT) for freq ≠ 0 and the
-    elementary power integral otherwise (which then needs λ < −1).
+    For |z| < 4 it starts from Γ(1/2, z) = √π·erfc(√z) and recurs down with
+    Γ(s−1, z) = (Γ(s, z) − z^{s−1}e^{−z})/(s−1) and up with
+    Γ(s+1, z) = s·Γ(s, z) + z^s·e^{−z}.  For |z| ≥ 4 it evaluates the even
+    continued fraction (modified Lentz) at the lowest s and recurs up (Gil,
+    Segura & Temme 2007, Numerical Methods for Special Functions, §6.5).
     """
-    total = 0.0 + 0.0j
-    if freq == 0.0:
-        for c, lam in zip(coeffs, exponents):
-            if lam >= -1.0:
-                raise QuadratureError(
-                    f"non-integrable tail power t^{lam} with zero frequency"
-                )
-            total += c * t0 ** (lam + 1.0) / (-lam - 1.0)
-        return total
-    ia = 1j * freq
-    for c, lam in zip(coeffs, exponents):
-        total += c * ia ** (-lam - 1.0) * _upper_gamma(lam + 1.0, ia * t0)
-    return total
+    s_values = np.asarray(s_values, dtype=float)
+    if np.any(np.mod(s_values - 0.5, 1.0) != 0.0):
+        raise QuadratureError(f"tail exponents must be half-integers, got {s_values}")
+    z = np.asarray(z, dtype=complex)
+    lo = min(float(s_values.min()), 0.5)
+    ladder = np.arange(lo, max(float(s_values.max()), 0.5) + 0.5)
+    out = np.empty((ladder.size, z.size), dtype=complex)
+    ez = np.exp(-z)
+
+    near = np.abs(z) < 4.0
+    if near.any():
+        zn, en = z[near], ez[near]
+        g = np.empty((ladder.size, zn.size), dtype=complex)
+        i0 = int(round(0.5 - lo))
+        g[i0] = math.sqrt(math.pi) * special.erfc(np.sqrt(zn))
+        for i in range(i0, 0, -1):
+            s = ladder[i] - 1.0
+            g[i - 1] = (g[i] - zn**s * en) / s
+        for i in range(i0, ladder.size - 1):
+            s = ladder[i]
+            g[i + 1] = s * g[i] + zn**s * en
+        out[:, near] = g
+
+    far = ~near
+    if far.any():
+        zf, ef = z[far], ez[far]
+        # Γ(s, z) = z^s e^{−z} / (z+1−s − 1(1−s)/(z+3−s − 2(2−s)/(z+5−s − …)))
+        tiny = 1e-300
+        b = zf + 1.0 - lo
+        c = np.full_like(zf, 1.0 / tiny)
+        d = 1.0 / b
+        h = d
+        # Each z stops at its own convergence, so its value does not depend
+        # on the other z of the batch.
+        active = np.ones(zf.shape, dtype=bool)
+        for n in range(1, 500):
+            an = -n * (n - lo)
+            b = b + 2.0
+            d = an * d + b
+            c = b + an / c
+            d = 1.0 / d
+            step = d * c
+            h = np.where(active, h * step, h)
+            active &= np.abs(step - 1.0) >= 4e-16
+            if not active.any():
+                break
+        else:
+            raise QuadratureError("incomplete-gamma continued fraction did not converge")
+        g = np.empty((ladder.size, zf.size), dtype=complex)
+        g[0] = zf**lo * ef * h
+        for i in range(ladder.size - 1):
+            s = ladder[i]
+            g[i + 1] = s * g[i] + zf**s * ef
+        out[:, far] = g
+
+    return out[np.round(s_values - lo).astype(int)]
+
+
+def power_tail(coeffs, exponents, freq, t0):
+    """Closed form of ∫_{t0}^∞ Σ c_k t^{λ_k} e^{−i·freq·t} dt, elementwise
+    over an array ``freq`` (a scalar gives a complex scalar).
+
+    Uses ∫_T^∞ t^λ e^{−iat} dt = (ia)^{−λ−1} Γ(λ+1, iaT), which needs
+    half-integer λ, for freq ≠ 0 and the elementary power integral at
+    freq = 0 (which then needs λ < −1).
+    """
+    a = np.asarray(freq, dtype=float)
+    af = np.atleast_1d(a)
+    c = np.asarray(coeffs, dtype=complex)
+    lam = np.asarray(exponents, dtype=float)
+    out = np.zeros(af.shape, dtype=complex)
+    zero = af == 0.0
+    if zero.any() and lam.size:
+        if np.any(lam >= -1.0):
+            raise QuadratureError(
+                f"non-integrable tail power t^{lam.max()} with zero frequency"
+            )
+        out[zero] = np.sum(c * t0 ** (lam + 1.0) / (-lam - 1.0))
+    if not zero.all() and lam.size:
+        ia = 1j * af[~zero]
+        gam = _upper_gamma_half(lam + 1.0, ia * t0)
+        # Term by term, so a frequency's sum does not depend on the batch.
+        total = np.zeros(ia.shape, dtype=complex)
+        for ck, lk, gk in zip(c, lam, gam):
+            total = total + ck * ia ** (-lk - 1.0) * gk
+        out[~zero] = total
+    return out if a.ndim else complex(out[0])
 
 
 def fit_power_tail(t, values, exponents):
@@ -133,32 +227,43 @@ def _average_tail(partial_sums, abs_tol):
     return est, delta
 
 
-def _head_integral(f, freq, b, sqrt_singularity, order=20):
-    """∫₀^b f(t)e^{−i·freq·t}dt with an optional t^{−1/2} singularity at 0.
+def _head_nodes(b, sqrt_singularity, order):
+    """Nodes ``t`` and weights ``w`` of the head rule on [0, b], both of
+    shape (panels, order).
 
     Panels are geometrically graded toward 0, which also absorbs milder
-    endpoint structure (|t| kinks, t·log t terms) left over after the
-    substitution t = v² removes the declared square-root singularity.
+    endpoint structure (|t| kinks, t·log t terms).  With ``sqrt_singularity``
+    the panels live in v = √t, so a t^{−1/2} endpoint singularity is
+    integrated exactly (the weights carry dt = 2v·dv).
     """
-    if b <= 0.0:
-        return 0.0 + 0.0j, 0.0
-
     graded = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 16)])
     if sqrt_singularity:
-        def g(v):
-            t = v * v
-            return np.asarray(f(t), dtype=complex) * np.exp(-1j * freq * t) * 2.0 * v
+        v, w = panel_nodes(math.sqrt(b) * graded, order)
+        return v * v, 2.0 * v * w
+    return panel_nodes(b * graded, order)
 
-        edges = np.sqrt(b) * graded
-    else:
-        def g(t):
-            return np.asarray(f(t), dtype=complex) * np.exp(-1j * freq * t)
 
-        edges = b * graded
+@lru_cache(maxsize=None)
+def _filon_matrix(order: int) -> np.ndarray:
+    """D[k, j] = (2k+1)·(−i)^k·P_k(x_j)·w_j at the Gauss nodes x_j of
+    ``order`` points, so that Σ_k j_k(ω)·Σ_j D[k, j]·f(x_j) is
+    ∫₋₁¹ p(x)e^{−iωx}dx for the interpolant p of f at the nodes, by
+    ∫₋₁¹ P_k(x)e^{−iωx}dx = 2(−i)^k·j_k(ω)."""
+    x, w = _gauss(order)
+    k = np.arange(order)
+    phase = np.array([1.0, -1j, -1.0, 1j])[k % 4]
+    return ((2 * k + 1) * phase)[:, None] * legvander(x, order - 1).T * w[None, :]
 
-    val = panel_sums(g, edges, order=order).sum()
-    ref = panel_sums(g, edges, order=order - 6).sum()
-    return val, abs(val - ref)
+
+def _filon_body(vals, mid, half, freq, bessel):
+    """Legendre–Filon sums Σ_p ∫_{panel p} p_p(t)e^{−i·freq·t}dt, one per
+    frequency, from the integrand's Gauss values ``vals`` (panels × order).
+    ``bessel`` holds j_k(freq·half) for k ≥ 0, shape (freq, panels, ≥ order);
+    at freq = 0 this is the plain Gauss-Legendre sum."""
+    order = vals.shape[1]
+    coeffs = vals @ _filon_matrix(order).T
+    inner = (bessel[:, :, :order] * coeffs[None, :, :]).sum(axis=-1)
+    return (np.exp(-1j * freq[:, None] * mid[None, :]) * half * inner).sum(axis=-1)
 
 
 def _build_edges(lo, hi, freq, breakpoints):
@@ -182,89 +287,123 @@ def _build_edges(lo, hi, freq, breakpoints):
     return np.array(sorted(pts))
 
 
+def _zero_frequency_ladder(f, spec):
+    """Decaying power fitted to |f| on [T/4, T] for a zero-frequency call
+    without a ladder: ``(exponents, fit)``, with an empty ladder if f is
+    negligible there."""
+    T = spec.truncation_radius
+    slope_pts = np.geomspace(0.25 * T, T, 8)
+    vals = np.abs(np.asarray(f(slope_pts), dtype=complex))
+    if np.all(vals <= spec.abs_tol):
+        return (), ((), 0.0)
+    if np.all(vals > 0):
+        slope = np.polyfit(np.log(slope_pts), np.log(vals), 1)[0]
+        if slope < -1.05:
+            return (slope,), None
+    raise QuadratureError(
+        "zero-frequency half-line integral needs decaying tail_exponents"
+    )
+
+
 def oscillatory_halfline(
     f,
-    freq: float,
+    freq,
     spec: QuadratureSpec | None = None,
     *,
     sqrt_singularity: bool = False,
     breakpoints=(),
     tail_exponents=None,
-    tail_coefficients=None,
+    tail_fit=None,
     fit_start: float | None = None,
 ):
     """Compute ∫₀^∞ f(t)·exp(−i·freq·t) dt for a vectorized integrand.
 
-    ``f`` must accept numpy arrays.  Strategy:
-
-    * a small head panel on [0, 1e-4] handles an optional t^{−1/2} endpoint
-      singularity (substitution t = v²);
-    * panels that resolve both the integrand's geometric structure and the
-      oscillation cover the midrange;
-    * the tail is either the closed-form transform of a fitted algebraic
-      ladder Σ c_k t^{λ_k} (``tail_exponents`` given, slow oscillation) or the
-      iterated-averaging limit of half-period partial sums (fast oscillation
-      or no ladder supplied).  The ladder is fitted by least squares on
-      ``TAIL_FIT_POINTS`` log-spaced points of [``fit_start``, truncation
-      radius] unless ``tail_coefficients`` are given.
-
-    Returns ``(value, error_estimate)``.
+    ``f`` must accept numpy arrays.  Returns ``(value, error_estimate)``;
+    with ``tail_exponents`` given, ``freq`` may be an array and both come
+    back in its shape.  See the module docstring for the two strategies.
+    ``tail_fit`` is a precomputed ``(coeffs, max_residual)`` of the ladder
+    (as from ``fit_power_tail``); otherwise the ladder is fitted on
+    ``TAIL_FIT_POINTS`` log-spaced points of [``fit_start``, truncation
+    radius].
     """
     spec = spec or DEFAULT_SPEC
-    a = float(freq)
     T = spec.truncation_radius
-    n_half = abs(a) * T / math.pi if a != 0.0 else 0.0
-    # Slow oscillation: fitted algebraic tail.  Enough half-periods: partial-
-    # sum averaging, which resolves the tail without any model.
-    use_ladder = tail_exponents is not None and n_half <= 150.0
-
-    if a == 0.0 and tail_exponents is None:
-        # Fit a decaying power automatically; refuse if not integrable.
-        slope_pts = np.geomspace(0.25 * T, T, 8)
-        vals = np.abs(np.asarray(f(slope_pts), dtype=complex))
-        if np.all(vals <= spec.abs_tol):
-            tail_exponents, tail_coefficients = (), ()
-            use_ladder = True
-        elif np.all(vals > 0):
-            slope = np.polyfit(np.log(slope_pts), np.log(vals), 1)[0]
-            if slope < -1.05:
-                tail_exponents = (slope,)
-                use_ladder = True
-        if tail_exponents is None:
-            raise QuadratureError(
-                "zero-frequency half-line integral needs decaying tail_exponents"
-            )
-
+    a = np.asarray(freq, dtype=float)
+    if tail_exponents is None and a.ndim == 0 and a == 0.0:
+        tail_exponents, tail_fit = _zero_frequency_ladder(f, spec)
+    if tail_exponents is None:
+        if a.ndim:
+            raise ValueError("an array of frequencies needs tail_exponents")
+        return _averaged_halfline(f, float(a), spec, sqrt_singularity, breakpoints)
     head_end = min(1e-4, T)
-    if a != 0.0 and not use_ladder:
-        head_end = max(head_end, math.pi / abs(a))
-    head_end = min(head_end, T)
+    if tail_fit is None:
+        lo_default = max(head_end * 4.0, T / 25.0)
+        fit_lo = min(max(fit_start or lo_default, head_end * 2.0), T / 2.0)
+        ts = np.geomspace(fit_lo, T, TAIL_FIT_POINTS)
+        tail_fit = fit_power_tail(ts, np.asarray(f(ts), dtype=complex), tail_exponents)
+    val, err = _laddered_halfline(f, np.atleast_1d(a), head_end, T, sqrt_singularity,
+                                  breakpoints, tail_exponents, tail_fit)
+    if a.ndim:
+        return val, err
+    return complex(val[0]), float(err[0])
 
-    val_head, err_head = _head_integral(f, a, head_end, sqrt_singularity)
+
+def _laddered_halfline(f, af, head_end, T, sqrt_singularity, breakpoints,
+                       tail_exponents, tail_fit):
+    """Laddered route at every frequency of the 1-D ``af``: graded head on
+    [0, head_end], Legendre–Filon body on [head_end, T] and closed-form
+    ladder tail, with f evaluated once on nodes that do not depend on the
+    frequencies."""
+    # The order-20 head keeps ~1e-14 up to two periods on [0, head_end].
+    if np.abs(af).max(initial=0.0) * head_end > 4.0 * math.pi:
+        raise QuadratureError(
+            f"frequency {np.abs(af).max():g} oscillates more than two periods "
+            f"on the head [0, {head_end:g}]"
+        )
+    t_head, w_head = _head_nodes(head_end, sqrt_singularity, 20)
+    t_href, w_href = _head_nodes(head_end, sqrt_singularity, 14)
+    edges = _build_edges(head_end, T, 0.0, breakpoints)
+    t_body, _ = panel_nodes(edges, 12)
+    t_bref, _ = panel_nodes(edges, 8)
+    parts = (t_head.ravel(), t_href.ravel(), t_body.ravel(), t_bref.ravel())
+    vals = np.asarray(f(np.concatenate(parts)), dtype=complex)
+    v_head, v_href, v_body, v_bref = np.split(
+        vals, np.cumsum([p.size for p in parts])[:-1])
+
+    def head(t, w, v):
+        return (np.exp(-1j * af[:, None] * t.ravel()) * (w.ravel() * v)).sum(axis=-1)
+
+    val_head = head(t_head, w_head, v_head)
+    err_head = np.abs(val_head - head(t_href, w_href, v_href))
+
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    bessel = special.spherical_jn(np.arange(12), (af[:, None] * half)[:, :, None])
+    val_body = _filon_body(v_body.reshape(t_body.shape), mid, half, af, bessel)
+    err_body = np.abs(val_body - _filon_body(v_bref.reshape(t_bref.shape), mid, half,
+                                              af, bessel))
+
+    coeffs, resid = tail_fit
+    val_tail = power_tail(coeffs, tail_exponents, af, T)
+    with np.errstate(divide="ignore"):
+        err_tail = resid * np.minimum(T, 2.0 / np.abs(af))
+    return val_head + val_body + val_tail, err_head + err_body + err_tail
+
+
+def _averaged_halfline(f, a, spec, sqrt_singularity, breakpoints):
+    """Ladder-free route: head panel, half-period panel sums and the
+    iterated-averaging limit of their partial sums (a ≠ 0)."""
+    T = spec.truncation_radius
+    head_end = min(max(1e-4, math.pi / abs(a)), T)
+    t, w = _head_nodes(head_end, sqrt_singularity, 20)
+    t_ref, w_ref = _head_nodes(head_end, sqrt_singularity, 14)
 
     def fw(t):
         return np.asarray(f(t), dtype=complex) * np.exp(-1j * a * t)
 
-    if use_ladder:
-        edges = _build_edges(head_end, T, a, breakpoints)
-        body = panel_sums(fw, edges, order=12)
-        body_ref = panel_sums(fw, edges, order=8)
-        val_body = body.sum()
-        err_body = abs(val_body - body_ref.sum())
+    val_head = (fw(t) * w).sum()
+    err_head = abs(val_head - (fw(t_ref) * w_ref).sum())
 
-        if tail_coefficients is not None:
-            coeffs, resid = np.asarray(tail_coefficients, dtype=complex), 0.0
-        else:
-            lo_default = max(head_end * 4.0, T / 25.0)
-            fit_lo = min(max(fit_start or lo_default, head_end * 2.0), T / 2.0)
-            ts = np.geomspace(fit_lo, T, TAIL_FIT_POINTS)
-            coeffs, resid = fit_power_tail(ts, np.asarray(f(ts), dtype=complex),
-                                           tail_exponents)
-        val_tail = power_tail(coeffs, tail_exponents, a, T)
-        err_tail = resid * min(T, 2.0 / abs(a) if a != 0.0 else T)
-        return val_head + val_body + val_tail, err_head + err_body + err_tail
-
-    # Fast-oscillation branch: half-period partial sums + averaging.
     h = math.pi / abs(a)
     max_halves = 600
     halves = np.arange(max_halves + 1, dtype=float) * h + head_end

@@ -1,9 +1,11 @@
-"""Source hygiene: every name a ``crackwave`` module imports is used there.
+"""Source hygiene: every name a ``crackwave`` module imports is used there,
+and the package imports nothing beyond the standard library, numpy and scipy.
 
-Package ``__init__.py`` files are exempt (their imports are re-exports), as
-are ``__future__`` imports.
+Package ``__init__.py`` files are exempt from the unused-import check (their
+imports are re-exports), as are ``__future__`` imports.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,32 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+ALLOWED_TOP_LEVEL = {"numpy", "scipy", "crackwave"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level packages imported by ``source`` that are neither in the
+    standard library nor numpy, scipy or crackwave (relative imports are
+    crackwave's own)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(name for name in found
+                  if name not in sys.stdlib_module_names and name not in ALLOWED_TOP_LEVEL)
+
+
+def test_detector_flags_a_foreign_import():
+    assert foreign_imports("import mpmath\nfrom hypothesis import given\n"
+                           "import numpy.linalg\nfrom scipy import special\n"
+                           "from . import kernel\nimport math\n") \
+        == ["hypothesis", "mpmath"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_stdlib_numpy_scipy(path):
+    assert foreign_imports(path.read_text()) == []

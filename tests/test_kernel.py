@@ -199,6 +199,21 @@ class TestPhysicalFactorization:
         xi = np.geomspace(1e-3, 100.0, 50)
         assert np.abs(k.theta(xi) + k.theta(-xi)).max() < 1e-15
 
+    def test_batched_factor_equals_pointwise(self, kernel_factory):
+        # Shared-node points (|Re z| < 4·Im z, |z| ≤ t_cut/4), points that
+        # need clustered panels or a larger radius, and the real axis, mixed
+        # in one 2-D array.
+        k = kernel_factory(0.3, 0.9, 0.707)
+        z = np.array([[0.1 + 1j, -0.3 + 0.8j, 5.0 + 0.01j, 0.7],
+                      [2e5j, 1e-3j, -40.0 + 1e-4j, 0.0]])
+        batched = k.k_plus(z)
+        assert batched.shape == z.shape
+        for zz, b in zip(z.ravel(), batched.ravel()):
+            assert b == k.k_plus(complex(zz))
+        off = z[z.imag != 0]
+        assert np.all(k.cauchy_integral(off)
+                      == np.array([k.cauchy_integral(complex(zz)) for zz in off]))
+
     def test_positivity_guard(self):
         # Super-Rayleigh parameters never reach factorization (regime check
         # fires first).
@@ -211,3 +226,7 @@ class TestPhysicalFactorization:
             k.k_plus(1.0 - 1j)
         with pytest.raises(DomainError):
             k.k_minus(1.0 + 1j)
+        with pytest.raises(DomainError):
+            k.k_plus(np.array([1j, 1.0 - 1j]))
+        with pytest.raises(DomainError):
+            k.cauchy_integral(np.array([1j, 2.0]))

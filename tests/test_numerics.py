@@ -8,9 +8,12 @@ import math
 import numpy as np
 import pytest
 
+import mpmath
+
 from crackwave.errors import BracketError, QuadratureError
-from crackwave.numerics import (QuadratureSpec, bracketed_root,
-                                contour_coefficients, oscillatory_halfline)
+from crackwave.numerics import (QuadratureSpec, _upper_gamma_half, bracketed_root,
+                                contour_coefficients, oscillatory_halfline,
+                                power_tail)
 from crackwave.material import lambda_surface
 
 # ∫₀^∞ e^{−it}/(1+t²) dt ; real part is pi/(2e) by residue calculus.
@@ -100,6 +103,73 @@ class TestOscillatoryHalfline:
         a = oscillatory_halfline(f, 2.0)
         b = oscillatory_halfline(f, 2.0)
         assert a == b
+
+
+def _t_minus_three_halves_beyond_one(t):
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(t > 1.0, np.abs(t) ** -1.5, 0.0)
+
+
+class TestBatchedHalfline:
+    LADDER = dict(breakpoints=(1.0,), tail_exponents=(-1.5, -2.5, -3.5),
+                  fit_start=100.0)
+
+    def test_array_frequency_matches_closed_form_and_scalar_calls(self):
+        # ∫₁^∞ t^{−3/2} e^{−iat} dt = (ia)^{1/2}·Γ(−1/2, ia)
+        a = np.array([0.05, 1.0, 10.0])
+        vals, errs = oscillatory_halfline(_t_minus_three_halves_beyond_one, a,
+                                          **self.LADDER)
+        assert vals.shape == errs.shape == a.shape
+        for ai, v, e in zip(a, vals, errs):
+            exact = complex(mpmath.sqrt(1j * ai) * mpmath.gammainc(-0.5, a=1j * ai))
+            assert abs(v - exact) < 1e-13
+            assert abs(v - exact) <= e
+            scalar, scalar_err = oscillatory_halfline(
+                _t_minus_three_halves_beyond_one, float(ai), **self.LADDER)
+            assert isinstance(scalar, complex) and isinstance(scalar_err, float)
+            assert scalar == v and scalar_err == e
+
+    def test_array_frequency_needs_a_ladder(self):
+        with pytest.raises(ValueError):
+            oscillatory_halfline(lambda t: 1.0 / (1.0 + t * t), np.array([1.0, 2.0]))
+
+    def test_frequency_beyond_the_head_raises(self):
+        # The head [0, 1e-4] spans more than two periods once |a| > 4π·1e4.
+        oscillatory_halfline(_t_minus_three_halves_beyond_one,
+                             np.array([1.0, 1.2e5]), **self.LADDER)
+        with pytest.raises(QuadratureError):
+            oscillatory_halfline(_t_minus_three_halves_beyond_one,
+                                 np.array([1.0, 1.3e5]), **self.LADDER)
+
+    def test_zero_frequency_tail_is_the_power_integral(self):
+        # ∫_T^∞ (2t^{−2.5} − t^{−3.5}) dt at T = 4, with a zero among the
+        # frequencies.
+        out = power_tail([2.0, -1.0], [-2.5, -3.5], np.array([0.0, 1.0]), 4.0)
+        assert out[0] == pytest.approx(2.0 * 4.0**-1.5 / 1.5 - 4.0**-2.5 / 2.5,
+                                       rel=1e-15)
+        ref = sum(c * complex(mpmath.quadosc(
+            lambda t: t**lam * mpmath.exp(-1j * t), [4.0, mpmath.inf], omega=1.0))
+            for c, lam in ((2.0, -2.5), (-1.0, -3.5)))
+        assert abs(out[1] - ref) < 1e-12
+
+
+class TestUpperGamma:
+    S = np.arange(-5.5, 2.0, 1.0)
+    Y = np.concatenate([np.geomspace(1e-5, 4e6, 60), np.linspace(3.9, 4.1, 21)])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper", "lower"])
+    def test_matches_mpmath_on_the_imaginary_axis(self, sign):
+        z = 1j * sign * self.Y
+        got = _upper_gamma_half(self.S, z)
+        for i, s in enumerate(self.S):
+            for j, zj in enumerate(z):
+                ref = complex(mpmath.gammainc(s, a=zj))
+                assert abs(got[i, j] - ref) <= 1e-13 * abs(ref), (s, zj)
+
+    def test_rejects_non_half_integer_orders(self):
+        with pytest.raises(QuadratureError):
+            _upper_gamma_half([-1.25], np.array([1j]))
 
 
 class TestContourCoefficients:
