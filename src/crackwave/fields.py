@@ -9,9 +9,9 @@ in closed form beyond the truncation radius.  The total shear grows like
 xi^{1/2} (its transform is square-root singular), handled the same way.
 
 The public evaluators take a scalar X (giving floats) or an array of X.  An
-array is one engine call: the integrand is evaluated once per (split, field
-kind) on nodes that do not depend on X, and each X's value is the same as
-when it is evaluated alone.
+array is one engine call per (split, field kind): the integrand is evaluated
+on nodes that do not depend on X, and each X's value is the same as when it
+is evaluated alone.
 """
 from __future__ import annotations
 
@@ -218,7 +218,7 @@ def _rational_transform(split: SplitData, a):
 
 def _field_values(split: SplitData, kind: FieldKind, X):
     """Field ``kind`` and its error estimate at every X of an array, by one
-    laddered inversion: the integrand is evaluated once for all X.  A
+    laddered inversion, on integrand nodes shared by all X.  A
     scalar X gives scalars."""
     _check_domain(kind, X)
     spec = _engine_spec(split)

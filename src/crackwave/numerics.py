@@ -4,14 +4,15 @@ tail ladder, circle-contour Taylor coefficients and bracketed root finding.
 The half-line transform ∫₀^∞ f(t)·e^{−iat}dt takes one of two routes.
 
 * **Laddered** (``tail_exponents`` given): ``a`` may be an array, and f is
-  evaluated once, on nodes that do not depend on ``a``.
-  - Head [0, 1e-4]: geometrically graded Gauss panels (orders 20 and 14),
+  evaluated on nodes that do not depend on ``a``, one vectorized call for
+  the head and one per body rule, whatever the number of frequencies.
+  - Head [0, 1e-6]: geometrically graded Gauss panels (orders 20 and 14),
     in v = √t when f has a t^{−1/2} endpoint singularity; the phase is
     applied at the nodes, so the head must span at most two periods
-    (|a| ≤ 4π·1e4), or ``QuadratureError`` is raised.
-  - Body [1e-4, T]: Legendre–Filon panels, eight per decade.  Each panel
-    turns its order-12 Gauss values into the Legendre coefficients of the
-    interpolant, whose transform is a sum of the closed-form moments
+    (|a| ≤ 4π·1e6), or ``QuadratureError`` is raised.
+  - Body [1e-6, T]: Legendre–Filon panels, eight per decade.  ``panel_sums``
+    turns each panel's order-12 Gauss values into the Legendre coefficients
+    of the interpolant, whose transform is a sum of the closed-form moments
     ∫₋₁¹ P_k(x)e^{−iωx}dx = 2(−i)^k·j_k(ω) (Iserles & Nørsett 2005,
     Proc. R. Soc. A 461).  At ω = 0 this is plain Gauss-Legendre.
   - Tail [T, ∞): the fitted ladder Σ c_k t^{λ_k} in closed form through
@@ -71,6 +72,7 @@ DEFAULT_SPEC = QuadratureSpec()
 
 TAIL_FIT_POINTS = 32   # log-spaced samples of a tail-ladder fit
 _CONTOUR_NODES = 256   # trapezoid nodes on each coefficient circle
+_HEAD_END = 1e-6       # end of the fixed Gauss head of a laddered call
 
 _gauss = lru_cache(maxsize=None)(leggauss)
 
@@ -85,12 +87,17 @@ def panel_nodes(edges, order: int):
     return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
 
 
-def panel_sums(f, edges, order=12):
+def panel_sums(f, edges, order=12, basis=None):
     """Per-panel Gauss-Legendre integrals of a vectorized ``f`` over consecutive
-    ``edges``.  Returns a complex array with one entry per panel."""
+    ``edges``: a complex array with one entry per panel.  With ``basis``,
+    functions of the panel coordinate x ∈ [−1, 1] given at the ``order``
+    Gauss nodes (shape (k, order)), it returns the integrals of f·basis_k,
+    shape (panels, k)."""
     t, w = panel_nodes(edges, order)
     vals = np.asarray(f(t.ravel()), dtype=complex).reshape(t.shape)
-    return (vals * w).sum(axis=1)
+    if basis is None:
+        return (vals * w).sum(axis=1)
+    return (vals * w) @ basis.T
 
 
 def _upper_gamma_half(s_values, z):
@@ -244,43 +251,34 @@ def _head_nodes(b, sqrt_singularity, order):
 
 
 @lru_cache(maxsize=None)
-def _filon_matrix(order: int) -> np.ndarray:
-    """D[k, j] = (2k+1)·(−i)^k·P_k(x_j)·w_j at the Gauss nodes x_j of
-    ``order`` points, so that Σ_k j_k(ω)·Σ_j D[k, j]·f(x_j) is
-    ∫₋₁¹ p(x)e^{−iωx}dx for the interpolant p of f at the nodes, by
-    ∫₋₁¹ P_k(x)e^{−iωx}dx = 2(−i)^k·j_k(ω)."""
-    x, w = _gauss(order)
+def _filon_basis(order: int) -> np.ndarray:
+    """B[k, j] = (2k+1)·(−i)^k·P_k(x_j) at the Gauss nodes x_j of ``order``
+    points.  On a panel of half-width h, the ``panel_sums`` of f·B_k are
+    2h·(−i)^k·c_k for the Legendre coefficients c_k of the interpolant p of
+    f, so ∫ p(t)e^{−iωt}dt over the panel is e^{−iω·mid}·Σ_k j_k(ωh)·sums_k
+    by ∫₋₁¹ P_k(x)e^{−iωx}dx = 2(−i)^k·j_k(ω)."""
+    x, _ = _gauss(order)
     k = np.arange(order)
     phase = np.array([1.0, -1j, -1.0, 1j])[k % 4]
-    return ((2 * k + 1) * phase)[:, None] * legvander(x, order - 1).T * w[None, :]
+    return ((2 * k + 1) * phase)[:, None] * legvander(x, order - 1).T
 
 
-def _filon_body(vals, mid, half, freq, bessel):
-    """Legendre–Filon sums Σ_p ∫_{panel p} p_p(t)e^{−i·freq·t}dt, one per
-    frequency, from the integrand's Gauss values ``vals`` (panels × order).
+def _filon_body(sums, mid, freq, bessel):
+    """Legendre–Filon sum Σ_p ∫_{panel p} p_p(t)e^{−i·freq·t}dt, one per
+    frequency, from the ``_filon_basis`` panel sums (panels × order).
     ``bessel`` holds j_k(freq·half) for k ≥ 0, shape (freq, panels, ≥ order);
     at freq = 0 this is the plain Gauss-Legendre sum."""
-    order = vals.shape[1]
-    coeffs = vals @ _filon_matrix(order).T
-    inner = (bessel[:, :, :order] * coeffs[None, :, :]).sum(axis=-1)
-    return (np.exp(-1j * freq[:, None] * mid[None, :]) * half * inner).sum(axis=-1)
+    inner = (bessel[:, :, :sums.shape[1]] * sums[None, :, :]).sum(axis=-1)
+    return (np.exp(-1j * freq[:, None] * mid[None, :]) * inner).sum(axis=-1)
 
 
-def _build_edges(lo, hi, freq, breakpoints):
-    """Panel edges on [lo, hi] resolving both geometric structure (eight
-    panels per decade) and the oscillation of e^{−i·freq·t} (≤ half a period
-    per panel)."""
+def _build_edges(lo, hi, breakpoints):
+    """Panel edges on [lo, hi]: eight geometric panels per decade, split at
+    the ``breakpoints`` inside."""
     pts = {lo, hi}
     if hi / max(lo, 1e-300) > 1.0:
         n_geo = max(2, int(math.ceil(8 * math.log10(hi / lo))))
         pts.update(np.geomspace(lo, hi, n_geo))
-    if freq != 0.0:
-        h = math.pi / abs(freq)
-        n0 = int(math.floor(lo / h)) + 1
-        n1 = int(math.ceil(hi / h))
-        if n1 - n0 < 4 * len(pts) + 100000:
-            marks = h * np.arange(n0, n1 + 1)
-            pts.update(marks[(marks > lo) & (marks < hi)])
     for p in breakpoints:
         if lo < p < hi:
             pts.add(float(p))
@@ -335,7 +333,7 @@ def oscillatory_halfline(
         if a.ndim:
             raise ValueError("an array of frequencies needs tail_exponents")
         return _averaged_halfline(f, float(a), spec, sqrt_singularity, breakpoints)
-    head_end = min(1e-4, T)
+    head_end = min(_HEAD_END, T)
     if tail_fit is None:
         lo_default = max(head_end * 4.0, T / 25.0)
         fit_lo = min(max(fit_start or lo_default, head_end * 2.0), T / 2.0)
@@ -352,7 +350,7 @@ def _laddered_halfline(f, af, head_end, T, sqrt_singularity, breakpoints,
                        tail_exponents, tail_fit):
     """Laddered route at every frequency of the 1-D ``af``: graded head on
     [0, head_end], Legendre–Filon body on [head_end, T] and closed-form
-    ladder tail, with f evaluated once on nodes that do not depend on the
+    ladder tail, with f evaluated on nodes that do not depend on the
     frequencies."""
     # The order-20 head keeps ~1e-14 up to two periods on [0, head_end].
     if np.abs(af).max(initial=0.0) * head_end > 4.0 * math.pi:
@@ -362,13 +360,9 @@ def _laddered_halfline(f, af, head_end, T, sqrt_singularity, breakpoints,
         )
     t_head, w_head = _head_nodes(head_end, sqrt_singularity, 20)
     t_href, w_href = _head_nodes(head_end, sqrt_singularity, 14)
-    edges = _build_edges(head_end, T, 0.0, breakpoints)
-    t_body, _ = panel_nodes(edges, 12)
-    t_bref, _ = panel_nodes(edges, 8)
-    parts = (t_head.ravel(), t_href.ravel(), t_body.ravel(), t_bref.ravel())
-    vals = np.asarray(f(np.concatenate(parts)), dtype=complex)
-    v_head, v_href, v_body, v_bref = np.split(
-        vals, np.cumsum([p.size for p in parts])[:-1])
+    v_head, v_href = np.split(
+        np.asarray(f(np.concatenate([t_head.ravel(), t_href.ravel()])), dtype=complex),
+        [t_head.size])
 
     def head(t, w, v):
         return (np.exp(-1j * af[:, None] * t.ravel()) * (w.ravel() * v)).sum(axis=-1)
@@ -376,12 +370,13 @@ def _laddered_halfline(f, af, head_end, T, sqrt_singularity, breakpoints,
     val_head = head(t_head, w_head, v_head)
     err_head = np.abs(val_head - head(t_href, w_href, v_href))
 
+    edges = _build_edges(head_end, T, breakpoints)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     bessel = special.spherical_jn(np.arange(12), (af[:, None] * half)[:, :, None])
-    val_body = _filon_body(v_body.reshape(t_body.shape), mid, half, af, bessel)
-    err_body = np.abs(val_body - _filon_body(v_bref.reshape(t_bref.shape), mid, half,
-                                              af, bessel))
+    val_body = _filon_body(panel_sums(f, edges, 12, _filon_basis(12)), mid, af, bessel)
+    err_body = np.abs(val_body - _filon_body(panel_sums(f, edges, 8, _filon_basis(8)),
+                                             mid, af, bessel))
 
     coeffs, resid = tail_fit
     val_tail = power_tail(coeffs, tail_exponents, af, T)
@@ -407,7 +402,7 @@ def _averaged_halfline(f, a, spec, sqrt_singularity, breakpoints):
     h = math.pi / abs(a)
     max_halves = 600
     halves = np.arange(max_halves + 1, dtype=float) * h + head_end
-    geo = _build_edges(head_end, halves[-1], 0.0, breakpoints)
+    geo = _build_edges(head_end, halves[-1], breakpoints)
     edges = np.unique(np.concatenate([halves, geo]))
     sums = panel_sums(fw, edges, order=12)
     sums_ref = panel_sums(fw, edges, order=8)

@@ -100,6 +100,11 @@ class TestBalance:
         sp = split_factory(0.0, 0.0, 0.707, 0.5, 0)
         assert balance_integral(sp) == pytest.approx(1.0, abs=1e-4)
 
+    def test_balance_long_load(self, split_factory):
+        # The grid reaches X = 400·L = 4e5·ℓ, far past one period per 1e-4.
+        sp = split_factory(0.3, 0.9, 0.707, 1000.0, 1)
+        assert balance_integral(sp) == pytest.approx(1.0, abs=1e-4)
+
     def test_traction_decays(self, split):
         assert abs(traction_ahead(300.0, split)) < 1e-3 * abs(
             traction_ahead(0.5, split))

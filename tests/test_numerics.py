@@ -134,13 +134,19 @@ class TestBatchedHalfline:
         with pytest.raises(ValueError):
             oscillatory_halfline(lambda t: 1.0 / (1.0 + t * t), np.array([1.0, 2.0]))
 
-    def test_frequency_beyond_the_head_raises(self):
-        # The head [0, 1e-4] spans more than two periods once |a| > 4π·1e4.
-        oscillatory_halfline(_t_minus_three_halves_beyond_one,
-                             np.array([1.0, 1.2e5]), **self.LADDER)
+    def test_high_frequencies_up_to_the_head_limit(self):
+        # The Filon body resolves any frequency; the head [0, 1e-6] spans
+        # more than two periods once |a| > 4π·1e6.
+        a = np.array([1e3, 1e5, 1.2e7])
+        vals, errs = oscillatory_halfline(_t_minus_three_halves_beyond_one, a,
+                                          **self.LADDER)
+        for ai, v, e in zip(a, vals, errs):
+            exact = complex(mpmath.sqrt(1j * ai) * mpmath.gammainc(-0.5, a=1j * ai))
+            assert abs(v - exact) < 1e-14
+            assert abs(v - exact) <= e
         with pytest.raises(QuadratureError):
             oscillatory_halfline(_t_minus_three_halves_beyond_one,
-                                 np.array([1.0, 1.3e5]), **self.LADDER)
+                                 np.array([1.0, 1.3e7]), **self.LADDER)
 
     def test_zero_frequency_tail_is_the_power_integral(self):
         # ∫_T^∞ (2t^{−2.5} − t^{−3.5}) dt at T = 4, with a zero among the
