@@ -197,13 +197,12 @@ def _cmd_fields(run: RunConfig, out: Path, jobs: int):
     meta = (run.m, run.material.eta, run.material.h0, run.profile.p,
             run.profile.L / ell)
     xs = np.geomspace(1e-3 * ell, 1e2 * max(run.profile.L, ell), run.points)
-    w = fields.crack_opening(-xs, split)
-    p3 = fields.traction_ahead(xs, split)
-    st = fields.stresses_on_line(xs, split)
+    fl = fields.crack_line_fields(xs, split)
+    w, p3 = fl["w"], fl["p3"]
     rows = [meta + (x, x / ell, w[i], w[i] * run.material.G / (T0 * ell),
-                    p3[i], p3[i] * ell / T0, st["sigma23"][i] * ell / T0,
-                    st["tau23"][i] * ell / T0, st["mu22"][i] / T0,
-                    st["t23"][i] * ell / T0)
+                    p3[i], p3[i] * ell / T0, fl["sigma23"][i] * ell / T0,
+                    fl["tau23"][i] * ell / T0, fl["mu22"][i] / T0,
+                    fl["t23"][i] * ell / T0)
             for i, x in enumerate(xs)]
     return _write_csv(out / "fields.csv", header, rows)
 
@@ -326,6 +325,7 @@ def _validate_checks():
     w0 = fields.crack_opening(-1e-10, split)
     w_ref = abs(fields.crack_opening(-3.0, split))
     checks.append(("tip_closure", 0.0, abs(w0) / w_ref, 1e-6))
+    checks.append(("balance_T0", 1.0, fields.balance_integral(split), 1e-5))
     res = energy.err_result(material, 0.3, profile, kernel)
     checks.append(("err_positive", 1.0, 1.0 if res.E > 0 else 0.0, 0.5))
     checks.append(("err_smalllength_identity",

@@ -9,9 +9,12 @@ in closed form beyond the truncation radius.  The total shear grows like
 xi^{1/2} (its transform is square-root singular), handled the same way.
 
 The public evaluators take a scalar X (giving floats) or an array of X.  An
-array is one engine call per (split, field kind): the integrand is evaluated
-on nodes that do not depend on X, and each X's value is the same as when it
-is evaluated alone.
+array is one engine call per (split, X grid), whatever the number of field
+kinds: the integrands of all kinds are stacked columns of one call, and
+they are evaluated on nodes that do not depend on X, so each X's value is
+the same as when it is evaluated alone.  All kinds use the √t head rule,
+which is exact for both the t^{−1/2} endpoint of the opening and stresses
+and the t^{1/2} endpoint of the traction.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ __all__ = [
     "crack_opening",
     "traction_ahead",
     "stresses_on_line",
+    "crack_line_fields",
     "field_profile",
     "max_total_shear",
     "neartip_coefficients",
@@ -98,44 +102,46 @@ _STRESS_KINDS = (FieldKind.SIGMA_SHEAR, FieldKind.TAU_SHEAR,
                  FieldKind.COUPLE_STRESS, FieldKind.TOTAL_SHEAR)
 
 
-def _integrand(split: SplitData, kind: FieldKind, xi):
-    """Signed-argument integrand of the inversion integral for ``kind``.
+def _integrands(split: SplitData, kinds, xi):
+    """Signed-argument integrands of the inversion integrals of ``kinds``,
+    stacked: shape (len(kinds),) + xi.shape.
 
-    Evaluated through the explicit branch functions so that it is valid on
-    both half-lines (the folded evaluation only uses xi > 0).  The traction
+    Evaluated through the explicit branch functions so that they are valid
+    on both half-lines (the folded evaluation only uses xi > 0).  The
+    opening and the stresses share the factor q, and the stresses the wave
+    exponents α, β; each is computed once for all ``kinds``.  The traction
     integrand here is only the half-integer-ladder part; its rational piece
     (1+i·xi·L/ℓ)^{−1−p} is transformed in closed form by the caller.
     """
     xi = np.asarray(xi, dtype=float)
     gm = g_minus(xi / split.ell, split)
-    if kind is FieldKind.TRACTION:
-        return sqrt_plus(xi) * (split.F - gm) / split.k_plus_line(xi)
-
-    q = (gm - split.F) / (
-        sqrt_minus(xi) * split.psi(xi) * split.k_minus_line(xi)
-    )
-    if kind is FieldKind.OPENING:
-        return q
-    if split.is_classical:
-        raise DomainError(f"{kind.value} requires the couple-stress solution")
-    _, alpha, beta2 = wave_exponents(xi, split.m, split.h0)
-    beta = np.sqrt(beta2)
-    xi2 = xi * xi
-    if kind is FieldKind.SIGMA_SHEAR:
-        return (alpha * beta - split.eta * xi2) / (alpha + beta) * q
-    r_tau = (
-        alpha**2 * beta2
-        + (alpha**2 + beta2 + alpha * beta) * split.eta * xi2
-        - (1.0 - 2.0 * (split.h0 * split.m) ** 2) * xi2 * (split.eta * xi2 - alpha * beta)
-    ) / (alpha + beta)
-    if kind is FieldKind.TAU_SHEAR:
-        return r_tau * q
-    if kind is FieldKind.COUPLE_STRESS:
-        return xi * (alpha * beta - split.eta * xi2) / (alpha + beta) * q
-    if kind is FieldKind.TOTAL_SHEAR:
-        r_sigma = (alpha * beta - split.eta * xi2) / (alpha + beta)
-        return (2.0 * r_sigma + r_tau) * q
-    raise DomainError(f"unknown field kind {kind!r}")
+    rows = {}
+    if FieldKind.TRACTION in kinds:
+        rows[FieldKind.TRACTION] = sqrt_plus(xi) * (split.F - gm) / split.k_plus_line(xi)
+    stresses = [k for k in kinds if k in _STRESS_KINDS]
+    if stresses and split.is_classical:
+        raise DomainError(f"{stresses[0].value} requires the couple-stress solution")
+    if FieldKind.OPENING in kinds or stresses:
+        q = (gm - split.F) / (
+            sqrt_minus(xi) * split.psi(xi) * split.k_minus_line(xi)
+        )
+        rows[FieldKind.OPENING] = q
+    if stresses:
+        _, alpha, beta2 = wave_exponents(xi, split.m, split.h0)
+        beta = np.sqrt(beta2)
+        xi2 = xi * xi
+        num, den = alpha * beta - split.eta * xi2, alpha + beta
+        r_sigma = num / den
+        r_tau = (
+            alpha**2 * beta2
+            + (alpha**2 + beta2 + alpha * beta) * split.eta * xi2
+            - (1.0 - 2.0 * (split.h0 * split.m) ** 2) * xi2 * (split.eta * xi2 - alpha * beta)
+        ) / den
+        rows[FieldKind.SIGMA_SHEAR] = r_sigma * q
+        rows[FieldKind.TAU_SHEAR] = r_tau * q
+        rows[FieldKind.COUPLE_STRESS] = xi * num / den * q
+        rows[FieldKind.TOTAL_SHEAR] = (2.0 * r_sigma + r_tau) * q
+    return np.array([rows[k] for k in kinds])
 
 
 def _prefactor(split: SplitData, kind: FieldKind) -> complex:
@@ -176,7 +182,7 @@ def _tail_fit(split: SplitData, kind: FieldKind, spec: QuadratureSpec):
         ts = np.geomspace(_fit_window_start(split, spec), spec.truncation_radius,
                           TAIL_FIT_POINTS)
         split.tail_cache[key] = fit_power_tail(
-            ts, _integrand(split, kind, ts), _ladder_for(split, kind))
+            ts, _integrands(split, (kind,), ts)[0], _ladder_for(split, kind))
     return split.tail_cache[key]
 
 
@@ -191,10 +197,11 @@ def _check_domain(kind: FieldKind, X):
 
 
 def _scaled_expn(q: int, w):
-    """e^w · E_q(w) for w ≥ 0, elementwise, without overflow (asymptotic
-    series for w > 50)."""
+    """e^w · E_q(w) for w ≥ 0, elementwise, without overflow: exp(w)·E_q(w)
+    up to w = 500 and the 12-term asymptotic series beyond, where its first
+    omitted term is below 1e-20 relative for q ≤ 4."""
     w = np.asarray(w, dtype=float)
-    small = w <= 50.0
+    small = w <= 500.0
     ws = np.where(small, w, 1.0)
     out = np.exp(ws) * special.expn(q, ws)
     wl = np.where(small, 1.0, w)
@@ -216,29 +223,49 @@ def _rational_transform(split: SplitData, a):
     return _scaled_expn(q, w) / (1j * Lt)
 
 
-def _field_values(split: SplitData, kind: FieldKind, X):
-    """Field ``kind`` and its error estimate at every X of an array, by one
-    laddered inversion, on integrand nodes shared by all X.  A
-    scalar X gives scalars."""
-    _check_domain(kind, X)
+def _field_values(split: SplitData, kinds, x):
+    """Fields ``kinds`` and their error estimates at distance x > 0 from the
+    tip — behind it (X = −x) for the opening, ahead of it (X = x) for the
+    others — both of shape (len(kinds),) + x.shape, by one laddered
+    inversion at the frequencies x/ℓ on integrand nodes shared by all x and
+    all kinds.
+
+    The opening enters through ∫q·e^{+iat}dt = conj(∫conj(q)·e^{−iat}dt),
+    so every column shares one table of moments."""
     spec = _engine_spec(split)
-    a = np.asarray(X, dtype=float) / split.ell
+    a = np.asarray(x, dtype=float) / split.ell
+    behind = np.array([k is FieldKind.OPENING for k in kinds])
+
+    def columns(t):
+        v = _integrands(split, kinds, t)
+        v[behind] = np.conj(v[behind])
+        return v
+
+    fits = []
+    for kind in kinds:
+        coeffs, resid = _tail_fit(split, kind, spec)
+        fits.append((np.conj(coeffs) if kind is FieldKind.OPENING else coeffs, resid))
     val, err = oscillatory_halfline(
-        lambda t: _integrand(split, kind, t),
+        columns,
         a,
         spec,
-        sqrt_singularity=kind is not FieldKind.TRACTION,
-        tail_exponents=_ladder_for(split, kind),
-        tail_fit=_tail_fit(split, kind, spec),
+        sqrt_singularity=True,
+        tail_exponents=[_ladder_for(split, kind) for kind in kinds],
+        tail_fit=fits,
     )
-    if kind is FieldKind.TRACTION:
-        val = val + _rational_transform(split, a)
-    pref = _prefactor(split, kind)
-    return 2.0 * np.real(pref * val), 2.0 * abs(pref) * err
+    for i, kind in enumerate(kinds):
+        if kind is FieldKind.OPENING:
+            val[i] = np.conj(val[i])
+        elif kind is FieldKind.TRACTION:
+            val[i] = val[i] + _rational_transform(split, a)
+    pref = np.array([_prefactor(split, kind) for kind in kinds])
+    pref = pref.reshape(pref.shape + (1,) * a.ndim)
+    return 2.0 * np.real(pref * val), 2.0 * np.abs(pref) * err
 
 
 def _field_value(split: SplitData, kind: FieldKind, X: float) -> float:
-    return float(_field_values(split, kind, X)[0])
+    _check_domain(kind, X)
+    return float(_field_values(split, (kind,), abs(X))[0][0])
 
 
 def _out(values):
@@ -253,10 +280,14 @@ def _field_unfolded(split: SplitData, kind: FieldKind, X: float) -> complex:
     spec = _engine_spec(split)
     a = X / split.ell
     fit_start = _fit_window_start(split, spec)
-    kw = dict(sqrt_singularity=kind is not FieldKind.TRACTION,
-              tail_exponents=_ladder_for(split, kind), fit_start=fit_start)
-    pos, _ = oscillatory_halfline(lambda t: _integrand(split, kind, t), a, spec, **kw)
-    neg, _ = oscillatory_halfline(lambda t: _integrand(split, kind, -t), -a, spec, **kw)
+    kw = dict(sqrt_singularity=True, tail_exponents=_ladder_for(split, kind),
+              fit_start=fit_start)
+
+    def f(t):
+        return _integrands(split, (kind,), t)[0]
+
+    pos, _ = oscillatory_halfline(f, a, spec, **kw)
+    neg, _ = oscillatory_halfline(lambda t: f(-t), -a, spec, **kw)
     total = pos + neg
     if kind is FieldKind.TRACTION:
         # Rational piece and its mirror on the negative half-line.
@@ -268,22 +299,39 @@ def _field_unfolded(split: SplitData, kind: FieldKind, X: float) -> complex:
 def crack_opening(X, split: SplitData):
     """Opening displacement w(X) behind the tip (X < 0); a float for a
     scalar X, an array for an array."""
-    return _out(_field_values(split, FieldKind.OPENING, X)[0])
+    _check_domain(FieldKind.OPENING, X)
+    return _out(_field_values(split, (FieldKind.OPENING,), np.negative(X))[0][0])
 
 
 def traction_ahead(X, split: SplitData):
     """Reduced traction p3(X) ahead of the tip (X > 0); a float for a
     scalar X, an array for an array."""
-    return _out(_field_values(split, FieldKind.TRACTION, X)[0])
+    _check_domain(FieldKind.TRACTION, X)
+    return _out(_field_values(split, (FieldKind.TRACTION,), X)[0][0])
+
+
+def _stress_dict(sigma, tau, mu) -> dict:
+    return {"sigma23": _out(sigma), "tau23": _out(tau), "mu22": _out(mu),
+            "t23": _out(sigma + tau)}
 
 
 def stresses_on_line(X, split: SplitData) -> dict:
-    """sigma23, tau23, mu22 and t23 = sigma23 + tau23 at X > 0; floats for
-    a scalar X, arrays for an array."""
-    sigma = _out(_field_values(split, FieldKind.SIGMA_SHEAR, X)[0])
-    tau = _out(_field_values(split, FieldKind.TAU_SHEAR, X)[0])
-    mu = _out(_field_values(split, FieldKind.COUPLE_STRESS, X)[0])
-    return {"sigma23": sigma, "tau23": tau, "mu22": mu, "t23": sigma + tau}
+    """sigma23, tau23, mu22 and t23 = sigma23 + tau23 at X > 0, by one
+    inversion; floats for a scalar X, arrays for an array."""
+    _check_domain(FieldKind.SIGMA_SHEAR, X)
+    kinds = (FieldKind.SIGMA_SHEAR, FieldKind.TAU_SHEAR, FieldKind.COUPLE_STRESS)
+    return _stress_dict(*_field_values(split, kinds, X)[0])
+
+
+def crack_line_fields(x, split: SplitData) -> dict:
+    """Every crack-line field at distance x > 0 from the tip, by one
+    inversion: the opening ``w`` at X = −x and the traction ``p3`` and the
+    stresses of ``stresses_on_line`` at X = x."""
+    _check_domain(FieldKind.TRACTION, x)
+    kinds = (FieldKind.OPENING, FieldKind.TRACTION, FieldKind.SIGMA_SHEAR,
+             FieldKind.TAU_SHEAR, FieldKind.COUPLE_STRESS)
+    w, p3, sigma, tau, mu = _field_values(split, kinds, x)[0]
+    return {"w": _out(w), "p3": _out(p3), **_stress_dict(sigma, tau, mu)}
 
 
 def field_profile(split: SplitData, kind: FieldKind, *, n: int = 400,
@@ -294,9 +342,8 @@ def field_profile(split: SplitData, kind: FieldKind, *, n: int = 400,
     x_hi = 1e2 * max(L, ell) if x_hi is None else x_hi
     grid = np.geomspace(x_lo, x_hi, n)
     sign = -1.0 if kind is FieldKind.OPENING else 1.0
-    X = sign * grid
-    values, error = _field_values(split, kind, X)
-    return FieldProfile(X=X, values=values, kind=kind, error=error)
+    values, error = _field_values(split, (kind,), grid)
+    return FieldProfile(X=sign * grid, values=values[0], kind=kind, error=error[0])
 
 
 def max_total_shear(split: SplitData, X_window=None, n_grid: int = 90):
@@ -317,7 +364,7 @@ def max_total_shear(split: SplitData, X_window=None, n_grid: int = 90):
             "the singular tip zone"
         )
     grid = np.geomspace(x_lo, x_hi, n_grid)
-    vals, _ = _field_values(split, FieldKind.TOTAL_SHEAR, grid)
+    vals = _field_values(split, (FieldKind.TOTAL_SHEAR,), grid)[0][0]
     i = int(np.argmax(vals))
     if 0 < i < n_grid - 1:
         # Parabolic refinement in log X.
@@ -396,7 +443,7 @@ def balance_integral(split: SplitData, *, n: int = 201) -> float:
 
     x_min, x_max = 1e-6 * ell, 400.0 * lam
     grid = np.geomspace(x_min, x_max, n)
-    p3, _ = _field_values(split, FieldKind.TRACTION, grid)
+    p3 = _field_values(split, (FieldKind.TRACTION,), grid)[0][0]
     reg = p3 - (c_sing[0] * grid ** -1.5 + c_sing[1] * grid ** -0.5) \
         * np.exp(-grid / lam)
 

@@ -14,11 +14,20 @@ The half-line transform ∫₀^∞ f(t)·e^{−iat}dt takes one of two routes.
     turns each panel's order-12 Gauss values into the Legendre coefficients
     of the interpolant, whose transform is a sum of the closed-form moments
     ∫₋₁¹ P_k(x)e^{−iωx}dx = 2(−i)^k·j_k(ω) (Iserles & Nørsett 2005,
-    Proc. R. Soc. A 461).  At ω = 0 this is plain Gauss-Legendre.
+    Proc. R. Soc. A 461).  The table of j_0 … j_11 at ω·h (h the panel
+    half-width) for every frequency and panel is built once per call, in
+    numpy (``_bessel_table``): upward recurrence from sin/cos for
+    |ω·h| ≥ 12, Miller's downward recurrence normalized by j_0 or j_1 below
+    that (Gautschi 1967, SIAM Rev. 9, 24–82; DLMF §10.51) and the power
+    series for |ω·h| < 1.  When every frequency is 0 no table is built: the
+    body is the plain Gauss-Legendre sum, as j_k(0) = δ_k0.
   - Tail [T, ∞): the fitted ladder Σ c_k t^{λ_k} in closed form through
     Γ(λ+1, iaT) for half-integer λ (``power_tail``).
   The error estimate adds the order-14 head and order-8 body differences
   and the tail bound max_residual·min(T, 2/|a|).
+  f may return several stacked columns, each with its own ladder: they
+  share the integrand calls, the rules, the moment table and the phases,
+  and each gets its own tail and error estimate.
 * **Averaged** (no ladder, scalar ``a`` ≠ 0): half-period panel sums past
   the head and the iterated-averaging limit of their partial sums, which
   resolves the tail without a model.  A zero frequency without a ladder
@@ -73,6 +82,8 @@ DEFAULT_SPEC = QuadratureSpec()
 TAIL_FIT_POINTS = 32   # log-spaced samples of a tail-ladder fit
 _CONTOUR_NODES = 256   # trapezoid nodes on each coefficient circle
 _HEAD_END = 1e-6       # end of the fixed Gauss head of a laddered call
+_FILON_ORDER = 12      # Gauss points and Legendre degree + 1 of a body panel
+_MILLER_START = 40     # start order of the downward Bessel recurrence
 
 _gauss = lru_cache(maxsize=None)(leggauss)
 
@@ -92,12 +103,16 @@ def panel_sums(f, edges, order=12, basis=None):
     ``edges``: a complex array with one entry per panel.  With ``basis``,
     functions of the panel coordinate x ∈ [−1, 1] given at the ``order``
     Gauss nodes (shape (k, order)), it returns the integrals of f·basis_k,
-    shape (panels, k)."""
+    shape (panels, k).  An ``f`` returning stacked columns (shape (c, n) for
+    n nodes) gets a leading axis of c."""
     t, w = panel_nodes(edges, order)
-    vals = np.asarray(f(t.ravel()), dtype=complex).reshape(t.shape)
+    vals = np.asarray(f(t.ravel()), dtype=complex)
+    vals = vals.reshape(vals.shape[:-1] + t.shape) * w
     if basis is None:
-        return (vals * w).sum(axis=1)
-    return (vals * w) @ basis.T
+        return vals.sum(axis=-1)
+    # One 2-D product over every column's panels: its rows do not depend on
+    # how many columns are stacked.
+    return (vals.reshape(-1, order) @ basis.T).reshape(vals.shape[:-1] + basis.shape[:1])
 
 
 def _upper_gamma_half(s_values, z):
@@ -263,13 +278,73 @@ def _filon_basis(order: int) -> np.ndarray:
     return ((2 * k + 1) * phase)[:, None] * legvander(x, order - 1).T
 
 
-def _filon_body(sums, mid, freq, bessel):
-    """Legendre–Filon sum Σ_p ∫_{panel p} p_p(t)e^{−i·freq·t}dt, one per
-    frequency, from the ``_filon_basis`` panel sums (panels × order).
-    ``bessel`` holds j_k(freq·half) for k ≥ 0, shape (freq, panels, ≥ order);
-    at freq = 0 this is the plain Gauss-Legendre sum."""
-    inner = (bessel[:, :, :sums.shape[1]] * sums[None, :, :]).sum(axis=-1)
-    return (np.exp(-1j * freq[:, None] * mid[None, :]) * inner).sum(axis=-1)
+def _bessel_table(x):
+    """Spherical Bessel functions j_0(x) … j_11(x) of the Filon moments,
+    shape x.shape + (12,).
+
+    For |x| ≥ 12, where upward recurrence is stable for every order k < |x|,
+    it recurs up from j_0 = sin x/x and j_1 = (j_0 − cos x)/x with
+    j_{k+1} = (2k+1)/x·j_k − j_{k−1}.  For 1 ≤ |x| < 12 it runs the same
+    recurrence down from order ``_MILLER_START`` (Miller's algorithm) and
+    normalizes by whichever of j_0, j_1 is larger in magnitude.  For |x| < 1
+    it sums the power series, which gives δ_k0 exactly at x = 0.  Negative x
+    use j_k(−x) = (−1)^k·j_k(x).
+    """
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x).ravel()
+    count = _FILON_ORDER
+    out = np.empty((ax.size, count))
+    k = np.arange(count)
+
+    up = ax >= 12.0
+    miller = (ax >= 1.0) & ~up
+    for sel, upward in ((up, True), (miller, False)):
+        if not sel.any():
+            continue
+        z = ax[sel]
+        j0 = np.sin(z) / z
+        j1 = (j0 - np.cos(z)) / z
+        if upward:
+            f = np.empty((z.size, count))
+            f[:, 0], f[:, 1] = j0, j1
+            for n in range(1, count - 1):
+                f[:, n + 1] = (2 * n + 1) / z * f[:, n] - f[:, n - 1]
+        else:
+            f = np.zeros((z.size, _MILLER_START + 2))
+            f[:, _MILLER_START] = 1.0
+            for n in range(_MILLER_START, 0, -1):
+                f[:, n - 1] = (2 * n + 1) / z * f[:, n] - f[:, n + 1]
+            f = f[:, :count]
+            by_j0 = np.abs(j0) >= np.abs(j1)
+            f *= (np.where(by_j0, j0, j1) / np.where(by_j0, f[:, 0], f[:, 1]))[:, None]
+        out[sel] = f
+
+    series = ax < 1.0
+    if series.any():
+        z = ax[series][:, None]
+        term = z ** k / np.cumprod(2 * k + 1.0)   # x^k/(2k+1)!!
+        total = term.copy()
+        for m in range(1, 10):
+            term = term * (-0.5 * z * z) / (m * (2 * k + 2 * m + 1))
+            total += term
+        out[series] = total
+
+    out[x.ravel() < 0.0, 1::2] *= -1.0
+    return out.reshape(x.shape + (count,))
+
+
+def _filon_body(sums, phase, table):
+    """Legendre–Filon sums Σ_p ∫_{panel p} p_p(t)e^{−i·freq·t}dt, shape
+    (columns, freq), from the ``_filon_basis`` panel sums (columns × panels
+    × order).  ``phase`` is e^{−i·freq·mid} (freq × panels) and ``table``
+    holds j_k(freq·half) (freq × panels × ≥ order); ``table`` None means
+    every frequency is 0, where the rule is the plain Gauss-Legendre sum
+    (j_k(0) = δ_k0)."""
+    if table is None:
+        plain = sums[..., 0].sum(axis=-1)
+        return np.repeat(plain[:, None], phase.shape[0], axis=1)
+    inner = (table[None, :, :, :sums.shape[-1]] * sums[:, None]).sum(axis=-1)
+    return (phase * inner).sum(axis=-1)
 
 
 def _build_edges(lo, hi, breakpoints):
@@ -323,6 +398,13 @@ def oscillatory_halfline(
     (as from ``fit_power_tail``); otherwise the ladder is fitted on
     ``TAIL_FIT_POINTS`` log-spaced points of [``fit_start``, truncation
     radius].
+
+    Stacked columns: when ``tail_exponents`` is a sequence of c ladders, f
+    returns c integrands stacked (shape (c, n) for n nodes), ``tail_fit``
+    (if given) is a sequence of c fits, and value and error get a leading
+    axis of c.  The columns share the integrand calls, the head and body
+    rules and the moment table; each has its own ladder, tail fit and error
+    estimate.
     """
     spec = spec or DEFAULT_SPEC
     T = spec.truncation_radius
@@ -333,25 +415,39 @@ def oscillatory_halfline(
         if a.ndim:
             raise ValueError("an array of frequencies needs tail_exponents")
         return _averaged_halfline(f, float(a), spec, sqrt_singularity, breakpoints)
+    stacked = len(tail_exponents) > 0 and np.ndim(tail_exponents[0]) == 1
+    if stacked:
+        ladders, fits, columns = list(tail_exponents), tail_fit, f
+    else:
+        ladders, fits = [tail_exponents], None if tail_fit is None else [tail_fit]
+
+        def columns(t):
+            return np.asarray(f(t), dtype=complex)[None]
     head_end = min(_HEAD_END, T)
-    if tail_fit is None:
+    if fits is None:
         lo_default = max(head_end * 4.0, T / 25.0)
         fit_lo = min(max(fit_start or lo_default, head_end * 2.0), T / 2.0)
         ts = np.geomspace(fit_lo, T, TAIL_FIT_POINTS)
-        tail_fit = fit_power_tail(ts, np.asarray(f(ts), dtype=complex), tail_exponents)
-    val, err = _laddered_halfline(f, np.atleast_1d(a), head_end, T, sqrt_singularity,
-                                  breakpoints, tail_exponents, tail_fit)
-    if a.ndim:
+        vals = np.asarray(columns(ts), dtype=complex)
+        fits = [fit_power_tail(ts, v, lam) for v, lam in zip(vals, ladders)]
+    val, err = _laddered_halfline(columns, np.atleast_1d(a), head_end, T,
+                                  sqrt_singularity, breakpoints, ladders, fits)
+    shape = (len(ladders),) + a.shape if stacked else a.shape
+    val, err = val.reshape(shape), err.reshape(shape)
+    if stacked or a.ndim:
         return val, err
-    return complex(val[0]), float(err[0])
+    return complex(val), float(err)
 
 
 def _laddered_halfline(f, af, head_end, T, sqrt_singularity, breakpoints,
-                       tail_exponents, tail_fit):
-    """Laddered route at every frequency of the 1-D ``af``: graded head on
+                       ladders, fits):
+    """Laddered route at every frequency of the 1-D ``af`` for the stacked
+    columns of ``f`` (shape (c, n) for n nodes): graded head on
     [0, head_end], Legendre–Filon body on [head_end, T] and closed-form
-    ladder tail, with f evaluated on nodes that do not depend on the
-    frequencies."""
+    ladder tail, each column with its own ladder and fit.  The integrand is
+    evaluated on nodes that do not depend on the frequencies, and the moment
+    table j_k(ω·half) is built once (not at all when every ω is 0).
+    Returns value and error, both of shape (c, len(af))."""
     # The order-20 head keeps ~1e-14 up to two periods on [0, head_end].
     if np.abs(af).max(initial=0.0) * head_end > 4.0 * math.pi:
         raise QuadratureError(
@@ -362,10 +458,11 @@ def _laddered_halfline(f, af, head_end, T, sqrt_singularity, breakpoints,
     t_href, w_href = _head_nodes(head_end, sqrt_singularity, 14)
     v_head, v_href = np.split(
         np.asarray(f(np.concatenate([t_head.ravel(), t_href.ravel()])), dtype=complex),
-        [t_head.size])
+        [t_head.size], axis=-1)
 
     def head(t, w, v):
-        return (np.exp(-1j * af[:, None] * t.ravel()) * (w.ravel() * v)).sum(axis=-1)
+        phase = np.exp(-1j * af[:, None] * t.ravel())
+        return (phase[None] * (w.ravel() * v)[:, None]).sum(axis=-1)
 
     val_head = head(t_head, w_head, v_head)
     err_head = np.abs(val_head - head(t_href, w_href, v_href))
@@ -373,15 +470,19 @@ def _laddered_halfline(f, af, head_end, T, sqrt_singularity, breakpoints,
     edges = _build_edges(head_end, T, breakpoints)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    bessel = special.spherical_jn(np.arange(12), (af[:, None] * half)[:, :, None])
-    val_body = _filon_body(panel_sums(f, edges, 12, _filon_basis(12)), mid, af, bessel)
+    phase = np.exp(-1j * af[:, None] * mid[None, :])
+    table = _bessel_table(af[:, None] * half) if np.any(af) else None
+    val_body = _filon_body(panel_sums(f, edges, _FILON_ORDER, _filon_basis(_FILON_ORDER)),
+                           phase, table)
     err_body = np.abs(val_body - _filon_body(panel_sums(f, edges, 8, _filon_basis(8)),
-                                             mid, af, bessel))
+                                             phase, table))
 
-    coeffs, resid = tail_fit
-    val_tail = power_tail(coeffs, tail_exponents, af, T)
-    with np.errstate(divide="ignore"):
-        err_tail = resid * np.minimum(T, 2.0 / np.abs(af))
+    val_tail = np.empty_like(val_head)
+    err_tail = np.empty(val_head.shape)
+    for c, (lam, (coeffs, resid)) in enumerate(zip(ladders, fits)):
+        val_tail[c] = power_tail(coeffs, lam, af, T)
+        with np.errstate(divide="ignore"):
+            err_tail[c] = resid * np.minimum(T, 2.0 / np.abs(af))
     return val_head + val_body + val_tail, err_head + err_body + err_tail
 
 

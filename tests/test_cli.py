@@ -94,3 +94,11 @@ def test_limit_study_sweeps_its_variable(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [float(r["m"]) for r in rows] == [0.1, 0.3]
     assert [float(r["L_over_ell"]) for r in rows] == [2.0, 2.0]
+
+
+def test_validate_checks_the_balance():
+    checks = {check_id: (target, computed, tol)
+              for check_id, target, computed, tol in cli._validate_checks()}
+    target, computed, tol = checks["balance_T0"]
+    assert (target, tol) == (1.0, 1e-5)
+    assert abs(computed - target) <= tol

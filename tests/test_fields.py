@@ -2,16 +2,21 @@
 fold consistency and the windowed total-shear maximum."""
 import dataclasses
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
-from crackwave import fields
+from crackwave import cli, fields, numerics
 from crackwave.errors import DomainError, RealnessError
 from crackwave.fields import (FieldKind, _field_unfolded, _field_value,
-                              balance_integral, crack_opening, field_profile,
-                              max_total_shear, neartip_coefficients,
-                              stresses_on_line, traction_ahead)
+                              _field_values, balance_integral, crack_line_fields,
+                              crack_opening, field_profile, max_total_shear,
+                              neartip_coefficients, stresses_on_line,
+                              traction_ahead)
+from crackwave.loading import LoadProfile, build_split
+from crackwave.material import Material
 from crackwave.numerics import QuadratureSpec, oscillatory_halfline
 
 TUPLE = (0.3, 0.9, 0.707, 1.0, 1)  # (m, eta, h0, L, p)
@@ -197,7 +202,7 @@ class TestProfiles:
 def _averaged(split, kind, X):
     """The field by the ladder-free averaging route of the engine."""
     a = X / split.ell
-    val, err = oscillatory_halfline(lambda t: fields._integrand(split, kind, t),
+    val, err = oscillatory_halfline(lambda t: fields._integrands(split, (kind,), t)[0],
                                     a, fields._engine_spec(split),
                                     sqrt_singularity=kind is not FieldKind.TRACTION)
     if kind is FieldKind.TRACTION:
@@ -255,7 +260,7 @@ class TestSmallLoadLength:
         radius = fields._engine_spec(short).truncation_radius
         spec = QuadratureSpec(abs_tol=1e-11, truncation_radius=10.0 * radius)
         val, _ = oscillatory_halfline(
-            lambda t: fields._integrand(short, kind, t), 0.01, spec,
+            lambda t: fields._integrands(short, (kind,), t)[0], 0.01, spec,
             sqrt_singularity=True, tail_exponents=fields._ladder_for(short, kind),
             tail_fit=fields._tail_fit(short, kind, spec))
         wide = 2.0 * float(np.real(fields._prefactor(short, kind) * val))
@@ -265,3 +270,56 @@ class TestSmallLoadLength:
         kind = FieldKind.TOTAL_SHEAR
         ref, _ = _averaged(short, kind, 2.4)
         assert _field_value(short, kind, 2.4) == pytest.approx(ref, rel=1e-6)
+
+
+class TestMomentTable:
+    """One Filon moment table per (split, X grid): every crack-line field of
+    a grid shares it, and the zero-frequency F cross-check builds none."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        real = numerics._bessel_table
+        monkeypatch.setattr(numerics, "_bessel_table",
+                            lambda x: calls.append(np.shape(x)) or real(x))
+        return calls
+
+    def test_fields_run_builds_one_table(self, built, tmp_path):
+        preset = Path(__file__).resolve().parents[1] / "presets" / "fig4.conf"
+        assert cli.main(["fields", "--config", str(preset), "--out", str(tmp_path)]) == 0
+        assert len(built) == 1
+
+    def test_stresses_on_line_builds_one_table(self, built, split):
+        stresses_on_line(np.geomspace(1e-3, 1e2, 20), split)
+        assert len(built) == 1
+
+    def test_build_split_builds_none(self, built, kernel_factory):
+        material = Material(G=1.0, rho=1.0, ell=1.0, eta=0.9, h0=0.707)
+        split = build_split(kernel_factory(0.3, 0.9, 0.707), material,
+                            LoadProfile(T0=1.0, L=2.0, p=1))
+        assert split.F_alt is not None
+        assert built == []
+
+    def test_stacked_kinds_match_single_kind_calls(self, split):
+        x = np.geomspace(1e-3, 1e2, 30)
+        fl = crack_line_fields(x, split)
+        for key, kind in (("w", FieldKind.OPENING), ("p3", FieldKind.TRACTION),
+                          ("sigma23", FieldKind.SIGMA_SHEAR),
+                          ("tau23", FieldKind.TAU_SHEAR),
+                          ("mu22", FieldKind.COUPLE_STRESS)):
+            single = _field_values(split, (kind,), x)[0][0]
+            assert np.all(np.abs(fl[key] - single) <= 1e-15 * np.abs(single)), key
+        assert np.array_equal(fl["w"], crack_opening(-x, split))
+        assert np.array_equal(fl["t23"], stresses_on_line(x, split)["t23"])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_scaled_expn_matches_mpmath(q):
+    # e^w·E_q(w) on both sides of the switch to the asymptotic series.
+    w = np.concatenate([np.geomspace(1e-6, 600.0, 120),
+                        np.linspace(45.0, 130.0, 35), [499.9, 500.0, 500.1]])
+    got = fields._scaled_expn(q, w)
+    with mpmath.workdps(30):
+        ref = [float(mpmath.exp(wi) * mpmath.expint(q, wi)) for wi in w]
+    for wi, g, r in zip(w, got, ref):
+        assert abs(g - r) <= 1e-13 * r, (q, wi)

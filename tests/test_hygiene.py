@@ -1,5 +1,6 @@
 """Source hygiene: every name a ``crackwave`` module imports is used there,
-and the package imports nothing beyond the standard library, numpy and scipy.
+the package imports nothing beyond the standard library, numpy and scipy,
+and it builds its Filon moment tables itself.
 
 Package ``__init__.py`` files are exempt from the unused-import check (their
 imports are re-exports), as are ``__future__`` imports.
@@ -71,3 +72,10 @@ def test_detector_flags_a_foreign_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_stdlib_numpy_scipy(path):
     assert foreign_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_spherical_bessel(path):
+    # The Filon moments j_k(ω·h) come from numerics._bessel_table; scipy's
+    # routine is several times slower per value.
+    assert "spherical_jn" not in path.read_text()

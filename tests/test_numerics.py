@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 import mpmath
+from scipy import special
 
+from crackwave import numerics
 from crackwave.errors import BracketError, QuadratureError
-from crackwave.numerics import (QuadratureSpec, _upper_gamma_half, bracketed_root,
-                                contour_coefficients, oscillatory_halfline,
-                                power_tail)
+from crackwave.numerics import (QuadratureSpec, _bessel_table, _upper_gamma_half,
+                                bracketed_root, contour_coefficients,
+                                oscillatory_halfline, power_tail)
 from crackwave.material import lambda_surface
 
 # ∫₀^∞ e^{−it}/(1+t²) dt ; real part is pi/(2e) by residue calculus.
@@ -158,6 +160,72 @@ class TestBatchedHalfline:
             lambda t: t**lam * mpmath.exp(-1j * t), [4.0, mpmath.inf], omega=1.0))
             for c, lam in ((2.0, -2.5), (-1.0, -3.5)))
         assert abs(out[1] - ref) < 1e-12
+
+
+class TestStackedColumns:
+    """An integrand returning stacked columns against one call per column."""
+    LADDERS = [(-1.5, -2.5, -3.5), (-2.5, -3.5, -4.5), (-1.5, -2.5, -3.5)]
+
+    @staticmethod
+    def _columns(t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.array([np.where(t > 1.0, np.abs(t) ** -1.5, 0.0),
+                             (1.0 + 2j) / (1.0 + t) ** 2.5,
+                             np.exp(-t) / np.sqrt(t) + 1j / (1.0 + t) ** 1.5])
+
+    @pytest.mark.parametrize("freq", [np.array([0.05, 1.0, 10.0, 3e3]), 2.5,
+                                      np.array([0.0])], ids=["array", "scalar", "zero"])
+    def test_each_column_matches_its_single_column_call(self, freq):
+        kw = dict(breakpoints=(1.0,), sqrt_singularity=True, fit_start=100.0)
+        vals, errs = oscillatory_halfline(self._columns, freq,
+                                          tail_exponents=self.LADDERS, **kw)
+        assert vals.shape == errs.shape == (3,) + np.shape(freq)
+        for c, lam in enumerate(self.LADDERS):
+            single, single_err = oscillatory_halfline(
+                lambda t, c=c: self._columns(t)[c], freq, tail_exponents=lam, **kw)
+            assert np.all(np.abs(vals[c] - single) <= 1e-15 * np.abs(single))
+            assert np.all(np.abs(errs[c] - single_err) <= 1e-15 * single_err)
+
+    def test_columns_share_one_moment_table(self, monkeypatch):
+        built = []
+        real = numerics._bessel_table
+        monkeypatch.setattr(numerics, "_bessel_table",
+                            lambda x: built.append(np.shape(x)) or real(x))
+        oscillatory_halfline(self._columns, np.array([1.0, 2.0]), breakpoints=(1.0,),
+                             tail_exponents=self.LADDERS, fit_start=100.0)
+        assert len(built) == 1
+        oscillatory_halfline(self._columns, np.array([0.0, 0.0]), breakpoints=(1.0,),
+                             tail_exponents=self.LADDERS, fit_start=100.0)
+        assert len(built) == 1  # every frequency 0: plain Gauss sums, no table
+
+
+class TestBesselTable:
+    """The Filon moment table j_0 … j_11 against scipy's spherical Bessel
+    functions, across the series (|x| < 1), downward-recurrence (1 ≤ |x| < 12)
+    and upward-recurrence (|x| ≥ 12) ranges."""
+    X = np.concatenate([
+        [0.0],
+        np.geomspace(1e-10, 1e7, 4001),
+        -np.geomspace(1e-10, 1e7, 4001),
+        12.0 + np.linspace(-1e-3, 1e-3, 201),
+        1.0 + np.linspace(-1e-3, 1e-3, 201),
+        np.pi * np.arange(1, 400),          # zeros of j_0
+    ])
+
+    def test_matches_scipy(self):
+        ref = special.spherical_jn(np.arange(12), self.X[:, None])
+        got = _bessel_table(self.X)
+        assert got.shape == (self.X.size, 12)
+        assert np.abs(got - ref).max() <= 1e-14
+
+    def test_zero_argument_is_exact(self):
+        assert np.array_equal(_bessel_table(np.zeros((2, 3)))[1, 2], np.eye(12)[0])
+
+    def test_parity(self):
+        x = np.array([0.3, 5.0, 40.0])
+        sign = (-1.0) ** np.arange(12)
+        assert np.array_equal(_bessel_table(-x), sign * _bessel_table(x))
 
 
 class TestUpperGamma:
