@@ -151,6 +151,9 @@ def _write_csv(path: Path, header, rows):
             return str(int(v))
         return v
 
+    # Truncating an existing file waits for its writeback; a fresh file
+    # does not.
+    path.unlink(missing_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -178,11 +181,12 @@ def _cmd_dispersion(run: RunConfig, out: Path, jobs: int):
 
 def _cmd_regime_map(run: RunConfig, out: Path, jobs: int):
     eta = run.material.eta
-    rows = []
-    for h0 in np.linspace(0.02, 1.2, 60):
-        rows.append(("m_c_vs_h0", eta, h0, critical_speed(eta, h0)))
-    for e in np.linspace(-0.95, 0.95, 39):
-        rows.append(("h0_star_vs_eta", e, float("nan"), h0_star(e)))
+    h0s = np.linspace(0.02, 1.2, 60)
+    etas = np.linspace(-0.95, 0.95, 39)
+    rows = [("m_c_vs_h0", eta, h0, m_c)
+            for h0, m_c in zip(h0s, critical_speed(eta, h0s))]
+    rows += [("h0_star_vs_eta", e, float("nan"), h)
+             for e, h in zip(etas, h0_star(etas))]
     return _write_csv(out / "regime-map.csv",
                       ["curve", "eta", "h0", "value"], rows)
 
@@ -233,24 +237,24 @@ def _limit_row(material: Material, profile: LoadProfile, m: float):
             res.E, res.E_cl, res.ratio, abs(res.ratio - 1.0), drift)
 
 
-def _sweep_args(run: RunConfig, variable: str, value: float):
-    """(material, profile, m) of one sweep row."""
-    mat, prof, m = run.material, run.profile, run.m
+def _sweep_args(run: RunConfig):
+    """(material, profile, m) of every row of the run's sweep.  The material
+    is fixed along a sweep, so an m_of_limit sweep takes one critical speed."""
+    grid = run.grid()
+    mat, prof, variable = run.material, run.profile, run.sweep["variable"]
     if variable == "m":
-        m = value
-    elif variable == "m_of_limit":
-        m = value * min(1.0, critical_speed(mat.eta, mat.h0))
-    elif variable == "L_over_ell":
-        prof = replace(prof, L=value * mat.ell)
-    else:
-        raise ConfigError(f"unsupported sweep variable {variable!r}")
-    return mat, prof, m
+        return [(mat, prof, v) for v in grid]
+    if variable == "m_of_limit":
+        m_limit = min(1.0, critical_speed(mat.eta, mat.h0))
+        return [(mat, prof, v * m_limit) for v in grid]
+    if variable == "L_over_ell":
+        return [(mat, replace(prof, L=v * mat.ell), run.m) for v in grid]
+    raise ConfigError(f"unsupported sweep variable {variable!r}")
 
 
 def _run_rows(worker, run: RunConfig, jobs: int):
     """worker(material, profile, m) at every point of the run's sweep."""
-    grid = run.grid()
-    args = [_sweep_args(run, run.sweep["variable"], v) for v in grid]
+    args = _sweep_args(run)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, *zip(*args)))

@@ -1,15 +1,20 @@
 """Antiplane couple-stress surface-wave dispersion.
 
 Evaluates the traction-free-surface determinant and traces the phase-speed
-curve m_R(omega) or m_R(k) by continuation.  The decaying-mode branch exists
-for m_R below the planar-shear curve m_B(k)² = (1 + k²ℓ²/2)/(1 + h0²k²ℓ²),
-where both decay exponents are real; at eta = 0 the root sits exactly on that
-boundary (the surface wave degenerates to the planar shear wave).
+curve m_R(omega) or m_R(k).  The decaying-mode branch exists for m_R below
+the planar-shear curve m_B(k)² = (1 + k²ℓ²/2)/(1 + h0²k²ℓ²), where both
+decay exponents are real; at eta = 0 the root sits exactly on that boundary
+(the surface wave degenerates to the planar shear wave).
+
+Every grid point is solved on its own, with no continuation from its
+neighbour: a fixed scan in m below m_B takes the primary (fastest) branch,
+the last sign change of the determinant, and one lockstep root solve
+refines the brackets of the whole curve.  Neighbouring points that differ
+by more than 5% are reported after the solve.
 """
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,12 +65,12 @@ def shear_phase_speed(k_norm: float, h0: float):
     return float(out) if np.ndim(k_norm) == 0 else out
 
 
-def _branch_boundary_omega(omega_norm: float, h0: float) -> float:
-    """m_B at fixed omega: solves m² = (1 + (omega/m)²/2)/(1 + h0²(omega/m)²)."""
+def _branch_boundary_omega(omega_norm, h0: float):
+    """m_B at fixed omega: solves m² = (1 + (omega/m)²/2)/(1 + h0²(omega/m)²);
+    vectorized over omega_norm."""
     w2 = omega_norm * omega_norm
     b = 1.0 - h0 * h0 * w2
-    m2 = 0.5 * (b + math.sqrt(b * b + 2.0 * w2))
-    return math.sqrt(m2)
+    return np.sqrt(0.5 * (b + np.sqrt(b * b + 2.0 * w2)))
 
 
 def _det_rows(mR, k_norm, eta, h0):
@@ -113,83 +118,97 @@ def _scaled_det(m, eta: float, h0: float, *, k_norm=None, omega_norm=None):
     return (d11 * d22 - d12 * d21) / (1.0 + k) ** 5
 
 
-def _root_at(eta, h0, *, k_norm=None, omega_norm=None, hint=None):
-    """Surface-wave root in m at one grid value, continuation-aware."""
-    if k_norm is not None:
-        m_b = float(shear_phase_speed(k_norm, h0))
-    else:
-        m_b = _branch_boundary_omega(omega_norm, h0)
+# Branch scan in m below the boundary m_b: 160 linear points, then 80
+# geometric ones closing in on m_b, for up to _SCAN_ROWS grid points at a
+# time (bounded memory on long grids).
+_SCAN_LINEAR = 160
+_SCAN_GEOMETRIC = 80
+_SCAN_ROWS = 128
 
-    def f(m):
-        return _scaled_det(m, eta, h0, k_norm=k_norm, omega_norm=omega_norm)
 
-    def bisect_on(grid):
-        vals = f(grid)
-        idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-        if idx.size == 0:
-            return None
-        if idx.size > 1:
-            log.debug(
-                "multiple dispersion roots at k=%s omega=%s: brackets %s",
-                k_norm, omega_norm, [(grid[i], grid[i + 1]) for i in idx],
-            )
-        i = idx[-1]  # keep the fastest (primary) branch
-        return bracketed_root(f, grid[i], grid[i + 1], tol=1e-13)
-
-    if hint is not None:
-        lo = max(1e-3, hint * 0.9)
-        hi = min(hint * 1.1, m_b * (1.0 - 1e-12))
-        if hi > lo:
-            root = bisect_on(np.linspace(lo, hi, 64))
-            if root is not None:
-                return root
-
-    grid = np.concatenate([
-        np.linspace(1e-2, m_b * 0.98, 160),
-        m_b * (1.0 - np.geomspace(2e-2, 1e-11, 80)),
-    ])
-    root = bisect_on(grid)
-    if root is not None:
-        return root
-
-    # No interior sign change: test for a boundary root (det ∝ beta → 0 at
-    # m_b with no crossing), which is the eta = 0 degeneracy.
-    d_far = abs(f(m_b * (1.0 - 1e-4)))
-    d_near = abs(f(m_b * (1.0 - 1e-8)))
-    if d_near <= 0.05 * d_far or d_far == 0.0:
-        return m_b
-    raise RootLossError(
-        f"no dispersion root found (eta={eta}, h0={h0}, k={k_norm}, omega={omega_norm})"
-    )
+def _brackets(det, g, m_b, axis):
+    """Primary-branch bracket (lo, hi) of each grid point from the scan of
+    ``det(m, g)``; both NaN where the scan finds no sign change."""
+    lo = np.full(g.shape, np.nan)
+    hi = np.full(g.shape, np.nan)
+    approach = 1.0 - np.geomspace(2e-2, 1e-11, _SCAN_GEOMETRIC)
+    for start in range(0, g.size, _SCAN_ROWS):
+        top = m_b[start:start + _SCAN_ROWS]
+        m = np.concatenate([np.linspace(1e-2, top * 0.98, _SCAN_LINEAR, axis=-1),
+                            top[:, None] * approach], axis=1)
+        vals = det(m, g[start:start + _SCAN_ROWS, None])
+        change = vals[:, :-1] * vals[:, 1:] < 0.0
+        for r in np.flatnonzero(change.sum(axis=1) > 1):
+            log.debug("multiple dispersion roots at %s=%s: brackets %s", axis,
+                      g[start + r], [(m[r, i], m[r, i + 1])
+                                     for i in np.flatnonzero(change[r])])
+        found = np.flatnonzero(change.any(axis=1))
+        # The last sign change of a row is the fastest (primary) branch.
+        i = change.shape[1] - 1 - np.argmax(change[found, ::-1], axis=1)
+        lo[start + found] = m[found, i]
+        hi[start + found] = m[found, i + 1]
+    return lo, hi
 
 
 def trace_curve(grid, eta: float, h0: float, axis: str = "omega"):
     """Trace m_R along an increasing grid of omega_norm (axis='omega') or
-    k_norm (axis='k').  Continuation from the previous root keeps the branch;
-    jumps above 5% between neighbours are logged as warnings."""
+    k_norm (axis='k') as a list of DispersionPoint.
+
+    Each point takes the primary branch of its own scan (no continuation
+    hint), and one lockstep ``bracketed_root`` call refines every bracket to
+    1e-13.  A point whose scan has no sign change is a boundary root m_b
+    when |det| falls towards m_b (the eta = 0 degeneracy); otherwise
+    RootLossError is raised, with ``last_good`` the point before the first
+    lost one.  Jumps above 5% between neighbours are logged as warnings
+    after the solve.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise DomainError("grid must be strictly increasing and positive")
     if axis not in ("omega", "k"):
         raise DomainError(f"axis must be 'omega' or 'k', got {axis!r}")
 
-    points: list[DispersionPoint] = []
-    hint = None
-    for g in grid:
-        try:
-            if axis == "k":
-                m = _root_at(eta, h0, k_norm=float(g), hint=hint)
-                k, w = float(g), m * float(g)
-            else:
-                m = _root_at(eta, h0, omega_norm=float(g), hint=hint)
-                w, k = float(g), float(g) / m
-        except RootLossError as exc:
-            raise RootLossError(str(exc), last_good=points[-1] if points else None) from exc
-        if hint is not None and abs(m - hint) > 0.05 * hint:
-            log.warning("dispersion curve jump at %s=%g: %g -> %g", axis, g, hint, m)
-        points.append(DispersionPoint(omega_norm=w, k_norm=k, mR=m))
-        hint = m
-    return points
+    if axis == "k":
+        m_b = shear_phase_speed(grid, h0)
+    else:
+        m_b = _branch_boundary_omega(grid, h0)
+
+    def det(m, g):
+        return _scaled_det(m, eta, h0, **{f"{axis}_norm": g})
+
+    lo, hi = _brackets(det, grid, m_b, axis)
+    m_r = m_b.copy()
+    inner = np.flatnonzero(~np.isnan(lo))
+    if inner.size:
+        m_r[inner] = bracketed_root(lambda m: det(m, grid[inner]),
+                                    lo[inner], hi[inner], tol=1e-13)
+
+    # No interior sign change: a boundary root (det ∝ beta → 0 at m_b with no
+    # crossing) when |det| near m_b is small against |det| further in.
+    edge = np.flatnonzero(np.isnan(lo))
+    if edge.size:
+        d = np.abs(det(m_b[edge, None] * np.array([1.0 - 1e-4, 1.0 - 1e-8]),
+                       grid[edge, None]))
+        lost = edge[~((d[:, 1] <= 0.05 * d[:, 0]) | (d[:, 0] == 0.0))]
+        if lost.size:
+            i = lost[0]
+            raise RootLossError(
+                f"no dispersion root found (eta={eta}, h0={h0}, {axis}={grid[i]})",
+                last_good=_point(grid[i - 1], m_r[i - 1], axis) if i else None,
+            )
+
+    jumps = np.flatnonzero(np.abs(np.diff(m_r)) > 0.05 * m_r[:-1])
+    for i in jumps:
+        log.warning("dispersion curve jump at %s=%g: %g -> %g",
+                    axis, grid[i + 1], m_r[i], m_r[i + 1])
+    return [_point(g, m, axis) for g, m in zip(grid.tolist(), m_r.tolist())]
+
+
+def _point(g: float, m: float, axis: str) -> DispersionPoint:
+    g, m = float(g), float(m)
+    if axis == "k":
+        return DispersionPoint(omega_norm=m * g, k_norm=g, mR=m)
+    return DispersionPoint(omega_norm=g, k_norm=g / m, mR=m)
 
 
 def surface_mode_shape(mR: float, k_norm: float, eta: float, h0: float) -> SurfaceModeShape:

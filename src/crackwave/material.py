@@ -115,34 +115,35 @@ class Regime:
         return self.sonic is SonicRange.SUBSONIC
 
 
-def _check_eta(eta: float):
-    if not -1.0 < eta < 1.0:
+def _check_eta(eta):
+    if not np.all(np.greater(eta, -1.0) & np.less(eta, 1.0)):
         raise DomainError(f"eta must lie in (-1, 1), got {eta}")
 
 
-def _u_radical(eta: float, h0: float, m) -> np.ndarray | float:
-    """sqrt(1 − 2 h0² m²); h0 = 0 short-circuits the domain check (the
-    radical is then identically 1 whatever m is)."""
-    if h0 == 0.0:
-        return np.ones_like(np.asarray(m, dtype=float)) if np.ndim(m) else 1.0
+def _u_radical(eta, h0, m) -> np.ndarray | float:
+    """sqrt(1 − 2 h0² m²), broadcast over (h0, m).  Where h0 = 0 the radical
+    is identically 1, whatever m is, and m is not domain-checked."""
+    h0 = np.asarray(h0, dtype=float)
     r = 1.0 - 2.0 * (h0 * np.asarray(m, dtype=float)) ** 2
-    if np.any(r < -1e-12):
+    off = (r < -1e-12) & (h0 != 0.0)
+    if np.any(off):
         raise DomainError(
-            f"1 - 2 h0^2 m^2 = {np.min(r):g} < 0 (h0={h0}, m={m!r})"
+            f"1 - 2 h0^2 m^2 = {np.min(r[off]):g} < 0 (h0={h0}, m={m!r})"
         )
-    u = np.sqrt(np.clip(r, 0.0, None))
-    return float(u) if np.ndim(m) == 0 else u
+    u = np.where(h0 == 0.0, 1.0, np.sqrt(np.clip(r, 0.0, None)))
+    return float(u) if u.ndim == 0 else u
 
 
-def upsilon(eta: float, h0: float, m) -> float:
+def upsilon(eta, h0, m):
     """Surface-wave limit function: positive in the sub-Rayleigh range, zero
-    at the critical speed.  Vectorized over m."""
+    at the critical speed.  Broadcasts over (eta, h0, m); all-scalar
+    arguments give a float."""
     _check_eta(eta)
     u = _u_radical(eta, h0, m)
-    mm = np.asarray(m, dtype=float)
-    h2m2 = (h0 * mm) ** 2
-    val = (1.0 - eta**2 - 2.0 * h2m2 + 2.0 * u * (1.0 + eta - h2m2)) / (1.0 + u)
-    return float(val) if np.ndim(m) == 0 else val
+    eta = np.asarray(eta, dtype=float)
+    h2m2 = (np.asarray(h0, dtype=float) * np.asarray(m, dtype=float)) ** 2
+    val = (1.0 - eta * eta - 2.0 * h2m2 + 2.0 * u * (1.0 + eta - h2m2)) / (1.0 + u)
+    return float(val) if val.ndim == 0 else val
 
 
 def lambda_surface(eta: float, h0: float, m) -> float:
@@ -158,45 +159,58 @@ def lambda_surface(eta: float, h0: float, m) -> float:
     return float(val) if np.ndim(m) == 0 else val
 
 
-def critical_speed(eta: float, h0: float) -> float:
+def critical_speed(eta: float, h0):
     """Smallest positive zero of upsilon in m (to 1e-10), capped at the
-    shear-wave value 1 (returned as exactly 1 when no slower zero exists)."""
+    shear-wave value 1 (returned as exactly 1 when no slower zero exists).
+
+    Broadcasts over h0: one 512-point upsilon scan of (0, m_hi] per h0, and
+    one lockstep root solve on the first sign change of every scan.  A
+    scalar h0 gives a float.
+    """
     _check_eta(eta)
-    if h0 < 0:
+    h0 = np.asarray(h0, dtype=float)
+    if not np.all(h0 >= 0):
         raise DomainError(f"h0 must be nonnegative, got {h0}")
-    if h0 == 0.0:
-        return 1.0
-    m_hi = min(1.0, 1.0 / (SQRT2 * h0))
-    if eta == 0.0:
-        # upsilon = u(u²+u+1)/(1+u) vanishes only at u = 0, i.e. m = 1/(√2 h0).
-        return m_hi
-    grid = np.linspace(0.0, m_hi, 512)
-    vals = upsilon(eta, h0, grid)
-    sign_change = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
-    if sign_change.size == 0:
-        if m_hi < 1.0:
-            raise BracketError(
-                f"no upsilon sign change found on (0, {m_hi}] for eta={eta}, h0={h0}"
-            )
-        return 1.0
-    i = sign_change[0]
-    root = bracketed_root(lambda m: upsilon(eta, h0, m), grid[i], grid[i + 1], tol=1e-10)
-    return min(root, 1.0)
+    with np.errstate(divide="ignore"):
+        m_hi = np.minimum(1.0, 1.0 / (SQRT2 * h0))
+    out = np.array(m_hi)  # an array even for scalar h0, to assign into
+    # At eta = 0, upsilon = u(u²+u+1)/(1+u) vanishes only at u = 0, i.e.
+    # m = 1/(√2 h0); at h0 = 0 there is no zero (m_hi = 1).
+    scan = (h0 != 0.0) & (eta != 0.0)
+    if scan.any():
+        h0s, m_top = h0[scan], m_hi[scan]
+        grid = np.linspace(0.0, m_top, 512, axis=-1)
+        vals = upsilon(eta, h0s[:, None], grid)
+        change = vals[:, :-1] * vals[:, 1:] <= 0.0
+        found = change.any(axis=1)
+        lost = np.flatnonzero(~found & (m_top < 1.0))
+        if lost.size:
+            raise BracketError(f"no upsilon sign change found on (0, {m_top[lost[0]]}] "
+                               f"for eta={eta}, h0={h0s[lost[0]]}")
+        i = change[found].argmax(axis=1)
+        root = bracketed_root(lambda m: upsilon(eta, h0s[found], m),
+                              grid[found, i], grid[found, i + 1], tol=1e-10)
+        m_c = np.ones(m_top.shape)
+        m_c[found] = np.minimum(root, 1.0)
+        out[scan] = m_c
+    return float(out) if out.ndim == 0 else out
 
 
-def h0_star(eta: float) -> float:
+def h0_star(eta):
     """Rotational inertia threshold: for h0 > h0*(eta) the critical speed
     drops below the shear-wave speed.  Solves upsilon(eta, h0, 1) = 0 on
-    (0, 1/sqrt(2)] to 1e-12."""
+    (0, 1/sqrt(2)] to 1e-12; broadcasts over eta with one lockstep solve.
+    A scalar eta gives a float."""
     _check_eta(eta)
-    if eta == 0.0:
-        return 1.0 / SQRT2
-    lo, hi = 1e-9, 1.0 / SQRT2
-
-    def f(h0):
-        return upsilon(eta, h0, 1.0)
-
-    return bracketed_root(f, lo, hi, tol=1e-12)
+    eta = np.asarray(eta, dtype=float)
+    out = np.full(eta.shape, 1.0 / SQRT2)
+    solve = eta != 0.0
+    if solve.any():
+        es = eta[solve]
+        out[solve] = bracketed_root(lambda h0: upsilon(es, h0, 1.0),
+                                    np.full(es.shape, 1e-9),
+                                    np.full(es.shape, 1.0 / SQRT2), tol=1e-12)
+    return float(out) if out.ndim == 0 else out
 
 
 def zeta(eta: float, h0: float, m: float) -> float:

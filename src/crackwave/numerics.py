@@ -554,37 +554,69 @@ def contour_coefficients(
     return c_full
 
 
-def bracketed_root(f, lo: float, hi: float, tol: float = 1e-12):
-    """Root of ``f`` on a sign-change bracket [lo, hi], to bracket width
+def bracketed_root(f, lo, hi, tol: float = 1e-12):
+    """Roots of ``f`` on sign-change brackets [lo, hi], each to bracket width
     ``tol`` or after 300 steps.
 
-    Bisection with a secant proposal each step: guaranteed convergence, and
-    exact in one secant step for affine ``f``.
+    ``lo`` and ``hi`` may be arrays, broadcast together, one bracket per
+    element.  The brackets advance in lockstep: each step makes one call
+    ``f(x)`` with one point per bracket, and a bracket that has finished is
+    held at its lower end, where ``f`` has already been evaluated.  Each
+    element does the arithmetic of a lone bracket: a secant proposal, with
+    bisection instead when the proposal leaves the bracket, is not finite or
+    has twice in a row failed to halve it; an exact zero ends that element.
+    Convergence is guaranteed, and an affine ``f`` is solved in one secant
+    step.  Scalar ``lo`` and ``hi`` give a float, and ``f`` is then called
+    with floats, once per endpoint (the upper one only when the lower one is
+    not a root) and once per step.  BracketError is raised when any bracket
+    lacks a sign change.
     """
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if not (np.isfinite(flo) and np.isfinite(fhi)) or flo * fhi > 0:
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo!r}, {fhi!r}")
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
 
-    stalled = 0
+    def g(x):
+        return np.asarray(f(float(x) if scalar else x), dtype=float)
+
+    flo = g(lo)
+    done = flo == 0.0
+    root = np.where(done, lo, np.nan)
+    if done.all():
+        return float(root) if scalar else root
+    fhi = g(hi)
+    at_hi = ~done & (fhi == 0.0)
+    root = np.where(at_hi, hi, root)
+    done |= at_hi
+    bad = ~done & ~(np.isfinite(flo) & np.isfinite(fhi) & (flo * fhi <= 0))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise BracketError(
+            f"no sign change on [{lo.flat[i]}, {hi.flat[i]}]: "
+            f"f={float(flo.flat[i])!r}, {float(fhi.flat[i])!r}"
+        )
+
+    live = ~done
+    stalled = np.zeros(lo.shape, dtype=int)
     for _ in range(300):
-        if hi - lo <= tol:
+        live &= hi - lo > tol
+        if not live.any():
             break
-        x = hi - fhi * (hi - lo) / (fhi - flo)
-        if not (lo < x < hi) or not np.isfinite(x) or stalled >= 2:
-            x = 0.5 * (lo + hi)
-            stalled = 0
-        fx = f(x)
-        if fx == 0.0:
-            return x
+        # Finished brackets propose nothing; their secant may be 0/0.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = hi - fhi * (hi - lo) / (fhi - flo)
+        bisect = ~((lo < x) & (x < hi)) | ~np.isfinite(x) | (stalled >= 2)
+        x = np.where(bisect, 0.5 * (lo + hi), x)
+        stalled = np.where(bisect, 0, stalled)
+        x = np.where(live, x, lo)
+        fx = g(x)
+        hit = live & (fx == 0.0)
+        root = np.where(hit, x, root)
+        done |= hit
+        live &= ~hit
         width = hi - lo
-        if fx * flo < 0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-        stalled = stalled + 1 if (hi - lo) > 0.5 * width else 0
-    return 0.5 * (lo + hi)
+        left = fx * flo < 0
+        to_hi, to_lo = live & left, live & ~left
+        hi, fhi = np.where(to_hi, x, hi), np.where(to_hi, fx, fhi)
+        lo, flo = np.where(to_lo, x, lo), np.where(to_lo, fx, flo)
+        stalled = np.where(hi - lo > 0.5 * width, stalled + 1, 0)
+    root = np.where(done, root, 0.5 * (lo + hi))
+    return float(root) if scalar else root

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from crackwave import cli
+from crackwave import cli, material
+from crackwave import dispersion as disp
+from crackwave.material import critical_speed
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
@@ -102,3 +104,53 @@ def test_validate_checks_the_balance():
     target, computed, tol = checks["balance_T0"]
     assert (target, tol) == (1.0, 1e-5)
     assert abs(computed - target) <= tol
+
+
+class TestRootSolves:
+    """One lockstep bracketed_root call per dispersion curve and per
+    regime-map curve, and one critical speed per m_of_limit sweep."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        for module in (disp, material):
+            real = module.bracketed_root
+            monkeypatch.setattr(module, "bracketed_root",
+                                lambda *a, real=real, **k: calls.append(a[1]) or real(*a, **k))
+        return calls
+
+    def test_regime_map_solves_twice(self, solves, tmp_path):
+        rc = cli.main(["regime-map", "--config", str(PRESETS / "fig3.conf"),
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        # m_c over the h0 grid (the rows with an upsilon sign change), then
+        # h0* over the eta grid (all but eta = 0).
+        assert [len(lo) for lo in solves] == [45, 38]
+
+    def test_dispersion_solves_once(self, solves, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text(DISPERSION)
+        assert cli.main(["dispersion", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert [len(lo) for lo in solves] == [120]
+
+    def test_m_of_limit_sweep_takes_one_critical_speed(self, monkeypatch, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text(ERR_SWEEP.replace("material.eta = 0", "material.eta = -0.9"))
+        run = cli.RunConfig.from_file(config)
+        calls = []
+        monkeypatch.setattr(cli, "critical_speed",
+                            lambda eta, h0: calls.append((eta, h0)) or critical_speed(eta, h0))
+        args = cli._sweep_args(run)
+        assert calls == [(-0.9, 0.707)]
+        m_limit = critical_speed(-0.9, 0.707)
+        assert m_limit < 1.0
+        assert [m for _, _, m in args] == [v * m_limit for v in run.grid()]
+
+
+def test_rewrite_gives_identical_bytes(tmp_path):
+    # The second run replaces the first run's CSV with the same bytes.
+    argv = ["regime-map", "--config", str(PRESETS / "fig3.conf"), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    first = (tmp_path / "regime-map.csv").read_bytes()
+    assert cli.main(argv) == 0
+    assert (tmp_path / "regime-map.csv").read_bytes() == first

@@ -1,13 +1,15 @@
 """Surface-wave dispersion: determinant, branch tracing and oracles."""
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from crackwave import dispersion
 from crackwave.dispersion import (DispersionPoint, _scaled_det, dispersion_det,
                                   shear_phase_speed, surface_mode_shape,
                                   trace_curve)
-from crackwave.errors import DomainError
+from crackwave.errors import DomainError, RootLossError
 from crackwave.material import critical_speed, lambda_surface
 
 
@@ -85,6 +87,56 @@ class TestTraceCurve:
         for eta, h0 in ((0.9, 0.8), (-0.9, 0.707)):
             pt = trace_curve(np.array([1e3]), eta, h0, axis="omega")[0]
             assert abs(pt.mR - critical_speed(eta, h0)) < 1e-3
+
+    def test_scan_blocks_join(self):
+        # A grid longer than one scan block gives the points of its pieces.
+        grid = np.geomspace(0.05, 50.0, 2 * dispersion._SCAN_ROWS + 7)
+        whole = [p.mR for p in trace_curve(grid, 0.9, 0.8, axis="k")]
+        cut = dispersion._SCAN_ROWS + 3
+        parts = [p.mR for g in (grid[:cut], grid[cut:])
+                 for p in trace_curve(g, 0.9, 0.8, axis="k")]
+        assert whole == pytest.approx(parts, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("first_lost", [0, 6])
+    def test_root_loss_keeps_last_good(self, monkeypatch, first_lost):
+        # From grid point first_lost on, a determinant that never changes
+        # sign and does not fall towards m_b: those roots are lost.
+        grid = np.geomspace(0.5, 5.0, 10)
+        real = dispersion._scaled_det
+
+        def det(m, eta, h0, *, k_norm=None, omega_norm=None):
+            d = real(m, eta, h0, k_norm=k_norm, omega_norm=omega_norm)
+            lost = np.broadcast_to(k_norm, np.shape(d)) >= grid[first_lost]
+            return np.where(lost, 1.0 + np.abs(d), d)
+
+        monkeypatch.setattr(dispersion, "_scaled_det", det)
+        with pytest.raises(RootLossError) as info:
+            trace_curve(grid, 0.9, 0.8, axis="k")
+        monkeypatch.undo()
+        if first_lost == 0:
+            assert info.value.last_good is None
+        else:
+            ref = trace_curve(grid, 0.9, 0.8, axis="k")[first_lost - 1]
+            good = info.value.last_good
+            assert good.k_norm == ref.k_norm == grid[first_lost - 1]
+            assert good.mR == pytest.approx(ref.mR, rel=1e-12)
+
+    def test_jump_warning(self, caplog):
+        # h0 = 0: the supersonic branch climbs by more than 5% per step.
+        grid = np.geomspace(0.2, 10.0, 20)
+        with caplog.at_level(logging.WARNING, logger="crackwave.dispersion"):
+            pts = trace_curve(grid, 0.9, 0.0, axis="k")
+        m = np.array([p.mR for p in pts])
+        jumps = np.flatnonzero(np.abs(np.diff(m)) > 0.05 * m[:-1])
+        assert jumps.size > 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"dispersion curve jump at k={grid[i + 1]:g}: {m[i]:g} -> {m[i + 1]:g}"
+            for i in jumps]
+
+    def test_smooth_curve_no_warning(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="crackwave.dispersion"):
+            trace_curve(np.geomspace(0.05, 50.0, 120), 0.9, 0.8, axis="omega")
+        assert caplog.records == []
 
     def test_bad_grid(self):
         with pytest.raises(DomainError):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crackwave.errors import DomainError, RegimeError
+from crackwave import material
+from crackwave.errors import BracketError, DomainError, RegimeError
 from crackwave.material import (Material, PropagationState, RayleighRange,
                                 SonicRange, classify_regime, critical_speed,
                                 h0_star, lambda_surface, upsilon, zeta)
@@ -110,7 +111,41 @@ class TestCriticalSpeed:
             assert np.all(upsilon(eta, h0, grid) > 0.0)
 
 
+    @pytest.mark.parametrize("eta", [-0.9, -0.3, 0.0, 0.4, 0.9])
+    def test_array_matches_scalar_loop_bitwise(self, eta):
+        h0s = np.concatenate([[0.0], np.linspace(0.02, 1.2, 60)])
+        got = critical_speed(eta, h0s)
+        assert got.shape == h0s.shape
+        assert np.array_equal(got, [critical_speed(eta, h0) for h0 in h0s])
+        assert got[0] == 1.0
+
+    def test_negative_h0_in_array(self):
+        with pytest.raises(DomainError):
+            critical_speed(0.5, np.array([0.3, -0.1]))
+
+    def test_no_sign_change_below_shear_speed(self, monkeypatch):
+        # upsilon changes sign below m_hi = 1/(√2 h0) < 1 for every valid
+        # material; a positive stand-in reaches the typed error.
+        monkeypatch.setattr(material, "upsilon",
+                            lambda eta, h0, m: 1.0 + 0.0 * (h0 * m))
+        assert critical_speed(0.5, 0.3) == 1.0  # m_hi = 1: capped, no error
+        with pytest.raises(BracketError):
+            critical_speed(0.5, np.array([0.3, 0.9]))
+
+
 class TestH0Star:
+    def test_array_matches_scalar_loop_bitwise(self):
+        etas = np.concatenate([np.linspace(-0.95, 0.95, 39),
+                               np.random.default_rng(7).uniform(-0.99, 0.99, 40)])
+        assert 0.0 in etas
+        got = h0_star(etas)
+        assert np.array_equal(got, [h0_star(e) for e in etas])
+        assert got[etas == 0.0] == 1.0 / SQRT2
+
+    def test_eta_out_of_range_in_array(self):
+        with pytest.raises(DomainError):
+            h0_star(np.array([0.5, 1.0]))
+
     def test_eta_zero(self):
         assert abs(h0_star(0.0) - 1.0 / SQRT2) < 1e-8
 

@@ -286,6 +286,50 @@ class TestBracketedRoot:
         with pytest.raises(BracketError):
             bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
+    def test_scalar_bracket_gives_float(self):
+        root = bracketed_root(lambda x: x * x - 2.0, 1.0, 2.0)
+        assert type(root) is float
+
+    def test_array_matches_scalar_calls_bitwise(self):
+        # f_i(x) = q_i·(x − c_i)³ + s_i·(x − c_i): element 0 has its lower end
+        # on the root, element 1 its upper end, element 2 is affine (one
+        # secant step), elements 3-4 are triple roots (secant stalls, so
+        # bisection takes over) and element 5 is mixed.
+        c = np.array([0.25, 1.5, 0.5, 0.7, -0.3, 0.9])
+        q = np.array([1.0, 1.0, 0.0, 1.0, 3.0, 1.0])
+        s = np.array([1.0, 2.0, 2.0, 0.0, 0.0, 1e-3])
+        lo = np.array([0.25, -1.0, 0.0, -1.3, -2.0, 0.0])
+        hi = np.array([2.0, 1.5, 2.0, 2.0, 0.4, 3.0])
+
+        def f(x, i=slice(None)):
+            d = x - c[i]
+            return q[i] * d * d * d + s[i] * d
+
+        steps = []
+        ref = []
+        for i in range(c.size):
+            calls = []
+            ref.append(bracketed_root(lambda x: calls.append(x) or f(x, i),
+                                      lo[i], hi[i], tol=1e-13))
+            steps.append(len(calls))
+        got = bracketed_root(f, lo, hi, tol=1e-13)
+        assert got.dtype == float and got.shape == c.shape
+        assert np.array_equal(got, np.array(ref))
+        assert got[0] == 0.25 and got[1] == 1.5 and got[2] == 0.5
+        assert steps[:3] == [1, 2, 3]
+        assert min(steps[3:5]) > 40  # bisection fallbacks, not secant steps
+
+    def test_brackets_broadcast(self):
+        roots = bracketed_root(lambda x: x * x - np.array([[2.0], [3.0]]),
+                               1.0, np.array([[2.0], [2.0]]))
+        assert roots.shape == (2, 1)
+        assert roots[:, 0] == pytest.approx([math.sqrt(2.0), math.sqrt(3.0)], rel=1e-12)
+
+    def test_any_bracket_without_sign_change(self):
+        with pytest.raises(BracketError, match=r"\[1.0, 2.0\]"):
+            bracketed_root(lambda x: x * x - np.array([2.0, -1.0, 3.0]),
+                           np.ones(3), np.array([2.0, 2.0, 2.0]))
+
 
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
