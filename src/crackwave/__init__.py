@@ -8,7 +8,7 @@ dynamic energy release rate, with a classical-elasticity oracle throughout.
 
 from .classical import (ClassicalSolution, build_classical, classical_err,
                         classical_neartip, classical_sif, classical_split,
-                        h_coefficients, kp_coefficient)
+                        h_coefficients)
 from .dispersion import (DispersionPoint, SurfaceModeShape, dispersion_det,
                          shear_phase_speed, surface_mode_shape, trace_curve)
 from .energy import (ErrResult, err_couple, err_max_sweep, err_ratio,
@@ -23,8 +23,8 @@ from .fields import (FieldKind, FieldProfile, NearTipCoefficients,
 from .kernel import (FactorizedKernel, KernelParams, factorize, sqrt_minus,
                      sqrt_plus)
 from .loading import (LoadProfile, SplitData, build_split, g_minus, g_plus,
-                      liouville_constant, solve_crack, split_coefficients,
-                      traction, traction_transform)
+                      kp_coefficient, liouville_constant, solve_crack,
+                      split_coefficients, traction, traction_transform)
 from .material import (Material, PropagationState, RayleighRange, Regime,
                        SonicRange, classify_regime, critical_speed, h0_star,
                        lambda_surface, upsilon, zeta)

@@ -12,14 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import RegimeError
-from .loading import LoadProfile, SplitData, split_coefficients
+from .loading import LoadProfile, SplitData, kp_coefficient, split_coefficients
 from .numerics import oscillatory_halfline
 
 __all__ = [
-    "kp_coefficient",
     "h_coefficients",
     "h_coefficients_contour",
     "ClassicalSolution",
@@ -29,13 +27,6 @@ __all__ = [
     "classical_err",
     "classical_split",
 ]
-
-
-def kp_coefficient(p: int) -> float:
-    """K_p = Γ(p+1/2)/(p!·sqrt(pi)) = (−1)^p sqrt(pi)/(p!·Γ(1/2−p));
-    K_0..K_3 = 1, 1/2, 3/8, 5/16.  Computed through the reflection identity
-    to avoid the alternating Γ at negative half-integers."""
-    return math.exp(gammaln(p + 0.5) - gammaln(p + 1.0)) / math.sqrt(math.pi)
 
 
 def h_coefficients(p: int, L: float) -> np.ndarray:

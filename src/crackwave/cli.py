@@ -19,13 +19,13 @@ import numpy as np
 
 from . import dispersion as disp
 from . import energy, fields
-from .classical import (classical_err, h_coefficients, h_coefficients_contour,
-                        kp_coefficient)
+from .classical import classical_err, h_coefficients, h_coefficients_contour
 from .errors import (BracketError, ConfigError, CrackwaveError, DomainError,
                      PoleError, QuadratureError, RealnessError, RegimeError,
                      RootLossError)
 from .kernel import KernelParams, factorize
-from .loading import LoadProfile, build_split, limit_constant, solve_crack
+from .loading import (LoadProfile, build_split, kp_coefficient, limit_constant,
+                      solve_crack)
 from .material import Material, critical_speed, h0_star, lambda_surface
 
 EXIT_CONFIG = 2

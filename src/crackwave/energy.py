@@ -10,10 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classical import classical_err, half_power_moment_quadrature, kp_coefficient
+import numpy as np
+
+from .classical import classical_err, half_power_moment_quadrature
 from .errors import CrackwaveError, RealnessError, RegimeError
 from .kernel import FactorizedKernel, KernelParams, factorize
-from .loading import (LoadProfile, SplitData, build_split,
+from .loading import (LoadProfile, SplitData, build_split, kp_coefficient,
                       traction_half_power_moment)
 from .material import Material, PropagationState, critical_speed, upsilon
 
@@ -118,11 +120,33 @@ def err_result(material: Material, m: float, profile: LoadProfile,
                      L_over_ell=profile.L / material.ell)
 
 
+def _limit_speeds(eta: float, h0s) -> list:
+    """m_c(eta, h0) for every h0 by one broadcast ``critical_speed`` call.
+    Should that call fail, one call per h0, so that only the h0 that fail
+    get their error (in place of the speed)."""
+    try:
+        return [float(m) for m in critical_speed(eta, np.asarray(h0s, dtype=float))]
+    except CrackwaveError:
+        out = []
+        for h0 in h0s:
+            try:
+                out.append(critical_speed(eta, h0))
+            except CrackwaveError as exc:
+                out.append(exc)
+        return out
+
+
+def _fail_row(row: dict, exc: CrackwaveError):
+    row.update(m=float("nan"), m_limit=float("nan"), E=float("nan"),
+               E_cl=float("nan"), ratio=float("nan"), error=str(exc))
+
+
 def err_max_sweep(material: Material, h0_values, profile: LoadProfile, *,
                   m_factor: float = LIMIT_SPEED_FACTOR):
     """Limiting energy release rate along an h0 grid at fixed (eta, p, L/ℓ).
 
-    Each row evaluates E and E/E_cl at m = m_factor·min(1, m_c(eta, h0)).
+    Each row evaluates E and E/E_cl at m = m_factor·min(1, m_c(eta, h0)),
+    with the m_c of all rows from one broadcast critical-speed solve.
     Failed rows echo (h0, eta, p, L_over_ell), carry NaN values and an
     ``error`` message, and the sweep continues.
 
@@ -131,20 +155,24 @@ def err_max_sweep(material: Material, h0_values, profile: LoadProfile, *,
     which reaches 0 only as m_factor → 1.  At the default factor 0.999 with
     eta = −0.9, h0 = 0.5·h0*, L/ℓ = 10 and p = 0 it is 0.415, not 0.
     """
-    rows = []
-    for h0 in h0_values:
-        row = {"h0": float(h0), "eta": material.eta, "p": profile.p,
-               "L_over_ell": profile.L / material.ell}
+    rows, mats = [], {}
+    for i, h0 in enumerate(h0_values):
+        rows.append({"h0": float(h0), "eta": material.eta, "p": profile.p,
+                     "L_over_ell": profile.L / material.ell})
         try:
-            mat = Material(G=material.G, rho=material.rho, ell=material.ell,
-                           eta=material.eta, h0=float(h0))
-            m_lim = min(1.0, critical_speed(mat.eta, mat.h0))
+            mats[i] = Material(G=material.G, rho=material.rho, ell=material.ell,
+                               eta=material.eta, h0=float(h0))
+        except CrackwaveError as exc:
+            _fail_row(rows[i], exc)
+    limits = _limit_speeds(material.eta, [mat.h0 for mat in mats.values()])
+    for (i, mat), m_lim in zip(mats.items(), limits):
+        try:
+            if isinstance(m_lim, CrackwaveError):
+                raise m_lim
             m = m_factor * m_lim
             res = err_result(mat, m, profile)
-            row.update(m=m, m_limit=m_lim, E=res.E, E_cl=res.E_cl,
-                       ratio=res.ratio, error="")
+            rows[i].update(m=m, m_limit=m_lim, E=res.E, E_cl=res.E_cl,
+                           ratio=res.ratio, error="")
         except CrackwaveError as exc:
-            row.update(m=float("nan"), m_limit=float("nan"), E=float("nan"),
-                       E_cl=float("nan"), ratio=float("nan"), error=str(exc))
-        rows.append(row)
+            _fail_row(rows[i], exc)
     return rows

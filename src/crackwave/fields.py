@@ -15,6 +15,12 @@ they are evaluated on nodes that do not depend on X, so each X's value is
 the same as when it is evaluated alone.  All kinds use the √t head rule,
 which is exact for both the t^{−1/2} endpoint of the opening and stresses
 and the t^{1/2} endpoint of the traction.
+
+The traction's rational piece is transformed in closed form through
+e^w·E_q(w) (``_scaled_expn``: a power series below w = 1, a continued
+fraction above).  The balance ∫p3 dX = T0 (``balance_integral``) is
+integrated on Gauss panels in log X after the tip singularity is
+subtracted, with closed-form tip and tail pieces fitted on the same nodes.
 """
 from __future__ import annotations
 
@@ -23,13 +29,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, RealnessError
 from .kernel import sqrt_minus, sqrt_plus, wave_exponents
 from .loading import SplitData, g_minus
 from .numerics import (TAIL_FIT_POINTS, QuadratureSpec, fit_power_tail,
-                       oscillatory_halfline)
+                       oscillatory_halfline, panel_nodes, scaled_upper_gamma)
 
 __all__ = [
     "FieldKind",
@@ -46,6 +51,8 @@ __all__ = [
 ]
 
 TIP_WINDOW_FLOOR = 1e-3  # t23-max window starts at 1e-3·ell (singular zone excluded)
+_EXPN_SERIES_TERMS = 20  # terms of the E_q power series, w < 1
+_BALANCE_ORDER = 12      # Gauss nodes per half-decade panel of the balance integral
 
 
 class FieldKind(str, enum.Enum):
@@ -197,21 +204,37 @@ def _check_domain(kind: FieldKind, X):
 
 
 def _scaled_expn(q: int, w):
-    """e^w · E_q(w) for w ≥ 0, elementwise, without overflow: exp(w)·E_q(w)
-    up to w = 500 and the 12-term asymptotic series beyond, where its first
-    omitted term is below 1e-20 relative for q ≤ 4."""
+    """e^w · E_q(w) for integer q ≥ 1 and w ≥ 0, elementwise, without
+    overflow.
+
+    Below w = 1 it sums the power series
+    E_q(w) = (−w)^{q−1}/(q−1)!·(ψ(q) − ln w) − Σ_{k≠q−1} (−w)^k/((k−q+1)·k!)
+    and multiplies by e^w.  From w = 1 on it evaluates the continued fraction
+    e^w·E_q(w) = e^w·w^{q−1}·Γ(1−q, w) (``scaled_upper_gamma``), which is
+    already scaled.  Each w's value does not depend on the rest of the
+    array.
+    """
     w = np.asarray(w, dtype=float)
-    small = w <= 500.0
-    ws = np.where(small, w, 1.0)
-    out = np.exp(ws) * special.expn(q, ws)
-    wl = np.where(small, 1.0, w)
-    total, term = np.zeros_like(wl), 1.0 / wl
-    done = np.zeros(wl.shape, dtype=bool)
-    for k in range(12):
-        total = np.where(done, total, total + term)
-        term = term * (-(q + k) / wl)
-        done |= np.abs(term) < 1e-16 * np.abs(total)
-    return np.where(small, out, total)
+    out = np.empty_like(w)
+    near = w < 1.0
+    if near.any():
+        x = w[near]
+        psi = -np.euler_gamma + sum(1.0 / j for j in range(1, q))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lead = (-x) ** (q - 1) * (psi - np.log(x))
+        # At x = 0 the log term is 0 for q ≥ 2, and E_1 is infinite.
+        lead = np.where(x > 0.0, lead, np.inf if q == 1 else 0.0)
+        total = lead / math.factorial(q - 1)
+        term = np.ones_like(x)  # (−x)^k/k!
+        for k in range(_EXPN_SERIES_TERMS):
+            if k != q - 1:
+                total -= term / (k - q + 1)
+            term = term * (-x) / (k + 1)
+        out[near] = np.exp(x) * total
+    far = ~near
+    if far.any():
+        out[far] = scaled_upper_gamma(1.0 - q, w[far])
+    return out
 
 
 def _rational_transform(split: SplitData, a):
@@ -410,7 +433,7 @@ def neartip_coefficients(split: SplitData) -> NearTipCoefficients:
     return NearTipCoefficients(C_w=out[0], C_t=out[1], C_mu=out[2])
 
 
-def balance_integral(split: SplitData, *, n: int = 201) -> float:
+def balance_integral(split: SplitData) -> float:
     """Finite-part integral ∫₀^∞ p3 dX, which equals T0.
 
     p3 ~ C_p·X^{−3/2} at the tip is not locally integrable; the balance holds
@@ -441,17 +464,17 @@ def balance_integral(split: SplitData, *, n: int = 201) -> float:
     analytic = -2.0 * math.sqrt(math.pi / lam) * c32 \
         + math.sqrt(math.pi * lam) * c12
 
+    # Middle: ∫ reg dX = ∫ reg·X d(log X) by Gauss panels of half a decade
+    # in log X, on whose nodes the tip and tail are fitted as well.
     x_min, x_max = 1e-6 * ell, 400.0 * lam
-    grid = np.geomspace(x_min, x_max, n)
+    panels = math.ceil(2.0 * math.log10(x_max / x_min))
+    u, wu = panel_nodes(np.linspace(math.log(x_min), math.log(x_max), panels + 1),
+                        _BALANCE_ORDER)
+    grid = np.exp(u.ravel())
     p3 = _field_values(split, (FieldKind.TRACTION,), grid)[0][0]
     reg = p3 - (c_sing[0] * grid ** -1.5 + c_sing[1] * grid ** -0.5) \
         * np.exp(-grid / lam)
-
-    # Middle: exact integral of the cubic interpolant of reg·X in log X.
-    from scipy.interpolate import CubicSpline
-
-    logx = np.log(grid)
-    middle = float(CubicSpline(logx, reg * grid).integrate(logx[0], logx[-1]))
+    middle = float(np.sum(wu.ravel() * reg * grid))
 
     # Tip: reg ~ c·X^{−1/2} + d + e·sqrt(X) below x_min (the X^{−1/2} piece
     # is fed by the damping expansion of the subtracted model, and by the

@@ -15,6 +15,14 @@ applies:
 with boundary values k⁺ = e^{iθ}/√k and k⁻ = √k·e^{iθ} on the real axis,
 where θ(xi) = (1/2π) PV ∫ log k(t)/(t − xi) dt is odd.  The identity
 k⁻/k⁺ = k holds on the axis and k±(∞) = 1.
+
+θ is computed once per factorization, by one shared-node quadrature rule,
+at the 16 Gauss-Legendre nodes of each quarter-decade panel of log xi over
+[1e-6, xi_hi], and stored as one polynomial per panel (a constant matrix
+takes the node values to power coefficients in the panel coordinate).  The
+real-axis factors and k±_line evaluate it by Horner's rule; below 1e-6 it
+continues linearly and beyond xi_hi as 1/xi.  ``theta_exact`` is an
+independent reference with panels refined about each xi.
 """
 from __future__ import annotations
 
@@ -23,8 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from scipy.interpolate import CubicSpline
+from numpy.polynomial.legendre import leggauss, legvander
 
 from .errors import DomainError, RegimeError
 from .material import _u_radical
@@ -133,7 +140,28 @@ class KernelParams:
 # Cauchy-integral factorization of an even, positive, index-zero kernel.
 # ---------------------------------------------------------------------------
 
-_KNOTS_PER_DECADE = 96  # boundary-phase spline knots per decade of xi
+_THETA_ORDER = 16  # Gauss nodes per boundary-phase panel (polynomial degree + 1)
+
+
+def _values_to_monomials(order: int) -> np.ndarray:
+    """Matrix taking a polynomial's values at the ``order`` Gauss-Legendre
+    nodes of [−1, 1] to its coefficients in powers of x (degree < order):
+    the Legendre coefficients by the exact discrete orthogonality of the
+    Gauss rule, then their power-series form."""
+    x, w = leggauss(order)
+    basis = legvander(x, order - 1)  # P_k(x_j)
+    to_legendre = (np.arange(order) + 0.5)[:, None] * (basis * w[:, None]).T
+    # Column k: power coefficients of P_k, by (n+1)P_{n+1} = (2n+1)x·P_n − n·P_{n−1}.
+    to_power = np.zeros((order, order))
+    to_power[0, 0] = to_power[1, 1] = 1.0
+    for n in range(1, order - 1):
+        to_power[1:, n + 1] = (2 * n + 1) * to_power[:-1, n]
+        to_power[:, n + 1] -= n * to_power[:, n - 1]
+        to_power[:, n + 1] /= n + 1
+    return to_power @ to_legendre
+
+
+_THETA_FIT = _values_to_monomials(_THETA_ORDER)
 
 
 def _quarter_decade_edges(lo: float, hi: float) -> np.ndarray:
@@ -176,7 +204,7 @@ class CauchyFactorization:
         self.t_cut = 40.0 * self.xi_hi
         self._xi_lo = 1e-6
         self._c2 = self._fit_tail_coeff()
-        self._build_theta_spline()
+        self._build_theta_interpolant()
 
     # -- real-axis kernel -----------------------------------------------
     def k_real(self, xi):
@@ -219,18 +247,38 @@ class CauchyFactorization:
         np.divide(num, denom, out=num, where=denom != 0.0)
         return knots / np.pi * (num @ wt + self._theta_tail(knots))
 
-    def _build_theta_spline(self):
-        """Cubic spline of theta in log xi through _KNOTS_PER_DECADE knots per
-        decade of [_xi_lo, xi_hi], all from the shared-node rule."""
-        decades = math.log10(self.xi_hi / self._xi_lo)
-        n = max(2, int(math.ceil(_KNOTS_PER_DECADE * decades)))
-        knots = np.geomspace(self._xi_lo, self.xi_hi, n)
-        vals = self._theta_grid(knots)
-        self._theta_spline = CubicSpline(np.log(knots), vals)
-        self._theta_lo_slope = vals[0] / knots[0]
+    def _build_theta_interpolant(self):
+        """Piecewise-polynomial theta in log xi: the shared-node rule at the
+        _THETA_ORDER Gauss nodes of each of the equal panels, a quarter
+        decade or a little less, of log xi over [_xi_lo, xi_hi], turned into
+        power coefficients in the panel coordinate by the constant
+        _THETA_FIT."""
+        lo, hi = math.log(self._xi_lo), math.log(self.xi_hi)
+        panels = max(1, math.ceil(4.0 * math.log10(self.xi_hi / self._xi_lo)))
+        u, _ = panel_nodes(np.linspace(lo, hi, panels + 1), _THETA_ORDER)
+        vals = self._theta_grid(np.exp(u.ravel())).reshape(u.shape)
+        self._theta_coef = _THETA_FIT @ vals.T  # (power, panel)
+        self._theta_axis = (lo, panels / (hi - lo))  # start, panels per unit
+        self._theta_lo_slope = float(self._theta_panels(lo)) / self._xi_lo
+        self._theta_hi_edge = float(self._theta_panels(hi))
+
+    def _theta_panels(self, u):
+        """The interpolant at log xi = u in [log _xi_lo, log xi_hi], by
+        Horner's rule in the coordinate of u's panel."""
+        lo, scale = self._theta_axis
+        t = (np.asarray(u) - lo) * scale
+        i = np.minimum(t.astype(np.intp), self._theta_coef.shape[1] - 1)
+        x = 2.0 * (t - i) - 1.0
+        c = self._theta_coef
+        out = c[-1].take(i) * x
+        for k in range(_THETA_ORDER - 2, 0, -1):
+            out += c[k].take(i)
+            out *= x
+        return out + c[0].take(i)
 
     def theta(self, xi):
-        """Boundary phase (odd in xi); cached-spline fast path."""
+        """Boundary phase (odd in xi) from the cached interpolant, continued
+        linearly below _xi_lo and as 1/xi beyond xi_hi."""
         x = np.asarray(xi, dtype=float)
         ax = np.abs(x)
         out = np.empty_like(ax)
@@ -238,18 +286,15 @@ class CauchyFactorization:
         big = ax > self.xi_hi
         mid = ~(small | big)
         out[small] = self._theta_lo_slope * ax[small]
-        if np.any(big):
-            # theta decays ~ 1/xi beyond the grid.
-            edge = float(self._theta_spline(np.log(self.xi_hi)))
-            out[big] = edge * self.xi_hi / ax[big]
-        out[mid] = self._theta_spline(np.log(ax[mid]))
+        out[big] = self._theta_hi_edge * self.xi_hi / ax[big]
+        out[mid] = self._theta_panels(np.log(ax[mid]))
         out = np.copysign(1.0, x) * out
         return out if out.ndim else float(out)
 
     def theta_exact(self, xi: float) -> float:
-        """Boundary phase at one xi by a rule refined around t = xi (reference
-        path, independent of the cached spline and of its shared nodes; the
-        real-axis k_plus and k_minus use it)."""
+        """Boundary phase at one xi by a rule refined around t = xi: the
+        reference path, independent of the cached interpolant and of its
+        shared nodes."""
         x = abs(float(xi))
         if x == 0.0:
             return 0.0
@@ -346,11 +391,10 @@ class CauchyFactorization:
         off = flat.imag != 0.0
         if off.any():
             out[off] = np.exp(-self.cauchy_integral(flat[off]) / (2j * np.pi))
-        for i in np.flatnonzero(~off & (flat.real != 0.0)):
-            x = flat[i].real
-            phase = np.exp(1j * self.theta_exact(x))
-            root = math.sqrt(float(self.k_real(x)))
-            out[i] = phase / root if upper else phase * root
+        axis = ~off & (flat.real != 0.0)
+        if axis.any():
+            line = self.k_plus_line if upper else self.k_minus_line
+            out[axis] = line(flat[axis].real)
         return out.reshape(zs.shape) if zs.ndim else complex(out[0])
 
     def k_plus(self, z):
@@ -362,7 +406,7 @@ class CauchyFactorization:
         """Lower factor; analytic and zero-free for Im z < 0, k⁻(∞) = 1."""
         return self._factor(z, upper=False)
 
-    # Fast vectorized boundary values from the cached phase (fields path).
+    # Boundary values from the cached phase interpolant.
     def k_plus_line(self, xi):
         return np.exp(1j * self.theta(xi)) / np.sqrt(self.k_real(xi))
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CrossCheckError, DomainError, PoleError
 from .kernel import FactorizedKernel, KernelParams, factorize, sqrt_minus, sqrt_plus
@@ -34,6 +33,7 @@ __all__ = [
     "traction",
     "traction_transform",
     "traction_half_power_moment",
+    "kp_coefficient",
     "split_coefficients",
     "g_minus",
     "g_plus",
@@ -74,7 +74,7 @@ def traction(X, profile: LoadProfile):
     r = -X / profile.L
     out = profile.T0 / profile.L * np.exp(
         profile.p * np.log(r, where=r > 0, out=np.zeros_like(r))
-        - r - gammaln(profile.p + 1)
+        - r - math.lgamma(profile.p + 1)
     )
     return float(out) if out.ndim == 0 else out
 
@@ -89,10 +89,18 @@ def traction_transform(s, profile: LoadProfile):
     return complex(out) if out.ndim == 0 else out
 
 
+def kp_coefficient(p: int) -> float:
+    """K_p = Γ(p+1/2)/(p!·sqrt(pi)) = Π_{j=1}^{p} (2j−1)/(2j);
+    K_0..K_3 = 1, 1/2, 3/8, 5/16, each exact in floating point."""
+    out = 1.0
+    for j in range(1, p + 1):
+        out *= (2 * j - 1) / (2 * j)
+    return out
+
+
 def traction_half_power_moment(profile: LoadProfile) -> float:
     """∫_{−∞}^0 tau(X)|X|^{−1/2} dX = T0·Γ(p+1/2)/(Γ(p+1)·sqrt(L))."""
-    p = profile.p
-    return profile.T0 * math.exp(gammaln(p + 0.5) - gammaln(p + 1.0)) / math.sqrt(profile.L)
+    return profile.T0 * kp_coefficient(profile.p) * math.sqrt(math.pi / profile.L)
 
 
 def split_coefficients(kernel, profile: LoadProfile, ell: float,

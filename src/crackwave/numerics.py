@@ -22,7 +22,9 @@ The half-line transform ∫₀^∞ f(t)·e^{−iat}dt takes one of two routes.
     series for |ω·h| < 1.  When every frequency is 0 no table is built: the
     body is the plain Gauss-Legendre sum, as j_k(0) = δ_k0.
   - Tail [T, ∞): the fitted ladder Σ c_k t^{λ_k} in closed form through
-    Γ(λ+1, iaT) for half-integer λ (``power_tail``).
+    Γ(λ+1, iaT) for half-integer λ (``power_tail``), computed in numpy by
+    recurrence in λ from the power series of γ(1/2, z) for |z| < 2 and from
+    a continued fraction for |z| ≥ 2 (``_upper_gamma_half``).
   The error estimate adds the order-14 head and order-8 body differences
   and the tail bound max_residual·min(T, 2/|a|).
   f may return several stacked columns, each with its own ladder: they
@@ -44,7 +46,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy import special
 
 from .errors import BracketError, QuadratureError
 
@@ -55,6 +56,7 @@ __all__ = [
     "oscillatory_halfline",
     "contour_coefficients",
     "bracketed_root",
+    "scaled_upper_gamma",
 ]
 
 
@@ -84,6 +86,7 @@ _CONTOUR_NODES = 256   # trapezoid nodes on each coefficient circle
 _HEAD_END = 1e-6       # end of the fixed Gauss head of a laddered call
 _FILON_ORDER = 12      # Gauss points and Legendre degree + 1 of a body panel
 _MILLER_START = 40     # start order of the downward Bessel recurrence
+_GAMMA_SERIES_TERMS = 30  # terms of the γ(1/2, z) series, |z| < 2
 
 _gauss = lru_cache(maxsize=None)(leggauss)
 
@@ -115,15 +118,46 @@ def panel_sums(f, edges, order=12, basis=None):
     return (vals.reshape(-1, order) @ basis.T).reshape(vals.shape[:-1] + basis.shape[:1])
 
 
+def scaled_upper_gamma(s: float, z):
+    """z^{−s}·e^z·Γ(s, z) for real s and 1-D ``z`` (real or complex) away
+    from the origin and the negative real axis, by the even continued
+    fraction Γ(s, z) = z^s e^{−z} / (z+1−s − 1(1−s)/(z+3−s − 2(2−s)/(z+5−s
+    − …))) evaluated by modified Lentz (Gil, Segura & Temme 2007, Numerical
+    Methods for Special Functions, §6.5).  It converges the faster the
+    larger |z| is; for s = 1 − q it is e^z·E_q(z).  Each z stops at its own
+    convergence, so its value does not depend on the other z of the batch.
+    """
+    tiny = 1e-300
+    b = z + 1.0 - s
+    c = np.full_like(z, 1.0 / tiny)
+    d = 1.0 / b
+    h = d
+    active = np.ones(z.shape, dtype=bool)
+    for n in range(1, 500):
+        an = -n * (n - s)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        step = d * c
+        h = np.where(active, h * step, h)
+        active &= np.abs(step - 1.0) >= 4e-16
+        if not active.any():
+            return h
+    raise QuadratureError("incomplete-gamma continued fraction did not converge")
+
+
 def _upper_gamma_half(s_values, z):
     """Upper incomplete gamma Γ(s, z) for half-integer ``s_values`` and
     complex ``z`` ≠ 0 (1-D); shape (len(s_values), len(z)).
 
-    For |z| < 4 it starts from Γ(1/2, z) = √π·erfc(√z) and recurs down with
-    Γ(s−1, z) = (Γ(s, z) − z^{s−1}e^{−z})/(s−1) and up with
-    Γ(s+1, z) = s·Γ(s, z) + z^s·e^{−z}.  For |z| ≥ 4 it evaluates the even
-    continued fraction (modified Lentz) at the lowest s and recurs up (Gil,
-    Segura & Temme 2007, Numerical Methods for Special Functions, §6.5).
+    For |z| < 2 it starts from Γ(1/2, z) = √π − γ(1/2, z), with the power
+    series γ(1/2, z) = √z·e^{−z}·Σ_k z^k/((1/2)(3/2)⋯(k+1/2)), and recurs
+    down with Γ(s−1, z) = (Γ(s, z) − z^{s−1}e^{−z})/(s−1) and up with
+    Γ(s+1, z) = s·Γ(s, z) + z^s·e^{−z}.  For |z| ≥ 2 it evaluates the
+    continued fraction (``scaled_upper_gamma``) at the lowest s and recurs
+    up.  The switch sits where the two recurrences lose about equally: the
+    downward one amplifies the error of Γ(1/2, z) more the larger |z| is,
+    the upward one that of the lowest Γ(s, z) more the smaller |z| is.
     """
     s_values = np.asarray(s_values, dtype=float)
     if np.any(np.mod(s_values - 0.5, 1.0) != 0.0):
@@ -134,12 +168,17 @@ def _upper_gamma_half(s_values, z):
     out = np.empty((ladder.size, z.size), dtype=complex)
     ez = np.exp(-z)
 
-    near = np.abs(z) < 4.0
+    near = np.abs(z) < 2.0
     if near.any():
         zn, en = z[near], ez[near]
         g = np.empty((ladder.size, zn.size), dtype=complex)
         i0 = int(round(0.5 - lo))
-        g[i0] = math.sqrt(math.pi) * special.erfc(np.sqrt(zn))
+        term = np.full_like(zn, 2.0)
+        series = term.copy()
+        for k in range(1, _GAMMA_SERIES_TERMS):
+            term = term * zn / (k + 0.5)
+            series += term
+        g[i0] = math.sqrt(math.pi) - np.sqrt(zn) * en * series
         for i in range(i0, 0, -1):
             s = ladder[i] - 1.0
             g[i - 1] = (g[i] - zn**s * en) / s
@@ -151,30 +190,8 @@ def _upper_gamma_half(s_values, z):
     far = ~near
     if far.any():
         zf, ef = z[far], ez[far]
-        # Γ(s, z) = z^s e^{−z} / (z+1−s − 1(1−s)/(z+3−s − 2(2−s)/(z+5−s − …)))
-        tiny = 1e-300
-        b = zf + 1.0 - lo
-        c = np.full_like(zf, 1.0 / tiny)
-        d = 1.0 / b
-        h = d
-        # Each z stops at its own convergence, so its value does not depend
-        # on the other z of the batch.
-        active = np.ones(zf.shape, dtype=bool)
-        for n in range(1, 500):
-            an = -n * (n - lo)
-            b = b + 2.0
-            d = an * d + b
-            c = b + an / c
-            d = 1.0 / d
-            step = d * c
-            h = np.where(active, h * step, h)
-            active &= np.abs(step - 1.0) >= 4e-16
-            if not active.any():
-                break
-        else:
-            raise QuadratureError("incomplete-gamma continued fraction did not converge")
         g = np.empty((ladder.size, zf.size), dtype=complex)
-        g[0] = zf**lo * ef * h
+        g[0] = zf**lo * ef * scaled_upper_gamma(lo, zf)
         for i in range(ladder.size - 1):
             s = ladder[i]
             g[i + 1] = s * g[i] + zf**s * ef

@@ -12,9 +12,9 @@ from crackwave.classical import (build_classical, classical_err,
                                  classical_neartip, classical_sif,
                                  classical_split, h_coefficients,
                                  h_coefficients_contour,
-                                 half_power_moment_quadrature, kp_coefficient)
+                                 half_power_moment_quadrature)
 from crackwave.errors import RegimeError
-from crackwave.loading import LoadProfile
+from crackwave.loading import LoadProfile, kp_coefficient
 
 
 def wrapped_cut_traction(X, L, p, T0):

@@ -235,9 +235,9 @@ class TestBatchedInversion:
     @pytest.mark.parametrize("kind", [FieldKind.TRACTION, FieldKind.TOTAL_SHEAR])
     def test_profile_error_bounds_the_averaging_route(self, split_factory, L, kind):
         # The xi^{1/2}-ladder kinds, whose error is dominated by the fitted
-        # tail.  (For the opening and mu22 the error sits at the ~1e-11 floor
-        # that the cubic theta spline sets, below what the order-8 body
-        # comparison resolves.)
+        # tail.  (The opening and mu22 are checked against a wider radius
+        # below: their errors, 6e-15 … 5e-11 here, are finer than those of
+        # the averaging route, 3e-10 … 1e-8 at these X.)
         sp = split_factory(0.3, 0.9, 0.707, L, 1)
         prof = field_profile(sp, kind, n=12, x_lo=0.05, x_hi=10.0)
         assert np.all(prof.error > 0.0)
@@ -245,6 +245,23 @@ class TestBatchedInversion:
         for x, v, e in zip(prof.X, prof.values, prof.error):
             ref, _ = _averaged(sp, kind, x)
             assert abs(v - ref) <= e, x
+
+
+    @pytest.mark.parametrize("L", [1.0, 0.05])
+    @pytest.mark.parametrize("kind", [FieldKind.OPENING, FieldKind.COUPLE_STRESS])
+    def test_profile_error_bounds_a_tenfold_radius(self, split_factory, monkeypatch,
+                                                   L, kind):
+        # The same inversion with ten times the truncation radius has other
+        # body panels and another tail fit; its own error is far smaller.
+        sp = split_factory(0.3, 0.9, 0.707, L, 1)
+        prof = field_profile(sp, kind, n=12, x_lo=0.05, x_hi=10.0)
+        radius = fields._engine_spec(sp).truncation_radius
+        monkeypatch.setattr(fields, "_engine_spec", lambda split: QuadratureSpec(
+            abs_tol=1e-11, truncation_radius=10.0 * radius))
+        wide = field_profile(sp, kind, n=12, x_lo=0.05, x_hi=10.0)
+        assert np.all(prof.error > 0.0)
+        assert prof.error.max() < 1e-7 * np.abs(prof.values).max()
+        assert np.all(np.abs(prof.values - wide.values) <= prof.error)
 
 
 class TestSmallLoadLength:
@@ -315,9 +332,12 @@ class TestMomentTable:
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_scaled_expn_matches_mpmath(q):
-    # e^w·E_q(w) on both sides of the switch to the asymptotic series.
+    # e^w·E_q(w) on both sides of the switch from the power series to the
+    # continued fraction at w = 1, and far out, where the fraction is
+    # already scaled.
     w = np.concatenate([np.geomspace(1e-6, 600.0, 120),
-                        np.linspace(45.0, 130.0, 35), [499.9, 500.0, 500.1]])
+                        np.linspace(45.0, 130.0, 35), [499.9, 500.0, 500.1],
+                        [0.999, 1.0, 1.001, 1e4, 1e6]])
     got = fields._scaled_expn(q, w)
     with mpmath.workdps(30):
         ref = [float(mpmath.exp(wi) * mpmath.expint(q, wi)) for wi in w]

@@ -1,12 +1,16 @@
 """Source hygiene: every name a ``crackwave`` module imports is used there,
-the package imports nothing beyond the standard library, numpy and scipy,
-and it builds its Filon moment tables itself.
+the package imports nothing beyond the standard library and numpy (scipy
+is a reference of the tests only, at module or function level alike, and
+no run loads it), and it builds its Filon moment tables itself.
 
 Package ``__init__.py`` files are exempt from the unused-import check (their
 imports are re-exports), as are ``__future__`` imports.
 """
 import ast
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -45,13 +49,13 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-ALLOWED_TOP_LEVEL = {"numpy", "scipy", "crackwave"}
+ALLOWED_TOP_LEVEL = {"numpy", "crackwave"}
 
 
 def foreign_imports(source: str) -> list[str]:
-    """Top-level packages imported by ``source`` that are neither in the
-    standard library nor numpy, scipy or crackwave (relative imports are
-    crackwave's own)."""
+    """Top-level packages imported anywhere in ``source``, function bodies
+    included, that are neither in the standard library nor numpy or
+    crackwave (relative imports are crackwave's own)."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -64,14 +68,49 @@ def foreign_imports(source: str) -> list[str]:
 
 def test_detector_flags_a_foreign_import():
     assert foreign_imports("import mpmath\nfrom hypothesis import given\n"
-                           "import numpy.linalg\nfrom scipy import special\n"
-                           "from . import kernel\nimport math\n") \
-        == ["hypothesis", "mpmath"]
+                           "import numpy.linalg\nfrom . import kernel\n"
+                           "import math\n"
+                           "def f():\n    from scipy import special\n") \
+        == ["hypothesis", "mpmath", "scipy"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_stdlib_numpy_scipy(path):
+    # Since scipy left the package this checks stdlib and numpy only; the
+    # name keeps the test ids stable.
     assert foreign_imports(path.read_text()) == []
+
+
+NO_SCIPY_RUNS = textwrap.dedent("""\
+    import sys
+    from pathlib import Path
+
+    def scipy_loaded():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    import crackwave.cli as cli
+    assert scipy_loaded() == [], ("import", scipy_loaded())
+    presets, out = Path(sys.argv[1]), Path(sys.argv[2])
+    fields = out / "fields.conf"
+    fields.write_text((presets / "fig4.conf").read_text()
+                      .replace("fields.points = 160", "fields.points = 4"))
+    runs = [["dispersion", "--config", str(presets / "fig1.conf")],
+            ["fields", "--config", str(fields)],
+            ["validate"]]
+    for argv in runs:
+        assert cli.main(argv + ["--out", str(out / argv[0])]) == 0, argv
+        assert scipy_loaded() == [], (argv[0], scipy_loaded())
+    """)
+
+
+def test_runs_load_no_scipy(tmp_path):
+    # A fresh interpreter: the test session itself has imported scipy.
+    presets = SRC.parents[1] / "presets"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUNS, str(presets), str(tmp_path)],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

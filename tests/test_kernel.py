@@ -130,15 +130,16 @@ class TestRationalReconstruction:
 
     def test_boundary_values(self, rational):
         for x in np.geomspace(1e-2, 1e3, 25):
-            assert rational.k_plus(x) == pytest.approx(rational_kplus(x), abs=1e-8)
-            assert rational.k_minus(x) == pytest.approx(rational_kminus(x), abs=1e-8)
+            assert rational.k_plus(x) == pytest.approx(rational_kplus(x), abs=1e-11)
+            assert rational.k_minus(x) == pytest.approx(rational_kminus(x), abs=1e-11)
 
     def test_boundary_phase_closed_form(self, rational):
-        # x ≤ 1e-3 checks the spline at its smallest knots, as well as theta_exact.
+        # x ≤ 1e-3 checks the interpolant on its smallest panels, as well as
+        # theta_exact.
         for x in (2e-6, 1e-5, 1e-4, 1e-3, 0.03, 0.7, 3.0, 40.0, 900.0):
             closed = math.atan2(RATIONAL_B, x) - math.atan2(RATIONAL_A, x)
             assert rational.theta_exact(x) == pytest.approx(closed, abs=1e-11)
-            assert rational.theta(x) == pytest.approx(closed, abs=1e-7)
+            assert rational.theta(x) == pytest.approx(closed, abs=1e-11)
 
     def test_unit_kernel(self):
         cf = CauchyFactorization(lambda t: np.ones_like(np.asarray(t, float)),
@@ -152,7 +153,7 @@ class TestRationalReconstruction:
 class TestPhysicalFactorization:
     def test_identity_on_real_axis(self, kernel_factory):
         # k⁻/k⁺ = k holds on the axis whatever theta is, so that identity
-        # checks nothing.  The spline k⁺_line that the field integrands use
+        # checks nothing.  The k⁺_line that the field integrands use
         # must be the limit of the off-axis Cauchy integral; the gap is
         # O(offset), 5.2e-8 at 1e-6·x.
         k = kernel_factory(0.3, 0.9, 0.707)
@@ -182,17 +183,35 @@ class TestPhysicalFactorization:
         (0.998, 0.9, 0.01), (0.3, 0.9, 0.6)])
     def test_theta_spline_accuracy(self, kernel_factory, m, eta, h0):
         k = kernel_factory(m, eta, h0)
+        # The piecewise-Legendre interpolant is within 1e-13 of the
+        # reference at these points.
         for x in np.geomspace(2e-6, 3e3, 40):
-            assert abs(k.theta(x) - k.theta_exact(x)) < 1e-8
+            assert abs(k.theta(x) - k.theta_exact(x)) < 1e-12
 
     def test_spline_knots_use_the_shared_node_rule(self, monkeypatch):
-        # theta_exact is the independent reference; building the spline
-        # must not lean on it.
+        # theta_exact is the independent reference; building the
+        # interpolant must not lean on it.
         def refuse(self, xi):
-            raise AssertionError("theta_exact called while building the spline")
+            raise AssertionError("theta_exact called while building the interpolant")
 
         monkeypatch.setattr(CauchyFactorization, "theta_exact", refuse)
         factorize(KernelParams(m=0.3, eta=0.9, h0=0.707))
+
+    def test_real_axis_factors_come_from_the_interpolant(self, kernel_factory,
+                                                         monkeypatch):
+        # One evaluator of the boundary value: k± on the real axis are
+        # k±_line, and theta_exact stays the independent reference.
+        k = kernel_factory(0.3, 0.9, 0.707)
+        x = np.array([-3.0, 0.2, 40.0])
+        kp, km = k.k_plus_line(x), k.k_minus_line(x)
+
+        def refuse(self, xi):
+            raise AssertionError("theta_exact called for a real-axis factor")
+
+        monkeypatch.setattr(CauchyFactorization, "theta_exact", refuse)
+        assert np.array_equal(k.k_plus(x), kp)
+        assert np.array_equal(k.k_minus(x), km)
+        assert k.k_plus(0.2) == kp[1]
 
     def test_theta_odd(self, kernel_factory):
         k = kernel_factory(0.3, 0.9, 0.707)

@@ -230,7 +230,10 @@ class TestBesselTable:
 
 class TestUpperGamma:
     S = np.arange(-5.5, 2.0, 1.0)
-    Y = np.concatenate([np.geomspace(1e-5, 4e6, 60), np.linspace(3.9, 4.1, 21)])
+    # Both sides of the switch from the series to the continued fraction at
+    # |z| = 2, where each recurrence loses the most.
+    Y = np.concatenate([np.geomspace(1e-5, 4e6, 60), np.linspace(3.9, 4.1, 21),
+                        np.linspace(0.5, 5.0, 46)])
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper", "lower"])
     def test_matches_mpmath_on_the_imaginary_axis(self, sign):
