@@ -269,14 +269,14 @@ def _appendix_ratio(kernel: FactorizedKernel, coeffs, profile: LoadProfile,
                           truncation_radius=max(2.0e3, 50.0 * zeta_v))
     fit = max(25.0, 30.0 * zeta_v)
 
-    def fold(f):
-        return lambda t: f(t) + f(-t)
+    def folded(t):
+        """Both integrands folded onto t > 0, stacked: G⁻·h and h."""
+        h_pos, h_neg = h(t), h(-t)
+        return np.stack([gm(t) * h_pos + gm(-t) * h_neg, h_pos + h_neg])
 
-    i2, _ = oscillatory_halfline(fold(h), 0.0, spec, sqrt_singularity=True,
-                                 tail_exponents=(-2.5, -3.5, -4.5), fit_start=fit)
-    i1, _ = oscillatory_halfline(fold(lambda x: gm(x) * h(x)), 0.0, spec,
-                                 sqrt_singularity=True,
-                                 tail_exponents=(-3.5, -4.5, -5.5), fit_start=fit)
+    (i1, i2), _ = oscillatory_halfline(
+        folded, 0.0, spec, sqrt_singularity=True,
+        tail_exponents=((-3.5, -4.5, -5.5), (-2.5, -3.5, -4.5)), fit_start=fit)
     return complex(i1 / i2)
 
 

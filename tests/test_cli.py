@@ -133,6 +133,38 @@ class TestRootSolves:
         assert cli.main(["dispersion", "--config", str(config), "--out", str(tmp_path)]) == 0
         assert [len(lo) for lo in solves] == [120]
 
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """f calls per bracketed_root solve, endpoints included."""
+        counts = []
+        for module in (disp, material):
+            real = module.bracketed_root
+
+            def counting(f, *a, real=real, **k):
+                counts.append(0)
+
+                def g(x):
+                    counts[-1] += 1
+                    return f(x)
+                return real(g, *a, **k)
+            monkeypatch.setattr(module, "bracketed_root", counting)
+        return counts
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig2"])
+    def test_dispersion_preset_solve_takes_few_steps(self, evaluations, tmp_path, preset):
+        # One lockstep solve of the 120 brackets.
+        assert cli.main(["dispersion", "--config", str(PRESETS / f"{preset}.conf"),
+                         "--out", str(tmp_path)]) == 0
+        assert len(evaluations) == 1 and evaluations[0] <= 10
+
+    def test_regime_map_solves_take_few_steps(self, evaluations, tmp_path):
+        # The m_c solve over the h0 grid, then h0* over the 39 eta in
+        # [-0.95, 0.95].
+        assert cli.main(["regime-map", "--config", str(PRESETS / "fig3.conf"),
+                         "--out", str(tmp_path)]) == 0
+        m_c, h_star = evaluations
+        assert m_c <= 10 and h_star <= 20
+
     def test_m_of_limit_sweep_takes_one_critical_speed(self, monkeypatch, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text(ERR_SWEEP.replace("material.eta = 0", "material.eta = -0.9"))

@@ -6,6 +6,7 @@ physical symbol's own identities.
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +233,24 @@ class TestPhysicalFactorization:
         off = z[z.imag != 0]
         assert np.all(k.cauchy_integral(off)
                       == np.array([k.cauchy_integral(complex(zz)) for zz in off]))
+
+    def test_cauchy_sums_match_exact_sums(self, kernel_factory):
+        # The node sums against the same sums in 40-digit arithmetic: the
+        # shared-node case, points near the axis (clustered panels, where
+        # t² − Re z² cancels) and small |z| (where 1/(t−z) − 1/(t+z)
+        # cancels).
+        k = kernel_factory(0.3, 0.9, 0.707)
+        for z in (0.1 + 1j, 2e5j, -40.0 + 1e-4j, 3.0 + 1e-3j, 0.02 + 1e-8j,
+                  1e-6 + 1e-6j, 1e-5 + 3e-7j):
+            T = max(k.t_cut, 4.0 * abs(z))
+            t, w = k._cauchy_nodes(z, T)
+            Lw = k.log_k(t) * w
+            with mpmath.workdps(40):
+                zm = mpmath.mpc(z)
+                ref = complex(mpmath.fsum(mpmath.mpf(float(c)) * 2 * zm
+                                          / (mpmath.mpf(float(x)) ** 2 - zm * zm)
+                                          for c, x in zip(Lw, t)))
+            assert abs(k._cauchy_sums(np.array([z]), T)[0] - ref) <= 1e-14 * abs(ref)
 
     def test_positivity_guard(self):
         # Super-Rayleigh parameters never reach factorization (regime check

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mpmath
 from scipy import special
@@ -296,8 +298,9 @@ class TestBracketedRoot:
     def test_array_matches_scalar_calls_bitwise(self):
         # f_i(x) = q_i·(x − c_i)³ + s_i·(x − c_i): element 0 has its lower end
         # on the root, element 1 its upper end, element 2 is affine (one
-        # secant step), elements 3-4 are triple roots (secant stalls, so
-        # bisection takes over) and element 5 is mixed.
+        # secant step), elements 3-4 are triple roots (interpolation
+        # converges only linearly there, so the bracket shrinks slowly and
+        # mostly by bisection) and element 5 is mixed.
         c = np.array([0.25, 1.5, 0.5, 0.7, -0.3, 0.9])
         q = np.array([1.0, 1.0, 0.0, 1.0, 3.0, 1.0])
         s = np.array([1.0, 2.0, 2.0, 0.0, 0.0, 1e-3])
@@ -320,7 +323,44 @@ class TestBracketedRoot:
         assert np.array_equal(got, np.array(ref))
         assert got[0] == 0.25 and got[1] == 1.5 and got[2] == 0.5
         assert steps[:3] == [1, 2, 3]
-        assert min(steps[3:5]) > 40  # bisection fallbacks, not secant steps
+        assert min(steps[3:5]) > 40  # bisection fallbacks, not superlinear steps
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-20])
+    def test_tol_below_float_resolution(self, tol):
+        # A tol below the float spacing at the root stops at a bracket of
+        # two spacings, the narrowest with a float strictly inside, instead
+        # of running all 300 steps.
+        calls = []
+        root = bracketed_root(lambda x: calls.append(x) or x * x - 2.0, 1.0, 2.0, tol=tol)
+        assert root == math.sqrt(2.0)
+        assert len(calls) <= 12
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(-5.0, 5.0), k=st.floats(0.1, 10.0),
+           b=st.floats(0.0, 5.0), s=st.sampled_from([-1e3, -1.0, 1e-3, 1.0]),
+           below=st.floats(1e-3, 3.0), above=st.floats(1e-3, 3.0),
+           digits=st.integers(4, 13))
+    def test_smooth_bracket_property(self, c, k, b, s, below, above, digits):
+        # f increases (s > 0) or decreases through its one root c, and its
+        # float values change sign exactly at c; the returned end lies
+        # within tol of c and has the smaller |f| of the final bracket's
+        # two ends.
+        def f(x):
+            d = x - c
+            return s * (np.expm1(k * d) + b * d * d * d)
+
+        seen = []
+        tol = 10.0 ** -digits
+        root = bracketed_root(lambda x: seen.append(x) or f(x), c - below, c + above, tol=tol)
+        assert abs(root - c) <= max(tol, 2.0 * np.spacing(abs(c) + 3.0))
+        fr = f(root)
+        if fr != 0.0:
+            # The final bracket's other end is the nearest evaluated point
+            # where f has the other sign.
+            other = min((x for x in seen if np.sign(f(x)) == -np.sign(fr)),
+                        key=lambda x: abs(x - root))
+            assert abs(fr) <= abs(f(other))
+            assert abs(other - root) <= max(tol, 2.0 * np.spacing(max(abs(root), abs(other))))
 
     def test_brackets_broadcast(self):
         roots = bracketed_root(lambda x: x * x - np.array([[2.0], [3.0]]),
