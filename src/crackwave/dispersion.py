@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, RootLossError
 from .kernel import wave_exponents
-from .numerics import bracketed_root
+from .numerics import bracketed_root, row_blocks
 
 __all__ = [
     "DispersionPoint",
@@ -119,11 +119,10 @@ def _scaled_det(m, eta: float, h0: float, *, k_norm=None, omega_norm=None):
 
 
 # Branch scan in m below the boundary m_b: 160 linear points, then 80
-# geometric ones closing in on m_b, for up to _SCAN_ROWS grid points at a
-# time (bounded memory on long grids).
+# geometric ones closing in on m_b, in blocks of grid points
+# (numerics.row_blocks).
 _SCAN_LINEAR = 160
 _SCAN_GEOMETRIC = 80
-_SCAN_ROWS = 128
 
 
 def _brackets(det, g, m_b, axis):
@@ -132,11 +131,12 @@ def _brackets(det, g, m_b, axis):
     lo = np.full(g.shape, np.nan)
     hi = np.full(g.shape, np.nan)
     approach = 1.0 - np.geomspace(2e-2, 1e-11, _SCAN_GEOMETRIC)
-    for start in range(0, g.size, _SCAN_ROWS):
-        top = m_b[start:start + _SCAN_ROWS]
+    for rows in row_blocks(g.size, _SCAN_LINEAR + _SCAN_GEOMETRIC):
+        start = rows.start
+        top = m_b[rows]
         m = np.concatenate([np.linspace(1e-2, top * 0.98, _SCAN_LINEAR, axis=-1),
                             top[:, None] * approach], axis=1)
-        vals = det(m, g[start:start + _SCAN_ROWS, None])
+        vals = det(m, g[rows, None])
         change = vals[:, :-1] * vals[:, 1:] < 0.0
         for r in np.flatnonzero(change.sum(axis=1) > 1):
             log.debug("multiple dispersion roots at %s=%s: brackets %s", axis,

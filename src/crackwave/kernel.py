@@ -23,6 +23,14 @@ takes the node values to power coefficients in the panel coordinate).  The
 real-axis factors and k±_line evaluate it by Horner's rule; below 1e-6 it
 continues linearly and beyond xi_hi as 1/xi.  ``theta_exact`` is an
 independent reference with panels refined about each xi.
+
+The knot × node sums of that rule, and the off-axis Cauchy sums of a batch
+of points, are formed in row blocks (``numerics.row_blocks``) that stay
+below glibc's 128 KiB mmap threshold and in L2, so a warm process maps no
+fresh pages for them.  Each Cauchy row is summed alone, so a point's sum
+does not depend on its batch; the knot sums are a matrix-vector product per
+block, within a few ulp of the one-matrix product.  The off-axis rule that
+unclustered points share, with its L(t)·w, is built once per factorization.
 """
 from __future__ import annotations
 
@@ -37,7 +45,7 @@ from .errors import DomainError, RegimeError
 from .material import _u_radical
 from .material import upsilon as _upsilon
 from .material import zeta as _zeta
-from .numerics import panel_nodes
+from .numerics import panel_nodes, row_blocks
 
 __all__ = [
     "sqrt_plus",
@@ -240,12 +248,16 @@ class CauchyFactorization:
         edges = np.concatenate([[0.0], _quarter_decade_edges(1e-7, self.t_cut)])
         t, wt = panel_nodes(edges, 16)
         t, wt = t.ravel(), wt.ravel()
-        num = self.log_k(t)[None, :] - self.log_k(knots)[:, None]
-        # In place: the knot × node matrix is the largest array of a build.
-        # A node equal to a knot keeps its zero numerator.
-        denom = t[None, :] ** 2 - knots[:, None] ** 2
-        np.divide(num, denom, out=num, where=denom != 0.0)
-        return knots / np.pi * (num @ wt + self._theta_tail(knots))
+        Lt, Lk, t2, k2 = self.log_k(t), self.log_k(knots), t**2, knots**2
+        sums = np.empty_like(knots)
+        # The knot × node matrix in row blocks (numerics.row_blocks).  A
+        # node equal to a knot keeps its zero numerator.
+        for rows in row_blocks(knots.size, t.size):
+            num = Lt - Lk[rows, None]
+            denom = t2 - k2[rows, None]
+            np.divide(num, denom, out=num, where=denom != 0.0)
+            sums[rows] = num @ wt
+        return knots / np.pi * (sums + self._theta_tail(knots))
 
     def _build_theta_interpolant(self):
         """Piecewise-polynomial theta in log xi: the shared-node rule at the
@@ -330,36 +342,46 @@ class CauchyFactorization:
         x, y = np.abs(z.real), np.abs(z.imag)
         return x > np.maximum(4.0 * y, 1e-5)
 
-    def _cauchy_nodes(self, z: complex, T: float):
-        """Panel nodes/weights on [0, T] for ∫ L(t)(1/(t−z) − 1/(t+z))dt,
-        clustered geometrically around |Re z| when the integrand peaks there."""
-        x = abs(z.real)
-        y = abs(z.imag)
+    def _cauchy_rule(self, T: float, z: complex | None = None):
+        """Panel nodes t on [0, T] and L(t)·w for ∫ L(t)(1/(t−z) − 1/(t+z))dt,
+        clustered geometrically around |Re z| when z is given and the
+        integrand peaks there."""
         edges = np.concatenate([[0.0], _quarter_decade_edges(1e-3, T)])
-        if self._clustered(z) and x < T / 3.0:
+        if z is not None and self._clustered(z) and abs(z.real) < T / 3.0:
+            x, y = abs(z.real), abs(z.imag)
             lo, hi = x / math.sqrt(10.0), x * math.sqrt(10.0)
             delta = 0.5 * max(y, 1e-8 * max(x, 1.0))
             edges = np.union1d(edges[(edges < lo) | (edges > hi)],
                                _clustered_edges(x, lo, hi, delta, 12))
         t, wt = panel_nodes(edges, 12)
-        return t.ravel(), wt.ravel()
+        t = t.ravel()
+        return t, self.log_k(t) * wt.ravel()
 
-    def _cauchy_sums(self, z: np.ndarray, T: float) -> np.ndarray:
-        """∫₀^T L(t)(1/(t−z) − 1/(t+z))dt at points z (1-D) that all take
-        the panel nodes of z[0], in real arithmetic: the integrand is
+    @cached_property
+    def _shared_rule(self):
+        """The rule of every point that needs neither clustered panels nor
+        a larger T, built once per factorization."""
+        return self._cauchy_rule(self.t_cut)
+
+    @staticmethod
+    def _cauchy_sums(z: np.ndarray, t: np.ndarray, Lw: np.ndarray) -> np.ndarray:
+        """∫₀^T L(t)(1/(t−z) − 1/(t+z))dt at points z (1-D) on one rule
+        (nodes t, L(t)·w), in real arithmetic: the integrand is
         2z·L(t)/(t² − z²) = 2z·L(t)(a + ib)/(a² + b²) with a = Re(t² − z²)
         and b = Im z².  With z = x + iy, a is formed as (t − x)(t + x) + y²,
         which keeps its relative accuracy at t ≈ |x| when z is near the
         axis (t² − Re z² loses 7e-14 of the sum at z = −40 + 1e-4i).  Each
-        row is summed alone, so a point's value does not depend on the
-        batch."""
-        t, wt = self._cauchy_nodes(z[0], T)
-        Lw = self.log_k(t) * wt
-        x, y = z.real[:, None], z.imag
-        a = (t - x) * (t + x) + (y * y)[:, None]
-        b = 2.0 * z.real * y
-        q = Lw / (a * a + (b * b)[:, None])
-        return 2.0 * z * ((q * a).sum(axis=-1) + 1j * b * q.sum(axis=-1))
+        row is summed alone, in row blocks (numerics.row_blocks), so a
+        point's value does not depend on the batch."""
+        sums = np.empty(z.shape, dtype=complex)
+        for rows in row_blocks(z.size, t.size):
+            zr = z[rows]
+            x, y = zr.real[:, None], zr.imag
+            a = (t - x) * (t + x) + (y * y)[:, None]
+            b = 2.0 * zr.real * y
+            q = Lw / (a * a + (b * b)[:, None])
+            sums[rows] = 2.0 * zr * ((q * a).sum(axis=-1) + 1j * b * q.sum(axis=-1))
+        return sums
 
     def cauchy_integral(self, z):
         """E(z) = ∫_R log k(t)/(t − z) dt for z off the real axis (a scalar
@@ -377,9 +399,10 @@ class CauchyFactorization:
         val = np.empty_like(flat)
         shared = (T == self.t_cut) & ~self._clustered(flat)
         if shared.any():
-            val[shared] = self._cauchy_sums(flat[shared], self.t_cut)
+            val[shared] = self._cauchy_sums(flat[shared], *self._shared_rule)
         for i in np.flatnonzero(~shared):
-            val[i] = self._cauchy_sums(flat[i:i + 1], T[i])[0]
+            rule = self._cauchy_rule(T[i], flat[i])
+            val[i] = self._cauchy_sums(flat[i:i + 1], *rule)[0]
         # ∫_T^∞ (c2/t²)(1/(t−z) − 1/(t+z)) dt = −(c2/z²)(ln((T−z)/(T+z)) + 2z/T)
         # = (2c2/z²)(artanh(z/T) − z/T); the log cancels to O((z/T)³).
         val = val + 2.0 * self._c2 / (flat * flat) * _artanh_excess(flat / T)

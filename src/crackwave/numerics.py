@@ -101,6 +101,25 @@ def panel_nodes(edges, order: int):
     return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
 
 
+# Bytes of one row block of a float64 2-D temporary: below glibc's default
+# mmap threshold of 128 KiB, above which each allocation maps and zero-fills
+# fresh pages, and small enough for a block's temporaries to stay in L2.
+_BLOCK_BYTES = 100 * 1024
+
+
+def row_blocks(rows: int, cols: int) -> list:
+    """Slices that cover ``range(rows)`` in blocks of rows of ``cols``
+    float64 values: the largest power of two of them that fits in
+    ``_BLOCK_BYTES`` (at least one row).  An expression whose rows are
+    computed independently in numpy gives the same bits block by block as
+    in one matrix.  A BLAS matrix-vector product may group a row's terms
+    by block and differ in the last few bits; OpenBLAS's x86-64 dgemv,
+    which takes rows four at a time, was seen to give the one-matrix bits
+    for power-of-two blocks of four rows or more."""
+    step = 1 << max(0, (_BLOCK_BYTES // (8 * cols)).bit_length() - 1)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 def panel_sums(f, edges, order=12, basis=None):
     """Per-panel Gauss-Legendre integrals of a vectorized ``f`` over consecutive
     ``edges``: a complex array with one entry per panel.  With ``basis``,

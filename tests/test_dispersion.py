@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crackwave import dispersion
+from crackwave import dispersion, numerics
 from crackwave.dispersion import (DispersionPoint, _scaled_det, dispersion_det,
                                   shear_phase_speed, surface_mode_shape,
                                   trace_curve)
@@ -89,13 +89,16 @@ class TestTraceCurve:
             assert abs(pt.mR - critical_speed(eta, h0)) < 1e-3
 
     def test_scan_blocks_join(self):
-        # A grid longer than one scan block gives the points of its pieces.
-        grid = np.geomspace(0.05, 50.0, 2 * dispersion._SCAN_ROWS + 7)
+        # A grid longer than one scan block gives the points of its pieces,
+        # bit for bit.
+        cols = dispersion._SCAN_LINEAR + dispersion._SCAN_GEOMETRIC
+        block = numerics.row_blocks(10**6, cols)[0].stop
+        grid = np.geomspace(0.05, 50.0, 2 * block + 7)
         whole = [p.mR for p in trace_curve(grid, 0.9, 0.8, axis="k")]
-        cut = dispersion._SCAN_ROWS + 3
+        cut = block + 3
         parts = [p.mR for g in (grid[:cut], grid[cut:])
                  for p in trace_curve(g, 0.9, 0.8, axis="k")]
-        assert whole == pytest.approx(parts, rel=1e-12, abs=0.0)
+        assert whole == parts
 
     @pytest.mark.parametrize("first_lost", [0, 6])
     def test_root_loss_keeps_last_good(self, monkeypatch, first_lost):

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from crackwave.errors import DomainError, RegimeError
 from crackwave.kernel import (CauchyFactorization, FactorizedKernel,
-                              KernelParams, factorize, sqrt_minus, sqrt_plus,
-                              wave_exponents)
+                              KernelParams, _quarter_decade_edges, factorize,
+                              sqrt_minus, sqrt_plus, wave_exponents)
 from crackwave.material import critical_speed, zeta
+from crackwave.numerics import panel_nodes, row_blocks
 
 RATIONAL_A, RATIONAL_B = 2.0, 1.0
 
@@ -234,6 +235,40 @@ class TestPhysicalFactorization:
         assert np.all(k.cauchy_integral(off)
                       == np.array([k.cauchy_integral(complex(zz)) for zz in off]))
 
+    @pytest.mark.parametrize("m,eta,h0", [(0.3, 0.9, 0.707), (0.6, -0.5, 0.2)])
+    def test_theta_grid_blocks_match_one_matrix(self, kernel_factory, m, eta, h0):
+        # The row-blocked knot sums against the one knot × node matrix of
+        # the same formula at the interpolant's knots.  The blocks may
+        # change how a BLAS matrix-vector product groups each row's terms,
+        # so the bound is a few ulp of the sum of their magnitudes.
+        k = kernel_factory(m, eta, h0)
+        panels = k._theta_coef.shape[1]
+        u, _ = panel_nodes(np.linspace(math.log(k._xi_lo), math.log(k.xi_hi),
+                                       panels + 1), 16)
+        knots = np.exp(u.ravel())
+        t, wt = panel_nodes(np.concatenate([[0.0], _quarter_decade_edges(1e-7, k.t_cut)]), 16)
+        t, wt = t.ravel(), wt.ravel()
+        num = k.log_k(t)[None, :] - k.log_k(knots)[:, None]
+        denom = t[None, :] ** 2 - knots[:, None] ** 2
+        np.divide(num, denom, out=num, where=denom != 0.0)
+        ref = knots / np.pi * (num @ wt + k._theta_tail(knots))
+        scale = knots / np.pi * (np.abs(num) @ np.abs(wt) + np.abs(k._theta_tail(knots)))
+        assert len(row_blocks(knots.size, t.size)) > 1
+        assert np.all(np.abs(k._theta_grid(knots) - ref) <= 32 * np.finfo(float).eps * scale)
+
+    def test_cauchy_sums_batch_equals_pointwise(self, kernel_factory):
+        # A 256-point batch on the shared rule, as a split contour makes,
+        # spans several row blocks; each point gets its lone call's sum.
+        k = kernel_factory(0.3, 0.9, 0.707)
+        t, Lw = k._shared_rule
+        for got, want in zip(k._shared_rule, k._cauchy_rule(k.t_cut, 0.1 + 1j)):
+            assert np.array_equal(got, want)
+        z = 1j + 0.4 * np.exp(2j * np.pi * np.arange(256) / 256)
+        assert len(row_blocks(z.size, t.size)) > 1
+        batch = k._cauchy_sums(z, t, Lw)
+        assert np.array_equal(batch, [k._cauchy_sums(z[i:i + 1], t, Lw)[0]
+                                      for i in range(z.size)])
+
     def test_cauchy_sums_match_exact_sums(self, kernel_factory):
         # The node sums against the same sums in 40-digit arithmetic: the
         # shared-node case, points near the axis (clustered panels, where
@@ -243,14 +278,13 @@ class TestPhysicalFactorization:
         for z in (0.1 + 1j, 2e5j, -40.0 + 1e-4j, 3.0 + 1e-3j, 0.02 + 1e-8j,
                   1e-6 + 1e-6j, 1e-5 + 3e-7j):
             T = max(k.t_cut, 4.0 * abs(z))
-            t, w = k._cauchy_nodes(z, T)
-            Lw = k.log_k(t) * w
+            t, Lw = k._cauchy_rule(T, z)
             with mpmath.workdps(40):
                 zm = mpmath.mpc(z)
                 ref = complex(mpmath.fsum(mpmath.mpf(float(c)) * 2 * zm
                                           / (mpmath.mpf(float(x)) ** 2 - zm * zm)
                                           for c, x in zip(Lw, t)))
-            assert abs(k._cauchy_sums(np.array([z]), T)[0] - ref) <= 1e-14 * abs(ref)
+            assert abs(k._cauchy_sums(np.array([z]), t, Lw)[0] - ref) <= 1e-14 * abs(ref)
 
     def test_positivity_guard(self):
         # Super-Rayleigh parameters never reach factorization (regime check

@@ -1,0 +1,60 @@
+"""Memory traffic of the hot paths: once warm, a factorization, its split
+and a dispersion trace take their 2-D temporaries in row blocks
+(``numerics.row_blocks``) that stay below glibc's default mmap threshold,
+so they reuse heap pages instead of mapping and zero-filling fresh ones.
+"""
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("resource")
+# The bound is set for glibc's allocator and its mmap threshold.
+pytestmark = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                                reason="fault counts are calibrated for glibc")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# One one-matrix factorization and split took about 2 000 minor faults
+# (fresh pages of its 4 MB knot × node matrices); the blocked ones take
+# none, and the fig1 trace a few hundred.
+FAULT_BOUND = 1000
+
+FAULT_RUN = textwrap.dedent("""\
+    import resource
+
+    import numpy as np
+
+    from crackwave.dispersion import trace_curve
+    from crackwave.kernel import KernelParams, factorize
+    from crackwave.loading import LoadProfile, build_split
+    from crackwave.material import Material
+
+    material = Material(G=1.0, rho=1.0, ell=1.0, eta=0.9, h0=0.707)
+    profile = LoadProfile(T0=1.0, L=1.0, p=1)
+
+    def split():
+        kernel = factorize(KernelParams(m=0.3, eta=0.9, h0=0.707))
+        return build_split(kernel, material, profile)
+
+    split()  # warm-up
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    split()
+    trace_curve(np.geomspace(0.05, 50.0, 120), 0.9, 0.8)  # the fig1 grid
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+
+
+def test_warm_factorize_split_and_trace_take_few_page_faults(tmp_path):
+    # A fresh interpreter: the test session's own frees have moved glibc's
+    # mmap threshold.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FAULT_RUN],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < FAULT_BOUND
