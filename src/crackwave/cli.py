@@ -11,7 +11,6 @@ import argparse
 import csv
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -256,6 +255,8 @@ def _run_rows(worker, run: RunConfig, jobs: int):
     """worker(material, profile, m) at every point of the run's sweep."""
     args = _sweep_args(run)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, *zip(*args)))
     return [worker(*a) for a in args]

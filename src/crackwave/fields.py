@@ -171,7 +171,6 @@ def _engine_spec(split: SplitData) -> QuadratureSpec:
     ℓ/L, on which G⁻ varies (the tail ladder is an expansion in 1/(xi·L/ℓ))."""
     zeta = split.zeta or 1.0
     return QuadratureSpec(
-        abs_tol=1e-11,
         truncation_radius=max(4.0e3, 50.0 * zeta, 2.0e3 / split.L_over_ell),
     )
 

@@ -16,7 +16,7 @@ with boundary values k⁺ = e^{iθ}/√k and k⁻ = √k·e^{iθ} on the real ax
 where θ(xi) = (1/2π) PV ∫ log k(t)/(t − xi) dt is odd.  The identity
 k⁻/k⁺ = k holds on the axis and k±(∞) = 1.
 
-θ is computed once per factorization, by one shared-node quadrature rule,
+θ is computed once per factorization, by one trapezoid lattice in log t,
 at the 16 Gauss-Legendre nodes of each quarter-decade panel of log xi over
 [1e-6, xi_hi], and stored as one polynomial per panel (a constant matrix
 takes the node values to power coefficients in the panel coordinate).  The
@@ -24,13 +24,12 @@ real-axis factors and k±_line evaluate it by Horner's rule; below 1e-6 it
 continues linearly and beyond xi_hi as 1/xi.  ``theta_exact`` is an
 independent reference with panels refined about each xi.
 
-The knot × node sums of that rule, and the off-axis Cauchy sums of a batch
-of points, are formed in row blocks (``numerics.row_blocks``) that stay
-below glibc's 128 KiB mmap threshold and in L2, so a warm process maps no
-fresh pages for them.  Each Cauchy row is summed alone, so a point's sum
-does not depend on its batch; the knot sums are a matrix-vector product per
-block, within a few ulp of the one-matrix product.  The off-axis rule that
-unclustered points share, with its L(t)·w, is built once per factorization.
+The off-axis Cauchy sums of a batch of points are formed in row blocks
+(``numerics.row_blocks``) that stay below glibc's 128 KiB mmap threshold
+and in L2, so a warm process maps no fresh pages for them.  Each row is
+summed alone, so a point's sum does not depend on its batch.  The off-axis
+rule that unclustered points share, with its L(t)·w, is built once per
+factorization.
 """
 from __future__ import annotations
 
@@ -201,9 +200,10 @@ class CauchyFactorization:
     k_line : callable
         Vectorized kernel on the real axis (called with |t| ≥ 0).
     xi_hi : float
-        Upper end of the cached boundary-phase grid.  The Cauchy integrals
-        are truncated at t_cut = 40·xi_hi, with the analytic tail beyond
-        from the fitted large-t coefficient of log k ~ c2/t².
+        Upper end of the cached boundary-phase interpolant.  The off-axis
+        Cauchy integrals and ``theta_exact`` are truncated at
+        t_cut = 40·xi_hi, with the analytic tail beyond from the fitted
+        large-t coefficient of log k ~ c2/t².
     """
 
     def __init__(self, k_line, xi_hi: float):
@@ -229,46 +229,32 @@ class CauchyFactorization:
         return float((4.0 * b - a) / 3.0)
 
     # -- boundary phase ---------------------------------------------------
-    def _theta_tail(self, xi: np.ndarray) -> np.ndarray:
-        """Closed-form t > t_cut contribution to the PV integral, using
-        log k ≈ c2/t²: (c2/xi²)·d − L(xi)·(d + 1/T) with
-        d = (artanh(xi/T) − xi/T)/xi, which is O((xi/T)²/T)."""
-        T = self.t_cut
-        d = _artanh_excess(xi / T) / xi
-        return (self._c2 / xi**2) * d - self.log_k(xi) * (d + 1.0 / T)
-
-    def _theta_grid(self, knots: np.ndarray) -> np.ndarray:
-        """theta at many xi simultaneously: PV fold with the plain part
-        removed, theta = (xi/π) ∫₀^∞ (L(t) − L(xi))/(t² − xi²) dt.
-
-        One set of quarter-decade Gauss panels serves every knot.  They run
-        down to 1e-7, a decade below the smallest knot, so the panels about
-        each knot are no wider than the knot itself.
-        """
-        edges = np.concatenate([[0.0], _quarter_decade_edges(1e-7, self.t_cut)])
-        t, wt = panel_nodes(edges, 16)
-        t, wt = t.ravel(), wt.ravel()
-        Lt, Lk, t2, k2 = self.log_k(t), self.log_k(knots), t**2, knots**2
-        sums = np.empty_like(knots)
-        # The knot × node matrix in row blocks (numerics.row_blocks).  A
-        # node equal to a knot keeps its zero numerator.
-        for rows in row_blocks(knots.size, t.size):
-            num = Lt - Lk[rows, None]
-            denom = t2 - k2[rows, None]
-            np.divide(num, denom, out=num, where=denom != 0.0)
-            sums[rows] = num @ wt
-        return knots / np.pi * (sums + self._theta_tail(knots))
-
     def _build_theta_interpolant(self):
-        """Piecewise-polynomial theta in log xi: the shared-node rule at the
+        """Piecewise-polynomial theta in log xi: its values at the
         _THETA_ORDER Gauss nodes of each of the equal panels, a quarter
         decade or a little less, of log xi over [_xi_lo, xi_hi], turned into
         power coefficients in the panel coordinate by the constant
-        _THETA_FIT."""
+        _THETA_FIT.
+
+        With L = log k, t = e^s and xi = e^u,
+        theta(e^u) = (1/2π) PV∫ L(e^s)/sinh(s − u) ds, and the trapezoid
+        rule with nodes at u + (n + ½)h is exponentially accurate for it
+        with no subtraction (Weideman 1995, Math. Comp. 64, 745–762).  With
+        h half the panel width, Gauss position g of panel p sits half a step
+        off the lattice s_{g,j} = lo + h(1 + x_g) + (j + ½)h, at
+        s_{g,j} − u = (j − 2p + ½)h, so one weight matrix 1/sinh serves every
+        position.  The lattice spans t ∈ [1e-20, 1e9]: below, the omitted
+        part is about L(0)·1e-20/(π·xi); above, L ~ c2/t² is below rounding.
+        """
         lo, hi = math.log(self._xi_lo), math.log(self.xi_hi)
         panels = max(1, math.ceil(4.0 * math.log10(self.xi_hi / self._xi_lo)))
+        h = 0.5 * (hi - lo) / panels
         u, _ = panel_nodes(np.linspace(lo, hi, panels + 1), _THETA_ORDER)
-        vals = self._theta_grid(np.exp(u.ravel())).reshape(u.shape)
+        j = np.arange(math.floor((math.log(1e-20) - lo) / h),
+                      math.ceil((math.log(1e9) - lo) / h))
+        L = self.log_k(np.exp(u[0, :, None] + (j + 0.5) * h))  # (position, lattice)
+        weights = 1.0 / np.sinh((j - 2.0 * np.arange(panels)[:, None] + 0.5) * h)
+        vals = h / (2.0 * np.pi) * (weights @ L.T)  # (panel, position)
         self._theta_coef = _THETA_FIT @ vals.T  # (power, panel)
         self._theta_axis = (lo, panels / (hi - lo))  # start, panels per unit
         self._theta_lo_slope = float(self._theta_panels(lo)) / self._xi_lo
@@ -330,7 +316,10 @@ class CauchyFactorization:
         h = 1e-5 * x
         lprime = float(self.log_k(x + h) - self.log_k(x - h)) / (2.0 * h)
         val += lprime / (2.0 * x) * 2.0 * delta
-        val += float(self._theta_tail(np.array([x]))[0])
+        # Closed-form t > T part, with log k ≈ c2/t²: (c2/x²)·d − L(x)·(d + 1/T)
+        # with d = (artanh(x/T) − x/T)/x, which is O((x/T)²/T).
+        d = float(_artanh_excess(x / T)) / x
+        val += (self._c2 / x**2) * d - Lx * (d + 1.0 / T)
         theta = x / math.pi * val
         return theta if xi >= 0 else -theta
 

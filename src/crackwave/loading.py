@@ -265,8 +265,7 @@ def _appendix_ratio(kernel: FactorizedKernel, coeffs, profile: LoadProfile,
         return 1.0 / (sqrt_minus(x) * psi * kernel.k_minus_line(x))
 
     zeta_v = params.zeta
-    spec = QuadratureSpec(abs_tol=1e-12,
-                          truncation_radius=max(2.0e3, 50.0 * zeta_v))
+    spec = QuadratureSpec(truncation_radius=max(2.0e3, 50.0 * zeta_v))
     fit = max(25.0, 30.0 * zeta_v)
 
     def folded(t):

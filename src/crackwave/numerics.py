@@ -112,10 +112,7 @@ def row_blocks(rows: int, cols: int) -> list:
     float64 values: the largest power of two of them that fits in
     ``_BLOCK_BYTES`` (at least one row).  An expression whose rows are
     computed independently in numpy gives the same bits block by block as
-    in one matrix.  A BLAS matrix-vector product may group a row's terms
-    by block and differ in the last few bits; OpenBLAS's x86-64 dgemv,
-    which takes rows four at a time, was seen to give the one-matrix bits
-    for power-of-two blocks of four rows or more."""
+    in one matrix."""
     step = 1 << max(0, (_BLOCK_BYTES // (8 * cols)).bit_length() - 1)
     return [slice(start, start + step) for start in range(0, rows, step)]
 

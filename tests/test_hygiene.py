@@ -1,7 +1,8 @@
 """Source hygiene: every name a ``crackwave`` module imports is used there,
 the package imports nothing beyond the standard library and numpy (scipy
 is a reference of the tests only, at module or function level alike, and
-no run loads it), and it builds its Filon moment tables itself.
+no run loads it), importing the CLI loads no process pool, and the package
+builds its Filon moment tables itself.
 
 Package ``__init__.py`` files are exempt from the unused-import check (their
 imports are re-exports), as are ``__future__`` imports.
@@ -90,6 +91,8 @@ NO_SCIPY_RUNS = textwrap.dedent("""\
 
     import crackwave.cli as cli
     assert scipy_loaded() == [], ("import", scipy_loaded())
+    # The process pool is imported only by the --jobs > 1 branch.
+    assert "concurrent.futures.process" not in sys.modules
     presets, out = Path(sys.argv[1]), Path(sys.argv[2])
     fields = out / "fields.conf"
     fields.write_text((presets / "fig4.conf").read_text()

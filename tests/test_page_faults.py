@@ -1,7 +1,8 @@
 """Memory traffic of the hot paths: once warm, a factorization, its split
-and a dispersion trace take their 2-D temporaries in row blocks
-(``numerics.row_blocks``) that stay below glibc's default mmap threshold,
-so they reuse heap pages instead of mapping and zero-filling fresh ones.
+and a dispersion trace keep their 2-D temporaries below glibc's default
+mmap threshold, in row blocks (``numerics.row_blocks``) where one matrix
+would be larger, so they reuse heap pages instead of mapping and
+zero-filling fresh ones.
 """
 import os
 import platform
@@ -19,9 +20,10 @@ pytestmark = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# One one-matrix factorization and split took about 2 000 minor faults
-# (fresh pages of its 4 MB knot × node matrices); the blocked ones take
-# none, and the fig1 trace a few hundred.
+# Formed as one matrix each, a factorization's θ sums and its split's Cauchy
+# sums took about 2 000 minor faults (fresh pages of MB-sized temporaries).
+# The θ lattice's largest temporary is about 75 KB and the Cauchy sums go in
+# row blocks, so both take none, and the fig1 trace a few hundred.
 FAULT_BOUND = 1000
 
 FAULT_RUN = textwrap.dedent("""\
