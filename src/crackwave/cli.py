@@ -315,8 +315,9 @@ def _validate_checks():
     checks.append(("kp_closed_form", 0.0, kp_dev, 1e-12))
 
     kernel = factorize(KernelParams(m=0.3, eta=0.9, h0=0.707))
-    # The spline boundary value k⁺_line, which the field integrands use,
-    # against the off-axis Cauchy integral just above the axis.
+    # The boundary value k⁺_line from the θ interpolant, which the field
+    # integrands use, against the off-axis Cauchy integral just above the
+    # axis.
     xi = np.geomspace(1e-2, 1e3, 100)
     jump = max(abs(kernel.k_plus(x + 1e-6j * x) - kernel.k_plus_line(x))
                / abs(kernel.k_plus_line(x)) for x in xi)
@@ -331,6 +332,8 @@ def _validate_checks():
     w_ref = abs(fields.crack_opening(-3.0, split))
     checks.append(("tip_closure", 0.0, abs(w0) / w_ref, 1e-6))
     checks.append(("balance_T0", 1.0, fields.balance_integral(split), 1e-5))
+    split_30 = build_split(kernel, material, LoadProfile(T0=1.0, L=30.0, p=3))
+    checks.append(("balance_T0_L30_p3", 1.0, fields.balance_integral(split_30), 1e-5))
     res = energy.err_result(material, 0.3, profile, kernel)
     checks.append(("err_positive", 1.0, 1.0 if res.E > 0 else 0.0, 0.5))
     checks.append(("err_smalllength_identity",

@@ -33,8 +33,8 @@ import numpy as np
 from .errors import DomainError, RealnessError
 from .kernel import sqrt_minus, sqrt_plus, wave_exponents
 from .loading import SplitData, g_minus
-from .numerics import (TAIL_FIT_POINTS, QuadratureSpec, fit_power_tail,
-                       oscillatory_halfline, panel_nodes, scaled_upper_gamma)
+from .numerics import (TAIL_FIT_POINTS, fit_power_tail, oscillatory_halfline,
+                       panel_nodes, scaled_upper_gamma)
 
 __all__ = [
     "FieldKind",
@@ -166,27 +166,21 @@ def _prefactor(split: SplitData, kind: FieldKind) -> complex:
     raise DomainError(f"unknown field kind {kind!r}")
 
 
-def _engine_spec(split: SplitData) -> QuadratureSpec:
+def _truncation_radius(split: SplitData) -> float:
     """Truncation radius far beyond both scales of the integrands: zeta and
     ℓ/L, on which G⁻ varies (the tail ladder is an expansion in 1/(xi·L/ℓ))."""
     zeta = split.zeta or 1.0
-    return QuadratureSpec(
-        truncation_radius=max(4.0e3, 50.0 * zeta, 2.0e3 / split.L_over_ell),
-    )
+    return max(4.0e3, 50.0 * zeta, 2.0e3 / split.L_over_ell)
 
 
-def _fit_window_start(split: SplitData, spec: QuadratureSpec) -> float:
-    return max(40.0, 30.0 * (split.zeta or 0.0), spec.truncation_radius / 50.0)
-
-
-def _tail_fit(split: SplitData, kind: FieldKind, spec: QuadratureSpec):
+def _tail_fit(split: SplitData, kind: FieldKind, radius: float):
     """Fitted ladder ``(coeffs, max_residual)`` of the integrand, cached on
     the split so every X-evaluation (and the balance completion) uses the
     same tail and reports its residual."""
-    key = (kind, spec.truncation_radius)
+    key = (kind, radius)
     if key not in split.tail_cache:
-        ts = np.geomspace(_fit_window_start(split, spec), spec.truncation_radius,
-                          TAIL_FIT_POINTS)
+        start = max(40.0, 30.0 * (split.zeta or 0.0), radius / 50.0)
+        ts = np.geomspace(start, radius, TAIL_FIT_POINTS)
         split.tail_cache[key] = fit_power_tail(
             ts, _integrands(split, (kind,), ts)[0], _ladder_for(split, kind))
     return split.tail_cache[key]
@@ -254,7 +248,7 @@ def _field_values(split: SplitData, kinds, x):
 
     The opening enters through ∫q·e^{+iat}dt = conj(∫conj(q)·e^{−iat}dt),
     so every column shares one table of moments."""
-    spec = _engine_spec(split)
+    radius = _truncation_radius(split)
     a = np.asarray(x, dtype=float) / split.ell
     behind = np.array([k is FieldKind.OPENING for k in kinds])
 
@@ -265,12 +259,12 @@ def _field_values(split: SplitData, kinds, x):
 
     fits = []
     for kind in kinds:
-        coeffs, resid = _tail_fit(split, kind, spec)
+        coeffs, resid = _tail_fit(split, kind, radius)
         fits.append((np.conj(coeffs) if kind is FieldKind.OPENING else coeffs, resid))
     val, err = oscillatory_halfline(
         columns,
         a,
-        spec,
+        radius,
         sqrt_singularity=True,
         tail_exponents=[_ladder_for(split, kind) for kind in kinds],
         tail_fit=fits,
@@ -293,29 +287,6 @@ def _field_value(split: SplitData, kind: FieldKind, X: float) -> float:
 def _out(values):
     """A float for a scalar evaluation, the array otherwise."""
     return float(values) if np.ndim(values) == 0 else values
-
-
-def _field_unfolded(split: SplitData, kind: FieldKind, X: float) -> complex:
-    """Both half-lines integrated explicitly (no conjugate-symmetry folding);
-    the imaginary part measures branch-convention consistency."""
-    _check_domain(kind, X)
-    spec = _engine_spec(split)
-    a = X / split.ell
-    fit_start = _fit_window_start(split, spec)
-    kw = dict(sqrt_singularity=True, tail_exponents=_ladder_for(split, kind),
-              fit_start=fit_start)
-
-    def f(t):
-        return _integrands(split, (kind,), t)[0]
-
-    pos, _ = oscillatory_halfline(f, a, spec, **kw)
-    neg, _ = oscillatory_halfline(lambda t: f(-t), -a, spec, **kw)
-    total = pos + neg
-    if kind is FieldKind.TRACTION:
-        # Rational piece and its mirror on the negative half-line.
-        total = total + _rational_transform(split, a) \
-            + np.conj(_rational_transform(split, a))
-    return _prefactor(split, kind) * total
 
 
 def crack_opening(X, split: SplitData):
@@ -444,7 +415,6 @@ def balance_integral(split: SplitData) -> float:
     """
     ell, L = split.ell, split.profile.L
     lam = max(L, ell)
-    spec = _engine_spec(split)
     # Singular coefficients consistent with the engine's own tail model, so
     # the subtraction cancels identically at small X: the xi^{1/2} and
     # xi^{−1/2} ladder heads transform to X^{−3/2} and X^{−1/2} terms with
@@ -453,7 +423,7 @@ def balance_integral(split: SplitData) -> float:
     # subtracting the noise-consistent value is exactly what removes it from
     # the sampled values again.)
     pref = _prefactor(split, FieldKind.TRACTION)
-    coeffs, _ = _tail_fit(split, FieldKind.TRACTION, spec)
+    coeffs, _ = _tail_fit(split, FieldKind.TRACTION, _truncation_radius(split))
     c32 = math.sqrt(math.pi) * float(np.real(
         pref * coeffs[0] * np.exp(-0.75j * np.pi))) * ell ** 1.5
     c12 = 2.0 * math.sqrt(math.pi) * float(np.real(
@@ -464,8 +434,11 @@ def balance_integral(split: SplitData) -> float:
         + math.sqrt(math.pi * lam) * c12
 
     # Middle: ∫ reg dX = ∫ reg·X d(log X) by Gauss panels of half a decade
-    # in log X, on whose nodes the tip and tail are fitted as well.
-    x_min, x_max = 1e-6 * ell, 400.0 * lam
+    # in log X, on whose nodes the tip and tail are fitted as well.  A grid
+    # ending at 400λ leaves the fitted tail off by up to 1.2e-5; at 4000λ
+    # the balance holds to 1e-7.  X stays below 1e7·ℓ, inside the engine's
+    # head limit X/ℓ ≤ 4π·1e6.
+    x_min, x_max = 1e-6 * ell, min(4000.0 * lam, 1e7 * ell)
     panels = math.ceil(2.0 * math.log10(x_max / x_min))
     u, wu = panel_nodes(np.linspace(math.log(x_min), math.log(x_max), panels + 1),
                         _BALANCE_ORDER)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CrossCheckError, DomainError, PoleError
 from .kernel import FactorizedKernel, KernelParams, factorize, sqrt_minus, sqrt_plus
 from .material import Material
-from .numerics import QuadratureSpec, contour_coefficients, oscillatory_halfline
+from .numerics import contour_coefficients, oscillatory_halfline
 
 __all__ = [
     "LoadProfile",
@@ -265,7 +265,7 @@ def _appendix_ratio(kernel: FactorizedKernel, coeffs, profile: LoadProfile,
         return 1.0 / (sqrt_minus(x) * psi * kernel.k_minus_line(x))
 
     zeta_v = params.zeta
-    spec = QuadratureSpec(truncation_radius=max(2.0e3, 50.0 * zeta_v))
+    radius = max(2.0e3, 50.0 * zeta_v)
     fit = max(25.0, 30.0 * zeta_v)
 
     def folded(t):
@@ -274,7 +274,7 @@ def _appendix_ratio(kernel: FactorizedKernel, coeffs, profile: LoadProfile,
         return np.stack([gm(t) * h_pos + gm(-t) * h_neg, h_pos + h_neg])
 
     (i1, i2), _ = oscillatory_halfline(
-        folded, 0.0, spec, sqrt_singularity=True,
+        folded, 0.0, radius, sqrt_singularity=True,
         tail_exponents=((-3.5, -4.5, -5.5), (-2.5, -3.5, -4.5)), fit_start=fit)
     return complex(i1 / i2)
 

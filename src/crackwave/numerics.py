@@ -1,39 +1,38 @@
 """Shared numerical machinery: the half-line transform with its algebraic
 tail ladder, circle-contour Taylor coefficients and bracketed root finding.
 
-The half-line transform ∫₀^∞ f(t)·e^{−iat}dt takes one of two routes.
+The half-line transform ∫₀^∞ f(t)·e^{−iat}dt is one laddered route: the
+large-t behaviour of f is an algebraic ladder Σ c_k t^{λ_k} given by
+``tail_exponents``.  ``a`` may be an array, and f is evaluated on nodes that
+do not depend on ``a``, one vectorized call for the head and one per body
+rule, whatever the number of frequencies.
 
-* **Laddered** (``tail_exponents`` given): ``a`` may be an array, and f is
-  evaluated on nodes that do not depend on ``a``, one vectorized call for
-  the head and one per body rule, whatever the number of frequencies.
-  - Head [0, 1e-6]: geometrically graded Gauss panels (orders 20 and 14),
-    in v = √t when f has a t^{−1/2} endpoint singularity; the phase is
-    applied at the nodes, so the head must span at most two periods
-    (|a| ≤ 4π·1e6), or ``QuadratureError`` is raised.
-  - Body [1e-6, T]: Legendre–Filon panels, eight per decade.  ``panel_sums``
-    turns each panel's order-12 Gauss values into the Legendre coefficients
-    of the interpolant, whose transform is a sum of the closed-form moments
-    ∫₋₁¹ P_k(x)e^{−iωx}dx = 2(−i)^k·j_k(ω) (Iserles & Nørsett 2005,
-    Proc. R. Soc. A 461).  The table of j_0 … j_11 at ω·h (h the panel
-    half-width) for every frequency and panel is built once per call, in
-    numpy (``_bessel_table``): upward recurrence from sin/cos for
-    |ω·h| ≥ 12, Miller's downward recurrence normalized by j_0 or j_1 below
-    that (Gautschi 1967, SIAM Rev. 9, 24–82; DLMF §10.51) and the power
-    series for |ω·h| < 1.  When every frequency is 0 no table is built: the
-    body is the plain Gauss-Legendre sum, as j_k(0) = δ_k0.
-  - Tail [T, ∞): the fitted ladder Σ c_k t^{λ_k} in closed form through
-    Γ(λ+1, iaT) for half-integer λ (``power_tail``), computed in numpy by
-    recurrence in λ from the power series of γ(1/2, z) for |z| < 2 and from
-    a continued fraction for |z| ≥ 2 (``_upper_gamma_half``).
-  The error estimate adds the order-14 head and order-8 body differences
-  and the tail bound max_residual·min(T, 2/|a|).
-  f may return several stacked columns, each with its own ladder: they
-  share the integrand calls, the rules, the moment table and the phases,
-  and each gets its own tail and error estimate.
-* **Averaged** (no ladder, scalar ``a`` ≠ 0): half-period panel sums past
-  the head and the iterated-averaging limit of their partial sums, which
-  resolves the tail without a model.  A zero frequency without a ladder
-  fits one decaying power to f on [T/4, T] and takes the laddered route.
+* Head [0, 1e-6]: geometrically graded Gauss panels (orders 20 and 14), in
+  v = √t when f has a t^{−1/2} endpoint singularity; the phase is applied
+  at the nodes, so the head must span at most two periods
+  (|a| ≤ 4π·1e6), or ``QuadratureError`` is raised.
+* Body [1e-6, T]: Legendre–Filon panels, eight per decade.  ``panel_sums``
+  turns each panel's order-12 Gauss values into the Legendre coefficients
+  of the interpolant, whose transform is a sum of the closed-form moments
+  ∫₋₁¹ P_k(x)e^{−iωx}dx = 2(−i)^k·j_k(ω) (Iserles & Nørsett 2005,
+  Proc. R. Soc. A 461).  The table of j_0 … j_11 at ω·h (h the panel
+  half-width) for every frequency and panel is built once per call, in
+  numpy (``_bessel_table``): upward recurrence from sin/cos for
+  |ω·h| ≥ 12, Miller's downward recurrence normalized by j_0 or j_1 below
+  that (Gautschi 1967, SIAM Rev. 9, 24–82; DLMF §10.51) and the power
+  series for |ω·h| < 1.  When every frequency is 0 no table is built: the
+  body is the plain Gauss-Legendre sum, as j_k(0) = δ_k0.
+* Tail [T, ∞): the fitted ladder in closed form through Γ(λ+1, iaT) for
+  half-integer λ (``power_tail``), computed in numpy by recurrence in λ
+  from the power series of γ(1/2, z) for |z| < 2 and from a continued
+  fraction for |z| ≥ 2 (``_upper_gamma_half``).
+
+The error estimate adds the order-14 head and order-8 body differences and
+the tail bound max_residual·min(T, 2/|a|).  f may return several stacked
+columns, each with its own ladder: they share the integrand calls, the
+rules, the moment table and the phases, and each gets its own tail and
+error estimate.  A call without a ladder must be at frequency 0; it fits
+one decaying power to f on [T/4, T].
 
 Every routine is deterministic (no randomized algorithms) and every
 quadrature returns ``(value, error_estimate)``.
@@ -41,7 +40,6 @@ quadrature returns ``(value, error_estimate)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,8 +48,6 @@ from numpy.polynomial.legendre import leggauss, legvander
 from .errors import BracketError, QuadratureError
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_SPEC",
     "fit_power_tail",
     "oscillatory_halfline",
     "contour_coefficients",
@@ -60,33 +56,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance and truncation controls for the half-line quadrature.
-
-    ``abs_tol`` bounds negligible tails and the averaging limit;
-    ``truncation_radius`` is where direct panel integration stops and the
-    analytic tail model takes over.
-    """
-
-    abs_tol: float = 1e-11
-    truncation_radius: float = 2.0e3
-
-    def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.truncation_radius <= 0:
-            raise ValueError("truncation_radius must be positive")
-
-
-DEFAULT_SPEC = QuadratureSpec()
-
 TAIL_FIT_POINTS = 32   # log-spaced samples of a tail-ladder fit
 _CONTOUR_NODES = 256   # trapezoid nodes on each coefficient circle
 _HEAD_END = 1e-6       # end of the fixed Gauss head of a laddered call
 _FILON_ORDER = 12      # Gauss points and Legendre degree + 1 of a body panel
 _MILLER_START = 40     # start order of the downward Bessel recurrence
 _GAMMA_SERIES_TERMS = 30  # terms of the γ(1/2, z) series, |z| < 2
+_NEGLIGIBLE = 1e-11    # |f| on [T/4, T] below which a zero-frequency call has no tail
 
 _gauss = lru_cache(maxsize=None)(leggauss)
 
@@ -117,18 +93,15 @@ def row_blocks(rows: int, cols: int) -> list:
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
-def panel_sums(f, edges, order=12, basis=None):
-    """Per-panel Gauss-Legendre integrals of a vectorized ``f`` over consecutive
-    ``edges``: a complex array with one entry per panel.  With ``basis``,
-    functions of the panel coordinate x ∈ [−1, 1] given at the ``order``
-    Gauss nodes (shape (k, order)), it returns the integrals of f·basis_k,
-    shape (panels, k).  An ``f`` returning stacked columns (shape (c, n) for
-    n nodes) gets a leading axis of c."""
+def panel_sums(f, edges, order, basis):
+    """Per-panel Gauss-Legendre integrals of f·basis_k for a vectorized
+    ``f`` over consecutive ``edges``, where ``basis`` holds functions of the
+    panel coordinate x ∈ [−1, 1] at the ``order`` Gauss nodes (shape
+    (k, order)); shape (panels, k).  An ``f`` returning stacked columns
+    (shape (c, n) for n nodes) gets a leading axis of c."""
     t, w = panel_nodes(edges, order)
     vals = np.asarray(f(t.ravel()), dtype=complex)
     vals = vals.reshape(vals.shape[:-1] + t.shape) * w
-    if basis is None:
-        return vals.sum(axis=-1)
     # One 2-D product over every column's panels: its rows do not depend on
     # how many columns are stacked.
     return (vals.reshape(-1, order) @ basis.T).reshape(vals.shape[:-1] + basis.shape[:1])
@@ -259,29 +232,6 @@ def fit_power_tail(t, values, exponents):
     return coeffs, resid
 
 
-def _average_tail(partial_sums, abs_tol):
-    """Limit of oscillatory partial sums by iterated averaging.
-
-    Works for alternating-type sequences whose envelope varies algebraically,
-    which is what half-period panel sums of t^λ e^{−iat} produce (Abel sense
-    for growing envelopes).
-    """
-    s = np.asarray(partial_sums, dtype=complex)
-    if s.size == 1:
-        return s[0], abs(s[0])
-    s = s[-min(s.size, 160):]
-    est = s[-1]
-    delta = abs(s[-1] - s[-2])
-    for _ in range(s.size - 1):
-        s = 0.5 * (s[:-1] + s[1:])
-        new = s[-1]
-        delta = abs(new - est)
-        est = new
-        if s.size >= 2 and delta < 0.25 * abs_tol:
-            break
-    return est, delta
-
-
 def _head_nodes(b, sqrt_singularity, order):
     """Nodes ``t`` and weights ``w`` of the head rule on [0, b], both of
     shape (panels, order).
@@ -393,14 +343,13 @@ def _build_edges(lo, hi, breakpoints):
     return np.array(sorted(pts))
 
 
-def _zero_frequency_ladder(f, spec):
+def _zero_frequency_ladder(f, T):
     """Decaying power fitted to |f| on [T/4, T] for a zero-frequency call
     without a ladder: ``(exponents, fit)``, with an empty ladder if f is
     negligible there."""
-    T = spec.truncation_radius
     slope_pts = np.geomspace(0.25 * T, T, 8)
     vals = np.abs(np.asarray(f(slope_pts), dtype=complex))
-    if np.all(vals <= spec.abs_tol):
+    if np.all(vals <= _NEGLIGIBLE):
         return (), ((), 0.0)
     if np.all(vals > 0):
         slope = np.polyfit(np.log(slope_pts), np.log(vals), 1)[0]
@@ -414,7 +363,7 @@ def _zero_frequency_ladder(f, spec):
 def oscillatory_halfline(
     f,
     freq,
-    spec: QuadratureSpec | None = None,
+    truncation_radius: float = 2.0e3,
     *,
     sqrt_singularity: bool = False,
     breakpoints=(),
@@ -424,9 +373,10 @@ def oscillatory_halfline(
 ):
     """Compute ∫₀^∞ f(t)·exp(−i·freq·t) dt for a vectorized integrand.
 
-    ``f`` must accept numpy arrays.  Returns ``(value, error_estimate)``;
-    with ``tail_exponents`` given, ``freq`` may be an array and both come
-    back in its shape.  See the module docstring for the two strategies.
+    ``f`` must accept numpy arrays.  Returns ``(value, error_estimate)``,
+    both in the shape of ``freq``.  Panels end and the ladder tail starts at
+    ``truncation_radius`` (> 0).  ``tail_exponents`` is the ladder (see the
+    module docstring); only a scalar zero ``freq`` may omit it.
     ``tail_fit`` is a precomputed ``(coeffs, max_residual)`` of the ladder
     (as from ``fit_power_tail``); otherwise the ladder is fitted on
     ``TAIL_FIT_POINTS`` log-spaced points of [``fit_start``, truncation
@@ -439,15 +389,14 @@ def oscillatory_halfline(
     rules and the moment table; each has its own ladder, tail fit and error
     estimate.
     """
-    spec = spec or DEFAULT_SPEC
-    T = spec.truncation_radius
+    if truncation_radius <= 0:
+        raise ValueError("truncation_radius must be positive")
+    T = truncation_radius
     a = np.asarray(freq, dtype=float)
-    if tail_exponents is None and a.ndim == 0 and a == 0.0:
-        tail_exponents, tail_fit = _zero_frequency_ladder(f, spec)
     if tail_exponents is None:
-        if a.ndim:
-            raise ValueError("an array of frequencies needs tail_exponents")
-        return _averaged_halfline(f, float(a), spec, sqrt_singularity, breakpoints)
+        if a.ndim or a != 0.0:
+            raise ValueError("a nonzero or array frequency needs tail_exponents")
+        tail_exponents, tail_fit = _zero_frequency_ladder(f, T)
     stacked = len(tail_exponents) > 0 and np.ndim(tail_exponents[0]) == 1
     if stacked:
         ladders, fits, columns = list(tail_exponents), tail_fit, f
@@ -517,34 +466,6 @@ def _laddered_halfline(f, af, head_end, T, sqrt_singularity, breakpoints,
         with np.errstate(divide="ignore"):
             err_tail[c] = resid * np.minimum(T, 2.0 / np.abs(af))
     return val_head + val_body + val_tail, err_head + err_body + err_tail
-
-
-def _averaged_halfline(f, a, spec, sqrt_singularity, breakpoints):
-    """Ladder-free route: head panel, half-period panel sums and the
-    iterated-averaging limit of their partial sums (a ≠ 0)."""
-    T = spec.truncation_radius
-    head_end = min(max(1e-4, math.pi / abs(a)), T)
-    t, w = _head_nodes(head_end, sqrt_singularity, 20)
-    t_ref, w_ref = _head_nodes(head_end, sqrt_singularity, 14)
-
-    def fw(t):
-        return np.asarray(f(t), dtype=complex) * np.exp(-1j * a * t)
-
-    val_head = (fw(t) * w).sum()
-    err_head = abs(val_head - (fw(t_ref) * w_ref).sum())
-
-    h = math.pi / abs(a)
-    max_halves = 600
-    halves = np.arange(max_halves + 1, dtype=float) * h + head_end
-    geo = _build_edges(head_end, halves[-1], breakpoints)
-    edges = np.unique(np.concatenate([halves, geo]))
-    sums = panel_sums(fw, edges, order=12)
-    sums_ref = panel_sums(fw, edges, order=8)
-    idx = np.searchsorted(edges, halves[1:])
-    partial = np.add.accumulate(sums)[idx - 1]
-    val_tailed, err_avg = _average_tail(partial, spec.abs_tol)
-    err_gl = abs(sums.sum() - sums_ref.sum())
-    return val_head + val_tailed, err_head + err_avg + err_gl
 
 
 def contour_coefficients(

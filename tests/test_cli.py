@@ -101,9 +101,10 @@ def test_limit_study_sweeps_its_variable(tmp_path):
 def test_validate_checks_the_balance():
     checks = {check_id: (target, computed, tol)
               for check_id, target, computed, tol in cli._validate_checks()}
-    target, computed, tol = checks["balance_T0"]
-    assert (target, tol) == (1.0, 1e-5)
-    assert abs(computed - target) <= tol
+    for check_id in ("balance_T0", "balance_T0_L30_p3"):
+        target, computed, tol = checks[check_id]
+        assert (target, tol) == (1.0, 1e-5)
+        assert abs(computed - target) <= tol
 
 
 class TestRootSolves:

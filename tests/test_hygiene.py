@@ -1,11 +1,13 @@
 """Source hygiene: every name a ``crackwave`` module imports is used there,
-the package imports nothing beyond the standard library and numpy (scipy
-is a reference of the tests only, at module or function level alike, and
-no run loads it), importing the CLI loads no process pool, and the package
-builds its Filon moment tables itself.
+every private module-level function or class is used somewhere in the
+package, the package imports nothing beyond the standard library and numpy
+(scipy is a reference of the tests only, at module or function level alike,
+and no run loads it), importing the CLI loads no process pool, and the
+package builds its Filon moment tables itself.
 
-Package ``__init__.py`` files are exempt from the unused-import check (their
-imports are re-exports), as are ``__future__`` imports.
+Package ``__init__.py`` files are exempt from the unused-import and the
+private-definition checks (their imports are re-exports), as are
+``__future__`` imports.
 """
 import ast
 import os
@@ -48,6 +50,62 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _names_read(nodes) -> set[str]:
+    """Names, attributes and imported names that occur in the ``nodes``."""
+    names = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes named ``_…`` in the modules of
+    ``sources`` (name → source) that no code outside their own definition
+    refers to; modules named ``__init__.py`` define nothing checked here."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    found = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")):
+                continue
+            rest = [other for other in tree.body if other is not node]
+            rest += [t for other, t in trees.items() if other != name]
+            if node.name not in _names_read(rest):
+                found.append(f"{name}: {node.name}")
+    return sorted(found)
+
+
+def test_detector_flags_an_unreferenced_private_definition():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n"
+                "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+                "class _Orphan:\n    pass\n\n"
+                "def public():\n    return _used()\n",
+        "b.py": "from .c import _imported\n",
+        "c.py": "def _imported():\n    pass\n\ndef _attr():\n    pass\n",
+        "d.py": "from . import c\nc._attr()\n",
+        "__init__.py": "def _exempt():\n    pass\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a.py: _Orphan",
+                                                         "a.py: _recursive"]
+
+
+def test_private_definitions_have_src_callers():
+    # Helpers that only tests use belong to the tests (for example
+    # tests/reference_quadrature.py), not to the package.
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert unreferenced_private_definitions(sources) == []
 
 
 ALLOWED_TOP_LEVEL = {"numpy", "crackwave"}
