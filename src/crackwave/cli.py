@@ -244,7 +244,7 @@ def _sweep_args(run: RunConfig):
     if variable == "m":
         return [(mat, prof, v) for v in grid]
     if variable == "m_of_limit":
-        m_limit = min(1.0, critical_speed(mat.eta, mat.h0))
+        m_limit = critical_speed(mat.eta, mat.h0)
         return [(mat, prof, v * m_limit) for v in grid]
     if variable == "L_over_ell":
         return [(mat, replace(prof, L=v * mat.ell), run.m) for v in grid]
@@ -342,7 +342,7 @@ def _validate_checks():
     return checks
 
 
-def _cmd_validate(run: RunConfig | None, out: Path, jobs: int):
+def _cmd_validate(out: Path):
     checks = _validate_checks()
     rows = []
     n_fail = 0
@@ -378,15 +378,16 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes for sweep rows")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
     try:
         if args.subcommand == "validate":
-            run = RunConfig.from_file(args.config) if args.config else None
-            path = _cmd_validate(run, out, args.jobs)
+            if args.config:
+                raise ConfigError("validate takes no --config")
+            path = _cmd_validate(out)
         else:
             if not args.config:
                 raise ConfigError(f"{args.subcommand} requires --config")

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .classical import classical_err, half_power_moment_quadrature
 from .errors import CrackwaveError, RealnessError, RegimeError
 from .kernel import FactorizedKernel, KernelParams, factorize
@@ -120,22 +118,6 @@ def err_result(material: Material, m: float, profile: LoadProfile,
                      L_over_ell=profile.L / material.ell)
 
 
-def _limit_speeds(eta: float, h0s) -> list:
-    """m_c(eta, h0) for every h0 by one broadcast ``critical_speed`` call.
-    Should that call fail, one call per h0, so that only the h0 that fail
-    get their error (in place of the speed)."""
-    try:
-        return [float(m) for m in critical_speed(eta, np.asarray(h0s, dtype=float))]
-    except CrackwaveError:
-        out = []
-        for h0 in h0s:
-            try:
-                out.append(critical_speed(eta, h0))
-            except CrackwaveError as exc:
-                out.append(exc)
-        return out
-
-
 def _fail_row(row: dict, exc: CrackwaveError):
     row.update(m=float("nan"), m_limit=float("nan"), E=float("nan"),
                E_cl=float("nan"), ratio=float("nan"), error=str(exc))
@@ -145,8 +127,8 @@ def err_max_sweep(material: Material, h0_values, profile: LoadProfile, *,
                   m_factor: float = LIMIT_SPEED_FACTOR):
     """Limiting energy release rate along an h0 grid at fixed (eta, p, L/ℓ).
 
-    Each row evaluates E and E/E_cl at m = m_factor·min(1, m_c(eta, h0)),
-    with the m_c of all rows from one broadcast critical-speed solve.
+    Each row evaluates E and E/E_cl at m = m_factor·m_c(eta, h0), with the
+    m_c of all rows from one broadcast ``critical_speed`` call.
     Failed rows echo (h0, eta, p, L_over_ell), carry NaN values and an
     ``error`` message, and the sweep continues.
 
@@ -164,11 +146,9 @@ def err_max_sweep(material: Material, h0_values, profile: LoadProfile, *,
                                eta=material.eta, h0=float(h0))
         except CrackwaveError as exc:
             _fail_row(rows[i], exc)
-    limits = _limit_speeds(material.eta, [mat.h0 for mat in mats.values()])
-    for (i, mat), m_lim in zip(mats.items(), limits):
+    limits = critical_speed(material.eta, [mat.h0 for mat in mats.values()])
+    for (i, mat), m_lim in zip(mats.items(), limits.tolist()):
         try:
-            if isinstance(m_lim, CrackwaveError):
-                raise m_lim
             m = m_factor * m_lim
             res = err_result(mat, m, profile)
             rows[i].update(m=m, m_limit=m_lim, E=res.E, E_cl=res.E_cl,

@@ -5,6 +5,11 @@ Everything here is a pure function of (eta, h0, m): the surface-wave limit
 functions Upsilon and Lambda, the critical crack speed m_c, the threshold
 rotational inertia h0* above which m_c < 1, the pole location zeta of the
 factorized symbol, and the propagation-regime classification.
+
+With u = sqrt(1 − 2h0²m²), Upsilon = P(u)/(1 + u) for the cubic
+P(u) = u³ + u² + (1 + 2η)u − η², which depends on eta alone and has one
+root u* in [0, 1).  So h0* = sqrt(1 − u*²)/sqrt(2), and the critical speed
+is m_c = min(1, h0*/h0).
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, DomainError, RegimeError
+from .errors import DomainError, RegimeError
 from .numerics import bracketed_root
 
 __all__ = [
@@ -160,57 +165,39 @@ def lambda_surface(eta: float, h0: float, m) -> float:
 
 
 def critical_speed(eta: float, h0):
-    """Smallest positive zero of upsilon in m (to 1e-10), capped at the
-    shear-wave value 1 (returned as exactly 1 when no slower zero exists).
-
-    Broadcasts over h0: one 512-point upsilon scan of (0, m_hi] per h0, and
-    one lockstep root solve on the first sign change of every scan.  A
-    scalar h0 gives a float.
-    """
-    _check_eta(eta)
+    """Critical crack speed m_c = min(1, h0*(eta)/h0), with h0* from the
+    root u* of the cubic P(u) = u³ + u² + (1 + 2η)u − η²: below the
+    shear-wave speed, upsilon vanishes where sqrt(1 − 2h0²m²) = u*, i.e. at
+    m = h0*/h0; otherwise m_c is exactly 1 (also at h0 = 0).  Broadcasts
+    over h0; a scalar h0 gives a float."""
     h0 = np.asarray(h0, dtype=float)
     if not np.all(h0 >= 0):
         raise DomainError(f"h0 must be nonnegative, got {h0}")
-    with np.errstate(divide="ignore"):
-        m_hi = np.minimum(1.0, 1.0 / (SQRT2 * h0))
-    out = np.array(m_hi)  # an array even for scalar h0, to assign into
-    # At eta = 0, upsilon = u(u²+u+1)/(1+u) vanishes only at u = 0, i.e.
-    # m = 1/(√2 h0); at h0 = 0 there is no zero (m_hi = 1).
-    scan = (h0 != 0.0) & (eta != 0.0)
-    if scan.any():
-        h0s, m_top = h0[scan], m_hi[scan]
-        grid = np.linspace(0.0, m_top, 512, axis=-1)
-        vals = upsilon(eta, h0s[:, None], grid)
-        change = vals[:, :-1] * vals[:, 1:] <= 0.0
-        found = change.any(axis=1)
-        lost = np.flatnonzero(~found & (m_top < 1.0))
-        if lost.size:
-            raise BracketError(f"no upsilon sign change found on (0, {m_top[lost[0]]}] "
-                               f"for eta={eta}, h0={h0s[lost[0]]}")
-        i = change[found].argmax(axis=1)
-        root = bracketed_root(lambda m: upsilon(eta, h0s[found], m),
-                              grid[found, i], grid[found, i + 1], tol=1e-10)
-        m_c = np.ones(m_top.shape)
-        m_c[found] = np.minimum(root, 1.0)
-        out[scan] = m_c
-    return float(out) if out.ndim == 0 else out
+    with np.errstate(divide="ignore", over="ignore"):  # h0 = 0 or subnormal
+        m_c = np.minimum(1.0, h0_star(eta) / h0)
+    return float(m_c) if m_c.ndim == 0 else m_c
 
 
 def h0_star(eta):
-    """Rotational inertia threshold: for h0 > h0*(eta) the critical speed
-    drops below the shear-wave speed.  Solves upsilon(eta, h0, 1) = 0 on
-    (0, 1/sqrt(2)] to 1e-12; broadcasts over eta with one lockstep solve.
-    A scalar eta gives a float."""
+    """Rotational inertia threshold h0*(eta) = sqrt(1 − u*²)/sqrt(2), with
+    u* the one root in [0, 1) of the cubic P(u) = u³ + u² + (1 + 2η)u − η²
+    (upsilon's numerator at h0²m² = (1 − u²)/2): for h0 > h0* the critical
+    speed drops below the shear-wave speed.
+
+    One lockstep solve over eta, to float precision, in w = 1 − u, so that
+    1 − u* keeps its relative precision as eta → −1, where h0* → 0:
+    P(1 − w) = c − w·b − w(1 − w)(3 − w) with c = P(1) = (1 + η)(3 − η) > 0
+    and b = c + η² = 3 + 2η formed from c, so that b ≥ c and P(0) = c − b is
+    never positive (exactly 0 at eta = 0, giving h0* = 1/sqrt(2)).  A scalar
+    eta gives a float."""
     _check_eta(eta)
     eta = np.asarray(eta, dtype=float)
-    out = np.full(eta.shape, 1.0 / SQRT2)
-    solve = eta != 0.0
-    if solve.any():
-        es = eta[solve]
-        out[solve] = bracketed_root(lambda h0: upsilon(es, h0, 1.0),
-                                    np.full(es.shape, 1e-9),
-                                    np.full(es.shape, 1.0 / SQRT2), tol=1e-12)
-    return float(out) if out.ndim == 0 else out
+    c = (1.0 + eta) * (3.0 - eta)
+    b = c + eta * eta
+    w = bracketed_root(lambda w: c - w * b - w * (1.0 - w) * (3.0 - w),
+                       np.zeros(eta.shape), np.ones(eta.shape), tol=0.0)
+    hs = np.sqrt(w * (2.0 - w)) / SQRT2
+    return float(hs) if hs.ndim == 0 else hs
 
 
 def zeta(eta: float, h0: float, m: float) -> float:
@@ -231,8 +218,7 @@ def classify_regime(eta: float, h0: float, m: float) -> Regime:
     """Sub/super-Rayleigh and sub/supersonic classification of a speed m."""
     if m < 0:
         raise DomainError(f"m must be nonnegative, got {m}")
-    m_c = critical_speed(eta, h0)
     sonic = SonicRange.SUBSONIC if m < 1.0 else SonicRange.SUPERSONIC
-    sub = m < min(1.0, m_c)
+    sub = m < critical_speed(eta, h0)
     rayleigh = RayleighRange.SUB_RAYLEIGH if sub else RayleighRange.SUPER_RAYLEIGH
     return Regime(rayleigh=rayleigh, sonic=sonic)

@@ -3,6 +3,7 @@ before any computation starts."""
 import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crackwave import cli, material
@@ -78,6 +79,44 @@ def test_bad_config_exits_with_config_error(tmp_path, capsys, subcommand, text, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_must_be_positive(tmp_path, capsys, jobs):
+    # A nonpositive worker count is a config error, not a serial run.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["regime-map", "--config", str(PRESETS / "fig3.conf"),
+                  "--out", str(tmp_path), "--jobs", jobs])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "regime-map.csv").exists()
+
+
+def test_validate_rejects_a_config(tmp_path, capsys):
+    # validate reads no config, so one given is an error, not ignored.
+    rc = cli.main(["validate", "--config", str(PRESETS / "fig3.conf"),
+                   "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    assert "validate takes no --config" in capsys.readouterr().err
+    assert not (tmp_path / "validate_report.csv").exists()
+
+
+def test_small_eta_runs(tmp_path):
+    # For 0 < |eta| <= 1e-4, upsilon changes sign within ~1e-16 of the
+    # speed where the radical sqrt(1 − 2h0²m²) vanishes.
+    config = tmp_path / "map.conf"
+    config.write_text("material.eta = 1e-4\nmaterial.h0 = 0.707\n")
+    assert cli.main(["regime-map", "--config", str(config), "--out", str(tmp_path)]) == 0
+    config = tmp_path / "err.conf"
+    config.write_text(ERR_SWEEP.replace("material.eta = 0", "material.eta = 1e-5")
+                      .replace("material.h0 = 0.707", "material.h0 = 0.9")
+                      .replace("sweep.count = 24", "sweep.count = 2"))
+    assert cli.main(["err-sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "err-sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    m_c = critical_speed(1e-5, 0.9)
+    assert m_c < 1.0
+    assert [float(r["m"]) for r in rows] == [0.05 * m_c, 0.999 * m_c]
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS.glob("*.conf")), ids=lambda p: p.stem)
 def test_every_preset_parses(preset):
     run = cli.RunConfig.from_file(preset)
@@ -124,9 +163,9 @@ class TestRootSolves:
         rc = cli.main(["regime-map", "--config", str(PRESETS / "fig3.conf"),
                        "--out", str(tmp_path)])
         assert rc == 0
-        # m_c over the h0 grid (the rows with an upsilon sign change), then
-        # h0* over the eta grid (all but eta = 0).
-        assert [len(lo) for lo in solves] == [45, 38]
+        # h0* at the preset's eta for m_c over the whole h0 grid, then h0*
+        # over the eta grid (eta = 0 included).
+        assert [np.shape(lo) for lo in solves] == [(), (39,)]
 
     def test_dispersion_solves_once(self, solves, tmp_path):
         config = tmp_path / "run.conf"
@@ -159,8 +198,8 @@ class TestRootSolves:
         assert len(evaluations) == 1 and evaluations[0] <= 10
 
     def test_regime_map_solves_take_few_steps(self, evaluations, tmp_path):
-        # The m_c solve over the h0 grid, then h0* over the 39 eta in
-        # [-0.95, 0.95].
+        # The h0* solve behind m_c over the h0 grid, then h0* over the 39
+        # eta in [-0.95, 0.95].
         assert cli.main(["regime-map", "--config", str(PRESETS / "fig3.conf"),
                          "--out", str(tmp_path)]) == 0
         m_c, h_star = evaluations

@@ -2,13 +2,13 @@
 speed, threshold inertia, pole location and regime classification."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crackwave import material
-from crackwave.errors import BracketError, DomainError, RegimeError
+from crackwave.errors import DomainError, RegimeError
 from crackwave.material import (Material, PropagationState, RayleighRange,
                                 SonicRange, classify_regime, critical_speed,
                                 h0_star, lambda_surface, upsilon, zeta)
@@ -123,15 +123,6 @@ class TestCriticalSpeed:
         with pytest.raises(DomainError):
             critical_speed(0.5, np.array([0.3, -0.1]))
 
-    def test_no_sign_change_below_shear_speed(self, monkeypatch):
-        # upsilon changes sign below m_hi = 1/(√2 h0) < 1 for every valid
-        # material; a positive stand-in reaches the typed error.
-        monkeypatch.setattr(material, "upsilon",
-                            lambda eta, h0, m: 1.0 + 0.0 * (h0 * m))
-        assert critical_speed(0.5, 0.3) == 1.0  # m_hi = 1: capped, no error
-        with pytest.raises(BracketError):
-            critical_speed(0.5, np.array([0.3, 0.9]))
-
 
 class TestH0Star:
     def test_array_matches_scalar_loop_bitwise(self):
@@ -162,6 +153,63 @@ class TestH0Star:
             hs = h0_star(eta)
             assert critical_speed(eta, hs - 1e-3) == 1.0
             assert critical_speed(eta, hs + 1e-3) < 1.0
+
+
+class TestCubicRoot:
+    """m_c and h0* from the one root of the cubic in u = sqrt(1 − 2h0²m²).
+    For 0 < |eta| ≤ 1e-4 that root is u* ≈ eta² ≤ 1e-8: upsilon changes
+    sign within ~1e-16 of the speed where the radical vanishes."""
+
+    def test_small_eta(self):
+        for eta in (1e-5, 1e-4, -1e-4):
+            assert h0_star(eta) == pytest.approx(1.0 / SQRT2, rel=1e-15)
+        assert critical_speed(1e-5, 0.9) == pytest.approx(1.0 / (SQRT2 * 0.9), rel=1e-15)
+        h0s = np.linspace(0.02, 1.2, 60)
+        got = critical_speed(1e-4, h0s)
+        assert np.array_equal(got, np.minimum(1.0, h0_star(1e-4) / h0s))
+        assert np.count_nonzero(got < 1.0) == 25  # h0 > 1/sqrt(2)
+        r = classify_regime(1e-5, 0.9, 0.5)
+        assert r.rayleigh is RayleighRange.SUB_RAYLEIGH
+        assert r.sonic is SonicRange.SUBSONIC
+
+    @settings(max_examples=300, deadline=None)
+    @given(eta=st.one_of(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                         st.floats(-1e-4, 1e-4)),
+           h0=st.floats(0.0, 5.0))
+    def test_critical_speed_property(self, eta, h0):
+        hs = h0_star(eta)
+        m_c = critical_speed(eta, h0)
+        assert 0.0 < m_c <= 1.0
+        assert m_c == (1.0 if h0 == 0.0 else min(1.0, hs / h0))
+        ms = np.linspace(0.0, m_c * (1.0 - 1e-9), 64)
+        assert np.all(upsilon(eta, h0, ms) > 0.0)
+
+    def test_matches_40_digit_root(self):
+        # h0* from its definition, upsilon(eta, h0*, 1) = 0, solved in
+        # 40-digit arithmetic without the cubic; eta reaches the float next
+        # to −1, where h0* ≈ sqrt(1 + eta) ≈ 1e-8.
+        etas = np.concatenate([np.linspace(-0.999, 0.999, 41),
+                               [1e-4, -1e-4, 1e-5, -1e-5, -0.99999, -1.0 + 1e-12,
+                                np.nextafter(-1.0, 0.0)]])
+        h0s = np.linspace(0.0, 5.0, 101)
+        got_hs = h0_star(etas)
+        for eta, hs in zip(etas, got_hs):
+            with mpmath.workdps(40):
+                e = mpmath.mpf(float(eta))
+
+                def ups_numerator(h):
+                    u = mpmath.sqrt(max(0, 1 - 2 * h * h))
+                    return 1 - e * e - 2 * h * h + 2 * u * (1 + e - h * h)
+
+                # Bisection: positive at h = 0, −eta² at h = 1/sqrt(2).
+                lo, ref = mpmath.mpf(0), 1 / mpmath.sqrt(2)
+                for _ in range(140):
+                    mid = (lo + ref) / 2
+                    lo, ref = (mid, ref) if ups_numerator(mid) > 0 else (lo, mid)
+                ref_mc = [mpmath.mpf(1) if h0 == 0.0 else min(1, ref / mpmath.mpf(h0))
+                          for h0 in h0s]
+            assert abs(hs - float(ref)) <= 1e-15 * float(ref)
+            assert np.abs(critical_speed(eta, h0s) - np.array(ref_mc, dtype=float)).max() <= 1e-15
 
 
 class TestZeta:
