@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeError
+from .errors import QuadratureError, RegimeError
 from .loading import LoadProfile, SplitData, kp_coefficient, split_coefficients
-from .numerics import oscillatory_halfline
+from .numerics import TAIL_FIT_POINTS, fit_power_tail, oscillatory_halfline
 
 __all__ = [
     "h_coefficients",
@@ -119,8 +119,32 @@ def classical_split(profile: LoadProfile, m: float, G: float) -> SplitData:
 
 def half_power_moment_quadrature(tau) -> float:
     """∫_{−∞}^0 tau(X)·|X|^{−1/2} dX for a general integrable loading given
-    as a vectorized callable, by the zero-frequency half-line panel rule
-    (its t^{−1/2} head handled by the substitution t = v²)."""
-    val, _ = oscillatory_halfline(lambda t: tau(-t) / np.sqrt(t), 0.0,
-                                  sqrt_singularity=True)
-    return float(np.real(val))
+    as a vectorized callable, as the zero-frequency half-line integral of
+    f(t) = tau(−t)·t^{−1/2} (its t^{−1/2} head is the engine's √t head).
+
+    Beyond T = 2e3 f is modelled as one decaying power c·t^λ: λ is the slope
+    of log|f| against log t at 8 points of [T/4, T], and c is fitted on
+    [T/25, T].  There is no tail when |f| ≤ 1e-11 on [T/4, T], and
+    ``QuadratureError`` is raised unless λ < −1.05 (the integral diverges,
+    or decays too slowly to be trusted)."""
+    T = 2.0e3
+
+    def f(t):
+        return np.asarray(tau(-t) / np.sqrt(t), dtype=complex)[None]
+
+    slope_pts = np.geomspace(0.25 * T, T, 8)
+    vals = np.abs(f(slope_pts)[0])
+    if np.all(vals <= 1e-11):
+        ladder, fit = (), ((), 0.0)
+    else:
+        slope = (np.polyfit(np.log(slope_pts), np.log(vals), 1)[0]
+                 if np.all(vals > 0) else 0.0)
+        if not slope < -1.05:
+            raise QuadratureError(
+                "the loading's half-power moment has no decaying tail beyond "
+                f"|X| = {T:g}")
+        ladder = (slope,)
+        ts = np.geomspace(T / 25.0, T, TAIL_FIT_POINTS)
+        fit = fit_power_tail(ts, f(ts)[0], ladder)
+    val, _ = oscillatory_halfline(f, 0.0, T, [ladder], [fit])
+    return float(np.real(val[0]))

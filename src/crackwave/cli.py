@@ -47,8 +47,9 @@ CONFIG_KEYS = frozenset({
 # ---------------------------------------------------------------------------
 
 def parse_config(path) -> dict:
-    """Flat `section.key = value` file; '#' starts a comment."""
-    out = {}
+    """Flat `section.key = value` file; '#' starts a comment.  A key may
+    appear once."""
+    out, seen = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -62,7 +63,9 @@ def parse_config(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigError(f"{path}:{lineno}: empty key or value")
-        out[key] = value
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: {key!r} repeats line {seen[key]}")
+        out[key], seen[key] = value, lineno
     return out
 
 
@@ -334,7 +337,7 @@ def _validate_checks():
     checks.append(("balance_T0", 1.0, fields.balance_integral(split), 1e-5))
     split_30 = build_split(kernel, material, LoadProfile(T0=1.0, L=30.0, p=3))
     checks.append(("balance_T0_L30_p3", 1.0, fields.balance_integral(split_30), 1e-5))
-    res = energy.err_result(material, 0.3, profile, kernel)
+    res = energy.err_result(material, 0.3, profile, split=split)
     checks.append(("err_positive", 1.0, 1.0 if res.E > 0 else 0.0, 0.5))
     checks.append(("err_smalllength_identity",
                    classical_err(profile, 0.3, 1.0),

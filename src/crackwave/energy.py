@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .classical import classical_err, half_power_moment_quadrature
 from .errors import CrackwaveError, RealnessError, RegimeError
-from .kernel import FactorizedKernel, KernelParams, factorize
+from .kernel import KernelParams, factorize
 from .loading import (LoadProfile, SplitData, build_split, kp_coefficient,
                       traction_half_power_moment)
 from .material import Material, PropagationState, critical_speed, upsilon
@@ -101,14 +101,12 @@ def err_smalllength_limit(tau, m: float, G: float) -> float:
     return moment * moment / (math.pi * G * math.sqrt(1.0 - m * m))
 
 
-def err_result(material: Material, m: float, profile: LoadProfile,
-               kernel: FactorizedKernel | None = None, *,
+def err_result(material: Material, m: float, profile: LoadProfile, *,
                split: SplitData | None = None) -> ErrResult:
-    """Full evaluation at one parameter point (kernel/split reusable)."""
+    """Full evaluation at one parameter point (a built split reusable)."""
     state = PropagationState(m)
     if split is None:
-        if kernel is None:
-            kernel = factorize(KernelParams(m=m, eta=material.eta, h0=material.h0))
+        kernel = factorize(KernelParams(m=m, eta=material.eta, h0=material.h0))
         split = build_split(kernel, material, profile)
     e = err_couple(split.F, material, state, profile.T0)
     e_cl = classical_err(profile, m, material.G)

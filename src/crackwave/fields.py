@@ -261,14 +261,8 @@ def _field_values(split: SplitData, kinds, x):
     for kind in kinds:
         coeffs, resid = _tail_fit(split, kind, radius)
         fits.append((np.conj(coeffs) if kind is FieldKind.OPENING else coeffs, resid))
-    val, err = oscillatory_halfline(
-        columns,
-        a,
-        radius,
-        sqrt_singularity=True,
-        tail_exponents=[_ladder_for(split, kind) for kind in kinds],
-        tail_fit=fits,
-    )
+    val, err = oscillatory_halfline(columns, a, radius,
+                                    [_ladder_for(split, kind) for kind in kinds], fits)
     for i, kind in enumerate(kinds):
         if kind is FieldKind.OPENING:
             val[i] = np.conj(val[i])

@@ -25,7 +25,8 @@ import numpy as np
 from .errors import CrossCheckError, DomainError, PoleError
 from .kernel import FactorizedKernel, KernelParams, factorize, sqrt_minus, sqrt_plus
 from .material import Material
-from .numerics import contour_coefficients, oscillatory_halfline
+from .numerics import (TAIL_FIT_POINTS, contour_coefficients, fit_power_tail,
+                       oscillatory_halfline)
 
 __all__ = [
     "LoadProfile",
@@ -264,18 +265,17 @@ def _appendix_ratio(kernel: FactorizedKernel, coeffs, profile: LoadProfile,
         psi = params.upsilon * x * x + 2.0 * params.nu
         return 1.0 / (sqrt_minus(x) * psi * kernel.k_minus_line(x))
 
-    zeta_v = params.zeta
-    radius = max(2.0e3, 50.0 * zeta_v)
-    fit = max(25.0, 30.0 * zeta_v)
-
     def folded(t):
         """Both integrands folded onto t > 0, stacked: G⁻·h and h."""
         h_pos, h_neg = h(t), h(-t)
         return np.stack([gm(t) * h_pos + gm(-t) * h_neg, h_pos + h_neg])
 
-    (i1, i2), _ = oscillatory_halfline(
-        folded, 0.0, radius, sqrt_singularity=True,
-        tail_exponents=((-3.5, -4.5, -5.5), (-2.5, -3.5, -4.5)), fit_start=fit)
+    radius = max(2.0e3, 50.0 * params.zeta)
+    ts = np.geomspace(min(max(25.0, 30.0 * params.zeta), radius / 2.0), radius,
+                      TAIL_FIT_POINTS)
+    ladders = ((-3.5, -4.5, -5.5), (-2.5, -3.5, -4.5))
+    fits = [fit_power_tail(ts, v, lam) for v, lam in zip(folded(ts), ladders)]
+    (i1, i2), _ = oscillatory_halfline(folded, 0.0, radius, ladders, fits)
     return complex(i1 / i2)
 
 

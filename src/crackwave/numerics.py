@@ -1,16 +1,18 @@
 """Shared numerical machinery: the half-line transform with its algebraic
 tail ladder, circle-contour Taylor coefficients and bracketed root finding.
 
-The half-line transform ∫₀^∞ f(t)·e^{−iat}dt is one laddered route: the
-large-t behaviour of f is an algebraic ladder Σ c_k t^{λ_k} given by
-``tail_exponents``.  ``a`` may be an array, and f is evaluated on nodes that
-do not depend on ``a``, one vectorized call for the head and one per body
-rule, whatever the number of frequencies.
+The half-line transform ∫₀^∞ f(t)·e^{−iat}dt has one convention: f returns
+stacked columns, and the caller gives each column the algebraic ladder
+Σ c_k t^{λ_k} of its large-t behaviour and the fit of that ladder
+(``fit_power_tail`` on a window of the caller's choice).  ``a`` may be an
+array, and f is evaluated on nodes that do not depend on ``a``, one
+vectorized call for the head and one per body rule, whatever the number of
+frequencies and columns.
 
-* Head [0, 1e-6]: geometrically graded Gauss panels (orders 20 and 14), in
-  v = √t when f has a t^{−1/2} endpoint singularity; the phase is applied
-  at the nodes, so the head must span at most two periods
-  (|a| ≤ 4π·1e6), or ``QuadratureError`` is raised.
+* Head [0, 1e-6]: Gauss panels (orders 20 and 14) in v = √t, graded
+  geometrically toward 0, so a t^{−1/2} endpoint singularity is integrated
+  exactly; the phase is applied at the nodes, so the head must span at most
+  two periods (|a| ≤ 4π·1e6), or ``QuadratureError`` is raised.
 * Body [1e-6, T]: Legendre–Filon panels, eight per decade.  ``panel_sums``
   turns each panel's order-12 Gauss values into the Legendre coefficients
   of the interpolant, whose transform is a sum of the closed-form moments
@@ -25,14 +27,11 @@ rule, whatever the number of frequencies.
 * Tail [T, ∞): the fitted ladder in closed form through Γ(λ+1, iaT) for
   half-integer λ (``power_tail``), computed in numpy by recurrence in λ
   from the power series of γ(1/2, z) for |z| < 2 and from a continued
-  fraction for |z| ≥ 2 (``_upper_gamma_half``).
+  fraction for |z| ≥ 2 (``_upper_gamma_half``); at a = 0 any λ < −1.
 
-The error estimate adds the order-14 head and order-8 body differences and
-the tail bound max_residual·min(T, 2/|a|).  f may return several stacked
-columns, each with its own ladder: they share the integrand calls, the
-rules, the moment table and the phases, and each gets its own tail and
-error estimate.  A call without a ladder must be at frequency 0; it fits
-one decaying power to f on [T/4, T].
+Each column's error estimate adds the order-14 head and order-8 body
+differences and the tail bound max_residual·min(T, 2/|a|).  The columns
+share the integrand calls, the rules, the moment table and the phases.
 
 Every routine is deterministic (no randomized algorithms) and every
 quadrature returns ``(value, error_estimate)``.
@@ -58,11 +57,10 @@ __all__ = [
 
 TAIL_FIT_POINTS = 32   # log-spaced samples of a tail-ladder fit
 _CONTOUR_NODES = 256   # trapezoid nodes on each coefficient circle
-_HEAD_END = 1e-6       # end of the fixed Gauss head of a laddered call
+_HEAD_END = 1e-6       # end of the fixed Gauss head of a half-line call
 _FILON_ORDER = 12      # Gauss points and Legendre degree + 1 of a body panel
 _MILLER_START = 40     # start order of the downward Bessel recurrence
 _GAMMA_SERIES_TERMS = 30  # terms of the γ(1/2, z) series, |z| < 2
-_NEGLIGIBLE = 1e-11    # |f| on [T/4, T] below which a zero-frequency call has no tail
 
 _gauss = lru_cache(maxsize=None)(leggauss)
 
@@ -232,20 +230,18 @@ def fit_power_tail(t, values, exponents):
     return coeffs, resid
 
 
-def _head_nodes(b, sqrt_singularity, order):
+def _head_nodes(b, order):
     """Nodes ``t`` and weights ``w`` of the head rule on [0, b], both of
     shape (panels, order).
 
-    Panels are geometrically graded toward 0, which also absorbs milder
-    endpoint structure (|t| kinks, t·log t terms).  With ``sqrt_singularity``
-    the panels live in v = √t, so a t^{−1/2} endpoint singularity is
-    integrated exactly (the weights carry dt = 2v·dv).
+    The panels live in v = √t, so a t^{−1/2} endpoint singularity is
+    integrated exactly (the weights carry dt = 2v·dv), and are graded
+    geometrically toward 0, which also absorbs milder endpoint structure
+    (|t| kinks, t·log t terms).
     """
     graded = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 16)])
-    if sqrt_singularity:
-        v, w = panel_nodes(math.sqrt(b) * graded, order)
-        return v * v, 2.0 * v * w
-    return panel_nodes(b * graded, order)
+    v, w = panel_nodes(math.sqrt(b) * graded, order)
+    return v * v, 2.0 * v * w
 
 
 @lru_cache(maxsize=None)
@@ -330,117 +326,47 @@ def _filon_body(sums, phase, table):
     return (phase * inner).sum(axis=-1)
 
 
-def _build_edges(lo, hi, breakpoints):
-    """Panel edges on [lo, hi]: eight geometric panels per decade, split at
-    the ``breakpoints`` inside."""
-    pts = {lo, hi}
-    if hi / max(lo, 1e-300) > 1.0:
-        n_geo = max(2, int(math.ceil(8 * math.log10(hi / lo))))
-        pts.update(np.geomspace(lo, hi, n_geo))
-    for p in breakpoints:
-        if lo < p < hi:
-            pts.add(float(p))
-    return np.array(sorted(pts))
+def _build_edges(lo, hi):
+    """Panel edges on [lo, hi]: eight geometric panels per decade."""
+    return np.geomspace(lo, hi, max(2, math.ceil(8 * math.log10(hi / lo))))
 
 
-def _zero_frequency_ladder(f, T):
-    """Decaying power fitted to |f| on [T/4, T] for a zero-frequency call
-    without a ladder: ``(exponents, fit)``, with an empty ladder if f is
-    negligible there."""
-    slope_pts = np.geomspace(0.25 * T, T, 8)
-    vals = np.abs(np.asarray(f(slope_pts), dtype=complex))
-    if np.all(vals <= _NEGLIGIBLE):
-        return (), ((), 0.0)
-    if np.all(vals > 0):
-        slope = np.polyfit(np.log(slope_pts), np.log(vals), 1)[0]
-        if slope < -1.05:
-            return (slope,), None
-    raise QuadratureError(
-        "zero-frequency half-line integral needs decaying tail_exponents"
-    )
+def oscillatory_halfline(f, freq, truncation_radius: float, ladders, fits):
+    """Compute ∫₀^∞ f(t)·exp(−i·freq·t) dt for the stacked columns of a
+    vectorized integrand.
 
+    ``f`` maps a 1-D array of n nodes to c integrands stacked, shape (c, n).
+    Column k has the tail ladder ``ladders[k]`` (exponents λ, possibly none)
+    and its fit ``fits[k]`` = ``(coeffs, max_residual)``, as from
+    ``fit_power_tail``, on the caller's window below ``truncation_radius``
+    (> 0), where the panels end and the ladder tail starts.  Returns
+    ``(value, error_estimate)``, both of shape (c,) + freq.shape.
 
-def oscillatory_halfline(
-    f,
-    freq,
-    truncation_radius: float = 2.0e3,
-    *,
-    sqrt_singularity: bool = False,
-    breakpoints=(),
-    tail_exponents=None,
-    tail_fit=None,
-    fit_start: float | None = None,
-):
-    """Compute ∫₀^∞ f(t)·exp(−i·freq·t) dt for a vectorized integrand.
-
-    ``f`` must accept numpy arrays.  Returns ``(value, error_estimate)``,
-    both in the shape of ``freq``.  Panels end and the ladder tail starts at
-    ``truncation_radius`` (> 0).  ``tail_exponents`` is the ladder (see the
-    module docstring); only a scalar zero ``freq`` may omit it.
-    ``tail_fit`` is a precomputed ``(coeffs, max_residual)`` of the ladder
-    (as from ``fit_power_tail``); otherwise the ladder is fitted on
-    ``TAIL_FIT_POINTS`` log-spaced points of [``fit_start``, truncation
-    radius].
-
-    Stacked columns: when ``tail_exponents`` is a sequence of c ladders, f
-    returns c integrands stacked (shape (c, n) for n nodes), ``tail_fit``
-    (if given) is a sequence of c fits, and value and error get a leading
-    axis of c.  The columns share the integrand calls, the head and body
-    rules and the moment table; each has its own ladder, tail fit and error
-    estimate.
+    The columns share the integrand calls, the head and body rules and the
+    moment table; each has its own tail and error estimate.  The integrand
+    is evaluated on nodes that do not depend on the frequencies, and the
+    moment table j_k(ω·half) is built once (not at all when every ω is 0).
     """
     if truncation_radius <= 0:
         raise ValueError("truncation_radius must be positive")
     T = truncation_radius
     a = np.asarray(freq, dtype=float)
-    if tail_exponents is None:
-        if a.ndim or a != 0.0:
-            raise ValueError("a nonzero or array frequency needs tail_exponents")
-        tail_exponents, tail_fit = _zero_frequency_ladder(f, T)
-    stacked = len(tail_exponents) > 0 and np.ndim(tail_exponents[0]) == 1
-    if stacked:
-        ladders, fits, columns = list(tail_exponents), tail_fit, f
-    else:
-        ladders, fits = [tail_exponents], None if tail_fit is None else [tail_fit]
-
-        def columns(t):
-            return np.asarray(f(t), dtype=complex)[None]
+    af = a.ravel()
     head_end = min(_HEAD_END, T)
-    if fits is None:
-        lo_default = max(head_end * 4.0, T / 25.0)
-        fit_lo = min(max(fit_start or lo_default, head_end * 2.0), T / 2.0)
-        ts = np.geomspace(fit_lo, T, TAIL_FIT_POINTS)
-        vals = np.asarray(columns(ts), dtype=complex)
-        fits = [fit_power_tail(ts, v, lam) for v, lam in zip(vals, ladders)]
-    val, err = _laddered_halfline(columns, np.atleast_1d(a), head_end, T,
-                                  sqrt_singularity, breakpoints, ladders, fits)
-    shape = (len(ladders),) + a.shape if stacked else a.shape
-    val, err = val.reshape(shape), err.reshape(shape)
-    if stacked or a.ndim:
-        return val, err
-    return complex(val), float(err)
-
-
-def _laddered_halfline(f, af, head_end, T, sqrt_singularity, breakpoints,
-                       ladders, fits):
-    """Laddered route at every frequency of the 1-D ``af`` for the stacked
-    columns of ``f`` (shape (c, n) for n nodes): graded head on
-    [0, head_end], Legendre–Filon body on [head_end, T] and closed-form
-    ladder tail, each column with its own ladder and fit.  The integrand is
-    evaluated on nodes that do not depend on the frequencies, and the moment
-    table j_k(ω·half) is built once (not at all when every ω is 0).
-    Returns value and error, both of shape (c, len(af))."""
     # The order-20 head keeps ~1e-14 up to two periods on [0, head_end].
     if np.abs(af).max(initial=0.0) * head_end > 4.0 * math.pi:
         raise QuadratureError(
             f"frequency {np.abs(af).max():g} oscillates more than two periods "
             f"on the head [0, {head_end:g}]"
         )
-    t_head, w_head = _head_nodes(head_end, sqrt_singularity, 20)
-    t_href, w_href = _head_nodes(head_end, sqrt_singularity, 14)
+    t_head, w_head = _head_nodes(head_end, 20)
+    t_href, w_href = _head_nodes(head_end, 14)
     v_head, v_href = np.split(
         np.asarray(f(np.concatenate([t_head.ravel(), t_href.ravel()])), dtype=complex),
         [t_head.size], axis=-1)
+    if not len(v_head) == len(ladders) == len(fits):
+        raise ValueError(f"{len(v_head)} columns need as many ladders and fits, "
+                         f"got {len(ladders)} and {len(fits)}")
 
     def head(t, w, v):
         phase = np.exp(-1j * af[:, None] * t.ravel())
@@ -449,7 +375,7 @@ def _laddered_halfline(f, af, head_end, T, sqrt_singularity, breakpoints,
     val_head = head(t_head, w_head, v_head)
     err_head = np.abs(val_head - head(t_href, w_href, v_href))
 
-    edges = _build_edges(head_end, T, breakpoints)
+    edges = _build_edges(head_end, T)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     phase = np.exp(-1j * af[:, None] * mid[None, :])
@@ -465,7 +391,9 @@ def _laddered_halfline(f, af, head_end, T, sqrt_singularity, breakpoints,
         val_tail[c] = power_tail(coeffs, lam, af, T)
         with np.errstate(divide="ignore"):
             err_tail[c] = resid * np.minimum(T, 2.0 / np.abs(af))
-    return val_head + val_body + val_tail, err_head + err_body + err_tail
+    shape = (len(ladders),) + a.shape
+    return ((val_head + val_body + val_tail).reshape(shape),
+            (err_head + err_body + err_tail).reshape(shape))
 
 
 def contour_coefficients(

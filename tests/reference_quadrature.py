@@ -5,7 +5,8 @@
 without a tail model: a graded Gauss head on [0, π/|a|], plain Gauss panel
 sums over 600 half periods past it, and the iterated-averaging limit of
 their partial sums, which resolves an algebraically varying tail in the
-Abel sense.  It shares no ladder fit and no Filon moment with the engine.
+Abel sense.  It builds its own head and panels from ``panel_nodes`` and
+shares no ladder fit, Filon moment or rule with the engine.
 Its head is one 16-panel graded rule over [0, π/|a|], so at small |a| it
 loses accuracy: t23 at X = 1e-3·ℓ (L/ℓ = 1) comes out 1.2e-7 from the
 laddered value, which agrees with 4× and 10× the truncation radius to
@@ -22,7 +23,7 @@ import numpy as np
 
 from crackwave import fields
 from crackwave.fields import FieldKind
-from crackwave.numerics import (_build_edges, _head_nodes, oscillatory_halfline,
+from crackwave.numerics import (TAIL_FIT_POINTS, fit_power_tail, oscillatory_halfline,
                                 panel_nodes)
 
 ABS_TOL = 1e-11     # stop of the averaging limit
@@ -60,14 +61,26 @@ def average_tail(partial_sums):
     return est, delta
 
 
+def graded_head(b, order, sqrt_singularity):
+    """Gauss nodes and weights on [0, b] over 16 panels graded geometrically
+    toward 0, in v = √t when f has a t^{−1/2} endpoint singularity."""
+    graded = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 16)])
+    if sqrt_singularity:
+        v, w = panel_nodes(math.sqrt(b) * graded, order)
+        return v * v, 2.0 * v * w
+    return panel_nodes(b * graded, order)
+
+
 def averaged_halfline(f, a, truncation_radius=2.0e3, *, sqrt_singularity=False,
                       breakpoints=()):
     """∫₀^∞ f(t)·e^{−iat}dt for a scalar a ≠ 0 by the ladder-free averaging
     route: ``(value, error_estimate)``.  The head ends at π/|a| (at least
-    1e-4, at most ``truncation_radius``)."""
+    1e-4, at most ``truncation_radius``); the panels past it end at every
+    half period, at eight geometric points per decade and at the
+    ``breakpoints``."""
     head_end = min(max(1e-4, math.pi / abs(a)), truncation_radius)
-    t, w = _head_nodes(head_end, sqrt_singularity, 20)
-    t_ref, w_ref = _head_nodes(head_end, sqrt_singularity, 14)
+    t, w = graded_head(head_end, 20, sqrt_singularity)
+    t_ref, w_ref = graded_head(head_end, 14, sqrt_singularity)
 
     def fw(t):
         return np.asarray(f(t), dtype=complex) * np.exp(-1j * a * t)
@@ -76,8 +89,10 @@ def averaged_halfline(f, a, truncation_radius=2.0e3, *, sqrt_singularity=False,
     err_head = abs(val_head - (fw(t_ref) * w_ref).sum())
 
     halves = np.arange(MAX_HALVES + 1, dtype=float) * (math.pi / abs(a)) + head_end
-    geo = _build_edges(head_end, halves[-1], breakpoints)
-    edges = np.unique(np.concatenate([halves, geo]))
+    end = halves[-1]
+    geo = np.geomspace(head_end, end, max(2, math.ceil(8 * math.log10(end / head_end))))
+    inside = [p for p in breakpoints if head_end < p < end]
+    edges = np.unique(np.concatenate([halves, geo, inside]))
     sums = gauss_panel_sums(fw, edges, 12)
     sums_ref = gauss_panel_sums(fw, edges, 8)
     idx = np.searchsorted(edges, halves[1:])
@@ -89,20 +104,23 @@ def averaged_halfline(f, a, truncation_radius=2.0e3, *, sqrt_singularity=False,
 
 def field_unfolded(split, kind: FieldKind, X: float) -> complex:
     """The field ``kind`` at X with both half-lines integrated by the
-    laddered engine, each fitting its own tail on the window of
+    laddered engine, each with its own ladder fit on the window of
     ``fields._tail_fit``: the complex value before taking the real part."""
     fields._check_domain(kind, X)
     radius = fields._truncation_radius(split)
     a = X / split.ell
-    kw = dict(sqrt_singularity=True, tail_exponents=fields._ladder_for(split, kind),
-              fit_start=max(40.0, 30.0 * (split.zeta or 0.0), radius / 50.0))
+    ladder = fields._ladder_for(split, kind)
+    ts = np.geomspace(max(40.0, 30.0 * (split.zeta or 0.0), radius / 50.0), radius,
+                      TAIL_FIT_POINTS)
+
+    def halfline(f, freq):
+        fit = fit_power_tail(ts, f(ts)[0], ladder)
+        return oscillatory_halfline(f, freq, radius, [ladder], [fit])[0][0]
 
     def f(t):
-        return fields._integrands(split, (kind,), t)[0]
+        return fields._integrands(split, (kind,), t)
 
-    pos, _ = oscillatory_halfline(f, a, radius, **kw)
-    neg, _ = oscillatory_halfline(lambda t: f(-t), -a, radius, **kw)
-    total = pos + neg
+    total = halfline(f, a) + halfline(lambda t: f(-t), -a)
     if kind is FieldKind.TRACTION:
         # Rational piece and its mirror on the negative half-line.
         rational = fields._rational_transform(split, a)

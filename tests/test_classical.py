@@ -13,7 +13,7 @@ from crackwave.classical import (build_classical, classical_err,
                                  classical_split, h_coefficients,
                                  h_coefficients_contour,
                                  half_power_moment_quadrature)
-from crackwave.errors import RegimeError
+from crackwave.errors import QuadratureError, RegimeError
 from crackwave.loading import LoadProfile, kp_coefficient
 
 
@@ -145,3 +145,15 @@ class TestHalfPowerMoment:
         # engine's fitted power tail.
         val = half_power_moment_quadrature(lambda X: (1.0 + np.abs(X)) ** -3)
         assert val == pytest.approx(3.0 * math.pi / 8.0, rel=1e-9)
+
+    def test_negligible_tail(self):
+        # ∫₀^∞ e^{−t} dt: the integrand is below 1e-11 on [T/4, T], so no
+        # tail is fitted.
+        val = half_power_moment_quadrature(lambda X: np.sqrt(np.abs(X)) * np.exp(X))
+        assert abs(val - 1.0) < 1e-9
+
+    def test_divergent_moment_rejected(self):
+        # The integrand 1/(1 + t^{1/2}) decays like t^{−1/2}.
+        with pytest.raises(QuadratureError):
+            half_power_moment_quadrature(
+                lambda X: np.sqrt(np.abs(X)) / (1.0 + np.sqrt(np.abs(X))))

@@ -68,8 +68,10 @@ sweep.count = 2
      "unsupported sweep variable 'h0'"),
     # Used to end in a KeyError traceback.
     ("err-sweep", ERR_SWEEP.split("sweep.")[0], "this subcommand needs a sweep block"),
+    # The last of two values used to win silently, running at eta = -0.9.
+    ("fields", "material.eta = 0.9\n" + FIELDS, ":2: 'material.eta' repeats line 1"),
 ], ids=["misspelt-key", "points-not-int", "points-negative", "variable-unknown",
-        "limit-variable-unknown", "no-sweep-block"])
+        "limit-variable-unknown", "no-sweep-block", "repeated-key"])
 def test_bad_config_exits_with_config_error(tmp_path, capsys, subcommand, text, message):
     config = tmp_path / "run.conf"
     config.write_text(text)

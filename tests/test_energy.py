@@ -85,8 +85,9 @@ class TestCouple:
         # otherwise (p = 1).
         mat = Material(eta=0.9, h0=0.707, **MAT)
         k = kernel_factory(0.3, 0.9, 0.707)
-        r0 = err_result(mat, 0.3, LoadProfile(T0=1.0, L=10.0, p=0), k).ratio
-        r1 = err_result(mat, 0.3, LoadProfile(T0=1.0, L=10.0, p=1), k).ratio
+        p0, p1 = LoadProfile(T0=1.0, L=10.0, p=0), LoadProfile(T0=1.0, L=10.0, p=1)
+        r0 = err_result(mat, 0.3, p0, split=build_split(k, mat, p0)).ratio
+        r1 = err_result(mat, 0.3, p1, split=build_split(k, mat, p1)).ratio
         assert r0 < 1.0 < r1
 
     def test_monotone_in_speed(self):

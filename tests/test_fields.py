@@ -281,10 +281,9 @@ class TestSmallLoadLength:
         kind = FieldKind.TOTAL_SHEAR
         radius = 10.0 * fields._truncation_radius(short)
         val, _ = oscillatory_halfline(
-            lambda t: fields._integrands(short, (kind,), t)[0], 0.01, radius,
-            sqrt_singularity=True, tail_exponents=fields._ladder_for(short, kind),
-            tail_fit=fields._tail_fit(short, kind, radius))
-        wide = 2.0 * float(np.real(fields._prefactor(short, kind) * val))
+            lambda t: fields._integrands(short, (kind,), t), 0.01, radius,
+            [fields._ladder_for(short, kind)], [fields._tail_fit(short, kind, radius)])
+        wide = 2.0 * float(np.real(fields._prefactor(short, kind) * val[0]))
         assert _field_value(short, kind, 0.01) == pytest.approx(wide, rel=1e-8)
 
     def test_ladder_agrees_with_the_averaging_route(self, short):

@@ -16,7 +16,8 @@ from scipy import special
 from crackwave import numerics
 from crackwave.errors import BracketError, QuadratureError
 from crackwave.numerics import (_bessel_table, _upper_gamma_half, bracketed_root,
-                                contour_coefficients, oscillatory_halfline, power_tail)
+                                contour_coefficients, fit_power_tail,
+                                oscillatory_halfline, power_tail)
 from crackwave.material import lambda_surface
 from reference_quadrature import averaged_halfline
 
@@ -24,15 +25,45 @@ from reference_quadrature import averaged_halfline
 OSC_LORENTZ = 0.57786367489546086 - 0.64676112277913007j
 # ∫₁^∞ t^{−1/2} e^{−10it} dt  (brute-force/incomplete-gamma cross-checked)
 OSC_SQRT_JUMP = 0.049966497376164613 + 0.085953677120606257j
-# ∫₁^∞ t^{−3/2} e^{−0.05it} dt
-OSC_SLOW = 1.4403341372927241 - 0.46050745439444636j
 # ∫₀^∞ t^{−1/2} e^{−(1+3i)t} dt = sqrt(pi)·(1+3i)^{−1/2}
 OSC_SING = 0.80858459419487750 - 0.58279480146129941j
 
+T = 2.0e3                  # truncation radius of the engine calls below
+# A jump of a test integrand sits on an edge of the engine's body grid
+# (STEP ≈ 1.08), where the piecewise-smooth integrand is smooth on every
+# panel.
+STEP = float(numerics._build_edges(numerics._HEAD_END, T)[48])
+SLOW_LADDER = (-1.5, -2.5, -3.5)
+NO_TAIL = ((), 0.0)        # the fit of an empty ladder
+
+
+def _beyond_step(t):
+    """t^{−3/2} beyond STEP, as one stacked column."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(t > STEP, np.abs(t) ** -1.5, 0.0)[None]
+
+
+def _beyond_step_exact(a):
+    """∫_e^∞ t^{−3/2} e^{−iat} dt = (ia)^{1/2}·Γ(−1/2, iae), e = STEP."""
+    return complex(mpmath.sqrt(1j * a) * mpmath.gammainc(-0.5, a=1j * a * STEP))
+
+
+def _on_step(g):
+    """g on [0, STEP) and 0 beyond, as one stacked column."""
+    return lambda t: np.where(np.asarray(t) < STEP, g(np.asarray(t)), 0.0)[None]
+
+
+def _fits(f, ladders):
+    """Tail fits of the stacked columns of ``f`` on [100, T]."""
+    ts = np.geomspace(100.0, T, numerics.TAIL_FIT_POINTS)
+    vals = np.asarray(f(ts), dtype=complex)
+    return [fit_power_tail(ts, v, lam) for v, lam in zip(vals, ladders)]
+
 
 class TestOscillatoryHalfline:
-    # Without a ladder a nonzero frequency goes to the ladder-free averaging
-    # reference of the tests (the engine itself raises there).
+    # The ladder-free averaging reference of the tests (its own rule, no
+    # ladder) on the classic transforms.
     def test_lorentzian(self):
         val, err = averaged_halfline(lambda t: 1.0 / (1.0 + t * t), 1.0)
         assert abs(val - OSC_LORENTZ) < 1e-9
@@ -46,15 +77,9 @@ class TestOscillatoryHalfline:
         assert abs(val - OSC_SQRT_JUMP) < 1e-8
 
     def test_slow_oscillation_ladder(self):
-        def f(t):
-            t = np.asarray(t, dtype=float)
-            with np.errstate(divide="ignore"):
-                return np.where(t > 1.0, np.abs(t) ** -1.5, 0.0)
-
-        val, _ = oscillatory_halfline(f, 0.05, breakpoints=(1.0,),
-                                      tail_exponents=(-1.5, -2.5, -3.5),
-                                      fit_start=100.0)
-        assert abs(val - OSC_SLOW) < 1e-9
+        val, _ = oscillatory_halfline(_beyond_step, 0.05, T, [SLOW_LADDER],
+                                      _fits(_beyond_step, [SLOW_LADDER]))
+        assert abs(val[0] - _beyond_step_exact(0.05)) < 1e-9
 
     def test_sqrt_singular_head(self):
         def f(t):
@@ -65,44 +90,21 @@ class TestOscillatoryHalfline:
         val, _ = averaged_halfline(f, 3.0, sqrt_singularity=True)
         assert abs(val - OSC_SING) < 1e-9
 
-    def test_zero_frequency_reduces_to_plain_integral(self):
-        def f(t):
-            return np.exp(-np.asarray(t, dtype=float))
-
-        val, _ = oscillatory_halfline(f, 0.0)
-        assert abs(val - 1.0) < 1e-9
-
-    @staticmethod
-    def _on_unit_interval(g):
-        return lambda t: np.where(np.asarray(t) < 1.0, g(np.asarray(t)), 0.0)
-
     def test_finite_support_polynomial(self):
-        val, err = oscillatory_halfline(self._on_unit_interval(lambda t: t * t),
-                                        0.0, breakpoints=(1.0,))
-        assert abs(val - 1.0 / 3.0) <= max(err, 1e-14)
+        val, err = oscillatory_halfline(_on_step(lambda t: t * t), 0.0, T, [()], [NO_TAIL])
+        assert abs(val[0] - STEP**3 / 3.0) <= max(err[0], 1e-14)
 
     def test_finite_support_complex_integrand(self):
-        def f(t):
-            t = np.asarray(t)
-            return np.where(t < np.pi, np.exp(1j * t), 0.0)
-
-        val, _ = oscillatory_halfline(f, 0.0, breakpoints=(np.pi,))
-        assert abs(val - 2j) < 1e-10
+        val, _ = oscillatory_halfline(_on_step(lambda t: np.exp(1j * t)), 0.0, T,
+                                      [()], [NO_TAIL])
+        assert abs(val[0] - (np.exp(1j * STEP) - 1.0) / 1j) < 1e-10
 
     def test_error_estimate_honest(self):
-        for g, singular, exact in ((lambda t: t * t, False, 1.0 / 3.0),
-                                   (lambda t: t ** -0.5, True, 2.0)):
-            val, err = oscillatory_halfline(self._on_unit_interval(g), 0.0,
-                                            breakpoints=(1.0,),
-                                            sqrt_singularity=singular)
-            assert abs(val - exact) <= max(err, 1e-13)
-
-    def test_zero_frequency_divergent_rejected(self):
-        def f(t):
-            return 1.0 / (1.0 + np.asarray(t, dtype=float) ** 0.5)
-
-        with pytest.raises(QuadratureError):
-            oscillatory_halfline(f, 0.0)
+        # Polynomial and t^{−1/2}-singular integrands, both through the √t head.
+        for g, exact in ((lambda t: t * t, STEP**3 / 3.0),
+                         (lambda t: t ** -0.5, 2.0 * math.sqrt(STEP))):
+            val, err = oscillatory_halfline(_on_step(g), 0.0, T, [()], [NO_TAIL])
+            assert abs(val[0] - exact) <= max(err[0], 1e-13)
 
     def test_determinism(self):
         f = lambda t: 1.0 / (1.0 + np.asarray(t) ** 2)
@@ -111,52 +113,40 @@ class TestOscillatoryHalfline:
         assert a == b
 
 
-def _t_minus_three_halves_beyond_one(t):
-    t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.where(t > 1.0, np.abs(t) ** -1.5, 0.0)
-
-
 class TestBatchedHalfline:
-    LADDER = dict(breakpoints=(1.0,), tail_exponents=(-1.5, -2.5, -3.5),
-                  fit_start=100.0)
+    FITS = _fits(_beyond_step, [SLOW_LADDER])
 
     def test_array_frequency_matches_closed_form_and_scalar_calls(self):
-        # ∫₁^∞ t^{−3/2} e^{−iat} dt = (ia)^{1/2}·Γ(−1/2, ia)
         a = np.array([0.05, 1.0, 10.0])
-        vals, errs = oscillatory_halfline(_t_minus_three_halves_beyond_one, a,
-                                          **self.LADDER)
-        assert vals.shape == errs.shape == a.shape
-        for ai, v, e in zip(a, vals, errs):
-            exact = complex(mpmath.sqrt(1j * ai) * mpmath.gammainc(-0.5, a=1j * ai))
+        vals, errs = oscillatory_halfline(_beyond_step, a, T, [SLOW_LADDER], self.FITS)
+        assert vals.shape == errs.shape == (1,) + a.shape
+        for ai, v, e in zip(a, vals[0], errs[0]):
+            exact = _beyond_step_exact(ai)
             assert abs(v - exact) < 1e-13
             assert abs(v - exact) <= e
             scalar, scalar_err = oscillatory_halfline(
-                _t_minus_three_halves_beyond_one, float(ai), **self.LADDER)
-            assert isinstance(scalar, complex) and isinstance(scalar_err, float)
-            assert scalar == v and scalar_err == e
+                _beyond_step, float(ai), T, [SLOW_LADDER], self.FITS)
+            assert scalar.shape == scalar_err.shape == (1,)
+            assert scalar[0] == v and scalar_err[0] == e
 
-    def test_array_frequency_needs_a_ladder(self):
+    def test_every_column_needs_a_ladder_and_a_fit(self):
+        with pytest.raises(ValueError, match="1 columns need as many ladders and fits"):
+            oscillatory_halfline(_beyond_step, 1.0, T, [SLOW_LADDER] * 2, self.FITS * 2)
         with pytest.raises(ValueError):
-            oscillatory_halfline(lambda t: 1.0 / (1.0 + t * t), np.array([1.0, 2.0]))
-
-    def test_nonzero_frequency_needs_a_ladder(self):
-        with pytest.raises(ValueError):
-            oscillatory_halfline(lambda t: 1.0 / (1.0 + t * t), 1.0)
+            oscillatory_halfline(_beyond_step, 1.0, T, [SLOW_LADDER], [])
 
     def test_high_frequencies_up_to_the_head_limit(self):
         # The Filon body resolves any frequency; the head [0, 1e-6] spans
         # more than two periods once |a| > 4π·1e6.
         a = np.array([1e3, 1e5, 1.2e7])
-        vals, errs = oscillatory_halfline(_t_minus_three_halves_beyond_one, a,
-                                          **self.LADDER)
-        for ai, v, e in zip(a, vals, errs):
-            exact = complex(mpmath.sqrt(1j * ai) * mpmath.gammainc(-0.5, a=1j * ai))
+        vals, errs = oscillatory_halfline(_beyond_step, a, T, [SLOW_LADDER], self.FITS)
+        for ai, v, e in zip(a, vals[0], errs[0]):
+            exact = _beyond_step_exact(ai)
             assert abs(v - exact) < 1e-14
             assert abs(v - exact) <= e
         with pytest.raises(QuadratureError):
-            oscillatory_halfline(_t_minus_three_halves_beyond_one,
-                                 np.array([1.0, 1.3e7]), **self.LADDER)
+            oscillatory_halfline(_beyond_step, np.array([1.0, 1.3e7]), T,
+                                 [SLOW_LADDER], self.FITS)
 
     def test_zero_frequency_tail_is_the_power_integral(self):
         # ∫_T^∞ (2t^{−2.5} − t^{−3.5}) dt at T = 4, with a zero among the
@@ -178,33 +168,31 @@ class TestStackedColumns:
     def _columns(t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
-            return np.array([np.where(t > 1.0, np.abs(t) ** -1.5, 0.0),
+            return np.array([np.where(t > STEP, np.abs(t) ** -1.5, 0.0),
                              (1.0 + 2j) / (1.0 + t) ** 2.5,
                              np.exp(-t) / np.sqrt(t) + 1j / (1.0 + t) ** 1.5])
 
     @pytest.mark.parametrize("freq", [np.array([0.05, 1.0, 10.0, 3e3]), 2.5,
                                       np.array([0.0])], ids=["array", "scalar", "zero"])
     def test_each_column_matches_its_single_column_call(self, freq):
-        kw = dict(breakpoints=(1.0,), sqrt_singularity=True, fit_start=100.0)
-        vals, errs = oscillatory_halfline(self._columns, freq,
-                                          tail_exponents=self.LADDERS, **kw)
+        fits = _fits(self._columns, self.LADDERS)
+        vals, errs = oscillatory_halfline(self._columns, freq, T, self.LADDERS, fits)
         assert vals.shape == errs.shape == (3,) + np.shape(freq)
-        for c, lam in enumerate(self.LADDERS):
+        for c, (lam, fit) in enumerate(zip(self.LADDERS, fits)):
             single, single_err = oscillatory_halfline(
-                lambda t, c=c: self._columns(t)[c], freq, tail_exponents=lam, **kw)
-            assert np.all(np.abs(vals[c] - single) <= 1e-15 * np.abs(single))
-            assert np.all(np.abs(errs[c] - single_err) <= 1e-15 * single_err)
+                lambda t, c=c: self._columns(t)[c:c + 1], freq, T, [lam], [fit])
+            assert np.all(np.abs(vals[c] - single[0]) <= 1e-15 * np.abs(single[0]))
+            assert np.all(np.abs(errs[c] - single_err[0]) <= 1e-15 * single_err[0])
 
     def test_columns_share_one_moment_table(self, monkeypatch):
         built = []
         real = numerics._bessel_table
         monkeypatch.setattr(numerics, "_bessel_table",
                             lambda x: built.append(np.shape(x)) or real(x))
-        oscillatory_halfline(self._columns, np.array([1.0, 2.0]), breakpoints=(1.0,),
-                             tail_exponents=self.LADDERS, fit_start=100.0)
+        fits = _fits(self._columns, self.LADDERS)
+        oscillatory_halfline(self._columns, np.array([1.0, 2.0]), T, self.LADDERS, fits)
         assert len(built) == 1
-        oscillatory_halfline(self._columns, np.array([0.0, 0.0]), breakpoints=(1.0,),
-                             tail_exponents=self.LADDERS, fit_start=100.0)
+        oscillatory_halfline(self._columns, np.array([0.0, 0.0]), T, self.LADDERS, fits)
         assert len(built) == 1  # every frequency 0: plain Gauss sums, no table
 
 
@@ -382,4 +370,4 @@ class TestBracketedRoot:
 
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
-        oscillatory_halfline(lambda t: np.exp(-t), 0.0, truncation_radius=0.0)
+        oscillatory_halfline(lambda t: np.exp(-t)[None], 0.0, 0.0, [()], [NO_TAIL])
