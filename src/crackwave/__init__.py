@@ -11,8 +11,8 @@ from .classical import (ClassicalSolution, build_classical, classical_err,
                         h_coefficients)
 from .dispersion import (DispersionPoint, SurfaceModeShape, dispersion_det,
                          shear_phase_speed, surface_mode_shape, trace_curve)
-from .energy import (ErrResult, err_couple, err_max_sweep, err_ratio,
-                     err_result, err_smalllength_limit)
+from .energy import (ErrResult, err_max_sweep, err_result,
+                     err_smalllength_limit, solve_crack)
 from .errors import (BracketError, CrackwaveError, CrossCheckError,
                      DomainError, PoleError, QuadratureError, RealnessError,
                      RegimeError, RootLossError)
@@ -23,8 +23,8 @@ from .fields import (FieldKind, FieldProfile, NearTipCoefficients,
 from .kernel import (FactorizedKernel, KernelParams, factorize, sqrt_minus,
                      sqrt_plus)
 from .loading import (LoadProfile, SplitData, build_split, g_minus, g_plus,
-                      kp_coefficient, liouville_constant, solve_crack,
-                      split_coefficients, traction, traction_transform)
+                      kp_coefficient, liouville_constant, split_coefficients,
+                      traction, traction_transform)
 from .material import (Material, PropagationState, RayleighRange, Regime,
                        SonicRange, classify_regime, critical_speed, h0_star,
                        lambda_surface, upsilon, zeta)

@@ -122,29 +122,34 @@ def half_power_moment_quadrature(tau) -> float:
     as a vectorized callable, as the zero-frequency half-line integral of
     f(t) = tau(−t)·t^{−1/2} (its t^{−1/2} head is the engine's √t head).
 
-    Beyond T = 2e3 f is modelled as one decaying power c·t^λ: λ is the slope
-    of log|f| against log t at 8 points of [T/4, T], and c is fitted on
-    [T/25, T].  There is no tail when |f| ≤ 1e-11 on [T/4, T], and
-    ``QuadratureError`` is raised unless λ < −1.05 (the integral diverges,
-    or decays too slowly to be trusted)."""
-    T = 2.0e3
-
+    The panels end at the first T of 2e3·10^k (k = 0..5) beyond which the
+    tail is known: there is none when |f| ≤ 1e-11 on [T/4, T], and f is one
+    decaying power c·t^λ when the slopes λ of log|f| against log t at 8
+    points of [T/4, T] and of [T/40, T/10] agree to 1e-2 relative; c is then
+    fitted on [T/25, T].  ``QuadratureError`` is raised unless λ < −1.05
+    (the integral diverges, or decays too slowly to be trusted), and when
+    no T qualifies."""
     def f(t):
         return np.asarray(tau(-t) / np.sqrt(t), dtype=complex)[None]
 
-    slope_pts = np.geomspace(0.25 * T, T, 8)
-    vals = np.abs(f(slope_pts)[0])
-    if np.all(vals <= 1e-11):
-        ladder, fit = (), ((), 0.0)
+    def slope(t):
+        vals = np.abs(f(t)[0])
+        return np.polyfit(np.log(t), np.log(vals), 1)[0] if np.all(vals > 0) else 0.0
+
+    for T in 2.0e3 * 10.0 ** np.arange(6):
+        pts = np.geomspace(0.25 * T, T, 8)
+        if np.all(np.abs(f(pts)[0]) <= 1e-11):
+            ladder, fit = (), ((), 0.0)
+            break
+        lam = slope(pts)
+        if abs(lam - slope(pts / 10.0)) <= 1e-2 * abs(lam):
+            if not lam < -1.05:
+                raise QuadratureError("the loading's half-power moment has no "
+                                      f"decaying tail beyond |X| = {T:g}")
+            ts = np.geomspace(T / 25.0, T, TAIL_FIT_POINTS)
+            ladder, fit = (lam,), fit_power_tail(ts, f(ts)[0], (lam,))
+            break
     else:
-        slope = (np.polyfit(np.log(slope_pts), np.log(vals), 1)[0]
-                 if np.all(vals > 0) else 0.0)
-        if not slope < -1.05:
-            raise QuadratureError(
-                "the loading's half-power moment has no decaying tail beyond "
-                f"|X| = {T:g}")
-        ladder = (slope,)
-        ts = np.geomspace(T / 25.0, T, TAIL_FIT_POINTS)
-        fit = fit_power_tail(ts, f(ts)[0], ladder)
+        raise QuadratureError(f"no tail model fits the loading up to |X| = {T:g}")
     val, _ = oscillatory_halfline(f, 0.0, T, [ladder], [fit])
     return float(np.real(val[0]))

@@ -2,8 +2,8 @@
 suite (`validate`).
 
 Configuration is flat `section.key = value` text; see the presets directory
-for one config per figure.  Exit codes: 2 config error, 3 numerical failure,
-4 regime violation.
+for one config per figure.  Exit codes: 2 config error (or an output
+directory that cannot be written), 3 numerical failure, 4 regime violation.
 """
 from __future__ import annotations
 
@@ -23,8 +23,8 @@ from .errors import (BracketError, ConfigError, CrackwaveError, DomainError,
                      PoleError, QuadratureError, RealnessError, RegimeError,
                      RootLossError)
 from .kernel import KernelParams, factorize
-from .loading import (LoadProfile, build_split, kp_coefficient, limit_constant,
-                      solve_crack)
+from .energy import err_result, solve_crack
+from .loading import LoadProfile, build_split, kp_coefficient, limit_constant
 from .material import Material, critical_speed, h0_star, lambda_surface
 
 EXIT_CONFIG = 2
@@ -222,7 +222,7 @@ def _tmax_row(material: Material, profile: LoadProfile, m: float):
 
 
 def _err_row(material: Material, profile: LoadProfile, m: float):
-    res = energy.err_result(material, m, profile)
+    res = err_result(solve_crack(material, m, profile))
     T0, ell = profile.T0, material.ell
     e_norm = res.E * material.G * ell / (T0 * T0)
     return (m, material.eta, material.h0, profile.p, profile.L / ell, res.E,
@@ -232,7 +232,7 @@ def _err_row(material: Material, profile: LoadProfile, m: float):
 def _limit_row(material: Material, profile: LoadProfile, m: float):
     """ERR ratio and the drift of F from its vanishing-microstructure limit."""
     split = solve_crack(material, m, profile)
-    res = energy.err_result(material, m, profile, split=split)
+    res = err_result(split)
     c_lim = limit_constant(profile, split.kernel.params.zeta)
     drift = abs(split.F / (c_lim * math.sqrt(material.ell)) - 1.0)
     return (m, material.eta, material.h0, profile.p, profile.L / material.ell,
@@ -337,7 +337,7 @@ def _validate_checks():
     checks.append(("balance_T0", 1.0, fields.balance_integral(split), 1e-5))
     split_30 = build_split(kernel, material, LoadProfile(T0=1.0, L=30.0, p=3))
     checks.append(("balance_T0_L30_p3", 1.0, fields.balance_integral(split_30), 1e-5))
-    res = energy.err_result(material, 0.3, profile, split=split)
+    res = err_result(split)
     checks.append(("err_positive", 1.0, 1.0 if res.E > 0 else 0.0, 0.5))
     checks.append(("err_smalllength_identity",
                    classical_err(profile, 0.3, 1.0),
@@ -400,6 +400,9 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RegimeError, DomainError, PoleError) as exc:
         print(f"regime/domain violation: {exc}", file=sys.stderr)

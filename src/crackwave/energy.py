@@ -1,9 +1,10 @@
 """Dynamic energy release rate of the steady antiplane crack.
 
-The couple-stress closed form E = Re[2i·F²·T0²/(G·ℓ·Upsilon)] is compared
-against its classical counterpart E_cl = T0²·K_p²/(G·L·sqrt(1−m²)) and the
-vanishing-microstructure limit, which reproduces E_cl exactly for any
-integrable loading.
+``solve_crack`` builds the split of one parameter point and ``err_result``
+reads it: the couple-stress closed form E = Re[2i·F²·T0²/(G·ℓ·Upsilon)]
+against its classical counterpart E_cl = T0²·K_p²/(G·L·sqrt(1−m²)).  The
+vanishing-microstructure limit reproduces E_cl exactly for any integrable
+loading.
 """
 from __future__ import annotations
 
@@ -11,16 +12,15 @@ import math
 from dataclasses import dataclass
 
 from .classical import classical_err, half_power_moment_quadrature
-from .errors import CrackwaveError, RealnessError, RegimeError
+from .errors import CrackwaveError, DomainError, RealnessError, RegimeError
 from .kernel import KernelParams, factorize
 from .loading import (LoadProfile, SplitData, build_split, kp_coefficient,
                       traction_half_power_moment)
-from .material import Material, PropagationState, critical_speed, upsilon
+from .material import Material, critical_speed
 
 __all__ = [
     "ErrResult",
-    "err_couple",
-    "err_ratio",
+    "solve_crack",
     "err_smalllength_limit",
     "err_result",
     "err_max_sweep",
@@ -37,52 +37,19 @@ LIMIT_SPEED_FACTOR = 0.999
 
 @dataclass(frozen=True)
 class ErrResult:
-    """Energy release rate, its classical counterpart and their ratio, with
-    the parameter tuple echoed."""
+    """Energy release rate, its classical counterpart and their ratio."""
 
     E: float
     E_cl: float
     ratio: float
-    m: float
-    eta: float
-    h0: float
-    p: int
-    L_over_ell: float
 
 
-def err_couple(F: complex, material: Material, state: PropagationState,
-               T0: float) -> float:
-    """E = Re[2i·F²·T0²/(G·ℓ·Upsilon)]; raises if the imaginary residue
-    exceeds 1e-8 relative or the point is not sub-Rayleigh."""
-    ups = upsilon(material.eta, material.h0, state.m)
-    if state.m >= 1.0 or ups <= 0.0:
-        raise RegimeError(
-            f"energy release rate needs the sub-Rayleigh regime "
-            f"(m={state.m}, upsilon={ups:g})"
-        )
-    value = 2j * F * F * T0 * T0 / (material.G * material.ell * ups)
-    if abs(value.imag) > 1e-8 * max(abs(value), 1e-300):
-        raise RealnessError("energy release rate has a large imaginary residue",
-                            value)
-    return float(value.real)
-
-
-def err_ratio(F: complex, material: Material, state: PropagationState,
-              profile: LoadProfile) -> float:
-    """E/E_cl, computed both as the quotient and by its closed form
-    2i·F²·L·sqrt(1−m²)/(ℓ·K_p²·Upsilon); the two must agree to 1e-10
-    relative."""
-    e = err_couple(F, material, state, profile.T0)
-    e_cl = classical_err(profile, state.m, material.G)
-    quotient = e / e_cl
-    kp = kp_coefficient(profile.p)
-    ups = upsilon(material.eta, material.h0, state.m)
-    closed = 2j * F * F * profile.L * math.sqrt(1.0 - state.m**2) / (
-        material.ell * kp * kp * ups)
-    if abs(quotient - closed.real) > 1e-10 * abs(quotient):
-        raise RealnessError("energy ratio closed form disagrees with the quotient",
-                            closed)
-    return quotient
+def solve_crack(material: Material, m: float, profile: LoadProfile) -> SplitData:
+    """One-call solution: factorize the symbol at (m, eta, h0) and build the
+    split data for the given loading.  ``KernelParams`` raises RegimeError
+    at a point that is not sub-Rayleigh."""
+    kernel = factorize(KernelParams(m=m, eta=material.eta, h0=material.h0))
+    return build_split(kernel, material, profile)
 
 
 def err_smalllength_limit(tau, m: float, G: float) -> float:
@@ -101,19 +68,29 @@ def err_smalllength_limit(tau, m: float, G: float) -> float:
     return moment * moment / (math.pi * G * math.sqrt(1.0 - m * m))
 
 
-def err_result(material: Material, m: float, profile: LoadProfile, *,
-               split: SplitData | None = None) -> ErrResult:
-    """Full evaluation at one parameter point (a built split reusable)."""
-    state = PropagationState(m)
-    if split is None:
-        kernel = factorize(KernelParams(m=m, eta=material.eta, h0=material.h0))
-        split = build_split(kernel, material, profile)
-    e = err_couple(split.F, material, state, profile.T0)
-    e_cl = classical_err(profile, m, material.G)
-    ratio = err_ratio(split.F, material, state, profile)
-    return ErrResult(E=e, E_cl=e_cl, ratio=ratio, m=m, eta=material.eta,
-                     h0=material.h0, p=profile.p,
-                     L_over_ell=profile.L / material.ell)
+def err_result(split: SplitData) -> ErrResult:
+    """E, E_cl and E/E_cl at the split's own point.  E must be real to 1e-8
+    and the ratio must match its closed form 2i·F²·L·sqrt(1−m²)/(ℓ·K_p²·Upsilon)
+    to 1e-10, both relative.  A classical split (F = 0, no Upsilon) raises
+    DomainError."""
+    if split.kernel is None:
+        raise DomainError("the couple-stress energy release rate needs a "
+                          "factorized kernel, not the classical split")
+    profile, F, T0 = split.profile, split.F, split.T0
+    ups = split.kernel.params.upsilon
+    value = 2j * F * F * T0 * T0 / (split.G * split.ell * ups)
+    if abs(value.imag) > 1e-8 * max(abs(value), 1e-300):
+        raise RealnessError("energy release rate has a large imaginary residue",
+                            value)
+    e = float(value.real)
+    e_cl = classical_err(profile, split.m, split.G)
+    ratio = e / e_cl
+    kp = kp_coefficient(profile.p)
+    closed = 2j * F * F * profile.L * split.nu / (split.ell * kp * kp * ups)
+    if abs(ratio - closed.real) > 1e-10 * abs(ratio):
+        raise RealnessError("energy ratio closed form disagrees with the quotient",
+                            closed)
+    return ErrResult(E=e, E_cl=e_cl, ratio=ratio)
 
 
 def _fail_row(row: dict, exc: CrackwaveError):
@@ -148,7 +125,7 @@ def err_max_sweep(material: Material, h0_values, profile: LoadProfile, *,
     for (i, mat), m_lim in zip(mats.items(), limits.tolist()):
         try:
             m = m_factor * m_lim
-            res = err_result(mat, m, profile)
+            res = err_result(solve_crack(mat, m, profile))
             rows[i].update(m=m, m_limit=m_lim, E=res.E, E_cl=res.E_cl,
                            ratio=res.ratio, error="")
         except CrackwaveError as exc:

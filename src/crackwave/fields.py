@@ -173,17 +173,14 @@ def _truncation_radius(split: SplitData) -> float:
     return max(4.0e3, 50.0 * zeta, 2.0e3 / split.L_over_ell)
 
 
-def _tail_fit(split: SplitData, kind: FieldKind, radius: float):
-    """Fitted ladder ``(coeffs, max_residual)`` of the integrand, cached on
-    the split so every X-evaluation (and the balance completion) uses the
-    same tail and reports its residual."""
-    key = (kind, radius)
-    if key not in split.tail_cache:
-        start = max(40.0, 30.0 * (split.zeta or 0.0), radius / 50.0)
-        ts = np.geomspace(start, radius, TAIL_FIT_POINTS)
-        split.tail_cache[key] = fit_power_tail(
-            ts, _integrands(split, (kind,), ts)[0], _ladder_for(split, kind))
-    return split.tail_cache[key]
+def _tail_fits(split: SplitData, kinds, radius: float):
+    """Fitted ladders ``(coeffs, max_residual)`` of the integrands of
+    ``kinds``, from one stacked evaluation on the fit window below
+    ``radius``."""
+    start = max(40.0, 30.0 * (split.zeta or 0.0), radius / 50.0)
+    ts = np.geomspace(start, radius, TAIL_FIT_POINTS)
+    return [fit_power_tail(ts, v, _ladder_for(split, kind))
+            for kind, v in zip(kinds, _integrands(split, kinds, ts))]
 
 
 def _check_domain(kind: FieldKind, X):
@@ -257,10 +254,8 @@ def _field_values(split: SplitData, kinds, x):
         v[behind] = np.conj(v[behind])
         return v
 
-    fits = []
-    for kind in kinds:
-        coeffs, resid = _tail_fit(split, kind, radius)
-        fits.append((np.conj(coeffs) if kind is FieldKind.OPENING else coeffs, resid))
+    fits = [(np.conj(coeffs) if kind is FieldKind.OPENING else coeffs, resid)
+            for kind, (coeffs, resid) in zip(kinds, _tail_fits(split, kinds, radius))]
     val, err = oscillatory_halfline(columns, a, radius,
                                     [_ladder_for(split, kind) for kind in kinds], fits)
     for i, kind in enumerate(kinds):
@@ -417,7 +412,7 @@ def balance_integral(split: SplitData) -> float:
     # subtracting the noise-consistent value is exactly what removes it from
     # the sampled values again.)
     pref = _prefactor(split, FieldKind.TRACTION)
-    coeffs, _ = _tail_fit(split, FieldKind.TRACTION, _truncation_radius(split))
+    (coeffs, _), = _tail_fits(split, (FieldKind.TRACTION,), _truncation_radius(split))
     c32 = math.sqrt(math.pi) * float(np.real(
         pref * coeffs[0] * np.exp(-0.75j * np.pi))) * ell ** 1.5
     c12 = 2.0 * math.sqrt(math.pi) * float(np.real(

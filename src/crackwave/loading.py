@@ -6,27 +6,27 @@ The split writes k⁺(sℓ)/((sℓ)₊^{1/2}(1+isL)^{1+p}) = G⁻(s) + G⁺(s) w
     G⁻(s) = Σ_{j=0..p} F_j (1+isL)^{j-p-1},
 
 where F_j are the Taylor coefficients of k⁺(sℓ)/(sℓ)₊^{1/2} in powers of
-u = 1 + isL about the transform pole s = i/L.  The Liouville constant is
-F = G⁻(−i·zeta/ℓ); it is cross-checked against the independent
-ratio-of-integrals definition
+u = 1 + isL about the transform pole s = i/L; the split keeps only these.
+The Liouville constant is F = G⁻(−i·zeta/ℓ); it is cross-checked against
+the independent ratio-of-integrals definition
 
     F = ∫ G⁻(s)/((sℓ)₋^{1/2} Ψ k⁻) ds / ∫ 1/((sℓ)₋^{1/2} Ψ k⁻) ds
 
-evaluated by quadrature along the real axis.
+evaluated by quadrature along the real axis.  ``energy.solve_crack``
+builds the split of one parameter point.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CrossCheckError, DomainError, PoleError
-from .kernel import FactorizedKernel, KernelParams, factorize, sqrt_minus, sqrt_plus
+from .kernel import FactorizedKernel, sqrt_minus, sqrt_plus
 from .material import Material
-from .numerics import (TAIL_FIT_POINTS, contour_coefficients, fit_power_tail,
-                       oscillatory_halfline)
+from .numerics import (CONTOUR_NODES, TAIL_FIT_POINTS, contour_coefficients,
+                       fit_power_tail, oscillatory_halfline)
 
 __all__ = [
     "LoadProfile",
@@ -40,12 +40,12 @@ __all__ = [
     "g_plus",
     "liouville_constant",
     "build_split",
-    "solve_crack",
 ]
 
-_CONTOUR_RADIUS = 0.4  # |1 + isL| on the coefficient contour
-_TAYLOR_SWITCH = 0.35  # g_plus switches to the Taylor form inside this radius
-_EXTRA_TAYLOR = 14     # extra coefficients kept for the Taylor form
+# |1 + isL| on the coefficient contour: clear of the branch point s = 0
+# (|u| = 1) and of the symbol pole s = −i·zeta/ℓ (|u| = 1 + zeta·L/ℓ).
+_CONTOUR_RADIUS = 0.4
+_NEAR_POLE = 0.35      # g_plus takes the contour integral inside this |u|
 _F_CHECK_RTOL = 1e-6   # allowed |F − F_alt|/|F| of the Liouville cross-check
 
 
@@ -104,44 +104,35 @@ def traction_half_power_moment(profile: LoadProfile) -> float:
     return profile.T0 * kp_coefficient(profile.p) * math.sqrt(math.pi / profile.L)
 
 
-def split_coefficients(kernel, profile: LoadProfile, ell: float,
-                       count: Optional[int] = None) -> np.ndarray:
-    """Taylor coefficients F_0..F_{count-1} of k⁺(sℓ)/(sℓ)₊^{1/2} in powers of
+def _pole_factor(k_plus, L: float, ell: float):
+    """g(u) = k⁺(sℓ)/(sℓ)₊^{1/2} at s = i(1 − u)/L, vectorized in u."""
+    zl = 1j * ell / L  # transform variable at the contour centre
+
+    def g(u):
+        z = zl * (1.0 - np.atleast_1d(u))
+        return k_plus(z) / sqrt_plus(z)
+    return g
+
+
+def split_coefficients(kernel, profile: LoadProfile, ell: float) -> np.ndarray:
+    """Taylor coefficients F_0..F_p of k⁺(sℓ)/(sℓ)₊^{1/2} in powers of
     u = 1+isL, by a circle contour about s = i/L.
 
     ``kernel`` only needs a ``k_plus`` method, so a unit-kernel stub
     reproduces the classical coefficients.
     """
-    n = profile.p + 1 if count is None else count
-    L = profile.L
-    zl = 1j * ell / L  # transform variable at the contour centre
-
-    # Contour admissibility: radius must stay clear of the branch point s = 0
-    # (|u| = 1) and of the symbol pole s = −i·zeta/ell (|u| = 1 + zeta·L/ell).
-    if not _CONTOUR_RADIUS < 1.0:
-        raise DomainError("contour radius must be below the s = 0 branch point")
-
-    def g(u):
-        u = np.atleast_1d(u)
-        z = zl * (1.0 - u)
-        return kernel.k_plus(z) / sqrt_plus(z)
-
-    return contour_coefficients(g, 0.0, _CONTOUR_RADIUS, n,
-                                check_count=profile.p + 1)
+    return contour_coefficients(_pole_factor(kernel.k_plus, profile.L, ell),
+                                _CONTOUR_RADIUS, profile.p + 1)
 
 
 @dataclass(frozen=True, eq=False)
 class SplitData:
     """Everything needed to evaluate the split functions and invert the
-    crack-line fields: the Taylor coefficients F_0, F_1, … of the split (the
-    first p+1 define G⁻, the rest serve the Taylor form of G⁺), the
-    Liouville constant F, the symbol factorization and the load echo.
+    crack-line fields: the coefficients F_0..F_p of G⁻, the Liouville
+    constant F, the symbol factorization and the load echo.
 
     A ``kernel`` of None denotes the classical-elasticity specialization
-    (unit symbol, Psi ≡ 2·nu, F = 0).  ``tail_cache`` holds the fitted
-    large-xi ladder coefficients of the field integrands, keyed by
-    (field kind, truncation radius), so every evaluation on this split
-    shares one tail.
+    (unit symbol, Psi ≡ 2·nu, F = 0).
     """
 
     profile: LoadProfile
@@ -152,16 +143,10 @@ class SplitData:
     F: complex
     F_alt: complex | None
     kernel: FactorizedKernel | None
-    tail_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def is_classical(self) -> bool:
         return self.kernel is None
-
-    @property
-    def F_coeffs(self) -> np.ndarray:
-        """F_0..F_p, the coefficients of G⁻."""
-        return self.coeffs[: self.profile.p + 1]
 
     @property
     def nu(self) -> float:
@@ -225,26 +210,26 @@ def g_minus(s, split: SplitData):
 
 
 def g_plus(s, split: SplitData):
-    """G⁺(s) = k⁺(sℓ)/((sℓ)₊^{1/2}(1+isL)^{1+p}) − G⁻(s), evaluated through
-    the Taylor form near the removable point s = i/L."""
-    if split.is_classical:
-        def kp(z):
-            return 1.0 + 0.0j
-    else:
-        kp = split.kernel.k_plus
-    s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
-    L = split.profile.L
+    """G⁺(s) = k⁺(sℓ)/((sℓ)₊^{1/2}(1+isL)^{1+p}) − G⁻(s), regular at s = i/L.
+
+    Away from that point it is the direct difference.  Inside |1+isL| < 0.35
+    it is the Cauchy integral of G⁺ over the coefficient circle |u| = 0.4,
+    G⁺(u) = mean_k G⁺(u_k)·u_k/(u_k − u), by the trapezoid rule on
+    ``CONTOUR_NODES`` nodes, where the difference has no cancellation."""
+    k_plus = split.kernel.k_plus if split.kernel is not None else np.ones_like
+    g = _pole_factor(k_plus, split.profile.L, split.ell)
     p = split.profile.p
-    out = np.empty_like(s_arr)
-    for i, sv in enumerate(s_arr):
-        u = 1.0 + 1j * sv * L
-        if abs(u) < _TAYLOR_SWITCH and len(split.coeffs) > p + 1:
-            js = np.arange(p + 1, len(split.coeffs))
-            out[i] = np.sum(split.coeffs[p + 1:] * u ** (js - p - 1))
-        else:
-            z = sv * split.ell
-            full = kp(z) / (sqrt_plus(z) * u ** (1 + p))
-            out[i] = full - g_minus(sv, split)
+
+    def direct(u):
+        return g(u) / u ** (1 + p) - _g_minus_u(u, split.coeffs, p)
+
+    u = 1.0 + 1j * np.atleast_1d(np.asarray(s, dtype=complex)) * split.profile.L
+    near = np.abs(u) < _NEAR_POLE
+    out = np.empty_like(u)
+    out[~near] = direct(u[~near])
+    if near.any():
+        nodes = _CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
+        out[near] = np.mean(direct(nodes) * nodes / (nodes - u[near, None]), axis=1)
     return complex(out[0]) if np.ndim(s) == 0 else out
 
 
@@ -284,11 +269,10 @@ def liouville_constant(kernel: FactorizedKernel, profile: LoadProfile,
     """Liouville constant F = G⁻(−i·zeta/ℓ), with the mandatory agreement
     check (relative 1e-6) against the ratio-of-integrals computation.
 
-    Returns ``(F, F_alt, F_coeffs_extended)``.
+    Returns ``(F, F_alt, coeffs)`` with the coefficients F_0..F_p of G⁻.
     """
     ell = material.ell
-    coeffs = split_coefficients(kernel, profile, ell,
-                                count=profile.p + 1 + _EXTRA_TAYLOR)
+    coeffs = split_coefficients(kernel, profile, ell)
     u_pole = 1.0 + kernel.params.zeta * profile.L / ell  # real, > 1
     F = complex(_g_minus_u(u_pole, coeffs, profile.p))
     F_alt = _appendix_ratio(kernel, coeffs, profile, ell)
@@ -317,13 +301,6 @@ def build_split(kernel: FactorizedKernel, material: Material,
         F_alt=F_alt,
         kernel=kernel,
     )
-
-
-def solve_crack(material: Material, m: float, profile: LoadProfile) -> SplitData:
-    """One-call solution: factorize the symbol at (m, eta, h0) and build the
-    split data for the given loading."""
-    kernel = factorize(KernelParams(m=m, eta=material.eta, h0=material.h0))
-    return build_split(kernel, material, profile)
 
 
 def limit_constant(profile: LoadProfile, zeta_value: float) -> complex:

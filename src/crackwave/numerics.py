@@ -56,7 +56,7 @@ __all__ = [
 
 
 TAIL_FIT_POINTS = 32   # log-spaced samples of a tail-ladder fit
-_CONTOUR_NODES = 256   # trapezoid nodes on each coefficient circle
+CONTOUR_NODES = 256    # trapezoid nodes on each coefficient circle
 _HEAD_END = 1e-6       # end of the fixed Gauss head of a half-line call
 _FILON_ORDER = 12      # Gauss points and Legendre degree + 1 of a body panel
 _MILLER_START = 40     # start order of the downward Bessel recurrence
@@ -396,38 +396,30 @@ def oscillatory_halfline(f, freq, truncation_radius: float, ladders, fits):
             (err_head + err_body + err_tail).reshape(shape))
 
 
-def contour_coefficients(
-    g,
-    center: complex,
-    radius: float,
-    count: int,
-    *,
-    check_count: int | None = None,
-):
-    """First ``count`` Taylor coefficients of a vectorized ``g`` about
-    ``center`` via a trapezoid rule on a circle (spectrally accurate for
+def contour_coefficients(g, radius: float, count: int):
+    """First ``count`` Taylor coefficients of a vectorized ``g`` about 0 via
+    a trapezoid rule on the circle |z| = ``radius`` (spectrally accurate for
     analytic ``g``).
 
-    The coefficients are recomputed at half the radius; disagreement beyond
-    1e-10 (relative to max(1, |c|)) on the first ``check_count`` of them
-    signals a singularity inside the disc and raises QuadratureError.
+    The coefficients are recomputed at half the radius; disagreement of any
+    of them beyond 1e-10 (relative to max(1, |c|)) signals a singularity
+    inside the disc and raises QuadratureError.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    check_count = count if check_count is None else min(check_count, count)
 
     def coeffs_at(r):
-        phi = 2.0 * np.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES
-        z = center + r * np.exp(1j * phi)
+        phi = 2.0 * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES
+        z = r * np.exp(1j * phi)
         vals = np.asarray(g(z), dtype=complex)
         j = np.arange(count)
         modes = np.exp(-1j * np.outer(j, phi))
-        return (modes @ vals) / _CONTOUR_NODES / r ** j
+        return (modes @ vals) / CONTOUR_NODES / r ** j
 
     c_full = coeffs_at(radius)
     c_half = coeffs_at(0.5 * radius)
-    scale = max(1.0, float(np.abs(c_full[:check_count]).max(initial=0.0)))
-    drift = float(np.abs(c_full[:check_count] - c_half[:check_count]).max(initial=0.0))
+    scale = max(1.0, float(np.abs(c_full).max(initial=0.0)))
+    drift = float(np.abs(c_full - c_half).max(initial=0.0))
     if drift > 1e-10 * scale:
         raise QuadratureError(
             f"contour coefficients not radius-invariant (drift {drift:.3e}); "

@@ -105,7 +105,7 @@ def averaged_halfline(f, a, truncation_radius=2.0e3, *, sqrt_singularity=False,
 def field_unfolded(split, kind: FieldKind, X: float) -> complex:
     """The field ``kind`` at X with both half-lines integrated by the
     laddered engine, each with its own ladder fit on the window of
-    ``fields._tail_fit``: the complex value before taking the real part."""
+    ``fields._tail_fits``: the complex value before taking the real part."""
     fields._check_domain(kind, X)
     radius = fields._truncation_radius(split)
     a = X / split.ell

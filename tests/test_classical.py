@@ -136,6 +136,14 @@ class TestHalfPowerMoment:
         val = half_power_moment_quadrature(np.exp)
         assert val == pytest.approx(math.sqrt(math.pi), abs=1e-11)
 
+    @pytest.mark.parametrize("scale", [300.0, 500.0, 1000.0])
+    def test_slowly_decaying_exponential(self, scale):
+        # e^{X/s} still holds most of its moment beyond |X| = 2e3, so the
+        # panels must run on until the tail is negligible:
+        # ∫ e^{−t/s} t^{−1/2} dt = sqrt(pi·s).
+        val = half_power_moment_quadrature(lambda X: np.exp(X / scale))
+        assert val == pytest.approx(math.sqrt(math.pi * scale), rel=1e-12)
+
     def test_gamma(self):
         val = half_power_moment_quadrature(lambda X: np.abs(X) * np.exp(X))
         assert val == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-11)

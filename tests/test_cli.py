@@ -101,6 +101,17 @@ def test_validate_rejects_a_config(tmp_path, capsys):
     assert not (tmp_path / "validate_report.csv").exists()
 
 
+def test_unwritable_out_exits_with_config_error(tmp_path, capsys):
+    # An --out below a regular file used to end in a NotADirectoryError
+    # traceback with exit 1.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = cli.main(["regime-map", "--config", str(PRESETS / "fig3.conf"),
+                   "--out", str(blocker / "out")])
+    assert rc == cli.EXIT_CONFIG
+    assert "cannot write output" in capsys.readouterr().err
+
+
 def test_small_eta_runs(tmp_path):
     # For 0 < |eta| <= 1e-4, upsilon changes sign within ~1e-16 of the
     # speed where the radical sqrt(1 − 2h0²m²) vanishes.

@@ -7,13 +7,13 @@ import pytest
 from scipy.integrate import quad
 
 from crackwave import energy
-from crackwave.classical import classical_err
-from crackwave.energy import (LIMIT_SPEED_FACTOR, err_couple, err_max_sweep,
-                              err_ratio, err_result, err_smalllength_limit)
-from crackwave.errors import RegimeError
+from crackwave.classical import classical_err, classical_split
+from crackwave.energy import (LIMIT_SPEED_FACTOR, err_max_sweep, err_result,
+                              err_smalllength_limit, solve_crack)
+from crackwave.errors import DomainError, RegimeError
 from crackwave.kernel import KernelParams, factorize
 from crackwave.loading import LoadProfile, build_split, kp_coefficient, traction
-from crackwave.material import Material, PropagationState, critical_speed, h0_star
+from crackwave.material import Material, critical_speed, h0_star
 
 MAT = dict(G=1.0, rho=1.0, ell=1.0)
 
@@ -63,22 +63,27 @@ class TestSmallLengthLimit:
 class TestCouple:
     def test_realness_and_positivity(self, split_factory):
         sp = split_factory(0.3, 0.9, 0.707, 10.0, 1)
-        mat = Material(eta=0.9, h0=0.707, **MAT)
-        e = err_couple(sp.F, mat, PropagationState(0.3), 1.0)
-        assert e > 0.0
+        assert err_result(sp).E > 0.0
 
     def test_regime_error(self):
+        # m = 0.6 is above m_c = 0.441 at (eta, h0) = (−0.9, 0.707): no split
+        # exists to read.
         mat = Material(eta=-0.9, h0=0.707, **MAT)
         with pytest.raises(RegimeError):
-            err_couple(0.1 - 0.1j, mat, PropagationState(0.6), 1.0)
+            solve_crack(mat, 0.6, LoadProfile(T0=1.0, L=10.0, p=0))
 
     def test_ratio_consistency(self, split_factory):
         sp = split_factory(0.3, 0.9, 0.707, 10.0, 1)
-        mat = Material(eta=0.9, h0=0.707, **MAT)
         prof = LoadProfile(T0=1.0, L=10.0, p=1)
-        r = err_ratio(sp.F, mat, PropagationState(0.3), prof)
-        e = err_couple(sp.F, mat, PropagationState(0.3), 1.0)
-        assert r == pytest.approx(e / classical_err(prof, 0.3, 1.0), rel=1e-12)
+        res = err_result(sp)
+        assert res.E_cl == classical_err(prof, 0.3, 1.0)
+        assert res.ratio == pytest.approx(res.E / res.E_cl, rel=1e-12)
+
+    def test_classical_split_rejected(self):
+        # The classical split has F = 0 and no Upsilon; E would read 0.
+        split = classical_split(LoadProfile(T0=1.0, L=10.0, p=1), 0.3, 1.0)
+        with pytest.raises(DomainError):
+            err_result(split)
 
     def test_shielding_weakening(self, kernel_factory):
         # Ratio below one for tip-concentrated loading (p = 0), above one
@@ -86,20 +91,20 @@ class TestCouple:
         mat = Material(eta=0.9, h0=0.707, **MAT)
         k = kernel_factory(0.3, 0.9, 0.707)
         p0, p1 = LoadProfile(T0=1.0, L=10.0, p=0), LoadProfile(T0=1.0, L=10.0, p=1)
-        r0 = err_result(mat, 0.3, p0, split=build_split(k, mat, p0)).ratio
-        r1 = err_result(mat, 0.3, p1, split=build_split(k, mat, p1)).ratio
+        r0 = err_result(build_split(k, mat, p0)).ratio
+        r1 = err_result(build_split(k, mat, p1)).ratio
         assert r0 < 1.0 < r1
 
     def test_monotone_in_speed(self):
         mat = Material(eta=0.0, h0=0.01, **MAT)
         prof = LoadProfile(T0=1.0, L=10.0, p=0)
-        es = [err_result(mat, m, prof).E for m in (0.3, 0.5, 0.7, 0.9)]
+        es = [err_result(solve_crack(mat, m, prof)).E for m in (0.3, 0.5, 0.7, 0.9)]
         assert all(a < b for a, b in zip(es, es[1:]))
 
     def test_finite_at_surface_wave_limit(self):
         mat = Material(eta=-0.9, h0=0.707, **MAT)
         mc = critical_speed(-0.9, 0.707)
-        res = err_result(mat, 0.999 * mc, LoadProfile(T0=1.0, L=0.5, p=0))
+        res = err_result(solve_crack(mat, 0.999 * mc, LoadProfile(T0=1.0, L=0.5, p=0)))
         assert np.isfinite(res.E) and res.E > 0.0
 
 
@@ -169,5 +174,5 @@ class TestSweeps:
         # Each good row is bit for bit the row computed alone.
         for h0, row in zip(h0s[1:], rows[1:]):
             m = LIMIT_SPEED_FACTOR * real(-0.9, h0)
-            alone = err_result(Material(eta=-0.9, h0=h0, **MAT), m, prof)
+            alone = err_result(solve_crack(Material(eta=-0.9, h0=h0, **MAT), m, prof))
             assert (row["m"], row["E"], row["ratio"]) == (m, alone.E, alone.ratio)

@@ -2,8 +2,9 @@
 every private module-level function or class is used somewhere in the
 package, the package imports nothing beyond the standard library and numpy
 (scipy is a reference of the tests only, at module or function level alike,
-and no run loads it), importing the CLI loads no process pool, and the
-package builds its Filon moment tables itself.
+and no run loads it), importing the CLI loads no process pool, the
+package builds its Filon moment tables itself, and every name a module's
+``__all__`` exports is defined in that module.
 
 Package ``__init__.py`` files are exempt from the unused-import and the
 private-definition checks (their imports are re-exports), as are
@@ -106,6 +107,35 @@ def test_private_definitions_have_src_callers():
     # tests/reference_quadrature.py), not to the package.
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
     assert unreferenced_private_definitions(sources) == []
+
+
+def undefined_exports(source: str) -> list[str]:
+    """Names in the ``__all__`` of ``source`` that no module-level
+    definition, assignment or import of it binds."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            if "__all__" in names:
+                exported = [elt.value for elt in node.value.elts]
+            bound.update(names)
+    return sorted(name for name in exported if name not in bound)
+
+
+def test_detector_flags_an_undefined_export():
+    assert undefined_exports("from os import sep\nX = 1\ndef f():\n    pass\n"
+                             "__all__ = ['f', 'X', 'sep', 'gone']\n") == ["gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_defined(path):
+    assert undefined_exports(path.read_text()) == []
 
 
 ALLOWED_TOP_LEVEL = {"numpy", "crackwave"}

@@ -123,8 +123,8 @@ class TestSplitCoefficients:
             kp = np.array([k.k_plus(zz) for zz in z])
             return kp / sqrt_plus(z)
 
-        a = contour_coefficients(g, 0.0, 0.4, 2)
-        b = contour_coefficients(g, 0.0, 0.2, 2)
+        a = contour_coefficients(g, 0.4, 2)
+        b = contour_coefficients(g, 0.2, 2)
         assert np.abs(a - b).max() < 1e-10
 
 
@@ -143,13 +143,13 @@ class TestSplitFunctions:
         sp = split_factory(0.3, 0.9, 0.707, 10.0, 1)
         s = -1e8j
         assert complex(s * g_minus(s, sp)) == pytest.approx(
-            -1j * sp.F_coeffs[1] / 10.0, rel=1e-6)
+            -1j * sp.coeffs[1] / 10.0, rel=1e-6)
 
     def test_gplus_asymptotics(self, split_factory):
         sp = split_factory(0.3, 0.9, 0.707, 10.0, 1)
         s = 1e8j
         assert complex(s * g_plus(s, sp)) == pytest.approx(
-            1j * sp.F_coeffs[1] / 10.0, rel=1e-6)
+            1j * sp.coeffs[1] / 10.0, rel=1e-6)
 
     def test_gplus_small_s_root_behaviour(self, split_factory):
         # G⁺(s)·(sℓ)₊^{1/2} → k⁺(0) = 1 as s → 0 in the upper half-plane.
@@ -160,19 +160,18 @@ class TestSplitFunctions:
 
     def test_gplus_regular_at_transform_pole(self, split_factory,
                                              kernel_factory):
-        # The Taylor form used inside the switch radius agrees with the
+        # The contour form used inside |1+isL| < 0.35 agrees with the
         # subtraction form at the same point, and g_plus stays finite right
         # at the removable point s = i/L.
         sp = split_factory(0.3, 0.9, 0.707, 10.0, 1)
         k = kernel_factory(0.3, 0.9, 0.707)
         L, p = 10.0, 1
-        for ur in (0.05, 0.2, 0.3):
-            s = 1j / L * (1 - ur)  # |1+isL| = ur, inside the Taylor switch
-            taylor = complex(g_plus(s, sp))
-            z = s * sp.ell
-            direct = k.k_plus(z) / (sqrt_plus(z) * (1 + 1j * s * L) ** (1 + p)) \
-                - complex(g_minus(s, sp))
-            assert taylor == pytest.approx(direct, rel=1e-7)
+        u = np.outer([0.05, 0.2, 0.3, 0.34], np.exp(1j * np.pi * np.arange(6) / 3.0)).ravel()
+        s = 1j / L * (1.0 - u)  # |1+isL| = |u|, inside the switch radius
+        near = g_plus(s, sp)
+        direct = np.array([k.k_plus(sv * sp.ell) / (sqrt_plus(sv * sp.ell) * uv ** (1 + p))
+                           - g_minus(sv, sp) for sv, uv in zip(s, u)])
+        assert (np.abs(near - direct) <= 1e-11 * np.abs(direct)).all()
         at_pole = complex(g_plus(1j / L, sp))
         assert np.isfinite([at_pole.real, at_pole.imag]).all()
 

@@ -247,17 +247,17 @@ class TestUpperGamma:
 
 class TestContourCoefficients:
     def test_exponential(self):
-        c = contour_coefficients(np.exp, 0.0, 1.0, 8)
+        c = contour_coefficients(np.exp, 1.0, 8)
         ref = np.array([1.0 / math.factorial(j) for j in range(8)])
         assert np.abs(c - ref).max() < 1e-12
 
     def test_geometric(self):
-        c = contour_coefficients(lambda z: 1.0 / (1.0 - z), 0.0, 0.5, 6)
+        c = contour_coefficients(lambda z: 1.0 / (1.0 - z), 0.5, 6)
         assert np.abs(c - 1.0).max() < 1e-12
 
     def test_non_analytic_detected(self):
         with pytest.raises(QuadratureError):
-            contour_coefficients(lambda z: np.abs(z) ** 2, 0.0, 0.5, 4)
+            contour_coefficients(lambda z: np.abs(z) ** 2, 0.5, 4)
 
 
 class TestBracketedRoot:
