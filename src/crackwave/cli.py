@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -141,6 +142,17 @@ class RunConfig:
                 raise ConfigError("log sweep needs a positive start")
             return np.geomspace(s["start"], s["stop"], s["count"])
         return np.linspace(s["start"], s["stop"], s["count"])
+
+
+def _check_out(out: Path):
+    """Raise OSError unless CSVs can be written below ``out``: its nearest
+    existing ancestor must be a directory this process may write into.
+    Nothing is created, so a run that fails later leaves no directory."""
+    existing = out.absolute()
+    while not existing.exists():
+        existing = existing.parent
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise OSError(f"{existing} is not a writable directory (--out {out})")
 
 
 def _write_csv(path: Path, header, rows):
@@ -390,11 +402,13 @@ def main(argv=None) -> int:
         if args.subcommand == "validate":
             if args.config:
                 raise ConfigError("validate takes no --config")
+            _check_out(out)
             path = _cmd_validate(out)
         else:
             if not args.config:
                 raise ConfigError(f"{args.subcommand} requires --config")
             run = RunConfig.from_file(args.config)
+            _check_out(out)
             path = _DISPATCH[args.subcommand](run, out, args.jobs)
         print(f"wrote {path}")
         return 0

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import CrossCheckError, DomainError, PoleError
 from .kernel import FactorizedKernel, sqrt_minus, sqrt_plus
 from .material import Material
-from .numerics import (CONTOUR_NODES, TAIL_FIT_POINTS, contour_coefficients,
-                       fit_power_tail, oscillatory_halfline)
+from .numerics import (TAIL_FIT_POINTS, contour_coefficients, fit_power_tail,
+                       oscillatory_halfline)
 
 __all__ = [
     "LoadProfile",
@@ -46,6 +46,10 @@ __all__ = [
 # (|u| = 1) and of the symbol pole s = −i·zeta/ℓ (|u| = 1 + zeta·L/ℓ).
 _CONTOUR_RADIUS = 0.4
 _NEAR_POLE = 0.35      # g_plus takes the contour integral inside this |u|
+# Trapezoid nodes of g_plus's Cauchy integral on |u| = 0.4.  Its error at u
+# falls like (|u|/0.4)^N, which is 0.875^N at |u| = 0.35: 1.4e-15 for
+# N = 256, but 2e-4 for the 64 nodes of the coefficient contour.
+_NEAR_POLE_NODES = 256
 _F_CHECK_RTOL = 1e-6   # allowed |F − F_alt|/|F| of the Liouville cross-check
 
 
@@ -215,7 +219,7 @@ def g_plus(s, split: SplitData):
     Away from that point it is the direct difference.  Inside |1+isL| < 0.35
     it is the Cauchy integral of G⁺ over the coefficient circle |u| = 0.4,
     G⁺(u) = mean_k G⁺(u_k)·u_k/(u_k − u), by the trapezoid rule on
-    ``CONTOUR_NODES`` nodes, where the difference has no cancellation."""
+    ``_NEAR_POLE_NODES`` nodes, where the difference has no cancellation."""
     k_plus = split.kernel.k_plus if split.kernel is not None else np.ones_like
     g = _pole_factor(k_plus, split.profile.L, split.ell)
     p = split.profile.p
@@ -228,7 +232,8 @@ def g_plus(s, split: SplitData):
     out = np.empty_like(u)
     out[~near] = direct(u[~near])
     if near.any():
-        nodes = _CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
+        nodes = _CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(_NEAR_POLE_NODES)
+                                         / _NEAR_POLE_NODES)
         out[near] = np.mean(direct(nodes) * nodes / (nodes - u[near, None]), axis=1)
     return complex(out[0]) if np.ndim(s) == 0 else out
 

@@ -112,6 +112,26 @@ def test_unwritable_out_exits_with_config_error(tmp_path, capsys):
     assert "cannot write output" in capsys.readouterr().err
 
 
+def test_unwritable_out_fails_before_the_work(tmp_path, capsys, monkeypatch):
+    # err-sweep on fig9 used to solve all 24 rows, and validate to run every
+    # check, before the first CSV write failed.
+    calls = []
+    monkeypatch.setattr(cli, "solve_crack", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "_validate_checks", lambda: calls.append("validate"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in (["err-sweep", "--config", str(PRESETS / "fig9.conf")], ["validate"]):
+        assert cli.main(argv + ["--out", str(blocker / "out")]) == cli.EXIT_CONFIG
+        assert "cannot write output" in capsys.readouterr().err
+    assert calls == []
+    # The check creates nothing: a bad config leaves no directory behind.
+    config = tmp_path / "run.conf"
+    config.write_text(ERR_SWEEP.replace("load.L_over_ell", "load.L_over_el"))
+    rc = cli.main(["err-sweep", "--config", str(config), "--out", str(tmp_path / "a" / "b")])
+    assert rc == cli.EXIT_CONFIG
+    assert not (tmp_path / "a").exists()
+
+
 def test_small_eta_runs(tmp_path):
     # For 0 < |eta| <= 1e-4, upsilon changes sign within ~1e-16 of the
     # speed where the radical sqrt(1 − 2h0²m²) vanishes.

@@ -17,7 +17,7 @@ from crackwave.kernel import (CauchyFactorization, FactorizedKernel,
                               KernelParams, factorize, sqrt_minus, sqrt_plus,
                               wave_exponents)
 from crackwave.material import critical_speed, zeta
-from crackwave.numerics import row_blocks
+from crackwave.numerics import CONTOUR_NODES, row_blocks
 
 RATIONAL_A, RATIONAL_B = 2.0, 1.0
 
@@ -238,13 +238,14 @@ class TestPhysicalFactorization:
                       == np.array([k.cauchy_integral(complex(zz)) for zz in off]))
 
     def test_cauchy_sums_batch_equals_pointwise(self, kernel_factory):
-        # A 256-point batch on the shared rule, as a split contour makes,
-        # spans several row blocks; each point gets its lone call's sum.
+        # One circle of a split contour (CONTOUR_NODES points about s = i/L,
+        # here L = 1) is a batch on the shared rule that spans several row
+        # blocks; each point gets its lone call's sum.
         k = kernel_factory(0.3, 0.9, 0.707)
         t, Lw = k._shared_rule
         for got, want in zip(k._shared_rule, k._cauchy_rule(k.t_cut, 0.1 + 1j)):
             assert np.array_equal(got, want)
-        z = 1j + 0.4 * np.exp(2j * np.pi * np.arange(256) / 256)
+        z = 1j + 0.4 * np.exp(2j * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
         assert len(row_blocks(z.size, t.size)) > 1
         batch = k._cauchy_sums(z, t, Lw)
         assert np.array_equal(batch, [k._cauchy_sums(z[i:i + 1], t, Lw)[0]

@@ -14,6 +14,7 @@ from crackwave.kernel import sqrt_plus
 from crackwave.loading import (LoadProfile, g_minus, g_plus, limit_constant,
                                split_coefficients, traction,
                                traction_half_power_moment, traction_transform)
+from crackwave.material import critical_speed
 from crackwave.material import zeta as zeta_fn
 
 
@@ -106,11 +107,15 @@ class TestSplitCoefficients:
         assert np.abs(fj - hj).max() < 1e-10
 
     def test_zeroth_coefficient_is_value_at_pole(self, kernel_factory):
-        k = kernel_factory(0.3, 0.9, 0.707)
+        # An interior point, the shear-wave edge (h0 < h0*, so m_c = 1) and a
+        # point near the critical speed.
         prof = LoadProfile(T0=1.0, L=10.0, p=0)
-        f0 = split_coefficients(k, prof, 1.0)[0]
-        direct = k.k_plus(1j / 10.0) / sqrt_plus(1j / 10.0)
-        assert f0 == pytest.approx(direct, rel=1e-11)
+        for m, eta, h0 in ((0.3, 0.9, 0.707), (1.0 - 1e-5, -0.9, 0.156),
+                           (0.999 * critical_speed(-0.9, 0.707), -0.9, 0.707)):
+            k = kernel_factory(m, eta, h0)
+            f0 = split_coefficients(k, prof, 1.0)[0]
+            direct = k.k_plus(1j / 10.0) / sqrt_plus(1j / 10.0)
+            assert f0 == pytest.approx(direct, rel=1e-11), (m, eta, h0)
 
     def test_radius_halving_invariance(self, kernel_factory):
         from crackwave.numerics import contour_coefficients

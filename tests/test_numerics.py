@@ -215,6 +215,18 @@ class TestBesselTable:
         assert got.shape == (self.X.size, 12)
         assert np.abs(got - ref).max() <= 1e-14
 
+    def test_series_relative_accuracy(self):
+        # On |x| < 1 the high orders are tiny (j_11(1e-2) ≈ 1e-34), where an
+        # absolute bound checks nothing: every order against 40-digit values
+        # of j_k(x) = √(π/2x)·J_{k+1/2}(x).
+        x = np.concatenate([np.geomspace(1e-8, 0.99, 60), 1.0 - np.geomspace(1e-12, 1e-3, 7)])
+        got = _bessel_table(x)
+        with mpmath.workdps(40):
+            ref = np.array([[float(mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(v)))
+                                   * mpmath.besselj(k + mpmath.mpf(1) / 2, v))
+                             for k in range(12)] for v in x])
+        assert np.abs(got / ref - 1.0).max() <= 2e-15
+
     def test_zero_argument_is_exact(self):
         assert np.array_equal(_bessel_table(np.zeros((2, 3)))[1, 2], np.eye(12)[0])
 
@@ -254,6 +266,15 @@ class TestContourCoefficients:
     def test_geometric(self):
         c = contour_coefficients(lambda z: 1.0 / (1.0 - z), 0.5, 6)
         assert np.abs(c - 1.0).max() < 1e-12
+
+    def test_no_aliasing_at_the_split_radius(self):
+        # (1 − u)^{−1/2} = Σ C(2j, j)/4^j·u^j has its singularity at |u| = 1,
+        # as the split's pole factor does; at the split's radius 0.4 the rule
+        # aliases c_j with c_{j+N}·0.4^N, about 2e-14 at N = 32 nodes.  Only
+        # j ≤ 2 are compared: rounding grows like 0.4^{−j}.
+        c = contour_coefficients(lambda u: (1.0 - u) ** -0.5, 0.4, 3)
+        ref = np.array([math.comb(2 * j, j) / 4.0 ** j for j in range(3)])
+        assert np.abs(c - ref).max() <= 1e-15
 
     def test_non_analytic_detected(self):
         with pytest.raises(QuadratureError):
