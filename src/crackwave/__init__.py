@@ -3,14 +3,12 @@ elasticity.
 
 Surface-wave dispersion, critical crack speeds, multiplicative factorization
 of the crack symbol, crack-line fields, maximum total shear stress and the
-dynamic energy release rate, with a classical-elasticity oracle throughout.
+dynamic energy release rate.  Classical elasticity enters through the
+energy release rate, E/E_cl, and its vanishing-microstructure limit.
 """
 
-from .classical import (ClassicalSolution, build_classical, classical_err,
-                        classical_neartip, classical_sif, classical_split,
-                        h_coefficients)
-from .dispersion import (DispersionPoint, SurfaceModeShape, dispersion_det,
-                         shear_phase_speed, surface_mode_shape, trace_curve)
+from .classical import classical_err, h_coefficients
+from .dispersion import DispersionPoint, shear_phase_speed, trace_curve
 from .energy import (ErrResult, err_max_sweep, err_result,
                      err_smalllength_limit, solve_crack)
 from .errors import (BracketError, CrackwaveError, CrossCheckError,
@@ -22,11 +20,10 @@ from .fields import (FieldKind, FieldProfile, NearTipCoefficients,
                      traction_ahead)
 from .kernel import (FactorizedKernel, KernelParams, factorize, sqrt_minus,
                      sqrt_plus)
-from .loading import (LoadProfile, SplitData, build_split, g_minus, g_plus,
+from .loading import (LoadProfile, SplitData, build_split, g_minus,
                       kp_coefficient, liouville_constant, split_coefficients,
                       traction, traction_transform)
-from .material import (Material, PropagationState, RayleighRange, Regime,
-                       SonicRange, classify_regime, critical_speed, h0_star,
-                       lambda_surface, upsilon, zeta)
+from .material import (Material, critical_speed, h0_star, lambda_surface,
+                       upsilon, zeta)
 
 __version__ = "0.1.0"

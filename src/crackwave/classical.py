@@ -1,31 +1,27 @@
-"""Classical-elasticity antiplane steady crack: split coefficients, near-tip
-fields, stress intensity factor and energy release rate.
+"""Classical-elasticity antiplane steady crack: the split coefficients H_j
+and the energy release rate, and the half-power moment of a general
+loading.
 
-Serves as the independent oracle for the couple-stress pipeline's
-vanishing-microstructure limits.  Full-line classical fields reuse the
-inversion machinery of :mod:`crackwave.fields` through
-:func:`classical_split` (unit symbol, Psi ≡ 2·nu, zero Liouville constant).
+The couple-stress pipeline meets classical elasticity through the energy
+release rate: ``energy.err_result`` divides by ``classical_err``, and
+``energy.err_smalllength_limit`` is its vanishing-microstructure limit for
+any integrable loading.  ``h_coefficients_contour`` runs the split's
+contour with a unit symbol, against the closed form ``h_coefficients``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QuadratureError, RegimeError
-from .loading import LoadProfile, SplitData, kp_coefficient, split_coefficients
+from .loading import LoadProfile, kp_coefficient, split_coefficients
 from .numerics import TAIL_FIT_POINTS, fit_power_tail, oscillatory_halfline
 
 __all__ = [
     "h_coefficients",
     "h_coefficients_contour",
-    "ClassicalSolution",
-    "build_classical",
-    "classical_neartip",
-    "classical_sif",
     "classical_err",
-    "classical_split",
 ]
 
 
@@ -50,71 +46,12 @@ def h_coefficients_contour(p: int, L: float) -> np.ndarray:
     return split_coefficients(_UnitKernel(), profile, 1.0)
 
 
-@dataclass(frozen=True)
-class ClassicalSolution:
-    """Classical antiplane steady crack at speed m under the standard
-    traction family."""
-
-    profile: LoadProfile
-    G: float
-    m: float
-    H: np.ndarray
-
-    @property
-    def nu(self) -> float:
-        return math.sqrt(1.0 - self.m * self.m)
-
-
-def build_classical(profile: LoadProfile, m: float, G: float) -> ClassicalSolution:
-    if not 0.0 <= m < 1.0:
-        raise RegimeError(f"classical steady crack needs 0 <= m < 1, got {m}")
-    return ClassicalSolution(profile=profile, G=G, m=m,
-                             H=h_coefficients(profile.p, profile.L))
-
-
-def classical_neartip(X: float, solution: ClassicalSolution) -> dict:
-    """Leading near-tip fields: sigma23 at +|X| (square-root singular) and the
-    opening w at −|X| (square-root zero).  The product sigma23·w is
-    X-independent."""
-    if X == 0.0:
-        raise ZeroDivisionError("near-tip fields evaluated at the tip")
-    x = abs(X)
-    prof = solution.profile
-    amp = kp_coefficient(prof.p) / math.sqrt(math.pi) * prof.T0 / math.sqrt(prof.L)
-    sigma = amp / math.sqrt(x)
-    w = 2.0 * amp / (solution.nu * solution.G) * math.sqrt(x)
-    return {"sigma23": sigma, "w": w}
-
-
-def classical_sif(solution: ClassicalSolution) -> float:
-    """K_III = lim sqrt(2 pi X)·sigma23 = K_p·sqrt(2/L)·T0."""
-    prof = solution.profile
-    return kp_coefficient(prof.p) * math.sqrt(2.0 / prof.L) * prof.T0
-
-
 def classical_err(profile: LoadProfile, m: float, G: float) -> float:
     """Classical energy release rate T0²K_p²/(G·L·sqrt(1−m²))."""
     if not 0.0 <= m < 1.0:
         raise RegimeError(f"classical energy release rate needs m < 1, got {m}")
     kp = kp_coefficient(profile.p)
     return profile.T0**2 * kp * kp / (G * profile.L * math.sqrt(1.0 - m * m))
-
-
-def classical_split(profile: LoadProfile, m: float, G: float) -> SplitData:
-    """SplitData specialization driving the field-inversion machinery with
-    the classical solution: unit symbol, Psi ≡ 2·nu, F = 0, and lengths
-    measured with ell = 1 so the coefficients are exactly H_j."""
-    sol = build_classical(profile, m, G)
-    return SplitData(
-        profile=profile,
-        G=G,
-        ell=1.0,
-        m=m,
-        coeffs=sol.H,
-        F=0j,
-        F_alt=None,
-        kernel=None,
-    )
 
 
 def half_power_moment_quadrature(tau) -> float:

@@ -20,9 +20,8 @@ import numpy as np
 from . import dispersion as disp
 from . import energy, fields
 from .classical import classical_err, h_coefficients, h_coefficients_contour
-from .errors import (BracketError, ConfigError, CrackwaveError, DomainError,
-                     PoleError, QuadratureError, RealnessError, RegimeError,
-                     RootLossError)
+from .errors import (ConfigError, CrackwaveError, DomainError, PoleError,
+                     QuadratureError, RegimeError)
 from .kernel import KernelParams, factorize
 from .energy import err_result, solve_crack
 from .loading import LoadProfile, build_split, kp_coefficient, limit_constant
@@ -34,6 +33,12 @@ EXIT_REGIME = 4
 
 SUBCOMMANDS = ("dispersion", "regime-map", "fields", "tmax-sweep",
                "err-sweep", "limit-study", "validate")
+# The sweep variables of the subcommands that run a sweep.
+_SWEEP_VARIABLES = {
+    "dispersion": ("omega", "k"),
+    **dict.fromkeys(("tmax-sweep", "err-sweep", "limit-study"),
+                    ("m", "m_of_limit", "L_over_ell")),
+}
 
 CONFIG_KEYS = frozenset({
     "material.G", "material.rho", "material.ell", "material.eta", "material.h0",
@@ -144,6 +149,19 @@ class RunConfig:
         return np.linspace(s["start"], s["stop"], s["count"])
 
 
+def _check_sweep(subcommand: str, run: RunConfig):
+    """Raise ConfigError unless the run has the sweep that ``subcommand``
+    takes, if it takes one."""
+    variables = _SWEEP_VARIABLES.get(subcommand)
+    if variables is None:
+        return
+    run.grid()
+    variable = run.sweep["variable"]
+    if variable not in variables:
+        raise ConfigError(f"unsupported sweep variable {variable!r}; "
+                          f"{subcommand} sweeps {' or '.join(variables)}")
+
+
 def _check_out(out: Path):
     """Raise OSError unless CSVs can be written below ``out``: its nearest
     existing ancestor must be a directory this process may write into.
@@ -181,12 +199,8 @@ def _write_csv(path: Path, header, rows):
 # ---------------------------------------------------------------------------
 
 def _cmd_dispersion(run: RunConfig, out: Path, jobs: int):
-    grid = run.grid()
-    axis = run.sweep["variable"]
-    if axis not in ("omega", "k"):
-        raise ConfigError(f"unsupported sweep variable {axis!r}; "
-                          "dispersion sweeps omega or k")
-    pts = disp.trace_curve(grid, run.material.eta, run.material.h0, axis=axis)
+    pts = disp.trace_curve(run.grid(), run.material.eta, run.material.h0,
+                           axis=run.sweep["variable"])
     rows = [(run.material.eta, run.material.h0, p.omega_norm, p.k_norm, p.mR)
             for p in pts]
     return _write_csv(out / "dispersion.csv",
@@ -252,8 +266,9 @@ def _limit_row(material: Material, profile: LoadProfile, m: float):
 
 
 def _sweep_args(run: RunConfig):
-    """(material, profile, m) of every row of the run's sweep.  The material
-    is fixed along a sweep, so an m_of_limit sweep takes one critical speed."""
+    """(material, profile, m) of every row of the run's sweep, whose
+    variable ``_check_sweep`` has accepted.  The material is fixed along a
+    sweep, so an m_of_limit sweep takes one critical speed."""
     grid = run.grid()
     mat, prof, variable = run.material, run.profile, run.sweep["variable"]
     if variable == "m":
@@ -261,9 +276,7 @@ def _sweep_args(run: RunConfig):
     if variable == "m_of_limit":
         m_limit = critical_speed(mat.eta, mat.h0)
         return [(mat, prof, v * m_limit) for v in grid]
-    if variable == "L_over_ell":
-        return [(mat, replace(prof, L=v * mat.ell), run.m) for v in grid]
-    raise ConfigError(f"unsupported sweep variable {variable!r}")
+    return [(mat, replace(prof, L=v * mat.ell), run.m) for v in grid]
 
 
 def _run_rows(worker, run: RunConfig, jobs: int):
@@ -408,6 +421,7 @@ def main(argv=None) -> int:
             if not args.config:
                 raise ConfigError(f"{args.subcommand} requires --config")
             run = RunConfig.from_file(args.config)
+            _check_sweep(args.subcommand, run)
             _check_out(out)
             path = _DISPATCH[args.subcommand](run, out, args.jobs)
         print(f"wrote {path}")
@@ -421,8 +435,7 @@ def main(argv=None) -> int:
     except (RegimeError, DomainError, PoleError) as exc:
         print(f"regime/domain violation: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (QuadratureError, BracketError, RootLossError, RealnessError,
-            CrackwaveError) as exc:
+    except CrackwaveError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

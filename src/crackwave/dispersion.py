@@ -25,11 +25,8 @@ from .numerics import bracketed_root, row_blocks
 
 __all__ = [
     "DispersionPoint",
-    "SurfaceModeShape",
-    "dispersion_det",
     "trace_curve",
     "shear_phase_speed",
-    "surface_mode_shape",
 ]
 
 log = logging.getLogger(__name__)
@@ -42,16 +39,6 @@ class DispersionPoint:
     omega_norm: float
     k_norm: float
     mR: float
-
-
-@dataclass(frozen=True)
-class SurfaceModeShape:
-    """Decay exponents and amplitude pair of the two-term surface mode."""
-
-    alpha: complex
-    beta: complex
-    A: complex
-    B: complex
 
 
 def shear_phase_speed(k_norm: float, h0: float):
@@ -73,48 +60,28 @@ def _branch_boundary_omega(omega_norm, h0: float):
     return np.sqrt(0.5 * (b + np.sqrt(b * b + 2.0 * w2)))
 
 
-def _det_rows(mR, k_norm, eta, h0):
-    """Boundary-system rows in real arithmetic, vectorized over (mR, k_norm).
+def _scaled_det(m, eta: float, h0: float, *, k_norm=None, omega_norm=None):
+    """Determinant of the traction-free boundary system at (m_R, k) scaled
+    by (1 + k)^5, in real arithmetic, vectorized over m.
 
     Raises DomainError when beta² is negative beyond rounding (the mode no
     longer decays); rounding-level negatives at the branch boundary are
     clipped to zero.
     """
-    k2 = k_norm * k_norm
-    _, alpha, b2 = wave_exponents(k_norm, mR, h0)
+    k = omega_norm / m if k_norm is None else k_norm
+    k2 = k * k
+    _, alpha, b2 = wave_exponents(k, m, h0)
     if np.any(b2 < -1e-10 * (alpha * alpha)):
         raise DomainError(
-            f"point (mR={mR}, k={k_norm}) lies off the decaying-mode branch"
+            f"point (mR={m}, k={k}) lies off the decaying-mode branch"
         )
     b2 = np.maximum(b2, 0.0)
     beta = np.sqrt(b2)
-    p = k2 * (2.0 + eta - 2.0 * (h0 * mR) ** 2)
+    p = k2 * (2.0 + eta - 2.0 * (h0 * m) ** 2)
     d11 = alpha**3 - alpha * (2.0 + p)
     d12 = beta**3 - beta * (2.0 + p)
     d21 = alpha**2 + eta * k2
     d22 = b2 + eta * k2
-    return alpha, beta, (d11, d12, d21, d22)
-
-
-def dispersion_det(mR: float, omega_norm: float, eta: float, h0: float) -> float:
-    """Determinant of the traction-free boundary system at (m_R, omega).
-
-    Real and continuous on the decaying-mode branch; evaluation beyond the
-    branch boundary (complex decay exponents) raises DomainError.
-    """
-    if mR <= 0 or omega_norm <= 0:
-        raise DomainError("dispersion_det needs mR > 0 and omega_norm > 0")
-    k_norm = omega_norm / mR
-    alpha, beta, (d11, d12, d21, d22) = _det_rows(mR, k_norm, eta, h0)
-    if abs(alpha + beta) < 1e-300:
-        raise DomainError("degenerate mode normalization: alpha + beta = 0")
-    return d11 * d22 - d12 * d21
-
-
-def _scaled_det(m, eta: float, h0: float, *, k_norm=None, omega_norm=None):
-    """Determinant scaled by (1 + k)^5, vectorized over m."""
-    k = omega_norm / m if k_norm is None else k_norm
-    _, _, (d11, d12, d21, d22) = _det_rows(m, k, eta, h0)
     return (d11 * d22 - d12 * d21) / (1.0 + k) ** 5
 
 
@@ -210,24 +177,3 @@ def _point(g: float, m: float, axis: str) -> DispersionPoint:
         return DispersionPoint(omega_norm=m * g, k_norm=g, mR=m)
     return DispersionPoint(omega_norm=g, k_norm=g / m, mR=m)
 
-
-def surface_mode_shape(mR: float, k_norm: float, eta: float, h0: float) -> SurfaceModeShape:
-    """Amplitude pair (A, B) of the two decaying exponentials at a dispersion
-    point, normalized to unit maximum amplitude."""
-    alpha, beta, (d11, d12, d21, d22) = _det_rows(mR, k_norm, eta, h0)
-    if alpha.real <= 0.0 or beta.real < 0.0:
-        raise DomainError(
-            f"unbounded mode: Re(alpha)={alpha.real:g}, Re(beta)={beta.real:g}"
-        )
-    # Null vector of the 2x2 system from its better-scaled row.
-    if max(abs(d11), abs(d12)) >= max(abs(d21), abs(d22)):
-        A, B = d12, -d11
-    else:
-        A, B = d22, -d21
-    norm = max(abs(A), abs(B))
-    if norm == 0.0:
-        A, B = 1.0, 0.0
-    else:
-        A, B = A / norm, B / norm
-    return SurfaceModeShape(alpha=complex(alpha), beta=complex(beta),
-                            A=complex(A), B=complex(B))

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .classical import classical_err, half_power_moment_quadrature
-from .errors import CrackwaveError, DomainError, RealnessError, RegimeError
+from .errors import CrackwaveError, RealnessError, RegimeError
 from .kernel import KernelParams, factorize
 from .loading import (LoadProfile, SplitData, build_split, kp_coefficient,
                       traction_half_power_moment)
@@ -71,11 +71,7 @@ def err_smalllength_limit(tau, m: float, G: float) -> float:
 def err_result(split: SplitData) -> ErrResult:
     """E, E_cl and E/E_cl at the split's own point.  E must be real to 1e-8
     and the ratio must match its closed form 2i·F²·L·sqrt(1−m²)/(ℓ·K_p²·Upsilon)
-    to 1e-10, both relative.  A classical split (F = 0, no Upsilon) raises
-    DomainError."""
-    if split.kernel is None:
-        raise DomainError("the couple-stress energy release rate needs a "
-                          "factorized kernel, not the classical split")
+    to 1e-10, both relative."""
     profile, F, T0 = split.profile, split.F, split.T0
     ups = split.kernel.params.upsilon
     value = 2j * F * F * T0 * T0 / (split.G * split.ell * ups)

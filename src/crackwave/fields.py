@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 TIP_WINDOW_FLOOR = 1e-3  # t23-max window starts at 1e-3·ell (singular zone excluded)
+_TMAX_POINTS = 90        # log-spaced points of the t23-max window
 _EXPN_SERIES_TERMS = 20  # terms of the E_q power series, w < 1
 _BALANCE_ORDER = 12      # Gauss nodes per half-decade panel of the balance integral
 
@@ -94,17 +95,6 @@ _LADDERS = {
     FieldKind.TRACTION: (0.5, -0.5, -1.5, -2.5, -3.5),
 }
 
-# With a zero Liouville constant (classical specialization) the opening
-# integrand decays one power faster ladder-start: G⁻ ~ 1/xi instead of the
-# constant F.
-_CLASSICAL_OPENING_LADDER = (-1.5, -2.5, -3.5, -4.5, -5.5)
-
-
-def _ladder_for(split: SplitData, kind: FieldKind):
-    if split.is_classical and kind is FieldKind.OPENING:
-        return _CLASSICAL_OPENING_LADDER
-    return _LADDERS[kind]
-
 _STRESS_KINDS = (FieldKind.SIGMA_SHEAR, FieldKind.TAU_SHEAR,
                  FieldKind.COUPLE_STRESS, FieldKind.TOTAL_SHEAR)
 
@@ -122,27 +112,27 @@ def _integrands(split: SplitData, kinds, xi):
     """
     xi = np.asarray(xi, dtype=float)
     gm = g_minus(xi / split.ell, split)
+    kernel = split.kernel
     rows = {}
     if FieldKind.TRACTION in kinds:
-        rows[FieldKind.TRACTION] = sqrt_plus(xi) * (split.F - gm) / split.k_plus_line(xi)
+        rows[FieldKind.TRACTION] = sqrt_plus(xi) * (split.F - gm) / kernel.k_plus_line(xi)
     stresses = [k for k in kinds if k in _STRESS_KINDS]
-    if stresses and split.is_classical:
-        raise DomainError(f"{stresses[0].value} requires the couple-stress solution")
     if FieldKind.OPENING in kinds or stresses:
         q = (gm - split.F) / (
-            sqrt_minus(xi) * split.psi(xi) * split.k_minus_line(xi)
+            sqrt_minus(xi) * split.psi(xi) * kernel.k_minus_line(xi)
         )
         rows[FieldKind.OPENING] = q
     if stresses:
-        _, alpha, beta2 = wave_exponents(xi, split.m, split.h0)
+        eta, h0 = kernel.params.eta, kernel.params.h0
+        _, alpha, beta2 = wave_exponents(xi, split.m, h0)
         beta = np.sqrt(beta2)
         xi2 = xi * xi
-        num, den = alpha * beta - split.eta * xi2, alpha + beta
+        num, den = alpha * beta - eta * xi2, alpha + beta
         r_sigma = num / den
         r_tau = (
             alpha**2 * beta2
-            + (alpha**2 + beta2 + alpha * beta) * split.eta * xi2
-            - (1.0 - 2.0 * (split.h0 * split.m) ** 2) * xi2 * (split.eta * xi2 - alpha * beta)
+            + (alpha**2 + beta2 + alpha * beta) * eta * xi2
+            - (1.0 - 2.0 * (h0 * split.m) ** 2) * xi2 * (eta * xi2 - alpha * beta)
         ) / den
         rows[FieldKind.SIGMA_SHEAR] = r_sigma * q
         rows[FieldKind.TAU_SHEAR] = r_tau * q
@@ -162,24 +152,23 @@ def _prefactor(split: SplitData, kind: FieldKind) -> complex:
     if kind in (FieldKind.TAU_SHEAR, FieldKind.TOTAL_SHEAR):
         return -T0 / (2.0 * math.pi * ell)
     if kind is FieldKind.COUPLE_STRESS:
-        return -1j * T0 * (1.0 + split.eta) / math.pi
+        return -1j * T0 * (1.0 + split.kernel.params.eta) / math.pi
     raise DomainError(f"unknown field kind {kind!r}")
 
 
 def _truncation_radius(split: SplitData) -> float:
     """Truncation radius far beyond both scales of the integrands: zeta and
     ℓ/L, on which G⁻ varies (the tail ladder is an expansion in 1/(xi·L/ℓ))."""
-    zeta = split.zeta or 1.0
-    return max(4.0e3, 50.0 * zeta, 2.0e3 / split.L_over_ell)
+    return max(4.0e3, 50.0 * split.kernel.params.zeta, 2.0e3 / split.L_over_ell)
 
 
 def _tail_fits(split: SplitData, kinds, radius: float):
     """Fitted ladders ``(coeffs, max_residual)`` of the integrands of
     ``kinds``, from one stacked evaluation on the fit window below
     ``radius``."""
-    start = max(40.0, 30.0 * (split.zeta or 0.0), radius / 50.0)
+    start = max(40.0, 30.0 * split.kernel.params.zeta, radius / 50.0)
     ts = np.geomspace(start, radius, TAIL_FIT_POINTS)
-    return [fit_power_tail(ts, v, _ladder_for(split, kind))
+    return [fit_power_tail(ts, v, _LADDERS[kind])
             for kind, v in zip(kinds, _integrands(split, kinds, ts))]
 
 
@@ -257,7 +246,7 @@ def _field_values(split: SplitData, kinds, x):
     fits = [(np.conj(coeffs) if kind is FieldKind.OPENING else coeffs, resid)
             for kind, (coeffs, resid) in zip(kinds, _tail_fits(split, kinds, radius))]
     val, err = oscillatory_halfline(columns, a, radius,
-                                    [_ladder_for(split, kind) for kind in kinds], fits)
+                                    [_LADDERS[kind] for kind in kinds], fits)
     for i, kind in enumerate(kinds):
         if kind is FieldKind.OPENING:
             val[i] = np.conj(val[i])
@@ -328,27 +317,19 @@ def field_profile(split: SplitData, kind: FieldKind, *, n: int = 400,
     return FieldProfile(X=sign * grid, values=values[0], kind=kind, error=error[0])
 
 
-def max_total_shear(split: SplitData, X_window=None, n_grid: int = 90):
-    """Maximum of t23 over an evaluation window ahead of the tip.
+def max_total_shear(split: SplitData):
+    """Maximum of t23 over 90 log-spaced points of the window
+    1e-3·ell ≤ X ≤ 1e2·max(L, ell) ahead of the tip, refined by a parabola
+    in log X about the largest.
 
-    The default window starts at 1e-3·ell: the total shear is square-root-
-    cubed singular at the tip, so a maximum is only meaningful outside the
+    The window starts at 1e-3·ell: the total shear is square-root-cubed
+    singular at the tip, so a maximum is only meaningful outside the
     singular zone.  Returns ``(t23max, X_at)``."""
     ell, L = split.ell, split.profile.L
-    if X_window is None:
-        X_window = (TIP_WINDOW_FLOOR * ell, 1e2 * max(L, ell))
-    x_lo, x_hi = X_window
-    if not 0.0 < x_lo < x_hi:
-        raise DomainError(f"degenerate window {X_window}")
-    if x_lo < TIP_WINDOW_FLOOR * ell:
-        raise DomainError(
-            f"window must start at or above {TIP_WINDOW_FLOOR}*ell to exclude "
-            "the singular tip zone"
-        )
-    grid = np.geomspace(x_lo, x_hi, n_grid)
+    grid = np.geomspace(TIP_WINDOW_FLOOR * ell, 1e2 * max(L, ell), _TMAX_POINTS)
     vals = _field_values(split, (FieldKind.TOTAL_SHEAR,), grid)[0][0]
     i = int(np.argmax(vals))
-    if 0 < i < n_grid - 1:
+    if 0 < i < _TMAX_POINTS - 1:
         # Parabolic refinement in log X.
         u = np.log(grid[i - 1: i + 2])
         y = vals[i - 1: i + 2]
@@ -367,19 +348,16 @@ def neartip_coefficients(split: SplitData) -> NearTipCoefficients:
 
     The half-power branch constants make all three real; a relative
     imaginary residue above 1e-10 raises RealnessError."""
-    if split.is_classical:
-        raise DomainError("near-tip ladder of the classical solution differs; "
-                          "use classical_neartip")
-    T0, ell, ups = split.T0, split.ell, split.upsilon_eff
-    u = split.kernel.params.u
-    eta = split.eta
+    params = split.kernel.params
+    T0, ell, ups = split.T0, split.ell, params.upsilon
+    u, eta, h0 = params.u, params.eta, params.h0
     F = split.F
     rt_pi = math.sqrt(math.pi)
     i_m32 = np.exp(-0.75j * np.pi)  # (i)^{−3/2} under the upper branch
     i_p12 = np.exp(0.25j * np.pi)   # (i)^{1/2}
 
     cw = -8.0 * F * T0 * i_m32 * ell ** -1.5 / (3.0 * rt_pi * split.G * ups)
-    ct = -F * T0 * (1.0 + eta - 2.0 * (split.h0 * split.m) ** 2) * i_p12 * math.sqrt(ell) \
+    ct = -F * T0 * (1.0 + eta - 2.0 * (h0 * split.m) ** 2) * i_p12 * math.sqrt(ell) \
         / (2.0 * rt_pi * ups)
     cmu = 2.0 * F * T0 * (u - eta) * (1.0 + eta) * i_p12 * math.sqrt(ell) \
         / (rt_pi * ups * (1.0 + u))
@@ -407,10 +385,7 @@ def balance_integral(split: SplitData) -> float:
     # Singular coefficients consistent with the engine's own tail model, so
     # the subtraction cancels identically at small X: the xi^{1/2} and
     # xi^{−1/2} ladder heads transform to X^{−3/2} and X^{−1/2} terms with
-    # c = 2·Re[pref·c_k·Γ(λ+1)e^{−iπ(λ+1)/2}]·ℓ^{λ+1}.  (In the classical
-    # specialization the xi^{1/2} coefficient is zero up to fit noise, and
-    # subtracting the noise-consistent value is exactly what removes it from
-    # the sampled values again.)
+    # c = 2·Re[pref·c_k·Γ(λ+1)e^{−iπ(λ+1)/2}]·ℓ^{λ+1}.
     pref = _prefactor(split, FieldKind.TRACTION)
     (coeffs, _), = _tail_fits(split, (FieldKind.TRACTION,), _truncation_radius(split))
     c32 = math.sqrt(math.pi) * float(np.real(
@@ -438,8 +413,7 @@ def balance_integral(split: SplitData) -> float:
     middle = float(np.sum(wu.ravel() * reg * grid))
 
     # Tip: reg ~ c·X^{−1/2} + d + e·sqrt(X) below x_min (the X^{−1/2} piece
-    # is fed by the damping expansion of the subtracted model, and by the
-    # loading itself in the classical specialization).
+    # is fed by the damping expansion of the subtracted model).
     sel = grid <= 100.0 * x_min
     c, _ = fit_power_tail(grid[sel], reg[sel], (-0.5, 0.0, 0.5))
     tip = float(np.real(2.0 * c[0] * math.sqrt(x_min) + c[1] * x_min

@@ -37,7 +37,6 @@ __all__ = [
     "kp_coefficient",
     "split_coefficients",
     "g_minus",
-    "g_plus",
     "liouville_constant",
     "build_split",
 ]
@@ -45,11 +44,6 @@ __all__ = [
 # |1 + isL| on the coefficient contour: clear of the branch point s = 0
 # (|u| = 1) and of the symbol pole s = −i·zeta/ℓ (|u| = 1 + zeta·L/ℓ).
 _CONTOUR_RADIUS = 0.4
-_NEAR_POLE = 0.35      # g_plus takes the contour integral inside this |u|
-# Trapezoid nodes of g_plus's Cauchy integral on |u| = 0.4.  Its error at u
-# falls like (|u|/0.4)^N, which is 0.875^N at |u| = 0.35: 1.4e-15 for
-# N = 256, but 2e-4 for the 64 nodes of the coefficient contour.
-_NEAR_POLE_NODES = 256
 _F_CHECK_RTOL = 1e-6   # allowed |F − F_alt|/|F| of the Liouville cross-check
 
 
@@ -122,8 +116,8 @@ def split_coefficients(kernel, profile: LoadProfile, ell: float) -> np.ndarray:
     """Taylor coefficients F_0..F_p of k⁺(sℓ)/(sℓ)₊^{1/2} in powers of
     u = 1+isL, by a circle contour about s = i/L.
 
-    ``kernel`` only needs a ``k_plus`` method, so a unit-kernel stub
-    reproduces the classical coefficients.
+    ``kernel`` only needs a ``k_plus`` method: with k⁺ ≡ 1 the coefficients
+    are the classical H_j (``classical.h_coefficients_contour``).
     """
     return contour_coefficients(_pole_factor(kernel.k_plus, profile.L, ell),
                                 _CONTOUR_RADIUS, profile.p + 1)
@@ -133,11 +127,8 @@ def split_coefficients(kernel, profile: LoadProfile, ell: float) -> np.ndarray:
 class SplitData:
     """Everything needed to evaluate the split functions and invert the
     crack-line fields: the coefficients F_0..F_p of G⁻, the Liouville
-    constant F, the symbol factorization and the load echo.
-
-    A ``kernel`` of None denotes the classical-elasticity specialization
-    (unit symbol, Psi ≡ 2·nu, F = 0).
-    """
+    constant F, the symbol factorization and the load echo.  The symbol's
+    parameters are ``kernel.params``."""
 
     profile: LoadProfile
     G: float
@@ -146,31 +137,11 @@ class SplitData:
     coeffs: np.ndarray
     F: complex
     F_alt: complex | None
-    kernel: FactorizedKernel | None
-
-    @property
-    def is_classical(self) -> bool:
-        return self.kernel is None
+    kernel: FactorizedKernel
 
     @property
     def nu(self) -> float:
         return math.sqrt(1.0 - self.m * self.m)
-
-    @property
-    def upsilon_eff(self) -> float:
-        return 0.0 if self.kernel is None else self.kernel.params.upsilon
-
-    @property
-    def eta(self):
-        return None if self.kernel is None else self.kernel.params.eta
-
-    @property
-    def h0(self):
-        return None if self.kernel is None else self.kernel.params.h0
-
-    @property
-    def zeta(self):
-        return None if self.kernel is None else self.kernel.params.zeta
 
     @property
     def L_over_ell(self) -> float:
@@ -181,18 +152,8 @@ class SplitData:
         return self.profile.T0
 
     def psi(self, xi):
-        """Psi(xi) = Upsilon·xi² + 2·nu (Upsilon = 0 classically)."""
-        return self.upsilon_eff * np.asarray(xi) ** 2 + 2.0 * self.nu
-
-    def k_minus_line(self, xi):
-        if self.kernel is None:
-            return np.ones_like(np.asarray(xi, dtype=complex))
-        return self.kernel.k_minus_line(xi)
-
-    def k_plus_line(self, xi):
-        if self.kernel is None:
-            return np.ones_like(np.asarray(xi, dtype=complex))
-        return self.kernel.k_plus_line(xi)
+        """Psi(xi) = Upsilon·xi² + 2·nu."""
+        return self.kernel.params.upsilon * np.asarray(xi) ** 2 + 2.0 * self.nu
 
 
 def _g_minus_u(u, coeffs, p: int):
@@ -211,31 +172,6 @@ def g_minus(s, split: SplitData):
         raise PoleError("g_minus evaluated at its pole s = i/L")
     acc = np.asarray(_g_minus_u(u, split.coeffs, split.profile.p), dtype=complex)
     return complex(acc) if acc.ndim == 0 else acc
-
-
-def g_plus(s, split: SplitData):
-    """G⁺(s) = k⁺(sℓ)/((sℓ)₊^{1/2}(1+isL)^{1+p}) − G⁻(s), regular at s = i/L.
-
-    Away from that point it is the direct difference.  Inside |1+isL| < 0.35
-    it is the Cauchy integral of G⁺ over the coefficient circle |u| = 0.4,
-    G⁺(u) = mean_k G⁺(u_k)·u_k/(u_k − u), by the trapezoid rule on
-    ``_NEAR_POLE_NODES`` nodes, where the difference has no cancellation."""
-    k_plus = split.kernel.k_plus if split.kernel is not None else np.ones_like
-    g = _pole_factor(k_plus, split.profile.L, split.ell)
-    p = split.profile.p
-
-    def direct(u):
-        return g(u) / u ** (1 + p) - _g_minus_u(u, split.coeffs, p)
-
-    u = 1.0 + 1j * np.atleast_1d(np.asarray(s, dtype=complex)) * split.profile.L
-    near = np.abs(u) < _NEAR_POLE
-    out = np.empty_like(u)
-    out[~near] = direct(u[~near])
-    if near.any():
-        nodes = _CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(_NEAR_POLE_NODES)
-                                         / _NEAR_POLE_NODES)
-        out[near] = np.mean(direct(nodes) * nodes / (nodes - u[near, None]), axis=1)
-    return complex(out[0]) if np.ndim(s) == 0 else out
 
 
 def _appendix_ratio(kernel: FactorizedKernel, coeffs, profile: LoadProfile,

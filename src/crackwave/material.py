@@ -3,8 +3,8 @@ couple-stress elasticity.
 
 Everything here is a pure function of (eta, h0, m): the surface-wave limit
 functions Upsilon and Lambda, the critical crack speed m_c, the threshold
-rotational inertia h0* above which m_c < 1, the pole location zeta of the
-factorized symbol, and the propagation-regime classification.
+rotational inertia h0* above which m_c < 1, and the pole location zeta of
+the factorized symbol.
 
 With u = sqrt(1 − 2h0²m²), Upsilon = P(u)/(1 + u) for the cubic
 P(u) = u³ + u² + (1 + 2η)u − η², which depends on eta alone and has one
@@ -13,7 +13,6 @@ is m_c = min(1, h0*/h0).
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -24,16 +23,11 @@ from .numerics import bracketed_root
 
 __all__ = [
     "Material",
-    "PropagationState",
-    "Regime",
-    "RayleighRange",
-    "SonicRange",
     "upsilon",
     "lambda_surface",
     "critical_speed",
     "h0_star",
     "zeta",
-    "classify_regime",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -62,62 +56,6 @@ class Material:
             raise DomainError(f"eta must lie in (-1, 1), got {self.eta}")
         if self.h0 < 0:
             raise DomainError(f"h0 must be nonnegative, got {self.h0}")
-
-    @property
-    def c_s(self) -> float:
-        """Shear wave speed sqrt(G/rho)."""
-        return math.sqrt(self.G / self.rho)
-
-    @property
-    def J(self) -> float:
-        """Rotational inertia 4·rho·(h0·ell)²."""
-        return 4.0 * self.rho * (self.h0 * self.ell) ** 2
-
-    @property
-    def ell_bending(self) -> float:
-        return self.ell / SQRT2
-
-    @property
-    def ell_torsion(self) -> float:
-        return self.ell * math.sqrt(1.0 + self.eta)
-
-
-@dataclass(frozen=True)
-class PropagationState:
-    """Normalized steady crack-tip speed m = V/c_s ≥ 0."""
-
-    m: float
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise DomainError(f"crack speed must be nonnegative, got {self.m}")
-
-    def velocity(self, material: Material) -> float:
-        return self.m * material.c_s
-
-
-class RayleighRange(enum.Enum):
-    SUB_RAYLEIGH = "sub-rayleigh"
-    SUPER_RAYLEIGH = "super-rayleigh"
-
-
-class SonicRange(enum.Enum):
-    SUBSONIC = "subsonic"
-    SUPERSONIC = "supersonic"
-
-
-@dataclass(frozen=True)
-class Regime:
-    rayleigh: RayleighRange
-    sonic: SonicRange
-
-    @property
-    def is_sub_rayleigh(self) -> bool:
-        return self.rayleigh is RayleighRange.SUB_RAYLEIGH
-
-    @property
-    def is_subsonic(self) -> bool:
-        return self.sonic is SonicRange.SUBSONIC
 
 
 def _check_eta(eta):
@@ -213,12 +151,3 @@ def zeta(eta: float, h0: float, m: float) -> float:
         )
     return math.sqrt(2.0 * math.sqrt(1.0 - m * m) / ups)
 
-
-def classify_regime(eta: float, h0: float, m: float) -> Regime:
-    """Sub/super-Rayleigh and sub/supersonic classification of a speed m."""
-    if m < 0:
-        raise DomainError(f"m must be nonnegative, got {m}")
-    sonic = SonicRange.SUBSONIC if m < 1.0 else SonicRange.SUPERSONIC
-    sub = m < critical_speed(eta, h0)
-    rayleigh = RayleighRange.SUB_RAYLEIGH if sub else RayleighRange.SUPER_RAYLEIGH
-    return Regime(rayleigh=rayleigh, sonic=sonic)

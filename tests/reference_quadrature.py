@@ -109,8 +109,8 @@ def field_unfolded(split, kind: FieldKind, X: float) -> complex:
     fields._check_domain(kind, X)
     radius = fields._truncation_radius(split)
     a = X / split.ell
-    ladder = fields._ladder_for(split, kind)
-    ts = np.geomspace(max(40.0, 30.0 * (split.zeta or 0.0), radius / 50.0), radius,
+    ladder = fields._LADDERS[kind]
+    ts = np.geomspace(max(40.0, 30.0 * split.kernel.params.zeta, radius / 50.0), radius,
                       TAIL_FIT_POINTS)
 
     def halfline(f, freq):

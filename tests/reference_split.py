@@ -1,0 +1,41 @@
+"""The other half of the additive split, G⁺, as the reference that the
+split tests compare G⁻ against.
+
+``crackwave.loading`` writes k⁺(sℓ)/((sℓ)₊^{1/2}(1+isL)^{1+p}) = G⁻(s) + G⁺(s)
+and keeps only G⁻'s coefficients; nothing in the package reads G⁺.  Here
+G⁺ is the direct difference away from the transform pole s = i/L and a
+Cauchy integral over the coefficient circle near it.
+"""
+import numpy as np
+
+from crackwave.loading import _CONTOUR_RADIUS, _g_minus_u, _pole_factor
+
+_NEAR_POLE = 0.35      # g_plus takes the contour integral inside this |u|
+# Trapezoid nodes of g_plus's Cauchy integral on |u| = 0.4.  Its error at u
+# falls like (|u|/0.4)^N, which is 0.875^N at |u| = 0.35: 1.4e-15 for
+# N = 256, but 2e-4 for the 64 nodes of the coefficient contour.
+_NEAR_POLE_NODES = 256
+
+
+def g_plus(s, split):
+    """G⁺(s) = k⁺(sℓ)/((sℓ)₊^{1/2}(1+isL)^{1+p}) − G⁻(s), regular at s = i/L.
+
+    Away from that point it is the direct difference.  Inside |1+isL| < 0.35
+    it is the Cauchy integral of G⁺ over the coefficient circle |u| = 0.4,
+    G⁺(u) = mean_k G⁺(u_k)·u_k/(u_k − u), by the trapezoid rule on
+    ``_NEAR_POLE_NODES`` nodes, where the difference has no cancellation."""
+    g = _pole_factor(split.kernel.k_plus, split.profile.L, split.ell)
+    p = split.profile.p
+
+    def direct(u):
+        return g(u) / u ** (1 + p) - _g_minus_u(u, split.coeffs, p)
+
+    u = 1.0 + 1j * np.atleast_1d(np.asarray(s, dtype=complex)) * split.profile.L
+    near = np.abs(u) < _NEAR_POLE
+    out = np.empty_like(u)
+    out[~near] = direct(u[~near])
+    if near.any():
+        nodes = _CONTOUR_RADIUS * np.exp(2j * np.pi * np.arange(_NEAR_POLE_NODES)
+                                         / _NEAR_POLE_NODES)
+        out[near] = np.mean(direct(nodes) * nodes / (nodes - u[near, None]), axis=1)
+    return complex(out[0]) if np.ndim(s) == 0 else out

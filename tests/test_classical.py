@@ -1,6 +1,8 @@
-"""Classical-elasticity oracle: split coefficients, near-tip fields, stress
-intensity factor and energy release rate."""
+"""Classical-elasticity oracle: split coefficients, the classical traction
+ahead of the tip through the field inversion, energy release rate and the
+half-power moment of a general loading."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,13 +10,32 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import hyperu
 
 from crackwave import fields
-from crackwave.classical import (build_classical, classical_err,
-                                 classical_neartip, classical_sif,
-                                 classical_split, h_coefficients,
+from crackwave.classical import (classical_err, h_coefficients,
                                  h_coefficients_contour,
                                  half_power_moment_quadrature)
 from crackwave.errors import QuadratureError, RegimeError
-from crackwave.loading import LoadProfile, kp_coefficient
+from crackwave.loading import LoadProfile, SplitData, kp_coefficient
+
+
+class _UnitKernel:
+    """The unit symbol k ≡ 1 of classical elasticity in the place of a
+    factorized kernel, for the traction inversion: k⁺ ≡ 1 on the line,
+    Upsilon = 0, and zeta = 1, so that the truncation radius and the tail-fit
+    window are set by L/ℓ alone."""
+
+    params = SimpleNamespace(zeta=1.0, upsilon=0.0)
+
+    @staticmethod
+    def k_plus_line(xi):
+        return np.ones_like(np.asarray(xi, dtype=complex))
+
+
+def unit_split(profile: LoadProfile, m: float, G: float) -> SplitData:
+    """Classical split with lengths measured in ell = 1: coefficients H_j,
+    a zero Liouville constant and the unit symbol."""
+    return SplitData(profile=profile, G=G, ell=1.0, m=m,
+                     coeffs=h_coefficients(profile.p, profile.L), F=0j,
+                     F_alt=None, kernel=_UnitKernel())
 
 
 def wrapped_cut_traction(X, L, p, T0):
@@ -38,10 +59,11 @@ class TestCoefficients:
         h = h_coefficients(1, 4.0)
         assert h[1] == pytest.approx(0.5 * h[0])
 
-    @pytest.mark.parametrize("p", range(7))
-    def test_contour_matches_closed_form(self, p):
-        a = h_coefficients(p, 2.0)
-        b = h_coefficients_contour(p, 2.0)
+    @pytest.mark.parametrize("p,L", [(p, 2.0) for p in range(7)] + [(3, 10.0)],
+                             ids=[str(p) for p in range(7)] + ["3-L10"])
+    def test_contour_matches_closed_form(self, p, L):
+        a = h_coefficients(p, L)
+        b = h_coefficients_contour(p, L)
         assert np.abs(a - b).max() < 1e-10
 
     def test_kp_values(self):
@@ -50,65 +72,27 @@ class TestCoefficients:
 
 
 class TestNearTip:
-    def test_p0_prefactor(self):
-        sol = build_classical(LoadProfile(T0=1.0, L=4.0, p=0), 0.0, 1.0)
-        out = classical_neartip(1e-4, sol)
-        # amp = K_0/sqrt(pi)·T0/sqrt(L)
-        assert out["sigma23"] == pytest.approx(
-            1.0 / math.sqrt(math.pi * 4.0) / math.sqrt(1e-4))
-
-    def test_opening_closes_at_tip(self):
-        sol = build_classical(LoadProfile(T0=1.0, L=4.0, p=1), 0.5, 2.0)
-        assert classical_neartip(-1e-12, sol)["w"] < 1e-5
-
-    def test_product_x_independent(self):
-        sol = build_classical(LoadProfile(T0=1.0, L=4.0, p=1), 0.5, 2.0)
-        prods = [classical_neartip(x, sol)["sigma23"]
-                 * classical_neartip(x, sol)["w"]
-                 for x in np.geomspace(1e-6, 1e-2, 10)]
-        assert np.ptp(prods) < 1e-12 * abs(prods[0])
-
     def test_inversion_matches_closed_form(self):
         # The shared inversion machinery with a unit symbol reproduces the
         # classical traction, including the square-root tip behaviour.
+        # sigma23 ~ K_p·T0/sqrt(pi·L·X) at the tip.
         prof = LoadProfile(T0=1.0, L=5.0, p=1)
-        split = classical_split(prof, 0.3, 1.0)
-        sol = build_classical(prof, 0.3, 1.0)
+        split = unit_split(prof, 0.3, 1.0)
         for X in (1e-5, 1e-4):
             num = fields.traction_ahead(X, split)
-            assert num == pytest.approx(classical_neartip(X, sol)["sigma23"],
-                                        rel=1e-2)
+            ref = kp_coefficient(1) * prof.T0 / math.sqrt(math.pi * prof.L * X)
+            assert num == pytest.approx(ref, rel=1e-2)
 
     def test_inversion_matches_wrapped_cut_form(self):
         prof = LoadProfile(T0=1.0, L=5.0, p=1)
-        split = classical_split(prof, 0.3, 1.0)
+        split = unit_split(prof, 0.3, 1.0)
         for X in (0.01, 0.3, 2.0, 40.0):
             num = fields.traction_ahead(X, split)
             ref = wrapped_cut_traction(X, 5.0, 1, 1.0)
             assert num == pytest.approx(ref, rel=1e-7)
 
-    def test_opening_inversion_near_tip(self):
-        prof = LoadProfile(T0=1.0, L=5.0, p=1)
-        split = classical_split(prof, 0.3, 1.0)
-        sol = build_classical(prof, 0.3, 1.0)
-        Xs = np.geomspace(1e-6, 1e-4, 6)
-        w_num = np.array([fields.crack_opening(-x, split) for x in Xs])
-        w_cl = np.array([classical_neartip(-x, sol)["w"] for x in Xs])
-        slope = np.polyfit(np.log(Xs), np.log(w_num), 1)[0]
-        assert slope == pytest.approx(0.5, abs=0.02)
-        assert w_num[0] == pytest.approx(w_cl[0], rel=2e-2)
-
 
 class TestSifAndErr:
-    def test_sif_p0(self):
-        sol = build_classical(LoadProfile(T0=3.0, L=2.0, p=0), 0.0, 1.0)
-        assert classical_sif(sol) == pytest.approx(3.0 * math.sqrt(2.0 / 2.0))
-
-    def test_sif_scaling(self):
-        s0 = classical_sif(build_classical(LoadProfile(T0=1.0, L=2.0, p=0), 0.0, 1.0))
-        s1 = classical_sif(build_classical(LoadProfile(T0=1.0, L=2.0, p=1), 0.0, 1.0))
-        assert s1 == pytest.approx(0.5 * s0)
-
     def test_err_static_p0(self):
         prof = LoadProfile(T0=1.0, L=2.0, p=0)
         assert classical_err(prof, 0.0, 1.0) == pytest.approx(1.0 / 2.0)

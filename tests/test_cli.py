@@ -70,8 +70,10 @@ sweep.count = 2
     ("err-sweep", ERR_SWEEP.split("sweep.")[0], "this subcommand needs a sweep block"),
     # The last of two values used to win silently, running at eta = -0.9.
     ("fields", "material.eta = 0.9\n" + FIELDS, ":2: 'material.eta' repeats line 1"),
+    ("dispersion", DISPERSION.replace("start = 0.05", "start = -1"),
+     "log sweep needs a positive start"),
 ], ids=["misspelt-key", "points-not-int", "points-negative", "variable-unknown",
-        "limit-variable-unknown", "no-sweep-block", "repeated-key"])
+        "limit-variable-unknown", "no-sweep-block", "repeated-key", "log-start"])
 def test_bad_config_exits_with_config_error(tmp_path, capsys, subcommand, text, message):
     config = tmp_path / "run.conf"
     config.write_text(text)
@@ -79,6 +81,13 @@ def test_bad_config_exits_with_config_error(tmp_path, capsys, subcommand, text, 
     assert rc == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # The config error is reported also when --out cannot be written: the
+    # sweep checks used to run after the --out check, which then won.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = cli.main([subcommand, "--config", str(config), "--out", str(blocker / "x")])
+    assert rc == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

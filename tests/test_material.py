@@ -1,5 +1,5 @@
 """Material parameter functions: surface-wave limit functions, critical
-speed, threshold inertia, pole location and regime classification."""
+speed, threshold inertia, pole location and the regime of a speed."""
 import math
 
 import mpmath
@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crackwave.errors import DomainError, RegimeError
-from crackwave.material import (Material, PropagationState, RayleighRange,
-                                SonicRange, classify_regime, critical_speed,
-                                h0_star, lambda_surface, upsilon, zeta)
+from crackwave.kernel import KernelParams
+from crackwave.material import (Material, critical_speed, h0_star,
+                                lambda_surface, upsilon, zeta)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -25,19 +25,6 @@ class TestTypes:
             Material(G=1.0, rho=1.0, ell=1.0, eta=1.0, h0=0.0)
         with pytest.raises(DomainError):
             Material(G=1.0, rho=1.0, ell=1.0, eta=0.0, h0=-0.1)
-
-    def test_derived_quantities(self):
-        m = Material(G=4.0, rho=1.0, ell=2.0, eta=0.5, h0=0.25)
-        assert m.c_s == 2.0
-        assert m.J == pytest.approx(4.0 * (0.25 * 2.0) ** 2)
-        assert m.ell_bending == pytest.approx(2.0 / SQRT2)
-        assert m.ell_torsion == pytest.approx(2.0 * math.sqrt(1.5))
-
-    def test_propagation_state(self):
-        m = Material(G=4.0, rho=1.0, ell=1.0, eta=0.0, h0=0.0)
-        assert PropagationState(0.5).velocity(m) == 1.0
-        with pytest.raises(DomainError):
-            PropagationState(-0.1)
 
 
 class TestUpsilon:
@@ -168,9 +155,9 @@ class TestCubicRoot:
         got = critical_speed(1e-4, h0s)
         assert np.array_equal(got, np.minimum(1.0, h0_star(1e-4) / h0s))
         assert np.count_nonzero(got < 1.0) == 25  # h0 > 1/sqrt(2)
-        r = classify_regime(1e-5, 0.9, 0.5)
-        assert r.rayleigh is RayleighRange.SUB_RAYLEIGH
-        assert r.sonic is SonicRange.SUBSONIC
+        # m = 0.5 is sub-Rayleigh there.
+        assert 0.5 < critical_speed(1e-5, 0.9)
+        assert upsilon(1e-5, 0.9, 0.5) > 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(eta=st.one_of(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
@@ -233,20 +220,20 @@ class TestZeta:
 
 
 class TestClassifyRegime:
+    """A speed m is sub-Rayleigh below m_c = critical_speed(eta, h0), and
+    ``KernelParams`` accepts only sub-Rayleigh points."""
+
     def test_examples(self):
-        r = classify_regime(0.9, 0.01, 0.5)
-        assert r.rayleigh is RayleighRange.SUB_RAYLEIGH
-        assert r.sonic is SonicRange.SUBSONIC
-        r = classify_regime(-0.9, 0.707, 0.6)
-        assert r.rayleigh is RayleighRange.SUPER_RAYLEIGH
-        assert r.sonic is SonicRange.SUBSONIC
-        r = classify_regime(0.0, 0.0, 1.5)
-        assert r.rayleigh is RayleighRange.SUPER_RAYLEIGH
-        assert r.sonic is SonicRange.SUPERSONIC
+        assert 0.5 < critical_speed(0.9, 0.01)
+        KernelParams(m=0.5, eta=0.9, h0=0.01)
+        for m, eta, h0 in ((0.6, -0.9, 0.707), (1.5, 0.0, 0.0)):
+            assert m >= critical_speed(eta, h0)
+            with pytest.raises(RegimeError):
+                KernelParams(m=m, eta=eta, h0=h0)
 
     def test_negative_speed(self):
         with pytest.raises(DomainError):
-            classify_regime(0.0, 0.0, -0.1)
+            KernelParams(m=-0.1, eta=0.0, h0=0.0)
 
 
 def test_zero_set_colocation_grid():
