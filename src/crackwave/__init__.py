@@ -24,6 +24,6 @@ from .loading import (LoadProfile, SplitData, build_split, g_minus,
                       kp_coefficient, liouville_constant, split_coefficients,
                       traction, traction_transform)
 from .material import (Material, critical_speed, h0_star, lambda_surface,
-                       upsilon, zeta)
+                       upsilon)
 
 __version__ = "0.1.0"

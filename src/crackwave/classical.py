@@ -3,9 +3,11 @@ and the energy release rate, and the half-power moment of a general
 loading.
 
 The couple-stress pipeline meets classical elasticity through the energy
-release rate: ``energy.err_result`` divides by ``classical_err``, and
-``energy.err_smalllength_limit`` is its vanishing-microstructure limit for
-any integrable loading.  ``h_coefficients_contour`` runs the split's
+release rate: ``energy.err_result`` divides by ``classical_err``, the one
+closed form of E_cl.  ``energy.err_smalllength_limit`` is the
+vanishing-microstructure limit for any integrable loading, by
+``half_power_moment_quadrature``; on the loading family it is the
+quadrature route to E_cl.  ``h_coefficients_contour`` runs the split's
 contour with a unit symbol, against the closed form ``h_coefficients``.
 """
 from __future__ import annotations
@@ -47,7 +49,8 @@ def h_coefficients_contour(p: int, L: float) -> np.ndarray:
 
 
 def classical_err(profile: LoadProfile, m: float, G: float) -> float:
-    """Classical energy release rate T0²K_p²/(G·L·sqrt(1−m²))."""
+    """Classical energy release rate T0²K_p²/(G·L·sqrt(1−m²)), the one
+    closed form of E_cl."""
     if not 0.0 <= m < 1.0:
         raise RegimeError(f"classical energy release rate needs m < 1, got {m}")
     kp = kp_coefficient(profile.p)

@@ -2,9 +2,11 @@
 
 ``solve_crack`` builds the split of one parameter point and ``err_result``
 reads it: the couple-stress closed form E = Re[2i·F²·T0²/(G·ℓ·Upsilon)]
-against its classical counterpart E_cl = T0²·K_p²/(G·L·sqrt(1−m²)).  The
-vanishing-microstructure limit reproduces E_cl exactly for any integrable
-loading.
+against its classical counterpart E_cl = T0²·K_p²/(G·L·sqrt(1−m²)), whose
+one closed form is ``classical.classical_err``.  ``err_smalllength_limit``
+is the vanishing-microstructure limit of E for any integrable loading, by
+quadrature of its half-power moment; on the loading family it is a second
+route to E_cl, which ``validate`` checks.
 """
 from __future__ import annotations
 
@@ -14,8 +16,7 @@ from dataclasses import dataclass
 from .classical import classical_err, half_power_moment_quadrature
 from .errors import CrackwaveError, RealnessError, RegimeError
 from .kernel import KernelParams, factorize
-from .loading import (LoadProfile, SplitData, build_split, kp_coefficient,
-                      traction_half_power_moment)
+from .loading import LoadProfile, SplitData, build_split, kp_coefficient
 from .material import Material, critical_speed
 
 __all__ = [
@@ -56,15 +57,11 @@ def err_smalllength_limit(tau, m: float, G: float) -> float:
     """Vanishing-microstructure limit of the energy release rate:
     (1/(pi·G·sqrt(1−m²)))·(∫tau|X|^{−1/2}dX)².
 
-    ``tau`` is either a LoadProfile (closed-form moment) or a vectorized
-    callable loading density on X < 0 (panel quadrature): it is called with
-    numpy arrays of negative X."""
+    ``tau`` is a vectorized loading density on X < 0, called with numpy
+    arrays of negative X; its moment is integrated by panel quadrature."""
     if m >= 1.0:
         raise RegimeError(f"limit energy release rate needs m < 1, got {m}")
-    if isinstance(tau, LoadProfile):
-        moment = traction_half_power_moment(tau)
-    else:
-        moment = half_power_moment_quadrature(tau)
+    moment = half_power_moment_quadrature(tau)
     return moment * moment / (math.pi * G * math.sqrt(1.0 - m * m))
 
 
@@ -73,16 +70,17 @@ def err_result(split: SplitData) -> ErrResult:
     and the ratio must match its closed form 2i·F²·L·sqrt(1−m²)/(ℓ·K_p²·Upsilon)
     to 1e-10, both relative."""
     profile, F, T0 = split.profile, split.F, split.T0
-    ups = split.kernel.params.upsilon
+    params = split.kernel.params
+    ups = params.upsilon
     value = 2j * F * F * T0 * T0 / (split.G * split.ell * ups)
     if abs(value.imag) > 1e-8 * max(abs(value), 1e-300):
         raise RealnessError("energy release rate has a large imaginary residue",
                             value)
     e = float(value.real)
-    e_cl = classical_err(profile, split.m, split.G)
+    e_cl = classical_err(profile, params.m, split.G)
     ratio = e / e_cl
     kp = kp_coefficient(profile.p)
-    closed = 2j * F * F * profile.L * split.nu / (split.ell * kp * kp * ups)
+    closed = 2j * F * F * profile.L * params.nu / (split.ell * kp * kp * ups)
     if abs(ratio - closed.real) > 1e-10 * abs(ratio):
         raise RealnessError("energy ratio closed form disagrees with the quotient",
                             closed)

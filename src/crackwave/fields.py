@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RealnessError
-from .kernel import sqrt_minus, sqrt_plus, wave_exponents
+from .kernel import sqrt_plus, wave_exponents
 from .loading import SplitData, g_minus
 from .numerics import (TAIL_FIT_POINTS, fit_power_tail, oscillatory_halfline,
                        panel_nodes, scaled_upper_gamma)
@@ -44,6 +44,7 @@ __all__ = [
     "traction_ahead",
     "stresses_on_line",
     "crack_line_fields",
+    "crack_line_window",
     "field_profile",
     "max_total_shear",
     "neartip_coefficients",
@@ -118,13 +119,11 @@ def _integrands(split: SplitData, kinds, xi):
         rows[FieldKind.TRACTION] = sqrt_plus(xi) * (split.F - gm) / kernel.k_plus_line(xi)
     stresses = [k for k in kinds if k in _STRESS_KINDS]
     if FieldKind.OPENING in kinds or stresses:
-        q = (gm - split.F) / (
-            sqrt_minus(xi) * split.psi(xi) * kernel.k_minus_line(xi)
-        )
+        q = (gm - split.F) / kernel.symbol_minus_line(xi)
         rows[FieldKind.OPENING] = q
     if stresses:
-        eta, h0 = kernel.params.eta, kernel.params.h0
-        _, alpha, beta2 = wave_exponents(xi, split.m, h0)
+        m, eta, h0 = kernel.params.m, kernel.params.eta, kernel.params.h0
+        _, alpha, beta2 = wave_exponents(xi, m, h0)
         beta = np.sqrt(beta2)
         xi2 = xi * xi
         num, den = alpha * beta - eta * xi2, alpha + beta
@@ -132,7 +131,7 @@ def _integrands(split: SplitData, kinds, xi):
         r_tau = (
             alpha**2 * beta2
             + (alpha**2 + beta2 + alpha * beta) * eta * xi2
-            - (1.0 - 2.0 * (h0 * split.m) ** 2) * xi2 * (eta * xi2 - alpha * beta)
+            - (1.0 - 2.0 * (h0 * m) ** 2) * xi2 * (eta * xi2 - alpha * beta)
         ) / den
         rows[FieldKind.SIGMA_SHEAR] = r_sigma * q
         rows[FieldKind.TAU_SHEAR] = r_tau * q
@@ -305,12 +304,20 @@ def crack_line_fields(x, split: SplitData) -> dict:
     return {"w": _out(w), "p3": _out(p3), **_stress_dict(sigma, tau, mu)}
 
 
+def crack_line_window(split: SplitData) -> tuple[float, float]:
+    """Distances 1e-3·ell … 1e2·max(L, ell) from the tip over which the
+    crack-line fields are tabulated and the t23 maximum is sought.  The
+    lower end keeps out of the tip's singular zone."""
+    ell = split.ell
+    return TIP_WINDOW_FLOOR * ell, 1e2 * max(split.profile.L, ell)
+
+
 def field_profile(split: SplitData, kind: FieldKind, *, n: int = 400,
                   x_lo: float | None = None, x_hi: float | None = None) -> FieldProfile:
-    """Sampled profile on a logarithmic |X| grid (signed for the opening)."""
-    ell, L = split.ell, split.profile.L
-    x_lo = 1e-5 * ell if x_lo is None else x_lo
-    x_hi = 1e2 * max(L, ell) if x_hi is None else x_hi
+    """Sampled profile on a logarithmic |X| grid (signed for the opening),
+    by default from 1e-5·ell to the upper end of ``crack_line_window``."""
+    x_lo = 1e-5 * split.ell if x_lo is None else x_lo
+    x_hi = crack_line_window(split)[1] if x_hi is None else x_hi
     grid = np.geomspace(x_lo, x_hi, n)
     sign = -1.0 if kind is FieldKind.OPENING else 1.0
     values, error = _field_values(split, (kind,), grid)
@@ -318,15 +325,13 @@ def field_profile(split: SplitData, kind: FieldKind, *, n: int = 400,
 
 
 def max_total_shear(split: SplitData):
-    """Maximum of t23 over 90 log-spaced points of the window
-    1e-3·ell ≤ X ≤ 1e2·max(L, ell) ahead of the tip, refined by a parabola
-    in log X about the largest.
+    """Maximum of t23 over 90 log-spaced points of ``crack_line_window``
+    ahead of the tip, refined by a parabola in log X about the largest.
 
     The window starts at 1e-3·ell: the total shear is square-root-cubed
     singular at the tip, so a maximum is only meaningful outside the
     singular zone.  Returns ``(t23max, X_at)``."""
-    ell, L = split.ell, split.profile.L
-    grid = np.geomspace(TIP_WINDOW_FLOOR * ell, 1e2 * max(L, ell), _TMAX_POINTS)
+    grid = np.geomspace(*crack_line_window(split), _TMAX_POINTS)
     vals = _field_values(split, (FieldKind.TOTAL_SHEAR,), grid)[0][0]
     i = int(np.argmax(vals))
     if 0 < i < _TMAX_POINTS - 1:
@@ -357,7 +362,7 @@ def neartip_coefficients(split: SplitData) -> NearTipCoefficients:
     i_p12 = np.exp(0.25j * np.pi)   # (i)^{1/2}
 
     cw = -8.0 * F * T0 * i_m32 * ell ** -1.5 / (3.0 * rt_pi * split.G * ups)
-    ct = -F * T0 * (1.0 + eta - 2.0 * (h0 * split.m) ** 2) * i_p12 * math.sqrt(ell) \
+    ct = -F * T0 * (1.0 + eta - 2.0 * (h0 * params.m) ** 2) * i_p12 * math.sqrt(ell) \
         / (2.0 * rt_pi * ups)
     cmu = 2.0 * F * T0 * (u - eta) * (1.0 + eta) * i_p12 * math.sqrt(ell) \
         / (rt_pi * ups * (1.0 + u))

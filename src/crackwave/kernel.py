@@ -14,7 +14,10 @@ applies:
 
 with boundary values k⁺ = e^{iθ}/√k and k⁻ = √k·e^{iθ} on the real axis,
 where θ(xi) = (1/2π) PV ∫ log k(t)/(t − xi) dt is odd.  The identity
-k⁻/k⁺ = k holds on the axis and k±(∞) = 1.
+k⁻/k⁺ = k holds on the axis and k±(∞) = 1.  Each factor has one evaluator
+per domain: ``k_plus`` for Im z > 0 only, and ``k_plus_line`` and
+``k_minus_line`` on the real axis.  Below the axis no evaluator is needed:
+the symbol is even, so k⁻(z) = 1/k⁺(−z).
 
 θ is computed once per factorization, by one trapezoid lattice in log t,
 at the 16 Gauss-Legendre nodes of each quarter-decade panel of log xi over
@@ -43,7 +46,6 @@ from numpy.polynomial.legendre import leggauss, legvander
 from .errors import DomainError, RegimeError
 from .material import _u_radical
 from .material import upsilon as _upsilon
-from .material import zeta as _zeta
 from .numerics import panel_nodes, row_blocks
 
 __all__ = [
@@ -105,7 +107,9 @@ def wave_exponents(xi, m, h0: float):
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Sub-Rayleigh parameter point (m, eta, h0) of the crack symbol."""
+    """Sub-Rayleigh parameter point (m, eta, h0) of the crack symbol, and
+    the one home of its scalar quantities: Upsilon, nu = sqrt(1 − m²), the
+    radical u = sqrt(1 − 2h0²m²), the pole zeta and Psi."""
 
     m: float
     eta: float
@@ -140,7 +144,13 @@ class KernelParams:
 
     @cached_property
     def zeta(self) -> float:
-        return _zeta(self.eta, self.h0, self.m)
+        """Positive root of Psi(i·zeta) = 0: zeta = sqrt(2·nu/Upsilon), the
+        pole of the factorized symbol on the imaginary axis."""
+        return math.sqrt(2.0 * self.nu / self.upsilon)
+
+    def psi(self, xi):
+        """Psi(xi) = Upsilon·xi² + 2·nu, for real or complex xi."""
+        return self.upsilon * (xi * xi) + 2.0 * self.nu
 
 
 # ---------------------------------------------------------------------------
@@ -398,34 +408,16 @@ class CauchyFactorization:
         return val.reshape(zs.shape) if zs.ndim else complex(val[0])
 
     # -- factors -----------------------------------------------------------
-    def _factor(self, z, upper: bool):
-        """k⁺ (upper) or k⁻ at z in its closed half-plane: the boundary value
-        e^{iθ}/√k or e^{iθ}·√k on the real axis, exp(−E(z)/2πi) off it.
-        A scalar gives a complex scalar, an array an array of its shape."""
-        zs = np.asarray(z, dtype=complex)
-        flat = zs.ravel()
-        if upper and np.any(flat.imag < 0.0):
-            raise DomainError("k_plus is defined for Im z >= 0")
-        if not upper and np.any(flat.imag > 0.0):
-            raise DomainError("k_minus is defined for Im z <= 0")
-        out = np.ones_like(flat)
-        off = flat.imag != 0.0
-        if off.any():
-            out[off] = np.exp(-self.cauchy_integral(flat[off]) / (2j * np.pi))
-        axis = ~off & (flat.real != 0.0)
-        if axis.any():
-            line = self.k_plus_line if upper else self.k_minus_line
-            out[axis] = line(flat[axis].real)
-        return out.reshape(zs.shape) if zs.ndim else complex(out[0])
-
     def k_plus(self, z):
-        """Upper factor; analytic and zero-free for Im z > 0, boundary value
-        from above on the real axis, k⁺(∞) = 1."""
-        return self._factor(z, upper=True)
-
-    def k_minus(self, z):
-        """Lower factor; analytic and zero-free for Im z < 0, k⁻(∞) = 1."""
-        return self._factor(z, upper=False)
+        """Upper factor k⁺(z) = exp(−E(z)/2πi), analytic and zero-free for
+        Im z > 0 only (a scalar gives a complex scalar, an array an array of
+        its shape); k⁺(∞) = 1.  The kernel is even, so k⁻(z) = 1/k⁺(−z)."""
+        zs = np.asarray(z, dtype=complex)
+        if np.any(zs.imag <= 0.0):
+            raise DomainError("k_plus is defined for Im z > 0; "
+                              "use k_plus_line on the real axis")
+        out = np.exp(-self.cauchy_integral(zs.ravel()) / (2j * np.pi))
+        return out.reshape(zs.shape) if zs.ndim else complex(out[0])
 
     # Boundary values from the cached phase interpolant.
     def k_plus_line(self, xi):
@@ -452,13 +444,18 @@ class FactorizedKernel(CauchyFactorization):
         # beta² ≥ 0 on the whole axis in the sub-Rayleigh regime.
         _, alpha, b2 = wave_exponents(t, p.m, p.h0)
         beta = np.sqrt(b2)
-        psi = p.upsilon * t2 + 2.0 * p.nu
         num = alpha * beta * (alpha * alpha + b2 + 2.0 * p.eta * t2)
         num = num + alpha * alpha * b2 - p.eta**2 * t2 * t2
         with np.errstate(divide="ignore", invalid="ignore"):
-            k = num / (t * psi * (alpha + beta))
+            k = num / (t * p.psi(t) * (alpha + beta))
         k = np.where(t < 1e-140, 1.0, k)
         return k
+
+    def symbol_minus_line(self, xi):
+        """xi₋^{1/2}·Psi(xi)·k⁻(xi) on the real axis: the factor of the
+        unnormalized symbol |xi|·Psi·k = (xi₊^{1/2}/k⁺)·(xi₋^{1/2}·Psi·k⁻)
+        that is analytic below the axis, with its zero at xi = −i·zeta."""
+        return sqrt_minus(xi) * self.params.psi(xi) * self.k_minus_line(xi)
 
     def _validate_positive(self):
         sample = np.concatenate([[0.0], np.geomspace(1e-6, self.xi_hi, 1500)])

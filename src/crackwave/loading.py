@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckError, DomainError, PoleError
-from .kernel import FactorizedKernel, sqrt_minus, sqrt_plus
+from .kernel import FactorizedKernel, sqrt_plus
 from .material import Material
 from .numerics import (TAIL_FIT_POINTS, contour_coefficients, fit_power_tail,
                        oscillatory_halfline)
@@ -127,21 +127,17 @@ def split_coefficients(kernel, profile: LoadProfile, ell: float) -> np.ndarray:
 class SplitData:
     """Everything needed to evaluate the split functions and invert the
     crack-line fields: the coefficients F_0..F_p of G⁻, the Liouville
-    constant F, the symbol factorization and the load echo.  The symbol's
-    parameters are ``kernel.params``."""
+    constant F, the symbol factorization and the load echo.  The point's
+    parameters and quantities (m, nu, Upsilon, zeta, Psi) are
+    ``kernel.params``."""
 
     profile: LoadProfile
     G: float
     ell: float
-    m: float
     coeffs: np.ndarray
     F: complex
     F_alt: complex | None
     kernel: FactorizedKernel
-
-    @property
-    def nu(self) -> float:
-        return math.sqrt(1.0 - self.m * self.m)
 
     @property
     def L_over_ell(self) -> float:
@@ -150,10 +146,6 @@ class SplitData:
     @property
     def T0(self) -> float:
         return self.profile.T0
-
-    def psi(self, xi):
-        """Psi(xi) = Upsilon·xi² + 2·nu."""
-        return self.kernel.params.upsilon * np.asarray(xi) ** 2 + 2.0 * self.nu
 
 
 def _g_minus_u(u, coeffs, p: int):
@@ -188,8 +180,7 @@ def _appendix_ratio(kernel: FactorizedKernel, coeffs, profile: LoadProfile,
         return _g_minus_u(1.0 + 1j * x * Lt, coeffs, profile.p)
 
     def h(x):
-        psi = params.upsilon * x * x + 2.0 * params.nu
-        return 1.0 / (sqrt_minus(x) * psi * kernel.k_minus_line(x))
+        return 1.0 / kernel.symbol_minus_line(x)
 
     def folded(t):
         """Both integrands folded onto t > 0, stacked: G⁻·h and h."""
@@ -236,7 +227,6 @@ def build_split(kernel: FactorizedKernel, material: Material,
         profile=profile,
         G=material.G,
         ell=material.ell,
-        m=params.m,
         coeffs=coeffs,
         F=F,
         F_alt=F_alt,

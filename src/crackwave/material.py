@@ -2,9 +2,10 @@
 couple-stress elasticity.
 
 Everything here is a pure function of (eta, h0, m): the surface-wave limit
-functions Upsilon and Lambda, the critical crack speed m_c, the threshold
-rotational inertia h0* above which m_c < 1, and the pole location zeta of
-the factorized symbol.
+functions Upsilon and Lambda, the critical crack speed m_c and the threshold
+rotational inertia h0* above which m_c < 1.  The quantities of one
+sub-Rayleigh point that build on Upsilon (nu, zeta, Psi) live on
+``kernel.KernelParams``.
 
 With u = sqrt(1 − 2h0²m²), Upsilon = P(u)/(1 + u) for the cubic
 P(u) = u³ + u² + (1 + 2η)u − η², which depends on eta alone and has one
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RegimeError
+from .errors import DomainError
 from .numerics import bracketed_root
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "lambda_surface",
     "critical_speed",
     "h0_star",
-    "zeta",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -136,18 +136,3 @@ def h0_star(eta):
                        np.zeros(eta.shape), np.ones(eta.shape), tol=0.0)
     hs = np.sqrt(w * (2.0 - w)) / SQRT2
     return float(hs) if hs.ndim == 0 else hs
-
-
-def zeta(eta: float, h0: float, m: float) -> float:
-    """Positive pole location of the factorized symbol on the imaginary axis:
-    zeta = sqrt(2 sqrt(1−m²)/upsilon).  Sub-Rayleigh only."""
-    if m >= 1.0:
-        raise RegimeError(f"zeta requires m < 1, got m={m}")
-    ups = upsilon(eta, h0, m)
-    if ups <= 0.0:
-        raise RegimeError(
-            f"zeta requires upsilon > 0 (sub-Rayleigh); "
-            f"upsilon({eta}, {h0}, {m}) = {ups:g}"
-        )
-    return math.sqrt(2.0 * math.sqrt(1.0 - m * m) / ups)
-

@@ -17,6 +17,19 @@ _NEAR_POLE = 0.35      # g_plus takes the contour integral inside this |u|
 _NEAR_POLE_NODES = 256
 
 
+def _k_plus_closed(kernel):
+    """k⁺ on the closed upper half-plane, where G⁺ is evaluated: the
+    boundary value ``k_plus_line`` on the real axis, ``k_plus`` above it."""
+    def k_plus(z):
+        z = np.asarray(z, dtype=complex)
+        out = np.empty_like(z)
+        axis = z.imag == 0.0
+        out[axis] = kernel.k_plus_line(z[axis].real)
+        out[~axis] = kernel.k_plus(z[~axis])
+        return out
+    return k_plus
+
+
 def g_plus(s, split):
     """G⁺(s) = k⁺(sℓ)/((sℓ)₊^{1/2}(1+isL)^{1+p}) − G⁻(s), regular at s = i/L.
 
@@ -24,7 +37,7 @@ def g_plus(s, split):
     it is the Cauchy integral of G⁺ over the coefficient circle |u| = 0.4,
     G⁺(u) = mean_k G⁺(u_k)·u_k/(u_k − u), by the trapezoid rule on
     ``_NEAR_POLE_NODES`` nodes, where the difference has no cancellation."""
-    g = _pole_factor(split.kernel.k_plus, split.profile.L, split.ell)
+    g = _pole_factor(_k_plus_closed(split.kernel), split.profile.L, split.ell)
     p = split.profile.p
 
     def direct(u):

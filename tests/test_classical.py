@@ -30,10 +30,10 @@ class _UnitKernel:
         return np.ones_like(np.asarray(xi, dtype=complex))
 
 
-def unit_split(profile: LoadProfile, m: float, G: float) -> SplitData:
+def unit_split(profile: LoadProfile, G: float) -> SplitData:
     """Classical split with lengths measured in ell = 1: coefficients H_j,
     a zero Liouville constant and the unit symbol."""
-    return SplitData(profile=profile, G=G, ell=1.0, m=m,
+    return SplitData(profile=profile, G=G, ell=1.0,
                      coeffs=h_coefficients(profile.p, profile.L), F=0j,
                      F_alt=None, kernel=_UnitKernel())
 
@@ -77,7 +77,7 @@ class TestNearTip:
         # classical traction, including the square-root tip behaviour.
         # sigma23 ~ K_p·T0/sqrt(pi·L·X) at the tip.
         prof = LoadProfile(T0=1.0, L=5.0, p=1)
-        split = unit_split(prof, 0.3, 1.0)
+        split = unit_split(prof, 1.0)
         for X in (1e-5, 1e-4):
             num = fields.traction_ahead(X, split)
             ref = kp_coefficient(1) * prof.T0 / math.sqrt(math.pi * prof.L * X)
@@ -85,7 +85,7 @@ class TestNearTip:
 
     def test_inversion_matches_wrapped_cut_form(self):
         prof = LoadProfile(T0=1.0, L=5.0, p=1)
-        split = unit_split(prof, 0.3, 1.0)
+        split = unit_split(prof, 1.0)
         for X in (0.01, 0.3, 2.0, 40.0):
             num = fields.traction_ahead(X, split)
             ref = wrapped_cut_traction(X, 5.0, 1, 1.0)

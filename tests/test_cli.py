@@ -72,8 +72,11 @@ sweep.count = 2
     ("fields", "material.eta = 0.9\n" + FIELDS, ":2: 'material.eta' repeats line 1"),
     ("dispersion", DISPERSION.replace("start = 0.05", "start = -1"),
      "log sweep needs a positive start"),
+    ("dispersion", DISPERSION.replace("scale = log", "scale = cubic"),
+     "sweep.scale must be linear or log, got 'cubic'"),
 ], ids=["misspelt-key", "points-not-int", "points-negative", "variable-unknown",
-        "limit-variable-unknown", "no-sweep-block", "repeated-key", "log-start"])
+        "limit-variable-unknown", "no-sweep-block", "repeated-key", "log-start",
+        "scale-unknown"])
 def test_bad_config_exits_with_config_error(tmp_path, capsys, subcommand, text, message):
     config = tmp_path / "run.conf"
     config.write_text(text)
@@ -259,6 +262,21 @@ class TestRootSolves:
         m_limit = critical_speed(-0.9, 0.707)
         assert m_limit < 1.0
         assert [m for _, _, m in args] == [v * m_limit for v in run.grid()]
+
+
+def test_process_pool_rows_match_serial_rows(tmp_path):
+    # --jobs > 1 runs the sweep rows in a process pool; the CSV must be the
+    # serial run's, byte for byte.
+    config = tmp_path / "run.conf"
+    config.write_text(ERR_SWEEP.replace("sweep.count = 24", "sweep.count = 2"))
+    csvs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(["err-sweep", "--config", str(config), "--out", str(out),
+                         "--jobs", jobs]) == 0
+        csvs[jobs] = (out / "err-sweep.csv").read_bytes()
+    assert csvs["2"] == csvs["1"]
+    assert len(csvs["1"].splitlines()) == 3
 
 
 def test_rewrite_gives_identical_bytes(tmp_path):

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from crackwave import dispersion, numerics
-from crackwave.dispersion import (DispersionPoint, _scaled_det, shear_phase_speed,
-                                  trace_curve)
+from crackwave.dispersion import _scaled_det, shear_phase_speed, trace_curve
 from crackwave.errors import DomainError, RootLossError
 from crackwave.material import critical_speed, lambda_surface
 

@@ -12,7 +12,8 @@ from crackwave.energy import (LIMIT_SPEED_FACTOR, err_max_sweep, err_result,
                               err_smalllength_limit, solve_crack)
 from crackwave.errors import RegimeError
 from crackwave.kernel import KernelParams, factorize
-from crackwave.loading import LoadProfile, build_split, kp_coefficient, traction
+from crackwave.loading import (LoadProfile, build_split, kp_coefficient,
+                               traction, traction_half_power_moment)
 from crackwave.material import Material, critical_speed, h0_star
 
 MAT = dict(G=1.0, rho=1.0, ell=1.0)
@@ -36,28 +37,37 @@ class TestClassical:
 
 
 class TestSmallLengthLimit:
+    """The limit by quadrature of the loading density, against E_cl's closed
+    form on the loading family and the closed-form moments off it."""
+
     @pytest.mark.parametrize("p", range(6))
     def test_identity_with_classical(self, p):
         # For the standard loading family the limit equals the classical
         # value exactly (Gamma reflection identity).
         prof = LoadProfile(T0=1.3, L=2.7, p=p)
-        a = err_smalllength_limit(prof, 0.4, 2.0)
+        a = err_smalllength_limit(lambda X: traction(X, prof), 0.4, 2.0)
         b = classical_err(prof, 0.4, 2.0)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_static_p0(self):
         prof = LoadProfile(T0=1.0, L=4.0, p=0)
-        assert err_smalllength_limit(prof, 0.0, 1.0) == pytest.approx(0.25)
+        assert err_smalllength_limit(lambda X: traction(X, prof), 0.0, 1.0) \
+            == pytest.approx(0.25)
 
     def test_general_callable(self):
-        prof = LoadProfile(T0=1.0, L=2.0, p=1)
-        a = err_smalllength_limit(lambda X: traction(X, prof), 0.3, 1.0)
-        b = err_smalllength_limit(prof, 0.3, 1.0)
-        assert a == pytest.approx(b, rel=1e-8)
+        # A loading outside the family: the sum of two members, whose
+        # moment is the sum of their closed-form moments.
+        a, b = LoadProfile(T0=1.0, L=2.0, p=1), LoadProfile(T0=0.5, L=7.0, p=3)
+        moment = traction_half_power_moment(a) + traction_half_power_moment(b)
+        got = err_smalllength_limit(lambda X: traction(X, a) + traction(X, b),
+                                    0.3, 1.0)
+        assert got == pytest.approx(moment**2 / (math.pi * math.sqrt(1.0 - 0.09)),
+                                    rel=1e-8)
 
     def test_regime(self):
+        prof = LoadProfile(T0=1.0, L=1.0, p=0)
         with pytest.raises(RegimeError):
-            err_smalllength_limit(LoadProfile(T0=1.0, L=1.0, p=0), 1.0, 1.0)
+            err_smalllength_limit(lambda X: traction(X, prof), 1.0, 1.0)
 
 
 class TestCouple:

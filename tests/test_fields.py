@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from crackwave import cli, fields, numerics
-from crackwave.errors import DomainError, RealnessError
+from crackwave.errors import DomainError
 from crackwave.fields import (FieldKind, _field_value,
                               _field_values, balance_integral, crack_line_fields,
                               crack_opening, field_profile, max_total_shear,

@@ -1,12 +1,13 @@
-"""Source hygiene: every name a ``crackwave`` module imports is used there,
-every private module-level function or class is used somewhere in the
-package, every public one too (outside ``__init__.py`` and ``__all__``,
-bar an allow-list with a reason per name), the package imports nothing
-beyond the standard library and numpy
-(scipy is a reference of the tests only, at module or function level alike,
-and no run loads it), importing the CLI loads no process pool, the
-package builds its Filon moment tables itself, and every name a module's
-``__all__`` exports is defined in that module.
+"""Source hygiene: every name a ``crackwave`` module or a test module
+imports is used there, every private module-level function or class is used
+somewhere in the package, every public one too (outside ``__init__.py`` and
+``__all__``, bar an allow-list with a reason per name), and so is every
+non-dunder method of a package class (bar its own allow-list).  The package
+imports nothing beyond the standard library and numpy (scipy is a reference
+of the tests only, at module or function level alike, and no run loads it),
+importing the CLI loads no process pool, the package builds its Filon moment
+tables itself, and every name a module's ``__all__`` exports is defined in
+that module.
 
 Package ``__init__.py`` files are exempt from the unused-import and the
 private-definition checks (their imports are re-exports), as are
@@ -17,12 +18,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "crackwave"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,23 +53,26 @@ def test_detector_flags_an_unused_import():
                           "import numpy as np\nx: np.ndarray\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _names_in(root):
+    """Each name, attribute or imported name in ``root``, once per
+    occurrence."""
+    for node in ast.walk(root):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
 def _names_read(nodes) -> set[str]:
     """Names, attributes and imported names that occur in the ``nodes``."""
-    names = set()
-    for root in nodes:
-        for node in ast.walk(root):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
-    return names
+    return {name for root in nodes for name in _names_in(root)}
 
 
 def _is_all(node) -> bool:
@@ -141,9 +147,7 @@ UNCALLED_PUBLIC = {
                                        "and the fields' closed-form near-tip route",
     "energy.py: err_max_sweep": "the limiting energy release rate over h0, "
                                 "for an exact limit at the critical speed",
-    # The loading's own definition, which the moment and transform tests
-    # compare against.
-    "loading.py: traction": "the loading's definition",
+    # The loading's transform, which the transform tests compare against.
     "loading.py: traction_transform": "the loading's transform",
 }
 
@@ -154,6 +158,50 @@ def test_public_definitions_have_src_callers():
     # (for example tests/reference_split.py).
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
     assert unreferenced_definitions(sources, private=False) == sorted(UNCALLED_PUBLIC)
+
+
+def unreferenced_methods(sources: dict[str, str]) -> list[str]:
+    """Non-dunder methods of the module-level classes in the modules of
+    ``sources`` (name → source) that no code outside their own definition
+    refers to, as ``module: Class.method``."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    everywhere = Counter(name for tree in trees.values() for name in _names_in(tree))
+    found = []
+    for name, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (node.name.startswith("__") and node.name.endswith("__"))
+                        and everywhere[node.name] == Counter(_names_in(node))[node.name]):
+                    found.append(f"{name}: {cls.name}.{node.name}")
+    return sorted(found)
+
+
+def test_detector_flags_an_unreferenced_method():
+    sources = {
+        "a.py": "class A:\n"
+                "    def __init__(self):\n        self._helper()\n\n"
+                "    def _helper(self):\n        pass\n\n"
+                "    def used(self):\n        pass\n\n"
+                "    def recursive(self, n):\n        return self.recursive(n - 1)\n\n"
+                "    def orphan(self):\n        pass\n",
+        "b.py": "from .a import A\nA().used()\n",
+    }
+    assert unreferenced_methods(sources) == ["a.py: A.orphan", "a.py: A.recursive"]
+
+
+# Methods that no src code calls, each with the reason it stays.
+UNCALLED_METHODS = {
+    "kernel.py: CauchyFactorization.theta_exact":
+        "a wrap point of the benchmark tracer, and the reference of theta",
+}
+
+
+def test_methods_have_src_callers():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert unreferenced_methods(sources) == sorted(UNCALLED_METHODS)
 
 
 def undefined_exports(source: str) -> list[str]:

@@ -2,7 +2,8 @@
 
 The factorization machinery is checked against an exactly factorizable
 rational kernel (closed-form factors and boundary phase) in addition to the
-physical symbol's own identities.
+physical symbol's own identities.  Both kernels are even, so the lower
+factor off the axis is k⁻(z) = 1/k⁺(−z).
 """
 import math
 
@@ -13,10 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crackwave.errors import DomainError, RegimeError
-from crackwave.kernel import (CauchyFactorization, FactorizedKernel,
-                              KernelParams, factorize, sqrt_minus, sqrt_plus,
-                              wave_exponents)
-from crackwave.material import critical_speed, zeta
+from crackwave.kernel import (CauchyFactorization, KernelParams, factorize,
+                              sqrt_minus, sqrt_plus, wave_exponents)
+from crackwave.material import critical_speed
 from crackwave.numerics import CONTOUR_NODES, row_blocks
 
 RATIONAL_A, RATIONAL_B = 2.0, 1.0
@@ -77,16 +77,18 @@ class TestKernelParams:
         p = KernelParams(m=0.0, eta=0.0, h0=0.5)
         assert p.nu == 1.0
         assert p.u == 1.0
-        assert p.zeta == pytest.approx(zeta(0.0, 0.5, 0.0))
+        # Upsilon(0, 0.5, 0) = 3/2.
+        assert p.zeta == pytest.approx(math.sqrt(4.0 / 3.0))
+        assert p.psi(0.0) == 2.0
 
 
 class TestKernelEval:
-    def test_origin(self, kernel_factory, split_factory):
+    def test_origin(self, kernel_factory):
         chi, alpha, beta2 = wave_exponents(0.0, 0.3, 0.707)
         assert chi == pytest.approx(1.0)
         assert alpha == pytest.approx(math.sqrt(2.0))
         assert beta2 == pytest.approx(0.0)
-        psi = split_factory(0.3, 0.9, 0.707, 10.0, 1).psi(0.0)
+        psi = kernel_factory(0.3, 0.9, 0.707).params.psi(0.0)
         assert psi == pytest.approx(2.0 * math.sqrt(1.0 - 0.09))
         assert kernel_factory(0.3, 0.9, 0.707).k_real(0.0) == pytest.approx(1.0)
 
@@ -110,10 +112,10 @@ class TestKernelEval:
             == pytest.approx(1.0, abs=1e-12)
 
     def test_psi_zero_matches_zeta(self, kernel_factory):
-        k = kernel_factory(0.3, 0.9, 0.707)
-        zv = zeta(0.9, 0.707, 0.3)
-        psi = k.params.upsilon * (1j * zv) ** 2 + 2.0 * k.params.nu
-        assert abs(psi) < 1e-10
+        params = kernel_factory(0.3, 0.9, 0.707).params
+        assert abs(params.psi(1j * params.zeta)) < 1e-10
+        assert params.psi(np.array([2.0])) \
+            == pytest.approx(4.0 * params.upsilon + 2.0 * params.nu)
 
     def test_evenness(self, kernel_factory):
         k = kernel_factory(0.3, 0.9, 0.707)
@@ -127,13 +129,14 @@ class TestRationalReconstruction:
         for _ in range(40):
             z = complex(rng.uniform(-30, 30), rng.uniform(0.02, 30))
             assert rational.k_plus(z) == pytest.approx(rational_kplus(z), abs=1e-9)
-            assert rational.k_minus(np.conj(z)) == pytest.approx(
+            # k⁻ at conj(z), below the axis, as 1/k⁺(−conj(z)).
+            assert 1.0 / rational.k_plus(-np.conj(z)) == pytest.approx(
                 rational_kminus(np.conj(z)), abs=1e-9)
 
     def test_boundary_values(self, rational):
         for x in np.geomspace(1e-2, 1e3, 25):
-            assert rational.k_plus(x) == pytest.approx(rational_kplus(x), abs=1e-11)
-            assert rational.k_minus(x) == pytest.approx(rational_kminus(x), abs=1e-11)
+            assert rational.k_plus_line(x) == pytest.approx(rational_kplus(x), abs=1e-11)
+            assert rational.k_minus_line(x) == pytest.approx(rational_kminus(x), abs=1e-11)
 
     def test_boundary_phase_closed_form(self, rational):
         # x ≤ 1e-3 checks the interpolant on its smallest panels, as well as
@@ -146,10 +149,10 @@ class TestRationalReconstruction:
     def test_unit_kernel(self):
         cf = CauchyFactorization(lambda t: np.ones_like(np.asarray(t, float)),
                                  xi_hi=4e3)
-        for z in (0.5 + 0.5j, 3.0, 1j):
+        for z in (0.5 + 0.5j, 1j, -3.0 + 2j):
             assert cf.k_plus(z) == pytest.approx(1.0, abs=1e-12)
-        for z in (0.5 - 0.5j, 3.0, -2j):
-            assert cf.k_minus(z) == pytest.approx(1.0, abs=1e-12)
+        assert cf.k_plus_line(3.0) == pytest.approx(1.0, abs=1e-12)
+        assert cf.k_minus_line(3.0) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPhysicalFactorization:
@@ -173,12 +176,14 @@ class TestPhysicalFactorization:
                 np.conj(k.k_plus(z)), rel=1e-10, abs=1e-12)
 
     def test_normalization_at_origin_and_infinity(self, kernel_factory):
+        # k⁺(iy) → k⁺(0) = 1 as y → 0 (log k is even and 0 at the origin);
+        # 1/k⁺(−z) covers k⁻ at infinity.
         k = kernel_factory(0.3, 0.9, 0.707)
-        kp0 = k.k_plus(0.0)
+        kp0 = k.k_plus(1e-8j)
         assert kp0.imag == pytest.approx(0.0, abs=1e-14)
-        assert kp0.real > 0.0
+        assert abs(kp0 - 1.0) < 1e-7
+        assert k.k_plus_line(0.0) == 1.0
         assert abs(k.k_plus(1e5j) - 1.0) < 1e-4
-        assert abs(k.k_minus(-1e5j) - 1.0) < 1e-4
 
     @pytest.mark.parametrize("m,eta,h0", [
         (0.3, 0.9, 0.707), (0.3, -0.9, 0.707), (0.05, 0.0, 0.707),
@@ -204,18 +209,23 @@ class TestPhysicalFactorization:
     def test_real_axis_factors_come_from_the_interpolant(self, kernel_factory,
                                                          monkeypatch):
         # One evaluator of the boundary value: k± on the real axis are
-        # k±_line, and theta_exact stays the independent reference.
+        # k±_line, from theta, and theta_exact stays the independent
+        # reference.
         k = kernel_factory(0.3, 0.9, 0.707)
         x = np.array([-3.0, 0.2, 40.0])
-        kp, km = k.k_plus_line(x), k.k_minus_line(x)
 
         def refuse(self, xi):
             raise AssertionError("theta_exact called for a real-axis factor")
 
         monkeypatch.setattr(CauchyFactorization, "theta_exact", refuse)
-        assert np.array_equal(k.k_plus(x), kp)
-        assert np.array_equal(k.k_minus(x), km)
-        assert k.k_plus(0.2) == kp[1]
+        kp, km = k.k_plus_line(x), k.k_minus_line(x)
+        assert np.angle(kp) == pytest.approx(k.theta(x), abs=1e-15)
+        assert np.angle(km) == pytest.approx(k.theta(x), abs=1e-15)
+        # The unnormalized symbol |x|·Psi·k factors as
+        # (x₊^{1/2}/k⁺)·(x₋^{1/2}·Psi·k⁻).
+        full = sqrt_plus(x) / kp * k.symbol_minus_line(x)
+        assert full == pytest.approx(np.abs(x) * k.params.psi(x) * k.k_real(x),
+                                     rel=1e-14)
 
     def test_theta_odd(self, kernel_factory):
         k = kernel_factory(0.3, 0.9, 0.707)
@@ -223,19 +233,18 @@ class TestPhysicalFactorization:
         assert np.abs(k.theta(xi) + k.theta(-xi)).max() < 1e-15
 
     def test_batched_factor_equals_pointwise(self, kernel_factory):
-        # Shared-node points (|Re z| < 4·Im z, |z| ≤ t_cut/4), points that
-        # need clustered panels or a larger radius, and the real axis, mixed
-        # in one 2-D array.
+        # Shared-node points (|Re z| < 4·Im z, |z| ≤ t_cut/4) and points
+        # that need clustered panels or a larger radius, mixed in one 2-D
+        # array.
         k = kernel_factory(0.3, 0.9, 0.707)
-        z = np.array([[0.1 + 1j, -0.3 + 0.8j, 5.0 + 0.01j, 0.7],
-                      [2e5j, 1e-3j, -40.0 + 1e-4j, 0.0]])
+        z = np.array([[0.1 + 1j, -0.3 + 0.8j, 5.0 + 0.01j, 0.7 + 2j],
+                      [2e5j, 1e-3j, -40.0 + 1e-4j, 1e5 + 1j]])
         batched = k.k_plus(z)
         assert batched.shape == z.shape
         for zz, b in zip(z.ravel(), batched.ravel()):
             assert b == k.k_plus(complex(zz))
-        off = z[z.imag != 0]
-        assert np.all(k.cauchy_integral(off)
-                      == np.array([k.cauchy_integral(complex(zz)) for zz in off]))
+        assert np.all(k.cauchy_integral(z.ravel())
+                      == np.array([k.cauchy_integral(complex(zz)) for zz in z.ravel()]))
 
     def test_cauchy_sums_batch_equals_pointwise(self, kernel_factory):
         # One circle of a split contour (CONTOUR_NODES points about s = i/L,
@@ -279,7 +288,7 @@ class TestPhysicalFactorization:
         with pytest.raises(DomainError):
             k.k_plus(1.0 - 1j)
         with pytest.raises(DomainError):
-            k.k_minus(1.0 + 1j)
+            k.k_plus(2.0)  # the real axis is k_plus_line's
         with pytest.raises(DomainError):
             k.k_plus(np.array([1j, 1.0 - 1j]))
         with pytest.raises(DomainError):

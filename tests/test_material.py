@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from crackwave.errors import DomainError, RegimeError
 from crackwave.kernel import KernelParams
 from crackwave.material import (Material, critical_speed, h0_star,
-                                lambda_surface, upsilon, zeta)
+                                lambda_surface, upsilon)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -200,23 +200,30 @@ class TestCubicRoot:
 
 
 class TestZeta:
+    """The pole zeta = sqrt(2·nu/Upsilon) of ``KernelParams``."""
+
+    @staticmethod
+    def zeta(eta, h0, m):
+        return KernelParams(m=m, eta=eta, h0=h0).zeta
+
     def test_static_value(self):
-        assert zeta(0.0, 0.0, 0.0) == pytest.approx(math.sqrt(4.0 / 3.0))
+        assert self.zeta(0.0, 0.0, 0.0) == pytest.approx(math.sqrt(4.0 / 3.0))
 
     def test_static_general(self):
         for eta, h0 in ((0.5, 0.3), (-0.4, 0.9)):
-            assert zeta(eta, h0, 0.0) == pytest.approx(
+            assert self.zeta(eta, h0, 0.0) == pytest.approx(
                 math.sqrt(2.0 / upsilon(eta, h0, 0.0)))
 
     def test_blowup_at_critical_speed(self):
         mc = critical_speed(-0.9, 0.707)
-        assert zeta(-0.9, 0.707, mc * (1 - 1e-7)) > 50.0 * zeta(-0.9, 0.707, 0.9 * mc)
+        assert self.zeta(-0.9, 0.707, mc * (1 - 1e-7)) \
+            > 50.0 * self.zeta(-0.9, 0.707, 0.9 * mc)
         with pytest.raises(RegimeError):
-            zeta(-0.9, 0.707, min(1.0, mc * 1.01))
+            self.zeta(-0.9, 0.707, min(1.0, mc * 1.01))
 
     def test_supersonic_rejected(self):
         with pytest.raises(RegimeError):
-            zeta(0.0, 0.0, 1.5)
+            self.zeta(0.0, 0.0, 1.5)
 
 
 class TestClassifyRegime:
