@@ -26,9 +26,10 @@ class QuadratureError(CrackwaveError, RuntimeError):
 
 
 class RootLossError(CrackwaveError, RuntimeError):
-    """Continuation lost the root branch.
+    """A dispersion scan found no root at a grid point: no sign change and
+    no boundary root.
 
-    ``last_good`` holds the last successfully computed point, if any.
+    ``last_good`` holds the point before the first lost one, if any.
     """
 
     def __init__(self, message, last_good=None):

@@ -109,14 +109,14 @@ def wave_exponents(xi, m, h0: float):
 class KernelParams:
     """Sub-Rayleigh parameter point (m, eta, h0) of the crack symbol, and
     the one home of its scalar quantities: Upsilon, nu = sqrt(1 − m²), the
-    radical u = sqrt(1 − 2h0²m²), the pole zeta and Psi."""
+    radical u = sqrt(1 − 2h0²m²), the pole zeta, Psi and c2 (log k ~ c2/xi²)."""
 
     m: float
     eta: float
     h0: float
 
     def __post_init__(self):
-        if self.m < 0:
+        if not self.m >= 0:
             raise DomainError(f"m must be nonnegative, got {self.m}")
         if self.m >= 1.0:
             raise RegimeError(f"sub-Rayleigh regime requires m < 1, got {self.m}")
@@ -151,6 +151,18 @@ class KernelParams:
     def psi(self, xi):
         """Psi(xi) = Upsilon·xi² + 2·nu, for real or complex xi."""
         return self.upsilon * (xi * xi) + 2.0 * self.nu
+
+    @cached_property
+    def c2(self) -> float:
+        """Large-xi coefficient of log k ~ c2/xi²: c2 = (a0 − 2·nu)/Upsilon,
+        with a0 the constant term of k·Psi = Upsilon·xi² + a0 + O(xi⁻²).  h0
+        enters a0 through u alone, which is positive at a sub-Rayleigh point."""
+        eta, u = self.eta, self.u
+        q = (eta * eta + 2.0 * eta * (u * u + u + 1.0)
+             + u**4 + 3.0 * u**3 + 5.0 * u * u + 3.0 * u + 1.0)
+        a0 = (eta * eta + 2.0 * eta + 2.0 * u**3 + 4.0 * u * u + 2.0 * u + 1.0
+              - self.m * self.m * q / (1.0 + u)) / (u * (1.0 + u) ** 2)
+        return (a0 - 2.0 * self.nu) / self.upsilon
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +224,19 @@ class CauchyFactorization:
     xi_hi : float
         Upper end of the cached boundary-phase interpolant.  The off-axis
         Cauchy integrals and ``theta_exact`` are truncated at
-        t_cut = 40·xi_hi, with the analytic tail beyond from the fitted
-        large-t coefficient of log k ~ c2/t².
+        t_cut = 40·xi_hi, with the analytic tail beyond from ``c2``.
+    c2 : float
+        The kernel's large-t coefficient, log k ~ c2/t², in closed form.
+
+    Raises ``RegimeError`` if log k is not finite on the θ lattice.
     """
 
-    def __init__(self, k_line, xi_hi: float):
+    def __init__(self, k_line, xi_hi: float, c2: float):
         self._k_line = k_line
         self.xi_hi = float(xi_hi)
         self.t_cut = 40.0 * self.xi_hi
         self._xi_lo = 1e-6
-        self._c2 = self._fit_tail_coeff()
+        self._c2 = float(c2)
         self._build_theta_interpolant()
 
     # -- real-axis kernel -----------------------------------------------
@@ -231,12 +246,6 @@ class CauchyFactorization:
 
     def log_k(self, t):
         return np.log(self.k_real(t))
-
-    def _fit_tail_coeff(self) -> float:
-        T = self.t_cut
-        a = self.log_k(0.5 * T) * (0.5 * T) ** 2
-        b = self.log_k(T) * T**2
-        return float((4.0 * b - a) / 3.0)
 
     # -- boundary phase ---------------------------------------------------
     def _build_theta_interpolant(self):
@@ -262,7 +271,11 @@ class CauchyFactorization:
         u, _ = panel_nodes(np.linspace(lo, hi, panels + 1), _THETA_ORDER)
         j = np.arange(math.floor((math.log(1e-20) - lo) / h),
                       math.ceil((math.log(1e9) - lo) / h))
-        L = self.log_k(np.exp(u[0, :, None] + (j + 0.5) * h))  # (position, lattice)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            L = self.log_k(np.exp(u[0, :, None] + (j + 0.5) * h))  # (position, lattice)
+        if not np.isfinite(L).all():
+            raise RegimeError("kernel not positive on the real axis; "
+                              "factorization requires the sub-Rayleigh regime")
         weights = 1.0 / np.sinh((j - 2.0 * np.arange(panels)[:, None] + 0.5) * h)
         vals = h / (2.0 * np.pi) * (weights @ L.T)  # (panel, position)
         self._theta_coef = _THETA_FIT @ vals.T  # (power, panel)
@@ -433,8 +446,7 @@ class FactorizedKernel(CauchyFactorization):
     def __init__(self, params: KernelParams):
         self.params = params
         xi_hi = max(4.0e3, 60.0 * params.zeta)
-        super().__init__(self._symbol_line, xi_hi=xi_hi)
-        self._validate_positive()
+        super().__init__(self._symbol_line, xi_hi=xi_hi, c2=params.c2)
 
     def _symbol_line(self, t):
         """Normalized symbol on the real axis (vectorized, t ≥ 0)."""
@@ -456,15 +468,6 @@ class FactorizedKernel(CauchyFactorization):
         unnormalized symbol |xi|·Psi·k = (xi₊^{1/2}/k⁺)·(xi₋^{1/2}·Psi·k⁻)
         that is analytic below the axis, with its zero at xi = −i·zeta."""
         return sqrt_minus(xi) * self.params.psi(xi) * self.k_minus_line(xi)
-
-    def _validate_positive(self):
-        sample = np.concatenate([[0.0], np.geomspace(1e-6, self.xi_hi, 1500)])
-        vals = self.k_real(sample)
-        if not np.all(np.isfinite(vals)) or np.min(vals) <= 0.0:
-            raise RegimeError(
-                f"symbol not positive on the real axis at params {self.params}; "
-                "factorization requires the sub-Rayleigh regime"
-            )
 
 
 def factorize(params: KernelParams) -> FactorizedKernel:

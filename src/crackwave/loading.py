@@ -57,10 +57,10 @@ class LoadProfile:
     p: int
 
     def __post_init__(self):
-        if self.T0 <= 0:
-            raise DomainError(f"T0 must be positive, got {self.T0}")
-        if self.L <= 0:
-            raise DomainError(f"L must be positive, got {self.L}")
+        if not 0 < self.T0 < math.inf:
+            raise DomainError(f"T0 must be positive and finite, got {self.T0}")
+        if not 0 < self.L < math.inf:
+            raise DomainError(f"L must be positive and finite, got {self.L}")
         if not isinstance(self.p, (int, np.integer)) or self.p < 0:
             raise DomainError(f"p must be a nonnegative integer, got {self.p!r}")
 

@@ -4,8 +4,8 @@ couple-stress elasticity.
 Everything here is a pure function of (eta, h0, m): the surface-wave limit
 functions Upsilon and Lambda, the critical crack speed m_c and the threshold
 rotational inertia h0* above which m_c < 1.  The quantities of one
-sub-Rayleigh point that build on Upsilon (nu, zeta, Psi) live on
-``kernel.KernelParams``.
+sub-Rayleigh point that build on Upsilon (nu, zeta, Psi, and the symbol's
+large-xi coefficient c2) live on ``kernel.KernelParams``.
 
 With u = sqrt(1 − 2h0²m²), Upsilon = P(u)/(1 + u) for the cubic
 P(u) = u³ + u² + (1 + 2η)u − η², which depends on eta alone and has one
@@ -46,16 +46,16 @@ class Material:
     h0: float
 
     def __post_init__(self):
-        if self.G <= 0:
-            raise DomainError(f"shear modulus must be positive, got {self.G}")
-        if self.rho <= 0:
-            raise DomainError(f"density must be positive, got {self.rho}")
-        if self.ell <= 0:
-            raise DomainError(f"characteristic length must be positive, got {self.ell}")
+        if not 0 < self.G < math.inf:
+            raise DomainError(f"shear modulus must be positive and finite, got {self.G}")
+        if not 0 < self.rho < math.inf:
+            raise DomainError(f"density must be positive and finite, got {self.rho}")
+        if not 0 < self.ell < math.inf:
+            raise DomainError(f"ell must be positive and finite, got {self.ell}")
         if not -1.0 < self.eta < 1.0:
             raise DomainError(f"eta must lie in (-1, 1), got {self.eta}")
-        if self.h0 < 0:
-            raise DomainError(f"h0 must be nonnegative, got {self.h0}")
+        if not 0 <= self.h0 < math.inf:
+            raise DomainError(f"h0 must be nonnegative and finite, got {self.h0}")
 
 
 def _check_eta(eta):

@@ -194,14 +194,13 @@ def _upper_gamma_half(s_values, z):
 
 def power_tail(coeffs, exponents, freq, t0):
     """Closed form of ∫_{t0}^∞ Σ c_k t^{λ_k} e^{−i·freq·t} dt, elementwise
-    over an array ``freq`` (a scalar gives a complex scalar).
+    over a 1-D array ``freq``.
 
     Uses ∫_T^∞ t^λ e^{−iat} dt = (ia)^{−λ−1} Γ(λ+1, iaT), which needs
     half-integer λ, for freq ≠ 0 and the elementary power integral at
     freq = 0 (which then needs λ < −1).
     """
-    a = np.asarray(freq, dtype=float)
-    af = np.atleast_1d(a)
+    af = np.asarray(freq, dtype=float)
     c = np.asarray(coeffs, dtype=complex)
     lam = np.asarray(exponents, dtype=float)
     out = np.zeros(af.shape, dtype=complex)
@@ -220,7 +219,7 @@ def power_tail(coeffs, exponents, freq, t0):
         for ck, lk, gk in zip(c, lam, gam):
             total = total + ck * ia ** (-lk - 1.0) * gk
         out[~zero] = total
-    return out if a.ndim else complex(out[0])
+    return out
 
 
 def fit_power_tail(t, values, exponents):

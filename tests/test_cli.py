@@ -93,6 +93,33 @@ def test_bad_config_exits_with_config_error(tmp_path, capsys, subcommand, text, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand,key,value", [
+    ("limit-study", "material.G", "nan"),
+    ("limit-study", "material.rho", "inf"),
+    ("limit-study", "material.ell", "inf"),
+    ("limit-study", "material.h0", "nan"),
+    ("limit-study", "load.T0", "nan"),
+    ("err-sweep", "load.T0", "inf"),
+    ("err-sweep", "load.L_over_ell", "nan"),
+    ("fields", "state.m", "nan"),
+])
+def test_nonfinite_value_exits_with_regime_error(tmp_path, capsys, subcommand, key,
+                                                 value):
+    # NaN and inf used to pass the positivity checks: G, rho and T0 ran with
+    # exit 0 (G and T0 writing NaN or inf columns), ell and L/ell ended in a
+    # ValueError traceback with exit 1, and h0 and m reached the symbol.
+    text = {"limit-study": LIMIT_STUDY, "fields": FIELDS,
+            "err-sweep": ERR_SWEEP.replace("sweep.count = 24", "sweep.count = 2")}[subcommand]
+    lines = [line for line in text.splitlines() if not line.startswith(key + " ")]
+    config = tmp_path / "run.conf"
+    config.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "out"
+    rc = cli.main([subcommand, "--config", str(config), "--out", str(out)])
+    assert rc == cli.EXIT_REGIME
+    assert f"got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_must_be_positive(tmp_path, capsys, jobs):
     # A nonpositive worker count is a config error, not a serial run.

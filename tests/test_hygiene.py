@@ -70,11 +70,6 @@ def _names_in(root):
             yield node.name
 
 
-def _names_read(nodes) -> set[str]:
-    """Names, attributes and imported names that occur in the ``nodes``."""
-    return {name for root in nodes for name in _names_in(root)}
-
-
 def _is_all(node) -> bool:
     return isinstance(node, ast.Assign) and any(
         isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
@@ -89,15 +84,14 @@ def unreferenced_definitions(sources: dict[str, str], private: bool) -> list[str
     trees = {name: ast.parse(source) for name, source in sources.items()}
     bodies = {name: [node for node in tree.body if not _is_all(node)]
               for name, tree in trees.items() if name != "__init__.py"}
+    everywhere = Counter(name for body in bodies.values() for root in body
+                         for name in _names_in(root))
     found = []
     for name, body in bodies.items():
         for node in body:
-            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") == private):
-                continue
-            rest = [other for other in body if other is not node]
-            rest += [n for other, b in bodies.items() if other != name for n in b]
-            if node.name not in _names_read(rest):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") == private
+                    and everywhere[node.name] == Counter(_names_in(node))[node.name]):
                 found.append(f"{name}: {node.name}")
     return sorted(found)
 

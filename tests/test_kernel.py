@@ -6,6 +6,7 @@ physical symbol's own identities.  Both kernels are even, so the lower
 factor off the axis is k⁻(z) = 1/k⁺(−z).
 """
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -37,7 +38,9 @@ def rational_kminus(z):
 
 @pytest.fixture(scope="module")
 def rational():
-    return CauchyFactorization(rational_kernel, xi_hi=4e3)
+    # log k = log(1 + (A² − B²)/(t² + B²)) ~ (A² − B²)/t².
+    return CauchyFactorization(rational_kernel, xi_hi=4e3,
+                               c2=RATIONAL_A**2 - RATIONAL_B**2)
 
 
 class TestBranches:
@@ -80,6 +83,73 @@ class TestKernelParams:
         # Upsilon(0, 0.5, 0) = 3/2.
         assert p.zeta == pytest.approx(math.sqrt(4.0 / 3.0))
         assert p.psi(0.0) == 2.0
+
+    def test_nan_speed_rejected(self):
+        with pytest.raises(DomainError):
+            KernelParams(m=float("nan"), eta=0.0, h0=0.5)
+
+
+def _mp_symbol_parts(m, eta, h0, t):
+    """A(t) = k(t)·Psi(t) and Upsilon at the float point (m, eta, h0), in the
+    working precision; t is an mpf."""
+    m, eta, h0 = (mpmath.mpf(float(v)) for v in (m, eta, h0))
+    x2, hm2 = t * t, (h0 * m) ** 2
+    chi = mpmath.sqrt(1 + 2 * (1 - h0 * h0) * m * m * x2 + hm2 * hm2 * x2 * x2)
+    a2 = 1 + (1 - hm2) * x2 + chi
+    b2 = 1 + (1 - hm2) * x2 - chi
+    alpha, beta = mpmath.sqrt(a2), mpmath.sqrt(b2)
+    num = alpha * beta * (a2 + b2 + 2 * eta * x2) + a2 * b2 - eta * eta * x2 * x2
+    u = mpmath.sqrt(1 - 2 * hm2)
+    ups = (1 - eta * eta - 2 * hm2 + 2 * u * (1 + eta - hm2)) / (1 + u)
+    return num / (t * (alpha + beta)), ups
+
+
+def _limit_at_infinity(f):
+    """lim f(t) for f = c + d/t² + O(t⁻⁴), in 50 digits, Richardson-
+    extrapolated from t = 1e8 and 2e8."""
+    with mpmath.workdps(50):
+        return float((4 * f(mpmath.mpf(2e8)) - f(mpmath.mpf(1e8))) / 3)
+
+
+class TestLargeXiCoefficients:
+    def test_a0_matches_50_digit_expansion(self):
+        # a0 = c2·Upsilon + 2·nu against lim A(t) − Upsilon·t² (A = k·Psi)
+        # over random sub-Rayleigh points, with h0 = 0 included and m up to
+        # (1 − 1e-8)·m_c.  Rounding 1 − 2h0²m² moves u, and a0 ∝ 1/u as
+        # u → 0, by eps/u² relative: u → 0 at m_c for eta → 0.
+        rng = np.random.default_rng(7)
+        for i in range(300):
+            eta = rng.uniform(-0.99, 0.99)
+            h0 = 0.0 if i % 10 == 0 else rng.uniform(0.0, 1.5)
+            frac = rng.uniform() if i % 2 else 1.0 - 10.0 ** rng.uniform(-8.0, -1.0)
+            p = KernelParams(m=frac * min(critical_speed(eta, h0), 1.0 - 1e-8),
+                             eta=eta, h0=h0)
+
+            def excess(t):
+                a, ups = _mp_symbol_parts(p.m, eta, h0, t)
+                return a - ups * t * t
+
+            ref = _limit_at_infinity(excess)
+            a0 = p.c2 * p.upsilon + 2.0 * p.nu
+            tol = 1e-10 + np.finfo(float).eps / p.u**2
+            assert abs(a0 - ref) <= tol * abs(ref), (eta, h0, p.m)
+
+    @pytest.mark.parametrize("eta,h0,frac", [
+        (0.9, 0.8, 0.5), (-0.9, 0.707, 0.5), (-0.9, 0.707, 0.9999),
+        (-0.9, 0.707, 0.9999999)])
+    def test_c2_is_the_large_xi_coefficient_of_log_k(self, eta, h0, frac):
+        # c2 = lim t²·log k(t).  At 0.9999999·m_c the two-sample fit of log k
+        # at t_cut/2 and t_cut gave −6.08e4 there; Upsilon = 3.9e-8 carries
+        # eps/Upsilon ≈ 6e-9 of rounding into c2.
+        p = KernelParams(m=frac * critical_speed(eta, h0), eta=eta, h0=h0)
+
+        def t2_log_k(t):
+            a, ups = _mp_symbol_parts(p.m, eta, h0, t)
+            nu = mpmath.sqrt(1 - mpmath.mpf(p.m) ** 2)
+            return t * t * mpmath.log(a / (ups * t * t + 2 * nu))
+
+        assert p.c2 > 0.0
+        assert p.c2 == pytest.approx(_limit_at_infinity(t2_log_k), rel=1e-8)
 
 
 class TestKernelEval:
@@ -148,7 +218,7 @@ class TestRationalReconstruction:
 
     def test_unit_kernel(self):
         cf = CauchyFactorization(lambda t: np.ones_like(np.asarray(t, float)),
-                                 xi_hi=4e3)
+                                 xi_hi=4e3, c2=0.0)
         for z in (0.5 + 0.5j, 1j, -3.0 + 2j):
             assert cf.k_plus(z) == pytest.approx(1.0, abs=1e-12)
         assert cf.k_plus_line(3.0) == pytest.approx(1.0, abs=1e-12)
@@ -282,6 +352,18 @@ class TestPhysicalFactorization:
         # fires first).
         with pytest.raises(RegimeError):
             factorize(KernelParams(m=0.6, eta=-0.9, h0=0.707))
+
+    def test_lattice_rejects_a_kernel_that_is_not_positive(self):
+        # Positivity is read off the theta lattice's log k; the log of the
+        # negative values warns of nothing before the error.
+        def dipping(t):
+            t = np.asarray(t, dtype=float)
+            return np.where((t > 1.0) & (t < 2.0), -1.0, 1.0)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RegimeError, match="not positive"):
+                CauchyFactorization(dipping, xi_hi=4e3, c2=0.0)
 
     def test_wrong_halfplane(self, kernel_factory):
         k = kernel_factory(0.3, 0.9, 0.707)
