@@ -91,5 +91,5 @@ def half_power_moment_quadrature(tau) -> float:
             break
     else:
         raise QuadratureError(f"no tail model fits the loading up to |X| = {T:g}")
-    val, _ = oscillatory_halfline(f, 0.0, T, [ladder], [fit])
+    val, _ = oscillatory_halfline(f, T, [ladder], [fit])(0.0)
     return float(np.real(val[0]))

@@ -8,13 +8,14 @@ integrand is an algebraic half-integer ladder, fitted numerically and summed
 in closed form beyond the truncation radius.  The total shear grows like
 xi^{1/2} (its transform is square-root singular), handled the same way.
 
-The public evaluators take a scalar X (giving floats) or an array of X.  An
-array is one engine call per (split, X grid), whatever the number of field
-kinds: the integrands of all kinds are stacked columns of one call, and
-they are evaluated on nodes that do not depend on X, so each X's value is
-the same as when it is evaluated alone.  All kinds use the √t head rule,
-which is exact for both the t^{−1/2} endpoint of the opening and stresses
-and the t^{1/2} endpoint of the traction.
+The public evaluators take a scalar X (giving floats) or an array of X.
+Each is one transform per (split, field kinds): the integrands of all kinds
+are stacked columns, evaluated once on nodes that do not depend on X, and
+the transform is then called on the X grid, so each X's value is the same
+as when it is evaluated alone.  ``max_total_shear`` calls its one transform
+twice, on its grid and at the refined point.  All kinds use the √t head
+rule, which is exact for both the t^{−1/2} endpoint of the opening and
+stresses and the t^{1/2} endpoint of the traction.
 
 The traction's rational piece is transformed in closed form through
 e^w·E_q(w) (``_scaled_expn``: a power series below w = 1, a continued
@@ -224,17 +225,18 @@ def _rational_transform(split: SplitData, a):
     return _scaled_expn(q, w) / (1j * Lt)
 
 
-def _field_values(split: SplitData, kinds, x):
-    """Fields ``kinds`` and their error estimates at distance x > 0 from the
-    tip — behind it (X = −x) for the opening, ahead of it (X = x) for the
-    others — both of shape (len(kinds),) + x.shape, by one laddered
-    inversion at the frequencies x/ℓ on integrand nodes shared by all x and
-    all kinds.
+def _field_values(split: SplitData, kinds):
+    """The transform of the fields ``kinds`` of a split: a callable that maps
+    distances x > 0 from the tip — behind it (X = −x) for the opening, ahead
+    of it (X = x) for the others — to the fields and their error estimates,
+    both of shape (len(kinds),) + x.shape.  The integrands of all kinds are
+    evaluated and their tails fitted once, here; each call inverts at the
+    frequencies x/ℓ, and a distance's value does not depend on the other
+    distances of the call.
 
     The opening enters through ∫q·e^{+iat}dt = conj(∫conj(q)·e^{−iat}dt),
     so every column shares one table of moments."""
     radius = _truncation_radius(split)
-    a = np.asarray(x, dtype=float) / split.ell
     behind = np.array([k is FieldKind.OPENING for k in kinds])
 
     def columns(t):
@@ -244,21 +246,22 @@ def _field_values(split: SplitData, kinds, x):
 
     fits = [(np.conj(coeffs) if kind is FieldKind.OPENING else coeffs, resid)
             for kind, (coeffs, resid) in zip(kinds, _tail_fits(split, kinds, radius))]
-    val, err = oscillatory_halfline(columns, a, radius,
-                                    [_LADDERS[kind] for kind in kinds], fits)
-    for i, kind in enumerate(kinds):
-        if kind is FieldKind.OPENING:
-            val[i] = np.conj(val[i])
-        elif kind is FieldKind.TRACTION:
-            val[i] = val[i] + _rational_transform(split, a)
+    transform = oscillatory_halfline(columns, radius,
+                                     [_LADDERS[kind] for kind in kinds], fits)
     pref = np.array([_prefactor(split, kind) for kind in kinds])
-    pref = pref.reshape(pref.shape + (1,) * a.ndim)
-    return 2.0 * np.real(pref * val), 2.0 * np.abs(pref) * err
 
+    def values(x):
+        a = np.asarray(x, dtype=float) / split.ell
+        val, err = transform(a)
+        for i, kind in enumerate(kinds):
+            if kind is FieldKind.OPENING:
+                val[i] = np.conj(val[i])
+            elif kind is FieldKind.TRACTION:
+                val[i] = val[i] + _rational_transform(split, a)
+        scale = pref.reshape(pref.shape + (1,) * a.ndim)
+        return 2.0 * np.real(scale * val), 2.0 * np.abs(scale) * err
 
-def _field_value(split: SplitData, kind: FieldKind, X: float) -> float:
-    _check_domain(kind, X)
-    return float(_field_values(split, (kind,), abs(X))[0][0])
+    return values
 
 
 def _out(values):
@@ -270,14 +273,14 @@ def crack_opening(X, split: SplitData):
     """Opening displacement w(X) behind the tip (X < 0); a float for a
     scalar X, an array for an array."""
     _check_domain(FieldKind.OPENING, X)
-    return _out(_field_values(split, (FieldKind.OPENING,), np.negative(X))[0][0])
+    return _out(_field_values(split, (FieldKind.OPENING,))(np.negative(X))[0][0])
 
 
 def traction_ahead(X, split: SplitData):
     """Reduced traction p3(X) ahead of the tip (X > 0); a float for a
     scalar X, an array for an array."""
     _check_domain(FieldKind.TRACTION, X)
-    return _out(_field_values(split, (FieldKind.TRACTION,), X)[0][0])
+    return _out(_field_values(split, (FieldKind.TRACTION,))(X)[0][0])
 
 
 def _stress_dict(sigma, tau, mu) -> dict:
@@ -290,7 +293,7 @@ def stresses_on_line(X, split: SplitData) -> dict:
     inversion; floats for a scalar X, arrays for an array."""
     _check_domain(FieldKind.SIGMA_SHEAR, X)
     kinds = (FieldKind.SIGMA_SHEAR, FieldKind.TAU_SHEAR, FieldKind.COUPLE_STRESS)
-    return _stress_dict(*_field_values(split, kinds, X)[0])
+    return _stress_dict(*_field_values(split, kinds)(X)[0])
 
 
 def crack_line_fields(x, split: SplitData) -> dict:
@@ -300,7 +303,7 @@ def crack_line_fields(x, split: SplitData) -> dict:
     _check_domain(FieldKind.TRACTION, x)
     kinds = (FieldKind.OPENING, FieldKind.TRACTION, FieldKind.SIGMA_SHEAR,
              FieldKind.TAU_SHEAR, FieldKind.COUPLE_STRESS)
-    w, p3, sigma, tau, mu = _field_values(split, kinds, x)[0]
+    w, p3, sigma, tau, mu = _field_values(split, kinds)(x)[0]
     return {"w": _out(w), "p3": _out(p3), **_stress_dict(sigma, tau, mu)}
 
 
@@ -320,7 +323,7 @@ def field_profile(split: SplitData, kind: FieldKind, *, n: int = 400,
     x_hi = crack_line_window(split)[1] if x_hi is None else x_hi
     grid = np.geomspace(x_lo, x_hi, n)
     sign = -1.0 if kind is FieldKind.OPENING else 1.0
-    values, error = _field_values(split, (kind,), grid)
+    values, error = _field_values(split, (kind,))(grid)
     return FieldProfile(X=sign * grid, values=values[0], kind=kind, error=error[0])
 
 
@@ -330,9 +333,11 @@ def max_total_shear(split: SplitData):
 
     The window starts at 1e-3·ell: the total shear is square-root-cubed
     singular at the tip, so a maximum is only meaningful outside the
-    singular zone.  Returns ``(t23max, X_at)``."""
+    singular zone.  The grid and the refined point are two calls of one
+    transform.  Returns ``(t23max, X_at)``."""
+    total_shear = _field_values(split, (FieldKind.TOTAL_SHEAR,))
     grid = np.geomspace(*crack_line_window(split), _TMAX_POINTS)
-    vals = _field_values(split, (FieldKind.TOTAL_SHEAR,), grid)[0][0]
+    vals = total_shear(grid)[0][0]
     i = int(np.argmax(vals))
     if 0 < i < _TMAX_POINTS - 1:
         # Parabolic refinement in log X.
@@ -342,7 +347,7 @@ def max_total_shear(split: SplitData):
         if denom < 0.0:
             du = 0.5 * (y[0] - y[2]) / denom * (u[1] - u[0])
             x_ref = math.exp(u[1] + du)
-            v_ref = _field_value(split, FieldKind.TOTAL_SHEAR, x_ref)
+            v_ref = total_shear(x_ref)[0][0]
             if v_ref > vals[i]:
                 return float(v_ref), float(x_ref)
     return float(vals[i]), float(grid[i])
@@ -412,7 +417,7 @@ def balance_integral(split: SplitData) -> float:
     u, wu = panel_nodes(np.linspace(math.log(x_min), math.log(x_max), panels + 1),
                         _BALANCE_ORDER)
     grid = np.exp(u.ravel())
-    p3 = _field_values(split, (FieldKind.TRACTION,), grid)[0][0]
+    p3 = _field_values(split, (FieldKind.TRACTION,))(grid)[0][0]
     reg = p3 - (c_sing[0] * grid ** -1.5 + c_sing[1] * grid ** -0.5) \
         * np.exp(-grid / lam)
     middle = float(np.sum(wu.ravel() * reg * grid))

@@ -116,6 +116,10 @@ class KernelParams:
     h0: float
 
     def __post_init__(self):
+        for name in ("m", "eta", "h0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if not self.m >= 0:
             raise DomainError(f"m must be nonnegative, got {self.m}")
         if self.m >= 1.0:

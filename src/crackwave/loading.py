@@ -192,7 +192,7 @@ def _appendix_ratio(kernel: FactorizedKernel, coeffs, profile: LoadProfile,
                       TAIL_FIT_POINTS)
     ladders = ((-3.5, -4.5, -5.5), (-2.5, -3.5, -4.5))
     fits = [fit_power_tail(ts, v, lam) for v, lam in zip(folded(ts), ladders)]
-    (i1, i2), _ = oscillatory_halfline(folded, 0.0, radius, ladders, fits)
+    (i1, i2), _ = oscillatory_halfline(folded, radius, ladders, fits)(0.0)
     return complex(i1 / i2)
 
 

@@ -4,10 +4,13 @@ tail ladder, circle-contour Taylor coefficients and bracketed root finding.
 The half-line transform ∫₀^∞ f(t)·e^{−iat}dt has one convention: f returns
 stacked columns, and the caller gives each column the algebraic ladder
 Σ c_k t^{λ_k} of its large-t behaviour and the fit of that ladder
-(``fit_power_tail`` on a window of the caller's choice).  ``a`` may be an
-array, and f is evaluated on nodes that do not depend on ``a``, one
-vectorized call for the head and one per body rule, whatever the number of
-frequencies and columns.
+(``fit_power_tail`` on a window of the caller's choice).  It runs in two
+stages.  ``oscillatory_halfline`` evaluates f once, on nodes that do not
+depend on ``a`` (one vectorized call for the head and one per body rule,
+whatever the number of columns), and returns the transform, a callable of
+``a``.  Each call of the transform contracts those values with the phases
+and moments of its frequencies, one (array of) ``a`` at a time, in row
+blocks of frequencies (``row_blocks``), and adds the tails.
 
 * Head [0, 1e-6]: Gauss panels (orders 20 and 14) in v = √t, graded
   geometrically toward 0, so a t^{−1/2} endpoint singularity is integrated
@@ -18,21 +21,25 @@ frequencies and columns.
   of the interpolant, whose transform is a sum of the closed-form moments
   ∫₋₁¹ P_k(x)e^{−iωx}dx = 2(−i)^k·j_k(ω) (Iserles & Nørsett 2005,
   Proc. R. Soc. A 461).  The table of j_0 … j_11 at ω·h (h the panel
-  half-width) for every frequency and panel is built once per call, in
-  numpy (``_bessel_table``): upward recurrence from sin/cos for
+  half-width) for every frequency and panel is built once per transform
+  call, in numpy (``_bessel_table``): upward recurrence from sin/cos for
   |ω·h| ≥ 12, Miller's downward recurrence normalized by j_0 or j_1 below
   that (Gautschi 1967, SIAM Rev. 9, 24–82; DLMF §10.51) and, for
   |ω·h| < 1, the power series by Horner's rule in (ω·h)² from a constant
-  coefficient table (DLMF §10.53.1).  When every frequency is 0 no table is
-  built: the body is the plain Gauss-Legendre sum, as j_k(0) = δ_k0.
+  coefficient table (DLMF §10.53.1).  At a frequency of 0 the head and the
+  body are the plain Gauss-Legendre sums, as every phase is 1 and
+  j_k(0) = δ_k0, and when every frequency is 0 no table is built.
 * Tail [T, ∞): the fitted ladder in closed form through Γ(λ+1, iaT) for
   half-integer λ (``power_tail``), computed in numpy by recurrence in λ
   from the power series of γ(1/2, z) for |z| < 2 and from a continued
-  fraction for |z| ≥ 2 (``_upper_gamma_half``); at a = 0 any λ < −1.
+  fraction for |z| ≥ 2 (``_upper_gamma_half``), one batch for all columns;
+  at a = 0 any λ < −1.
 
 Each column's error estimate adds the order-14 head and order-8 body
 differences and the tail bound max_residual·min(T, 2/|a|).  The columns
-share the integrand calls, the rules, the moment table and the phases.
+share the integrand calls, the rules, the moment table and the phases.  A
+frequency's value does not depend on the other frequencies of a call, nor
+on which call of the transform it comes in.
 
 Every routine is deterministic (no randomized algorithms) and every
 quadrature returns ``(value, error_estimate)``.
@@ -110,21 +117,22 @@ def panel_sums(f, edges, order, basis):
     return (vals.reshape(-1, order) @ basis.T).reshape(vals.shape[:-1] + basis.shape[:1])
 
 
-def scaled_upper_gamma(s: float, z):
-    """z^{−s}·e^z·Γ(s, z) for real s and 1-D ``z`` (real or complex) away
-    from the origin and the negative real axis, by the even continued
-    fraction Γ(s, z) = z^s e^{−z} / (z+1−s − 1(1−s)/(z+3−s − 2(2−s)/(z+5−s
-    − …))) evaluated by modified Lentz (Gil, Segura & Temme 2007, Numerical
-    Methods for Special Functions, §6.5).  It converges the faster the
-    larger |z| is; for s = 1 − q it is e^z·E_q(z).  Each z stops at its own
-    convergence, so its value does not depend on the other z of the batch.
+def scaled_upper_gamma(s, z):
+    """z^{−s}·e^z·Γ(s, z) for real ``s`` and ``z`` (real or complex) away
+    from the origin and the negative real axis, broadcast together, by the
+    even continued fraction Γ(s, z) = z^s e^{−z} / (z+1−s − 1(1−s)/(z+3−s
+    − 2(2−s)/(z+5−s − …))) evaluated by modified Lentz (Gil, Segura & Temme
+    2007, Numerical Methods for Special Functions, §6.5).  It converges the
+    faster the larger |z| is; for s = 1 − q it is e^z·E_q(z).  Each element
+    stops at its own convergence and does the arithmetic of its lone run, so
+    an (orders × z) batch gives every value bit for bit as that run does.
     """
     tiny = 1e-300
     b = z + 1.0 - s
-    c = np.full_like(z, 1.0 / tiny)
+    c = np.full_like(b, 1.0 / tiny)
     d = 1.0 / b
     h = d
-    active = np.ones(z.shape, dtype=bool)
+    active = np.ones(b.shape, dtype=bool)
     for n in range(1, 500):
         an = -n * (n - s)
         b = b + 2.0
@@ -138,87 +146,100 @@ def scaled_upper_gamma(s: float, z):
     raise QuadratureError("incomplete-gamma continued fraction did not converge")
 
 
-def _upper_gamma_half(s_values, z):
-    """Upper incomplete gamma Γ(s, z) for half-integer ``s_values`` and
-    complex ``z`` ≠ 0 (1-D); shape (len(s_values), len(z)).
+def _upper_gamma_half(orders, z):
+    """Upper incomplete gamma Γ(s, z) for stacked columns of half-integer
+    orders and complex z ≠ 0 (1-D): one array of shape (len(orders[j]),
+    len(z)) per column j.
 
     For |z| < 2 it starts from Γ(1/2, z) = √π − γ(1/2, z), with the power
-    series γ(1/2, z) = √z·e^{−z}·Σ_k z^k/((1/2)(3/2)⋯(k+1/2)), and recurs
-    down with Γ(s−1, z) = (Γ(s, z) − z^{s−1}e^{−z})/(s−1) and up with
-    Γ(s+1, z) = s·Γ(s, z) + z^s·e^{−z}.  For |z| ≥ 2 it evaluates the
-    continued fraction (``scaled_upper_gamma``) at the lowest s and recurs
-    up.  The switch sits where the two recurrences lose about equally: the
-    downward one amplifies the error of Γ(1/2, z) more the larger |z| is,
-    the upward one that of the lowest Γ(s, z) more the smaller |z| is.
+    series γ(1/2, z) = √z·e^{−z}·Σ_k z^k/((1/2)(3/2)⋯(k+1/2)), shared by
+    the columns, and recurs down with Γ(s−1, z) = (Γ(s, z) −
+    z^{s−1}e^{−z})/(s−1) and up with Γ(s+1, z) = s·Γ(s, z) + z^s·e^{−z}.
+    For |z| ≥ 2 it evaluates the continued fraction (``scaled_upper_gamma``)
+    at every column's lowest s in one batch and recurs up.  The switch sits
+    where the two recurrences lose about equally: the downward one amplifies
+    the error of Γ(1/2, z) more the larger |z| is, the upward one that of the
+    lowest Γ(s, z) more the smaller |z| is.
     """
-    s_values = np.asarray(s_values, dtype=float)
-    if np.any(np.mod(s_values - 0.5, 1.0) != 0.0):
-        raise QuadratureError(f"tail exponents must be half-integers, got {s_values}")
+    orders = [np.asarray(s_values, dtype=float) for s_values in orders]
+    for s_values in orders:
+        if np.any(np.mod(s_values - 0.5, 1.0) != 0.0):
+            raise QuadratureError(f"tail exponents must be half-integers, got {s_values}")
     z = np.asarray(z, dtype=complex)
-    lo = min(float(s_values.min()), 0.5)
-    ladder = np.arange(lo, max(float(s_values.max()), 0.5) + 0.5)
-    out = np.empty((ladder.size, z.size), dtype=complex)
+    lows = [min(float(s_values.min()), 0.5) for s_values in orders]
     ez = np.exp(-z)
 
     near = np.abs(z) < 2.0
-    if near.any():
-        zn, en = z[near], ez[near]
-        g = np.empty((ladder.size, zn.size), dtype=complex)
-        i0 = int(round(0.5 - lo))
+    far = ~near
+    zn, en, zf, ef = z[near], ez[near], z[far], ez[far]
+    if zn.size:
         term = np.full_like(zn, 2.0)
         series = term.copy()
         for k in range(1, _GAMMA_SERIES_TERMS):
             term = term * zn / (k + 0.5)
             series += term
-        g[i0] = math.sqrt(math.pi) - np.sqrt(zn) * en * series
-        for i in range(i0, 0, -1):
-            s = ladder[i] - 1.0
-            g[i - 1] = (g[i] - zn**s * en) / s
-        for i in range(i0, ladder.size - 1):
-            s = ladder[i]
-            g[i + 1] = s * g[i] + zn**s * en
-        out[:, near] = g
+        g_half = math.sqrt(math.pi) - np.sqrt(zn) * en * series
+    if zf.size:
+        lowest = scaled_upper_gamma(np.array(lows)[:, None], zf)
 
-    far = ~near
-    if far.any():
-        zf, ef = z[far], ez[far]
-        g = np.empty((ladder.size, zf.size), dtype=complex)
-        g[0] = zf**lo * ef * scaled_upper_gamma(lo, zf)
-        for i in range(ladder.size - 1):
-            s = ladder[i]
-            g[i + 1] = s * g[i] + zf**s * ef
-        out[:, far] = g
+    out = []
+    for j, (s_values, lo) in enumerate(zip(orders, lows)):
+        ladder = np.arange(lo, max(float(s_values.max()), 0.5) + 0.5)
+        g = np.empty((ladder.size, z.size), dtype=complex)
+        if zn.size:
+            gn = np.empty((ladder.size, zn.size), dtype=complex)
+            i0 = int(round(0.5 - lo))
+            gn[i0] = g_half
+            for i in range(i0, 0, -1):
+                s = ladder[i] - 1.0
+                gn[i - 1] = (gn[i] - zn**s * en) / s
+            for i in range(i0, ladder.size - 1):
+                s = ladder[i]
+                gn[i + 1] = s * gn[i] + zn**s * en
+            g[:, near] = gn
+        if zf.size:
+            gf = np.empty((ladder.size, zf.size), dtype=complex)
+            gf[0] = zf**lo * ef * lowest[j]
+            for i in range(ladder.size - 1):
+                s = ladder[i]
+                gf[i + 1] = s * gf[i] + zf**s * ef
+            g[:, far] = gf
+        out.append(g[np.round(s_values - lo).astype(int)])
+    return out
 
-    return out[np.round(s_values - lo).astype(int)]
 
-
-def power_tail(coeffs, exponents, freq, t0):
-    """Closed form of ∫_{t0}^∞ Σ c_k t^{λ_k} e^{−i·freq·t} dt, elementwise
-    over a 1-D array ``freq``.
+def power_tail(coeffs, ladders, freq, t0):
+    """Closed form of ∫_{t0}^∞ Σ_k c_k t^{λ_k} e^{−i·freq·t} dt for stacked
+    columns, elementwise over a 1-D array ``freq``: column j has the
+    coefficients ``coeffs[j]`` of the exponents ``ladders[j]`` (possibly
+    none); shape (columns, freq.size).
 
     Uses ∫_T^∞ t^λ e^{−iat} dt = (ia)^{−λ−1} Γ(λ+1, iaT), which needs
-    half-integer λ, for freq ≠ 0 and the elementary power integral at
-    freq = 0 (which then needs λ < −1).
+    half-integer λ, for freq ≠ 0 (one continued-fraction batch for all
+    columns) and the elementary power integral at freq = 0 (which then
+    needs λ < −1).
     """
     af = np.asarray(freq, dtype=float)
-    c = np.asarray(coeffs, dtype=complex)
-    lam = np.asarray(exponents, dtype=float)
-    out = np.zeros(af.shape, dtype=complex)
+    out = np.zeros((len(ladders),) + af.shape, dtype=complex)
+    columns = [(j, np.asarray(c, dtype=complex), np.asarray(lam, dtype=float))
+               for j, (c, lam) in enumerate(zip(coeffs, ladders)) if len(lam)]
     zero = af == 0.0
-    if zero.any() and lam.size:
-        if np.any(lam >= -1.0):
-            raise QuadratureError(
-                f"non-integrable tail power t^{lam.max()} with zero frequency"
-            )
-        out[zero] = np.sum(c * t0 ** (lam + 1.0) / (-lam - 1.0))
-    if not zero.all() and lam.size:
+    if zero.any():
+        for j, c, lam in columns:
+            if np.any(lam >= -1.0):
+                raise QuadratureError(
+                    f"non-integrable tail power t^{lam.max()} with zero frequency"
+                )
+            out[j, zero] = np.sum(c * t0 ** (lam + 1.0) / (-lam - 1.0))
+    if not zero.all() and columns:
         ia = 1j * af[~zero]
-        gam = _upper_gamma_half(lam + 1.0, ia * t0)
-        # Term by term, so a frequency's sum does not depend on the batch.
-        total = np.zeros(ia.shape, dtype=complex)
-        for ck, lk, gk in zip(c, lam, gam):
-            total = total + ck * ia ** (-lk - 1.0) * gk
-        out[~zero] = total
+        gammas = _upper_gamma_half([lam + 1.0 for _, _, lam in columns], ia * t0)
+        for (j, c, lam), gam in zip(columns, gammas):
+            # Term by term, so a frequency's sum does not depend on the batch.
+            total = np.zeros(ia.shape, dtype=complex)
+            for ck, lk, gk in zip(c, lam, gam):
+                total = total + ck * ia ** (-lk - 1.0) * gk
+            out[j, ~zero] = total
     return out
 
 
@@ -281,7 +302,9 @@ def _bessel_table(x):
     it sums the power series x^k·Σ_m c[m, k]·x^{2m} from the constant table
     ``_SERIES_COEFFS``: Horner's rule in x² on an (order, x) array, updated in
     place, times x^k from a running product.  It gives δ_k0 exactly at x = 0.
-    Negative x use j_k(−x) = (−1)^k·j_k(x).
+    Negative x use j_k(−x) = (−1)^k·j_k(x).  Every branch works on
+    contiguous (order, x) rows, and Miller's keeps only the two latest orders
+    above j_11, so no temporary grows with ``_MILLER_START``.
     """
     x = np.asarray(x, dtype=float)
     ax = np.abs(x).ravel()
@@ -296,20 +319,21 @@ def _bessel_table(x):
         z = ax[sel]
         j0 = np.sin(z) / z
         j1 = (j0 - np.cos(z)) / z
+        acc = np.empty((count, z.size))   # order-major: one row per order
         if upward:
-            f = np.empty((z.size, count))
-            f[:, 0], f[:, 1] = j0, j1
+            acc[0], acc[1] = j0, j1
             for n in range(1, count - 1):
-                f[:, n + 1] = (2 * n + 1) / z * f[:, n] - f[:, n - 1]
+                acc[n + 1] = (2 * n + 1) / z * acc[n] - acc[n - 1]
         else:
-            f = np.zeros((z.size, _MILLER_START + 2))
-            f[:, _MILLER_START] = 1.0
+            # Only the two latest orders are kept above the stored ones.
+            above, f = np.zeros_like(z), np.ones_like(z)   # orders 41, 40
             for n in range(_MILLER_START, 0, -1):
-                f[:, n - 1] = (2 * n + 1) / z * f[:, n] - f[:, n + 1]
-            f = f[:, :count]
+                above, f = f, (2 * n + 1) / z * f - above
+                if n <= count:
+                    acc[n - 1] = f
             by_j0 = np.abs(j0) >= np.abs(j1)
-            f *= (np.where(by_j0, j0, j1) / np.where(by_j0, f[:, 0], f[:, 1]))[:, None]
-        out[sel] = f
+            acc *= np.where(by_j0, j0, j1) / np.where(by_j0, acc[0], acc[1])
+        out[sel] = acc.T
 
     series = ax < 1.0
     if series.any():
@@ -332,16 +356,27 @@ def _bessel_table(x):
 
 def _filon_body(sums, phase, table):
     """Legendre–Filon sums Σ_p ∫_{panel p} p_p(t)e^{−i·freq·t}dt, shape
-    (columns, freq), from the ``_filon_basis`` panel sums (columns × panels
-    × order).  ``phase`` is e^{−i·freq·mid} (freq × panels) and ``table``
-    holds j_k(freq·half) (freq × panels × ≥ order); ``table`` None means
-    every frequency is 0, where the rule is the plain Gauss-Legendre sum
-    (j_k(0) = δ_k0)."""
-    if table is None:
-        plain = sums[..., 0].sum(axis=-1)
-        return np.repeat(plain[:, None], phase.shape[0], axis=1)
-    inner = (table[None, :, :, :sums.shape[-1]] * sums[:, None]).sum(axis=-1)
-    return (phase * inner).sum(axis=-1)
+    (columns, freq), from the ``_filon_basis`` panel sums as real and
+    imaginary rows (2·columns × panels × order).  ``phase`` is
+    e^{−i·freq·mid} (freq × panels) and ``table`` holds j_k(freq·half)
+    (freq × panels × ≥ order).  Each (row, frequency, panel) is contracted
+    over the order alone and each (column, frequency) over the panels alone,
+    so a frequency's value does not depend on the other frequencies or
+    columns."""
+    inner = np.einsum("fpk,cpk->cfp", table[..., :sums.shape[-1]], sums)
+    half = len(sums) // 2
+    return (phase * (inner[:half] + 1j * inner[half:])).sum(axis=-1)
+
+
+def _head_sums(wv, t, freq):
+    """Head rule Σ_n w_n·v_n·e^{−i·freq·t_n}, shape (columns, freq), from the
+    weighted values as real and imaginary rows ``wv`` (2·columns × nodes) at
+    the nodes ``t``, each (row, frequency) contracted over the nodes alone."""
+    x = freq[:, None] * t
+    cos_wv = np.einsum("fn,cn->cf", np.cos(x), wv)
+    sin_wv = np.einsum("fn,cn->cf", np.sin(x), wv)
+    half = len(wv) // 2
+    return (cos_wv[:half] + sin_wv[half:]) + 1j * (cos_wv[half:] - sin_wv[:half])
 
 
 def _build_edges(lo, hi):
@@ -349,69 +384,90 @@ def _build_edges(lo, hi):
     return np.geomspace(lo, hi, max(2, math.ceil(8 * math.log10(hi / lo))))
 
 
-def oscillatory_halfline(f, freq, truncation_radius: float, ladders, fits):
-    """Compute ∫₀^∞ f(t)·exp(−i·freq·t) dt for the stacked columns of a
-    vectorized integrand.
+def oscillatory_halfline(f, truncation_radius: float, ladders, fits):
+    """The transform ∫₀^∞ f(t)·exp(−i·freq·t) dt of the stacked columns of a
+    vectorized integrand, as a callable ``freq → (value, error_estimate)``,
+    both of shape (c,) + freq.shape.
 
     ``f`` maps a 1-D array of n nodes to c integrands stacked, shape (c, n).
     Column k has the tail ladder ``ladders[k]`` (exponents λ, possibly none)
     and its fit ``fits[k]`` = ``(coeffs, max_residual)``, as from
     ``fit_power_tail``, on the caller's window below ``truncation_radius``
-    (> 0), where the panels end and the ladder tail starts.  Returns
-    ``(value, error_estimate)``, both of shape (c,) + freq.shape.
+    (> 0), where the panels end and the ladder tail starts.
 
-    The columns share the integrand calls, the head and body rules and the
-    moment table; each has its own tail and error estimate.  The integrand
-    is evaluated on nodes that do not depend on the frequencies, and the
-    moment table j_k(ω·half) is built once (not at all when every ω is 0).
+    This call makes every evaluation of f: the head values of both head
+    rules and the order-12 and order-8 ``panel_sums``, on nodes that do not
+    depend on the frequencies.  Each call of the transform then contracts
+    them with that call's phases and moment table (built once per call, not
+    at all when every frequency is 0) and adds the tails, one
+    continued-fraction batch for all columns.  Every frequency's value does
+    not depend on the other frequencies of the call, and a frequency of 0
+    takes the plain Gauss sums, as every phase is 1 and j_k(0) = δ_k0 there.
     """
     if truncation_radius <= 0:
         raise ValueError("truncation_radius must be positive")
     T = truncation_radius
-    a = np.asarray(freq, dtype=float)
-    af = a.ravel()
     head_end = min(_HEAD_END, T)
-    # The order-20 head keeps ~1e-14 up to two periods on [0, head_end].
-    if np.abs(af).max(initial=0.0) * head_end > 4.0 * math.pi:
-        raise QuadratureError(
-            f"frequency {np.abs(af).max():g} oscillates more than two periods "
-            f"on the head [0, {head_end:g}]"
-        )
-    t_head, w_head = _head_nodes(head_end, 20)
-    t_href, w_href = _head_nodes(head_end, 14)
-    v_head, v_href = np.split(
-        np.asarray(f(np.concatenate([t_head.ravel(), t_href.ravel()])), dtype=complex),
-        [t_head.size], axis=-1)
-    if not len(v_head) == len(ladders) == len(fits):
-        raise ValueError(f"{len(v_head)} columns need as many ladders and fits, "
+    nodes = [_head_nodes(head_end, order) for order in (20, 14)]
+    values = np.asarray(f(np.concatenate([t.ravel() for t, _ in nodes])), dtype=complex)
+    columns = len(values)
+    if not columns == len(ladders) == len(fits):
+        raise ValueError(f"{columns} columns need as many ladders and fits, "
                          f"got {len(ladders)} and {len(fits)}")
-
-    def head(t, w, v):
-        phase = np.exp(-1j * af[:, None] * t.ravel())
-        return (phase[None] * (w.ravel() * v)[:, None]).sum(axis=-1)
-
-    val_head = head(t_head, w_head, v_head)
-    err_head = np.abs(val_head - head(t_href, w_href, v_href))
-
     edges = _build_edges(head_end, T)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    phase = np.exp(-1j * af[:, None] * mid[None, :])
-    table = _bessel_table(af[:, None] * half) if np.any(af) else None
-    val_body = _filon_body(panel_sums(f, edges, _FILON_ORDER, _filon_basis(_FILON_ORDER)),
-                           phase, table)
-    err_body = np.abs(val_body - _filon_body(panel_sums(f, edges, 8, _filon_basis(8)),
-                                             phase, table))
+    # Weighted values of the order-20 head rule and of its order-14 check,
+    # and the body panel sums of the order-12 rule and of its order-8 check.
+    weighted = [w.ravel() * v for (_, w), v in
+                zip(nodes, np.split(values, [nodes[0][0].size], axis=-1))]
+    sums = [panel_sums(f, edges, order, _filon_basis(order)) for order in (_FILON_ORDER, 8)]
+    plain = np.array([wv.sum(axis=-1) for wv in weighted]
+                     + [s[..., 0].sum(axis=-1) for s in sums])
+    # The contractions run on real and imaginary rows.
+    heads = [(t.ravel(), np.concatenate([wv.real, wv.imag]))
+             for (t, _), wv in zip(nodes, weighted)]
+    bodies = [np.concatenate([s.real, s.imag]) for s in sums]
+    coeffs = [c for c, _ in fits]
+    resid = np.array([r for _, r in fits], dtype=float)
+    # float64 values per frequency of a block's largest temporaries: the head
+    # phases at the order-20 nodes, and the body's (columns × panels) complex
+    # sums over the order.
+    width = max(nodes[0][0].size, 2 * columns * mid.size)
 
-    val_tail = np.empty_like(val_head)
-    err_tail = np.empty(val_head.shape)
-    for c, (lam, (coeffs, resid)) in enumerate(zip(ladders, fits)):
-        val_tail[c] = power_tail(coeffs, lam, af, T)
+    def transform(freq):
+        a = np.asarray(freq, dtype=float)
+        af = a.ravel()
+        # The order-20 head keeps ~1e-14 up to two periods on [0, head_end].
+        if np.abs(af).max(initial=0.0) * head_end > 4.0 * math.pi:
+            raise QuadratureError(
+                f"frequency {np.abs(af).max():g} oscillates more than two periods "
+                f"on the head [0, {head_end:g}]"
+            )
+        # Rows: the head, its check, the body and its check.
+        parts = np.empty((4, columns, af.size), dtype=complex)
+        zero = af == 0.0
+        parts[:, :, zero] = plain[:, :, None]
+        live = af[~zero]
+        if live.size:
+            table = _bessel_table(live[:, None] * half)
+            out = np.empty((4, columns, live.size), dtype=complex)
+            for rows in row_blocks(live.size, width):
+                fr = live[rows]
+                phase = np.exp(-1j * fr[:, None] * mid)
+                out[:2, :, rows] = [_head_sums(wv, t, fr) for t, wv in heads]
+                out[2:, :, rows] = [_filon_body(body, phase, table[rows])
+                                    for body in bodies]
+            parts[:, :, ~zero] = out
+        val_tail = power_tail(coeffs, ladders, af, T)
         with np.errstate(divide="ignore"):
-            err_tail[c] = resid * np.minimum(T, 2.0 / np.abs(af))
-    shape = (len(ladders),) + a.shape
-    return ((val_head + val_body + val_tail).reshape(shape),
-            (err_head + err_body + err_tail).reshape(shape))
+            err_tail = resid[:, None] * np.minimum(T, 2.0 / np.abs(af))
+        shape = (columns,) + a.shape
+        return ((parts[0] + parts[2] + val_tail).reshape(shape),
+                (np.abs(parts[0] - parts[1]) + np.abs(parts[2] - parts[3])
+                 + err_tail).reshape(shape))
+
+    return transform
 
 
 def contour_coefficients(g, radius: float, count: int):

@@ -115,7 +115,7 @@ def field_unfolded(split, kind: FieldKind, X: float) -> complex:
 
     def halfline(f, freq):
         fit = fit_power_tail(ts, f(ts)[0], ladder)
-        return oscillatory_halfline(f, freq, radius, [ladder], [fit])[0][0]
+        return oscillatory_halfline(f, radius, [ladder], [fit])(freq)[0][0]
 
     def f(t):
         return fields._integrands(split, (kind,), t)

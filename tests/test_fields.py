@@ -2,6 +2,7 @@
 fold consistency and the windowed total-shear maximum."""
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -10,8 +11,8 @@ import pytest
 
 from crackwave import cli, fields, numerics
 from crackwave.errors import DomainError
-from crackwave.fields import (FieldKind, _field_value,
-                              _field_values, balance_integral, crack_line_fields,
+from crackwave.fields import (FieldKind, _field_values, balance_integral,
+                              crack_line_fields, crack_line_window,
                               crack_opening, field_profile, max_total_shear,
                               neartip_coefficients, stresses_on_line,
                               traction_ahead)
@@ -63,8 +64,7 @@ class TestNearTipAsymptotics:
     def test_total_shear_slope_and_prefactor(self, split):
         nt = neartip_coefficients(split)
         Xs = np.geomspace(1e-5, 1e-3, 9)
-        t = np.array([_field_value(split, FieldKind.TOTAL_SHEAR, x)
-                      for x in Xs])
+        t = _field_values(split, (FieldKind.TOTAL_SHEAR,))(Xs)[0][0]
         slope = np.polyfit(np.log(Xs), np.log(np.abs(t)), 1)[0]
         assert slope == pytest.approx(-1.5, abs=0.02)
         basis = np.vstack([Xs**-1.5, Xs**-0.5]).T
@@ -74,8 +74,7 @@ class TestNearTipAsymptotics:
     def test_couple_stress_slope_and_prefactor(self, split):
         nt = neartip_coefficients(split)
         Xs = np.geomspace(1e-6, 1e-4, 9)
-        mu = np.array([_field_value(split, FieldKind.COUPLE_STRESS, x)
-                       for x in Xs])
+        mu = _field_values(split, (FieldKind.COUPLE_STRESS,))(Xs)[0][0]
         slope = np.polyfit(np.log(Xs), np.log(np.abs(mu)), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.02)
         basis = np.vstack([Xs**-0.5, np.ones_like(Xs)]).T
@@ -130,7 +129,7 @@ class TestFoldConsistency:
         (FieldKind.COUPLE_STRESS, 0.7),
     ])
     def test_unfolded_imaginary_residue(self, split, kind, X):
-        folded = _field_value(split, kind, X)
+        folded = _field_values(split, (kind,))(abs(X))[0][0]
         unfolded = field_unfolded(split, kind, X)
         scale = max(abs(unfolded), 1e-300)
         assert abs(unfolded.imag) / scale < 1e-8
@@ -163,6 +162,20 @@ class TestMaxTotalShear:
         hi = max_total_shear(split_factory(0.3, 0.9, 0.707, 1.0, 1))[0]
         assert lo < hi
 
+    @pytest.mark.parametrize("point,refined", [
+        ((0.3, 0.9, 0.707, 4.0, 1), True),      # fig7: an interior maximum
+        ((0.407, -0.9, 0.707, 1.0, 1), False),   # fig6: on the window floor
+    ])
+    def test_maximum_is_a_fresh_inversion_at_its_point(self, split_factory,
+                                                       point, refined):
+        # The grid and the refined point come from one transform, and a
+        # distance's value does not depend on the other distances of a call.
+        sp = split_factory(*point)
+        t23max, x_at = max_total_shear(sp)
+        grid = np.geomspace(*crack_line_window(sp), 90)
+        assert (x_at not in grid) == refined
+        assert t23max == _field_values(sp, (FieldKind.TOTAL_SHEAR,))(x_at)[0][0]
+
 
 class TestSplitData:
     def test_frozen_with_one_tail_fit_per_kind_and_radius(self, split, monkeypatch):
@@ -177,9 +190,9 @@ class TestSplitData:
                             lambda *args: fits.append(args) or real_fit(*args))
         kinds = (FieldKind.OPENING, FieldKind.TRACTION)
         x = np.array([0.2, 0.5, 3.0])
-        first = fields._field_values(split, kinds, x)
+        first = fields._field_values(split, kinds)(x)
         assert len(fits) == 2
-        second = fields._field_values(split, kinds, x)
+        second = fields._field_values(split, kinds)(x)
         assert len(fits) == 4
         for a, b in zip(fits[:2], fits[2:]):
             assert all(np.array_equal(u, v) for u, v in zip(a, b))
@@ -212,7 +225,8 @@ class TestBatchedInversion:
                                       FieldKind.TOTAL_SHEAR, FieldKind.COUPLE_STRESS])
     def test_profile_equals_pointwise_values(self, split, kind):
         prof = field_profile(split, kind, n=40, x_lo=1e-4)
-        pointwise = np.array([_field_value(split, kind, x) for x in prof.X])
+        value = _field_values(split, (kind,))
+        pointwise = np.array([value(abs(x))[0][0] for x in prof.X])
         scale = np.abs(pointwise).max()
         assert np.abs(prof.values - pointwise).max() <= 1e-13 * scale
 
@@ -271,15 +285,15 @@ class TestSmallLoadLength:
         kind = FieldKind.TOTAL_SHEAR
         radius = 10.0 * fields._truncation_radius(short)
         val, _ = oscillatory_halfline(
-            lambda t: fields._integrands(short, (kind,), t), 0.01, radius,
-            [fields._LADDERS[kind]], fields._tail_fits(short, (kind,), radius))
+            lambda t: fields._integrands(short, (kind,), t), radius,
+            [fields._LADDERS[kind]], fields._tail_fits(short, (kind,), radius))(0.01)
         wide = 2.0 * float(np.real(fields._prefactor(short, kind) * val[0]))
-        assert _field_value(short, kind, 0.01) == pytest.approx(wide, rel=1e-8)
+        assert _field_values(short, (kind,))(0.01)[0][0] == pytest.approx(wide, rel=1e-8)
 
     def test_ladder_agrees_with_the_averaging_route(self, short):
         kind = FieldKind.TOTAL_SHEAR
         ref, _ = _averaged(short, kind, 2.4)
-        assert _field_value(short, kind, 2.4) == pytest.approx(ref, rel=1e-6)
+        assert _field_values(short, (kind,))(2.4)[0][0] == pytest.approx(ref, rel=1e-6)
 
 
 class TestMomentTable:
@@ -317,10 +331,31 @@ class TestMomentTable:
                           ("sigma23", FieldKind.SIGMA_SHEAR),
                           ("tau23", FieldKind.TAU_SHEAR),
                           ("mu22", FieldKind.COUPLE_STRESS)):
-            single = _field_values(split, (kind,), x)[0][0]
+            single = _field_values(split, (kind,))(x)[0][0]
             assert np.all(np.abs(fl[key] - single) <= 1e-15 * np.abs(single)), key
         assert np.array_equal(fl["w"], crack_opening(-x, split))
         assert np.array_equal(fl["t23"], stresses_on_line(x, split)["t23"])
+
+
+# A 54-point profile of all five fields once formed (columns × frequencies ×
+# panels × order) products, a 4.6 MB traced peak.  A process that has freed a
+# block that large gets such temporaries from glibc's heap without page
+# faults (tests/test_page_faults.py), so only the traced peak sees them; the
+# row blocks of the transform keep it near 1.1 MB.
+PEAK_BOUND = 2_000_000
+
+
+def test_warm_crack_line_fields_traced_peak(split_factory):
+    split = split_factory(0.3, -0.9, 0.707, 1.0, 1)   # fig4's point
+    x = np.geomspace(*crack_line_window(split), 160)[::3]
+    crack_line_fields(x, split)  # warm-up
+    tracemalloc.start()
+    try:
+        crack_line_fields(x, split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BOUND
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])

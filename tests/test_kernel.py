@@ -88,6 +88,14 @@ class TestKernelParams:
         with pytest.raises(DomainError):
             KernelParams(m=float("nan"), eta=0.0, h0=0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["m", "eta", "h0"])
+    def test_non_finite_parameter_named(self, name, value):
+        # A NaN h0 once made upsilon NaN, which every regime check let pass.
+        point = {"m": 0.3, "eta": 0.0, "h0": 0.5, name: value}
+        with pytest.raises(DomainError, match=rf"^{name} must be finite"):
+            KernelParams(**point)
+
 
 def _mp_symbol_parts(m, eta, h0, t):
     """A(t) = k(t)·Psi(t) and Upsilon at the float point (m, eta, h0), in the

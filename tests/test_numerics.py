@@ -17,7 +17,7 @@ from crackwave import numerics
 from crackwave.errors import BracketError, QuadratureError
 from crackwave.numerics import (_bessel_table, _upper_gamma_half, bracketed_root,
                                 contour_coefficients, fit_power_tail,
-                                oscillatory_halfline, power_tail)
+                                oscillatory_halfline, power_tail, scaled_upper_gamma)
 from crackwave.material import lambda_surface
 from reference_quadrature import averaged_halfline
 
@@ -77,8 +77,8 @@ class TestOscillatoryHalfline:
         assert abs(val - OSC_SQRT_JUMP) < 1e-8
 
     def test_slow_oscillation_ladder(self):
-        val, _ = oscillatory_halfline(_beyond_step, 0.05, T, [SLOW_LADDER],
-                                      _fits(_beyond_step, [SLOW_LADDER]))
+        val, _ = oscillatory_halfline(_beyond_step, T, [SLOW_LADDER],
+                                      _fits(_beyond_step, [SLOW_LADDER]))(0.05)
         assert abs(val[0] - _beyond_step_exact(0.05)) < 1e-9
 
     def test_sqrt_singular_head(self):
@@ -91,19 +91,19 @@ class TestOscillatoryHalfline:
         assert abs(val - OSC_SING) < 1e-9
 
     def test_finite_support_polynomial(self):
-        val, err = oscillatory_halfline(_on_step(lambda t: t * t), 0.0, T, [()], [NO_TAIL])
+        val, err = oscillatory_halfline(_on_step(lambda t: t * t), T, [()], [NO_TAIL])(0.0)
         assert abs(val[0] - STEP**3 / 3.0) <= max(err[0], 1e-14)
 
     def test_finite_support_complex_integrand(self):
-        val, _ = oscillatory_halfline(_on_step(lambda t: np.exp(1j * t)), 0.0, T,
-                                      [()], [NO_TAIL])
+        val, _ = oscillatory_halfline(_on_step(lambda t: np.exp(1j * t)), T,
+                                      [()], [NO_TAIL])(0.0)
         assert abs(val[0] - (np.exp(1j * STEP) - 1.0) / 1j) < 1e-10
 
     def test_error_estimate_honest(self):
         # Polynomial and t^{−1/2}-singular integrands, both through the √t head.
         for g, exact in ((lambda t: t * t, STEP**3 / 3.0),
                          (lambda t: t ** -0.5, 2.0 * math.sqrt(STEP))):
-            val, err = oscillatory_halfline(_on_step(g), 0.0, T, [()], [NO_TAIL])
+            val, err = oscillatory_halfline(_on_step(g), T, [()], [NO_TAIL])(0.0)
             assert abs(val[0] - exact) <= max(err[0], 1e-13)
 
     def test_determinism(self):
@@ -118,40 +118,41 @@ class TestBatchedHalfline:
 
     def test_array_frequency_matches_closed_form_and_scalar_calls(self):
         a = np.array([0.05, 1.0, 10.0])
-        vals, errs = oscillatory_halfline(_beyond_step, a, T, [SLOW_LADDER], self.FITS)
+        transform = oscillatory_halfline(_beyond_step, T, [SLOW_LADDER], self.FITS)
+        vals, errs = transform(a)
         assert vals.shape == errs.shape == (1,) + a.shape
         for ai, v, e in zip(a, vals[0], errs[0]):
             exact = _beyond_step_exact(ai)
             assert abs(v - exact) < 1e-13
             assert abs(v - exact) <= e
             scalar, scalar_err = oscillatory_halfline(
-                _beyond_step, float(ai), T, [SLOW_LADDER], self.FITS)
+                _beyond_step, T, [SLOW_LADDER], self.FITS)(float(ai))
             assert scalar.shape == scalar_err.shape == (1,)
             assert scalar[0] == v and scalar_err[0] == e
 
     def test_every_column_needs_a_ladder_and_a_fit(self):
         with pytest.raises(ValueError, match="1 columns need as many ladders and fits"):
-            oscillatory_halfline(_beyond_step, 1.0, T, [SLOW_LADDER] * 2, self.FITS * 2)
+            oscillatory_halfline(_beyond_step, T, [SLOW_LADDER] * 2, self.FITS * 2)
         with pytest.raises(ValueError):
-            oscillatory_halfline(_beyond_step, 1.0, T, [SLOW_LADDER], [])
+            oscillatory_halfline(_beyond_step, T, [SLOW_LADDER], [])
 
     def test_high_frequencies_up_to_the_head_limit(self):
         # The Filon body resolves any frequency; the head [0, 1e-6] spans
         # more than two periods once |a| > 4π·1e6.
         a = np.array([1e3, 1e5, 1.2e7])
-        vals, errs = oscillatory_halfline(_beyond_step, a, T, [SLOW_LADDER], self.FITS)
+        transform = oscillatory_halfline(_beyond_step, T, [SLOW_LADDER], self.FITS)
+        vals, errs = transform(a)
         for ai, v, e in zip(a, vals[0], errs[0]):
             exact = _beyond_step_exact(ai)
             assert abs(v - exact) < 1e-14
             assert abs(v - exact) <= e
         with pytest.raises(QuadratureError):
-            oscillatory_halfline(_beyond_step, np.array([1.0, 1.3e7]), T,
-                                 [SLOW_LADDER], self.FITS)
+            transform(np.array([1.0, 1.3e7]))
 
     def test_zero_frequency_tail_is_the_power_integral(self):
         # ∫_T^∞ (2t^{−2.5} − t^{−3.5}) dt at T = 4, with a zero among the
         # frequencies.
-        out = power_tail([2.0, -1.0], [-2.5, -3.5], np.array([0.0, 1.0]), 4.0)
+        (out,) = power_tail([[2.0, -1.0]], [[-2.5, -3.5]], np.array([0.0, 1.0]), 4.0)
         assert out[0] == pytest.approx(2.0 * 4.0**-1.5 / 1.5 - 4.0**-2.5 / 2.5,
                                        rel=1e-15)
         ref = sum(c * complex(mpmath.quadosc(
@@ -176,11 +177,11 @@ class TestStackedColumns:
                                       np.array([0.0])], ids=["array", "scalar", "zero"])
     def test_each_column_matches_its_single_column_call(self, freq):
         fits = _fits(self._columns, self.LADDERS)
-        vals, errs = oscillatory_halfline(self._columns, freq, T, self.LADDERS, fits)
+        vals, errs = oscillatory_halfline(self._columns, T, self.LADDERS, fits)(freq)
         assert vals.shape == errs.shape == (3,) + np.shape(freq)
         for c, (lam, fit) in enumerate(zip(self.LADDERS, fits)):
             single, single_err = oscillatory_halfline(
-                lambda t, c=c: self._columns(t)[c:c + 1], freq, T, [lam], [fit])
+                lambda t, c=c: self._columns(t)[c:c + 1], T, [lam], [fit])(freq)
             assert np.all(np.abs(vals[c] - single[0]) <= 1e-15 * np.abs(single[0]))
             assert np.all(np.abs(errs[c] - single_err[0]) <= 1e-15 * single_err[0])
 
@@ -190,10 +191,37 @@ class TestStackedColumns:
         monkeypatch.setattr(numerics, "_bessel_table",
                             lambda x: built.append(np.shape(x)) or real(x))
         fits = _fits(self._columns, self.LADDERS)
-        oscillatory_halfline(self._columns, np.array([1.0, 2.0]), T, self.LADDERS, fits)
+        transform = oscillatory_halfline(self._columns, T, self.LADDERS, fits)
+        transform(np.array([1.0, 2.0]))
         assert len(built) == 1
-        oscillatory_halfline(self._columns, np.array([0.0, 0.0]), T, self.LADDERS, fits)
+        transform(np.array([0.0, 0.0]))
         assert len(built) == 1  # every frequency 0: plain Gauss sums, no table
+
+    def test_calls_of_one_transform_match_one_call_on_their_union(self):
+        # A's frequencies sit in other row blocks of the union than of their
+        # own call; a zero frequency takes the plain sums in both.
+        transform = oscillatory_halfline(self._columns, T, self.LADDERS,
+                                         _fits(self._columns, self.LADDERS))
+        A = np.array([0.05, 3e3, 0.0, 1.0])
+        B = np.geomspace(1e-4, 1e4, 37)
+        val_u, err_u = transform(np.concatenate([B[:20], A, B[20:]]))
+        for part, cols in ((A, np.r_[20:24]), (B, np.r_[0:20, 24:41])):
+            val, err = transform(part)
+            assert np.array_equal(val, val_u[:, cols])
+            assert np.array_equal(err, err_u[:, cols])
+
+    def test_one_continued_fraction_batch_per_call(self, monkeypatch):
+        runs = []
+        real = numerics.scaled_upper_gamma
+        monkeypatch.setattr(numerics, "scaled_upper_gamma",
+                            lambda s, z: runs.append(np.shape(z)) or real(s, z))
+        freq = np.array([1e-4, 0.05, 1.0, 3e3])   # |a·T| on both sides of 2
+        for cols in (slice(0, 1), slice(0, 3)):
+            runs.clear()
+            columns = lambda t, cols=cols: self._columns(t)[cols]
+            ladders = self.LADDERS[cols]
+            oscillatory_halfline(columns, T, ladders, _fits(columns, ladders))(freq)
+            assert len(runs) == 1
 
 
 class TestBesselTable:
@@ -246,7 +274,7 @@ class TestUpperGamma:
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper", "lower"])
     def test_matches_mpmath_on_the_imaginary_axis(self, sign):
         z = 1j * sign * self.Y
-        got = _upper_gamma_half(self.S, z)
+        (got,) = _upper_gamma_half([self.S], z)
         for i, s in enumerate(self.S):
             for j, zj in enumerate(z):
                 ref = complex(mpmath.gammainc(s, a=zj))
@@ -254,7 +282,21 @@ class TestUpperGamma:
 
     def test_rejects_non_half_integer_orders(self):
         with pytest.raises(QuadratureError):
-            _upper_gamma_half([-1.25], np.array([1j]))
+            _upper_gamma_half([[-1.25]], np.array([1j]))
+
+    @pytest.mark.parametrize("z", [1j * np.geomspace(2.0, 1e6, 40),
+                                   np.geomspace(1.0, 1e3, 40) * np.exp(0.3j),
+                                   np.geomspace(1.0, 1e3, 40)],
+                             ids=["imaginary", "complex", "real"])
+    def test_order_rows_equal_their_lone_runs(self, z):
+        # Each element of an (orders × z) batch stops at its own step.
+        s = np.array([-5.5, -2.5, -1.0, 0.5])
+        rows = scaled_upper_gamma(s[:, None], z)
+        assert rows.shape == (s.size, z.size)
+        for si, row in zip(s, rows):
+            assert np.array_equal(row, scaled_upper_gamma(float(si), z))
+            for zj, value in zip(z[::9], row[::9]):
+                assert scaled_upper_gamma(float(si), zj[None])[0] == value
 
 
 class TestContourCoefficients:
@@ -391,4 +433,4 @@ class TestBracketedRoot:
 
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
-        oscillatory_halfline(lambda t: np.exp(-t)[None], 0.0, 0.0, [()], [NO_TAIL])
+        oscillatory_halfline(lambda t: np.exp(-t)[None], 0.0, [()], [NO_TAIL])
