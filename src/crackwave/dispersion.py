@@ -9,8 +9,10 @@ decay exponents are real; at eta = 0 the root sits exactly on that boundary
 Every grid point is solved on its own, with no continuation from its
 neighbour: a fixed scan in m below m_B takes the primary (fastest) branch,
 the last sign change of the determinant, and one lockstep root solve
-refines the brackets of the whole curve.  Neighbouring points that differ
-by more than 5% are reported after the solve.
+refines the brackets of the whole curve.  The scan runs from the top: the
+points nearest m_B first, and the lower ones only where those hold no sign
+change.  Neighbouring points that differ by more than 5% are reported
+after the solve.
 """
 from __future__ import annotations
 
@@ -87,33 +89,44 @@ def _scaled_det(m, eta: float, h0: float, *, k_norm=None, omega_norm=None):
 
 # Branch scan in m below the boundary m_b: 160 linear points, then 80
 # geometric ones closing in on m_b, in blocks of grid points
-# (numerics.row_blocks).
+# (numerics.row_blocks).  The primary branch is the last sign change, so
+# the scan runs from the top: scan points _SCAN_TOP on first (the top 33
+# linear points and the geometric ones, m ≥ 0.78·m_b), and the lower ones
+# only for the grid points with no sign change there.
 _SCAN_LINEAR = 160
 _SCAN_GEOMETRIC = 80
+_SCAN_TOP = 127
 
 
 def _brackets(det, g, m_b, axis):
     """Primary-branch bracket (lo, hi) of each grid point from the scan of
-    ``det(m, g)``; both NaN where the scan finds no sign change."""
+    ``det(m, g)``; both NaN where the scan finds no sign change.
+
+    Each part of the scan, the top one and then the rest for the points it
+    left open, keeps its last sign change; the top part's is the last of
+    the whole scan.  The debug line on multiple roots lists only the sign
+    changes of the part scanned, so roots below a top-part root go unlisted."""
     lo = np.full(g.shape, np.nan)
     hi = np.full(g.shape, np.nan)
     approach = 1.0 - np.geomspace(2e-2, 1e-11, _SCAN_GEOMETRIC)
-    for rows in row_blocks(g.size, _SCAN_LINEAR + _SCAN_GEOMETRIC):
-        start = rows.start
-        top = m_b[rows]
-        m = np.concatenate([np.linspace(1e-2, top * 0.98, _SCAN_LINEAR, axis=-1),
-                            top[:, None] * approach], axis=1)
-        vals = det(m, g[rows, None])
-        change = vals[:, :-1] * vals[:, 1:] < 0.0
-        for r in np.flatnonzero(change.sum(axis=1) > 1):
-            log.debug("multiple dispersion roots at %s=%s: brackets %s", axis,
-                      g[start + r], [(m[r, i], m[r, i + 1])
-                                     for i in np.flatnonzero(change[r])])
-        found = np.flatnonzero(change.any(axis=1))
-        # The last sign change of a row is the fastest (primary) branch.
-        i = change.shape[1] - 1 - np.argmax(change[found, ::-1], axis=1)
-        lo[start + found] = m[found, i]
-        hi[start + found] = m[found, i + 1]
+    for part in (slice(_SCAN_TOP, None), slice(0, _SCAN_TOP + 1)):
+        rest = np.flatnonzero(np.isnan(lo))
+        for block in row_blocks(rest.size, _SCAN_LINEAR + _SCAN_GEOMETRIC):
+            rows = rest[block]
+            top = m_b[rows]
+            m = np.concatenate([np.linspace(1e-2, top * 0.98, _SCAN_LINEAR, axis=-1),
+                                top[:, None] * approach], axis=1)[:, part]
+            vals = det(m, g[rows, None])
+            change = vals[:, :-1] * vals[:, 1:] < 0.0
+            for r in np.flatnonzero(change.sum(axis=1) > 1):
+                log.debug("multiple dispersion roots at %s=%s: brackets %s", axis,
+                          g[rows[r]], [(m[r, i], m[r, i + 1])
+                                       for i in np.flatnonzero(change[r])])
+            found = np.flatnonzero(change.any(axis=1))
+            # The last sign change of a row is the fastest (primary) branch.
+            i = change.shape[1] - 1 - np.argmax(change[found, ::-1], axis=1)
+            lo[rows[found]] = m[found, i]
+            hi[rows[found]] = m[found, i + 1]
     return lo, hi
 
 

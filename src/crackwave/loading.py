@@ -171,7 +171,10 @@ def _appendix_ratio(kernel: FactorizedKernel, coeffs, profile: LoadProfile,
     """Ratio-of-integrals definition of F, by real-axis quadrature.
 
     Both half-lines are evaluated explicitly through the branch functions,
-    exercising the factor boundary values rather than any symmetry shortcut.
+    exercising the factor boundary values rather than any symmetry shortcut:
+    each evaluation of the folded integrands makes one symbol call and one
+    G⁻ call on the points ±t.  The truncation radius lies far beyond both
+    scales of the integrands, zeta and ℓ/L, on which G⁻ varies.
     """
     params = kernel.params
     Lt = profile.L / ell
@@ -184,12 +187,14 @@ def _appendix_ratio(kernel: FactorizedKernel, coeffs, profile: LoadProfile,
 
     def folded(t):
         """Both integrands folded onto t > 0, stacked: G⁻·h and h."""
-        h_pos, h_neg = h(t), h(-t)
-        return np.stack([gm(t) * h_pos + gm(-t) * h_neg, h_pos + h_neg])
+        both = np.concatenate([t, -t])
+        h_both = h(both)
+        v = np.stack([gm(both) * h_both, h_both]).reshape(2, 2, t.size)
+        return v[:, 0] + v[:, 1]
 
-    radius = max(2.0e3, 50.0 * params.zeta)
-    ts = np.geomspace(min(max(25.0, 30.0 * params.zeta), radius / 2.0), radius,
-                      TAIL_FIT_POINTS)
+    radius = max(2.0e3, 50.0 * params.zeta, 2.0e3 / Lt)
+    ts = np.geomspace(min(max(30.0 * params.zeta, radius / 50.0), radius / 2.0),
+                      radius, TAIL_FIT_POINTS)
     ladders = ((-3.5, -4.5, -5.5), (-2.5, -3.5, -4.5))
     fits = [fit_power_tail(ts, v, lam) for v, lam in zip(folded(ts), ladders)]
     (i1, i2), _ = oscillatory_halfline(folded, radius, ladders, fits)(0.0)

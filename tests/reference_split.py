@@ -1,5 +1,6 @@
 """The other half of the additive split, G⁺, as the reference that the
-split tests compare G⁻ against.
+split tests compare G⁻ against; and the Liouville cross-check with each
+half-line from its own symbol call.
 
 ``crackwave.loading`` writes k⁺(sℓ)/((sℓ)₊^{1/2}(1+isL)^{1+p}) = G⁻(s) + G⁺(s)
 and keeps only G⁻'s coefficients; nothing in the package reads G⁺.  Here
@@ -9,6 +10,8 @@ Cauchy integral over the coefficient circle near it.
 import numpy as np
 
 from crackwave.loading import _CONTOUR_RADIUS, _g_minus_u, _pole_factor
+from crackwave.numerics import (TAIL_FIT_POINTS, fit_power_tail,
+                                oscillatory_halfline)
 
 _NEAR_POLE = 0.35      # g_plus takes the contour integral inside this |u|
 # Trapezoid nodes of g_plus's Cauchy integral on |u| = 0.4.  Its error at u
@@ -52,3 +55,28 @@ def g_plus(s, split):
                                          / _NEAR_POLE_NODES)
         out[near] = np.mean(direct(nodes) * nodes / (nodes - u[near, None]), axis=1)
     return complex(out[0]) if np.ndim(s) == 0 else out
+
+
+def appendix_ratio_two_calls(kernel, coeffs, profile, ell):
+    """F_alt as ``loading._appendix_ratio`` forms it, on the same rules, but
+    with G⁻ and the symbol evaluated at t and at −t in separate calls."""
+    Lt = profile.L / ell
+    zeta = kernel.params.zeta
+
+    def gm(x):
+        return _g_minus_u(1.0 + 1j * x * Lt, coeffs, profile.p)
+
+    def h(x):
+        return 1.0 / kernel.symbol_minus_line(x)
+
+    def folded(t):
+        h_pos, h_neg = h(t), h(-t)
+        return np.stack([gm(t) * h_pos + gm(-t) * h_neg, h_pos + h_neg])
+
+    radius = max(2.0e3, 50.0 * zeta, 2.0e3 / Lt)
+    ts = np.geomspace(min(max(30.0 * zeta, radius / 50.0), radius / 2.0),
+                      radius, TAIL_FIT_POINTS)
+    ladders = ((-3.5, -4.5, -5.5), (-2.5, -3.5, -4.5))
+    fits = [fit_power_tail(ts, v, lam) for v, lam in zip(folded(ts), ladders)]
+    (i1, i2), _ = oscillatory_halfline(folded, radius, ladders, fits)(0.0)
+    return complex(i1 / i2)

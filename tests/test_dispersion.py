@@ -9,6 +9,21 @@ from crackwave import dispersion, numerics
 from crackwave.dispersion import _scaled_det, shear_phase_speed, trace_curve
 from crackwave.errors import DomainError, RootLossError
 from crackwave.material import critical_speed, lambda_surface
+from reference_dispersion import full_scan_brackets
+
+FIG_GRID = np.geomspace(0.05, 50.0, 120)  # fig1's and fig2's grid
+
+
+def _scan_setup(eta, h0, axis, grid):
+    """The determinant and branch boundary that ``trace_curve`` scans."""
+    if axis == "k":
+        m_b = shear_phase_speed(grid, h0)
+    else:
+        m_b = dispersion._branch_boundary_omega(grid, h0)
+
+    def det(m, g):
+        return _scaled_det(m, eta, h0, **{f"{axis}_norm": g})
+    return det, m_b
 
 
 class TestShearPhaseSpeed:
@@ -96,6 +111,47 @@ class TestTraceCurve:
         parts = [p.mR for g in (grid[:cut], grid[cut:])
                  for p in trace_curve(g, 0.9, 0.8, axis="k")]
         assert whole == parts
+
+    @pytest.mark.parametrize("axis", ["omega", "k"])
+    @pytest.mark.parametrize("eta,h0", [
+        (0.9, 0.8),     # every bracket in the top part
+        (-0.9, 0.707),  # about half the rows scan the lower part too
+        (0.9, 0.0),     # roots above m = 1
+        (0.0, 0.707),   # no sign change: boundary roots
+    ])
+    def test_top_down_scan_matches_full_scan(self, eta, h0, axis):
+        cols = dispersion._SCAN_LINEAR + dispersion._SCAN_GEOMETRIC
+        block = numerics.row_blocks(10**6, cols)[0].stop
+        for grid in (FIG_GRID, np.geomspace(0.01, 100.0, 2 * block + 7)):
+            det, m_b = _scan_setup(eta, h0, axis, grid)
+            ref = full_scan_brackets(det, grid, m_b)
+            new = dispersion._brackets(det, grid, m_b, axis)
+            for a, b in zip(ref, new):
+                assert np.array_equal(a, b, equal_nan=True)
+
+    @pytest.mark.parametrize("eta,h0", [(0.9, 0.8), (-0.9, 0.707)])
+    def test_lower_scan_only_where_the_top_has_no_root(self, monkeypatch,
+                                                       eta, h0):
+        # Every grid point scans the top part, the last 113 of 240 scan
+        # points; only the points with no sign change there scan the lower
+        # 128.  All of fig1's brackets lie in the top part (the whole scan
+        # took 120 × 240 = 28 800 points); at eta = −0.9 about half do not.
+        real = dispersion._scaled_det
+        points = []
+
+        def det(m, *args, **kwargs):
+            if np.ndim(m) == 2:  # a scan block, not a root-solve step
+                points.append(np.size(m))
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(dispersion, "_scaled_det", det)
+        trace_curve(FIG_GRID, eta, h0, axis="omega")
+        lower, rest = divmod(sum(points) - FIG_GRID.size * 113, 128)
+        assert rest == 0
+        if eta > 0:
+            assert lower == 0
+        else:
+            assert 0 < lower < FIG_GRID.size
 
     @pytest.mark.parametrize("first_lost", [0, 6])
     def test_root_loss_keeps_last_good(self, monkeypatch, first_lost):

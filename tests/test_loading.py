@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from crackwave.errors import DomainError, PoleError
-from crackwave.kernel import sqrt_plus
-from crackwave.loading import (LoadProfile, g_minus, limit_constant,
-                               split_coefficients, traction,
+from crackwave.kernel import KernelParams, factorize, sqrt_plus
+from crackwave.loading import (LoadProfile, _appendix_ratio, g_minus,
+                               limit_constant, split_coefficients, traction,
                                traction_half_power_moment, traction_transform)
 from crackwave.material import critical_speed
-from reference_split import g_plus
+from reference_split import appendix_ratio_two_calls, g_plus
 
 
 class TestTraction:
@@ -197,3 +197,43 @@ class TestLiouvilleConstant:
             drifts.append(abs(sp.F / c - 1.0))
         assert drifts[1] < 0.2 * drifts[0]
         assert drifts[1] < 1e-2
+
+    @pytest.mark.parametrize("m,eta,h0,p,L", [
+        (0.3, -0.9, 0.707, 1, 3e-3),
+        (0.3, -0.9, 0.707, 1, 1e-5),
+        (0.3, -0.9, 0.707, 0, 1e-3),
+        (0.3, 0.9, 0.6, 0, 1e-4),
+    ])
+    def test_cross_check_at_small_load_length(self, split_factory, m, eta, h0,
+                                              p, L):
+        # G⁻ varies on the scale ℓ/L, so the ratio's truncation radius and
+        # fit window follow it; a radius of max(2e3, 50·zeta) alone left
+        # F_alt off by 1.2e-6 to 2.2e-5 here, and the split raised
+        # CrossCheckError.
+        sp = split_factory(m, eta, h0, L, p)
+        assert abs(sp.F - sp.F_alt) <= 1e-13 * abs(sp.F)
+
+    def test_one_symbol_call_per_rule(self):
+        # The fit window, the head and the two panel sums each evaluate the
+        # symbol once, on ±t together.
+        kernel = factorize(KernelParams(m=0.3, eta=0.9, h0=0.707))
+        profile = LoadProfile(T0=1.0, L=1.0, p=1)
+        coeffs = split_coefficients(kernel, profile, 1.0)
+        calls = []
+        real = kernel.symbol_minus_line
+        kernel.symbol_minus_line = lambda xi: calls.append(xi) or real(xi)
+        _appendix_ratio(kernel, coeffs, profile, 1.0)
+        assert len(calls) == 4
+        assert all(np.array_equal(x[x.size // 2:], -x[:x.size // 2]) for x in calls)
+
+    @pytest.mark.parametrize("m,eta,h0,p,L", [
+        (0.3, 0.9, 0.707, 1, 1.0),
+        (0.0, -0.9, 0.707, 2, 1.0),
+        (0.3, -0.9, 0.707, 1, 1e-5),
+        (0.8, 0.0, 0.707, 3, 1e5),
+    ])
+    def test_fold_matches_two_call_reference(self, split_factory, m, eta, h0,
+                                             p, L):
+        sp = split_factory(m, eta, h0, L, p)
+        ref = appendix_ratio_two_calls(sp.kernel, sp.coeffs, sp.profile, sp.ell)
+        assert sp.F_alt == ref
