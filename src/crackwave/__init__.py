@@ -9,8 +9,8 @@ energy release rate, E/E_cl, and its vanishing-microstructure limit.
 
 from .classical import classical_err, h_coefficients
 from .dispersion import DispersionPoint, shear_phase_speed, trace_curve
-from .energy import (ErrResult, err_max_sweep, err_result,
-                     err_smalllength_limit, solve_crack)
+from .energy import (ErrResult, err_result, err_smalllength_limit,
+                     solve_crack)
 from .errors import (BracketError, CrackwaveError, CrossCheckError,
                      DomainError, PoleError, QuadratureError, RealnessError,
                      RegimeError, RootLossError)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import QuadratureError, RegimeError
 from .loading import LoadProfile, kp_coefficient, split_coefficients
-from .numerics import TAIL_FIT_POINTS, fit_power_tail, oscillatory_halfline
+from .numerics import oscillatory_halfline
 
 __all__ = [
     "h_coefficients",
@@ -79,17 +79,17 @@ def half_power_moment_quadrature(tau) -> float:
     for T in 2.0e3 * 10.0 ** np.arange(6):
         pts = np.geomspace(0.25 * T, T, 8)
         if np.all(np.abs(f(pts)[0]) <= 1e-11):
-            ladder, fit = (), ((), 0.0)
+            ladder = ()
             break
         lam = slope(pts)
         if abs(lam - slope(pts / 10.0)) <= 1e-2 * abs(lam):
             if not lam < -1.05:
                 raise QuadratureError("the loading's half-power moment has no "
                                       f"decaying tail beyond |X| = {T:g}")
-            ts = np.geomspace(T / 25.0, T, TAIL_FIT_POINTS)
-            ladder, fit = (lam,), fit_power_tail(ts, f(ts)[0], (lam,))
+            ladder = (lam,)
             break
     else:
         raise QuadratureError(f"no tail model fits the loading up to |X| = {T:g}")
-    val, _ = oscillatory_halfline(f, T, [ladder], [fit])(0.0)
+    transform, _ = oscillatory_halfline(f, T, [ladder], T / 25.0)
+    val, _ = transform(0.0)
     return float(np.real(val[0]))

@@ -56,10 +56,15 @@ def shear_phase_speed(k_norm: float, h0: float):
 
 def _branch_boundary_omega(omega_norm, h0: float):
     """m_B at fixed omega: solves m² = (1 + (omega/m)²/2)/(1 + h0²(omega/m)²);
-    vectorized over omega_norm."""
+    vectorized over omega_norm.
+
+    The root m² = (b + s)/2, with b = 1 − h0²omega² and s = sqrt(b² +
+    2omega²), cancels where b < 0 (h0·omega > 1); there it is formed as the
+    equal omega²/(s − b)."""
     w2 = omega_norm * omega_norm
     b = 1.0 - h0 * h0 * w2
-    return np.sqrt(0.5 * (b + np.sqrt(b * b + 2.0 * w2)))
+    s = np.sqrt(b * b + 2.0 * w2)
+    return np.sqrt(np.where(b >= 0.0, 0.5 * (b + s), w2 / (s - b)))
 
 
 def _scaled_det(m, eta: float, h0: float, *, k_norm=None, omega_norm=None):
@@ -73,9 +78,13 @@ def _scaled_det(m, eta: float, h0: float, *, k_norm=None, omega_norm=None):
     k = omega_norm / m if k_norm is None else k_norm
     k2 = k * k
     _, alpha, b2 = wave_exponents(k, m, h0)
-    if np.any(b2 < -1e-10 * (alpha * alpha)):
+    off = b2 < -1e-10 * (alpha * alpha)
+    if np.any(off):
+        i = np.flatnonzero(off)[0]
         raise DomainError(
-            f"point (mR={m}, k={k}) lies off the decaying-mode branch"
+            f"point (mR={np.broadcast_to(m, off.shape).flat[i]}, "
+            f"k={np.broadcast_to(k, off.shape).flat[i]}) lies off the "
+            f"decaying-mode branch"
         )
     b2 = np.maximum(b2, 0.0)
     beta = np.sqrt(b2)

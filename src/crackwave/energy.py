@@ -16,27 +16,17 @@ import math
 from dataclasses import dataclass
 
 from .classical import classical_err, half_power_moment_quadrature
-from .errors import CrackwaveError, RealnessError, RegimeError
+from .errors import RealnessError, RegimeError
 from .kernel import KernelParams, factorize
 from .loading import LoadProfile, SplitData, build_split
-from .material import Material, critical_speed
+from .material import Material
 
 __all__ = [
     "ErrResult",
     "solve_crack",
     "err_smalllength_limit",
     "err_result",
-    "err_max_sweep",
 ]
-
-# Proxy for "m at its limiting value" in sweeps.  At a surface-wave limit
-# (m_c < 1) both E and E_cl stay finite, so the ratio at this factor is close
-# to its limit.  Below h0*, m_c = 1: E tends to a finite E(m_c) while E_cl
-# diverges, so the ratio is about E(m_c)·G·L·sqrt(1−m²)/(T0²·K_p²) and
-# reaches 0 only as the factor tends to 1 (0.415 at eta = −0.9,
-# h0 = 0.5·h0*, L/ℓ = 10, p = 0).
-LIMIT_SPEED_FACTOR = 0.999
-
 
 @dataclass(frozen=True)
 class ErrResult:
@@ -80,43 +70,3 @@ def err_result(split: SplitData) -> ErrResult:
     e = float(value.real)
     e_cl = classical_err(profile, params.m, split.G)
     return ErrResult(E=e, E_cl=e_cl, ratio=e / e_cl)
-
-
-def _fail_row(row: dict, exc: CrackwaveError):
-    row.update(m=float("nan"), m_limit=float("nan"), E=float("nan"),
-               E_cl=float("nan"), ratio=float("nan"), error=str(exc))
-
-
-def err_max_sweep(material: Material, h0_values, profile: LoadProfile, *,
-                  m_factor: float = LIMIT_SPEED_FACTOR):
-    """Limiting energy release rate along an h0 grid at fixed (eta, p, L/ℓ).
-
-    Each row evaluates E and E/E_cl at m = m_factor·m_c(eta, h0), with the
-    m_c of all rows from one broadcast ``critical_speed`` call.
-    Failed rows echo (h0, eta, p, L_over_ell), carry NaN values and an
-    ``error`` message, and the sweep continues.
-
-    Below h0*(eta) the limit is the shear-wave speed, where E_cl diverges and
-    E stays finite: a row gives E/E_cl ≈ E(m_c)·G·L·sqrt(1−m²)/(T0²·K_p²),
-    which reaches 0 only as m_factor → 1.  At the default factor 0.999 with
-    eta = −0.9, h0 = 0.5·h0*, L/ℓ = 10 and p = 0 it is 0.415, not 0.
-    """
-    rows, mats = [], {}
-    for i, h0 in enumerate(h0_values):
-        rows.append({"h0": float(h0), "eta": material.eta, "p": profile.p,
-                     "L_over_ell": profile.L / material.ell})
-        try:
-            mats[i] = Material(G=material.G, rho=material.rho, ell=material.ell,
-                               eta=material.eta, h0=float(h0))
-        except CrackwaveError as exc:
-            _fail_row(rows[i], exc)
-    limits = critical_speed(material.eta, [mat.h0 for mat in mats.values()])
-    for (i, mat), m_lim in zip(mats.items(), limits.tolist()):
-        try:
-            m = m_factor * m_lim
-            res = err_result(solve_crack(mat, m, profile))
-            rows[i].update(m=m, m_limit=m_lim, E=res.E, E_cl=res.E_cl,
-                           ratio=res.ratio, error="")
-        except CrackwaveError as exc:
-            _fail_row(rows[i], exc)
-    return rows

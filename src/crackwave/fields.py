@@ -4,9 +4,10 @@ maximum of t23, and the closed-form near-tip coefficients.
 
 Every field is a folded half-line integral 2·Re[pref·∫₀^∞ g(xi) e^{−iXxi/ℓ} dxi]
 evaluated by the shared oscillatory engine; the large-xi behaviour of each
-integrand is an algebraic half-integer ladder, fitted numerically and summed
-in closed form beyond the truncation radius.  The total shear grows like
-xi^{1/2} (its transform is square-root singular), handled the same way.
+integrand is an algebraic half-integer ladder, which the engine fits on a
+window whose start is chosen here and sums in closed form beyond the
+truncation radius.  The total shear grows like xi^{1/2} (its transform is
+square-root singular), handled the same way.
 
 The public evaluators take a scalar X (giving floats) or an array of X.
 Each is one transform per (split, field kinds): the integrands of all kinds
@@ -21,7 +22,8 @@ The traction's rational piece is transformed in closed form through
 e^w·E_q(w) (``_scaled_expn``: a power series below w = 1, a continued
 fraction above).  The balance ∫p3 dX = T0 (``balance_integral``) is
 integrated on Gauss panels in log X after the tip singularity is
-subtracted, with closed-form tip and tail pieces fitted on the same nodes.
+subtracted (its coefficients from the traction transform's own tail fit),
+with closed-form tip and tail pieces fitted on the same nodes.
 """
 from __future__ import annotations
 
@@ -34,8 +36,8 @@ import numpy as np
 from .errors import DomainError, RealnessError
 from .kernel import sqrt_plus, wave_exponents
 from .loading import SplitData, g_minus
-from .numerics import (TAIL_FIT_POINTS, fit_power_tail, oscillatory_halfline,
-                       panel_nodes, scaled_upper_gamma)
+from .numerics import (fit_power_tail, oscillatory_halfline, panel_nodes,
+                       scaled_upper_gamma)
 
 __all__ = [
     "FieldKind",
@@ -162,16 +164,6 @@ def _truncation_radius(split: SplitData) -> float:
     return max(4.0e3, 50.0 * split.kernel.params.zeta, 2.0e3 / split.L_over_ell)
 
 
-def _tail_fits(split: SplitData, kinds, radius: float):
-    """Fitted ladders ``(coeffs, max_residual)`` of the integrands of
-    ``kinds``, from one stacked evaluation on the fit window below
-    ``radius``."""
-    start = max(40.0, 30.0 * split.kernel.params.zeta, radius / 50.0)
-    ts = np.geomspace(start, radius, TAIL_FIT_POINTS)
-    return [fit_power_tail(ts, v, _LADDERS[kind])
-            for kind, v in zip(kinds, _integrands(split, kinds, ts))]
-
-
 def _check_domain(kind: FieldKind, X):
     X = np.asarray(X)
     if kind is FieldKind.OPENING:
@@ -226,16 +218,20 @@ def _rational_transform(split: SplitData, a):
 
 
 def _field_values(split: SplitData, kinds):
-    """The transform of the fields ``kinds`` of a split: a callable that maps
-    distances x > 0 from the tip — behind it (X = −x) for the opening, ahead
-    of it (X = x) for the others — to the fields and their error estimates,
-    both of shape (len(kinds),) + x.shape.  The integrands of all kinds are
-    evaluated and their tails fitted once, here; each call inverts at the
-    frequencies x/ℓ, and a distance's value does not depend on the other
-    distances of the call.
+    """The transform of the fields ``kinds`` of a split: ``(values, coeffs)``.
+
+    ``values`` is a callable that maps distances x > 0 from the tip — behind
+    it (X = −x) for the opening, ahead of it (X = x) for the others — to the
+    fields and their error estimates, both of shape (len(kinds),) + x.shape.
+    The integrands of all kinds are evaluated and their tails fitted once,
+    here, on the window from max(40, 30·zeta, radius/50) to the truncation
+    radius; each call inverts at the frequencies x/ℓ, and a distance's value
+    does not depend on the other distances of the call.  ``coeffs`` holds
+    each kind's fitted ladder coefficients (``_LADDERS``).
 
     The opening enters through ∫q·e^{+iat}dt = conj(∫conj(q)·e^{−iat}dt),
-    so every column shares one table of moments."""
+    so every column shares one table of moments, and its coefficients are
+    those of conj(q)."""
     radius = _truncation_radius(split)
     behind = np.array([k is FieldKind.OPENING for k in kinds])
 
@@ -244,10 +240,9 @@ def _field_values(split: SplitData, kinds):
         v[behind] = np.conj(v[behind])
         return v
 
-    fits = [(np.conj(coeffs) if kind is FieldKind.OPENING else coeffs, resid)
-            for kind, (coeffs, resid) in zip(kinds, _tail_fits(split, kinds, radius))]
-    transform = oscillatory_halfline(columns, radius,
-                                     [_LADDERS[kind] for kind in kinds], fits)
+    fit_start = max(40.0, 30.0 * split.kernel.params.zeta, radius / 50.0)
+    transform, coeffs = oscillatory_halfline(
+        columns, radius, [_LADDERS[kind] for kind in kinds], fit_start)
     pref = np.array([_prefactor(split, kind) for kind in kinds])
 
     def values(x):
@@ -261,7 +256,7 @@ def _field_values(split: SplitData, kinds):
         scale = pref.reshape(pref.shape + (1,) * a.ndim)
         return 2.0 * np.real(scale * val), 2.0 * np.abs(scale) * err
 
-    return values
+    return values, coeffs
 
 
 def _out(values):
@@ -273,14 +268,14 @@ def crack_opening(X, split: SplitData):
     """Opening displacement w(X) behind the tip (X < 0); a float for a
     scalar X, an array for an array."""
     _check_domain(FieldKind.OPENING, X)
-    return _out(_field_values(split, (FieldKind.OPENING,))(np.negative(X))[0][0])
+    return _out(_field_values(split, (FieldKind.OPENING,))[0](np.negative(X))[0][0])
 
 
 def traction_ahead(X, split: SplitData):
     """Reduced traction p3(X) ahead of the tip (X > 0); a float for a
     scalar X, an array for an array."""
     _check_domain(FieldKind.TRACTION, X)
-    return _out(_field_values(split, (FieldKind.TRACTION,))(X)[0][0])
+    return _out(_field_values(split, (FieldKind.TRACTION,))[0](X)[0][0])
 
 
 def _stress_dict(sigma, tau, mu) -> dict:
@@ -293,7 +288,7 @@ def stresses_on_line(X, split: SplitData) -> dict:
     inversion; floats for a scalar X, arrays for an array."""
     _check_domain(FieldKind.SIGMA_SHEAR, X)
     kinds = (FieldKind.SIGMA_SHEAR, FieldKind.TAU_SHEAR, FieldKind.COUPLE_STRESS)
-    return _stress_dict(*_field_values(split, kinds)(X)[0])
+    return _stress_dict(*_field_values(split, kinds)[0](X)[0])
 
 
 def crack_line_fields(x, split: SplitData) -> dict:
@@ -303,7 +298,7 @@ def crack_line_fields(x, split: SplitData) -> dict:
     _check_domain(FieldKind.TRACTION, x)
     kinds = (FieldKind.OPENING, FieldKind.TRACTION, FieldKind.SIGMA_SHEAR,
              FieldKind.TAU_SHEAR, FieldKind.COUPLE_STRESS)
-    w, p3, sigma, tau, mu = _field_values(split, kinds)(x)[0]
+    w, p3, sigma, tau, mu = _field_values(split, kinds)[0](x)[0]
     return {"w": _out(w), "p3": _out(p3), **_stress_dict(sigma, tau, mu)}
 
 
@@ -323,7 +318,7 @@ def field_profile(split: SplitData, kind: FieldKind, *, n: int = 400,
     x_hi = crack_line_window(split)[1] if x_hi is None else x_hi
     grid = np.geomspace(x_lo, x_hi, n)
     sign = -1.0 if kind is FieldKind.OPENING else 1.0
-    values, error = _field_values(split, (kind,))(grid)
+    values, error = _field_values(split, (kind,))[0](grid)
     return FieldProfile(X=sign * grid, values=values[0], kind=kind, error=error[0])
 
 
@@ -335,7 +330,7 @@ def max_total_shear(split: SplitData):
     singular at the tip, so a maximum is only meaningful outside the
     singular zone.  The grid and the refined point are two calls of one
     transform.  Returns ``(t23max, X_at)``."""
-    total_shear = _field_values(split, (FieldKind.TOTAL_SHEAR,))
+    total_shear, _ = _field_values(split, (FieldKind.TOTAL_SHEAR,))
     grid = np.geomspace(*crack_line_window(split), _TMAX_POINTS)
     vals = total_shear(grid)[0][0]
     i = int(np.argmax(vals))
@@ -388,16 +383,18 @@ def balance_integral(split: SplitData) -> float:
     C_p·X^{−3/2}·e^{−X/λ} is integrated in closed form (finite part
     Γ(−1/2)/sqrt(λ) = −2·sqrt(pi/λ)) and subtracted from p3 before numeric
     integration, so the result is first-order insensitive to everything but
-    the closed-form coefficient itself.
+    the closed-form coefficient itself.  That coefficient, and the
+    X^{−1/2} one beside it, come from the tail fit of the one traction
+    transform that also gives p3.
     """
     ell, L = split.ell, split.profile.L
     lam = max(L, ell)
-    # Singular coefficients consistent with the engine's own tail model, so
-    # the subtraction cancels identically at small X: the xi^{1/2} and
+    traction, (coeffs,) = _field_values(split, (FieldKind.TRACTION,))
+    # Singular coefficients of the transform's own tail fit, so the
+    # subtraction cancels identically at small X: the xi^{1/2} and
     # xi^{−1/2} ladder heads transform to X^{−3/2} and X^{−1/2} terms with
     # c = 2·Re[pref·c_k·Γ(λ+1)e^{−iπ(λ+1)/2}]·ℓ^{λ+1}.
     pref = _prefactor(split, FieldKind.TRACTION)
-    (coeffs, _), = _tail_fits(split, (FieldKind.TRACTION,), _truncation_radius(split))
     c32 = math.sqrt(math.pi) * float(np.real(
         pref * coeffs[0] * np.exp(-0.75j * np.pi))) * ell ** 1.5
     c12 = 2.0 * math.sqrt(math.pi) * float(np.real(
@@ -417,7 +414,7 @@ def balance_integral(split: SplitData) -> float:
     u, wu = panel_nodes(np.linspace(math.log(x_min), math.log(x_max), panels + 1),
                         _BALANCE_ORDER)
     grid = np.exp(u.ravel())
-    p3 = _field_values(split, (FieldKind.TRACTION,))(grid)[0][0]
+    p3 = traction(grid)[0][0]
     reg = p3 - (c_sing[0] * grid ** -1.5 + c_sing[1] * grid ** -0.5) \
         * np.exp(-grid / lam)
     middle = float(np.sum(wu.ravel() * reg * grid))
@@ -432,7 +429,6 @@ def balance_integral(split: SplitData) -> float:
     # Tail: the leading X^{−3/2} coefficient is known in closed form (it comes
     # from the xi^{1/2} term of the integrand at xi = 0, with coefficient
     # F − ΣF_j); only the remainder ladder is fitted.
-    pref = _prefactor(split, FieldKind.TRACTION)
     g2 = split.F - g_minus(0.0, split)
     c_far = math.sqrt(math.pi) * float(np.real(
         pref * g2 * np.exp(-0.75j * np.pi))) * ell ** 1.5

@@ -25,8 +25,7 @@ import numpy as np
 from .errors import CrossCheckError, DomainError, PoleError
 from .kernel import FactorizedKernel, sqrt_plus
 from .material import Material
-from .numerics import (TAIL_FIT_POINTS, contour_coefficients, fit_power_tail,
-                       oscillatory_halfline)
+from .numerics import contour_coefficients, oscillatory_halfline
 
 __all__ = [
     "LoadProfile",
@@ -193,11 +192,10 @@ def _appendix_ratio(kernel: FactorizedKernel, coeffs, profile: LoadProfile,
         return v[:, 0] + v[:, 1]
 
     radius = max(2.0e3, 50.0 * params.zeta, 2.0e3 / Lt)
-    ts = np.geomspace(min(max(30.0 * params.zeta, radius / 50.0), radius / 2.0),
-                      radius, TAIL_FIT_POINTS)
+    fit_start = min(max(30.0 * params.zeta, radius / 50.0), radius / 2.0)
     ladders = ((-3.5, -4.5, -5.5), (-2.5, -3.5, -4.5))
-    fits = [fit_power_tail(ts, v, lam) for v, lam in zip(folded(ts), ladders)]
-    (i1, i2), _ = oscillatory_halfline(folded, radius, ladders, fits)(0.0)
+    transform, _ = oscillatory_halfline(folded, radius, ladders, fit_start)
+    (i1, i2), _ = transform(0.0)
     return complex(i1 / i2)
 
 

@@ -3,14 +3,15 @@ tail ladder, circle-contour Taylor coefficients and bracketed root finding.
 
 The half-line transform ∫₀^∞ f(t)·e^{−iat}dt has one convention: f returns
 stacked columns, and the caller gives each column the algebraic ladder
-Σ c_k t^{λ_k} of its large-t behaviour and the fit of that ladder
-(``fit_power_tail`` on a window of the caller's choice).  It runs in two
-stages.  ``oscillatory_halfline`` evaluates f once, on nodes that do not
-depend on ``a`` (one vectorized call for the head and one per body rule,
-whatever the number of columns), and returns the transform, a callable of
-``a``.  Each call of the transform contracts those values with the phases
-and moments of its frequencies, one (array of) ``a`` at a time, in row
-blocks of frequencies (``row_blocks``), and adds the tails.
+Σ c_k t^{λ_k} of its large-t behaviour and the start of the window below
+the truncation radius on which the transform fits it (``fit_power_tail``).
+It runs in two stages.  ``oscillatory_halfline`` evaluates f once, on
+nodes that do not depend on ``a`` (one vectorized call for the head and the
+fit window and one per body rule, whatever the number of columns), fits
+the ladders and returns the transform, a callable of ``a``, with the
+fitted coefficients.  Each call of the transform contracts those values
+with the phases and moments of its frequencies, one (array of) ``a`` at a
+time, in row blocks of frequencies (``row_blocks``), and adds the tails.
 
 * Head [0, 1e-6]: Gauss panels (orders 20 and 14) in v = √t, graded
   geometrically toward 0, so a t^{−1/2} endpoint singularity is integrated
@@ -63,7 +64,7 @@ __all__ = [
 ]
 
 
-TAIL_FIT_POINTS = 32   # log-spaced samples of a tail-ladder fit
+_TAIL_FIT_POINTS = 32  # log-spaced samples of a tail-ladder fit
 # Trapezoid nodes on each coefficient circle.  For g analytic on |z| < R the
 # rule at radius r aliases coefficient j with j + N, …, an error of order
 # (r/R)^N; at the split's r = 0.4, R = 1 that is 0.4^64 ≈ 3e-26.
@@ -384,43 +385,54 @@ def _build_edges(lo, hi):
     return np.geomspace(lo, hi, max(2, math.ceil(8 * math.log10(hi / lo))))
 
 
-def oscillatory_halfline(f, truncation_radius: float, ladders, fits):
+def oscillatory_halfline(f, truncation_radius: float, ladders, fit_start: float):
     """The transform ∫₀^∞ f(t)·exp(−i·freq·t) dt of the stacked columns of a
     vectorized integrand, as a callable ``freq → (value, error_estimate)``,
-    both of shape (c,) + freq.shape.
+    both of shape (c,) + freq.shape, and the fitted tail coefficients:
+    returns ``(transform, coeffs)``.
 
     ``f`` maps a 1-D array of n nodes to c integrands stacked, shape (c, n).
-    Column k has the tail ladder ``ladders[k]`` (exponents λ, possibly none)
-    and its fit ``fits[k]`` = ``(coeffs, max_residual)``, as from
-    ``fit_power_tail``, on the caller's window below ``truncation_radius``
-    (> 0), where the panels end and the ladder tail starts.
+    Column k has the tail ladder ``ladders[k]`` (exponents λ, possibly none).
+    Beyond ``truncation_radius`` (> 0), where the panels end, the tail is
+    that ladder, fitted (``fit_power_tail``) at ``_TAIL_FIT_POINTS``
+    log-spaced points of [``fit_start``, ``truncation_radius``];
+    ``coeffs[k]`` holds its coefficients, none for an empty ladder, whose
+    residual is then the column's largest magnitude on the window.
 
-    This call makes every evaluation of f: the head values of both head
-    rules and the order-12 and order-8 ``panel_sums``, on nodes that do not
-    depend on the frequencies.  Each call of the transform then contracts
-    them with that call's phases and moment table (built once per call, not
-    at all when every frequency is 0) and adds the tails, one
-    continued-fraction batch for all columns.  Every frequency's value does
-    not depend on the other frequencies of the call, and a frequency of 0
-    takes the plain Gauss sums, as every phase is 1 and j_k(0) = δ_k0 there.
+    This call makes every evaluation of f: one call for the head values of
+    both head rules and the fit window, and one for each of the order-12 and
+    order-8 ``panel_sums``, on nodes that do not depend on the frequencies.
+    Each call of the transform then contracts them with that call's phases
+    and moment table (built once per call, not at all when every frequency
+    is 0) and adds the tails, one continued-fraction batch for all columns.
+    Every frequency's value does not depend on the other frequencies of the
+    call, and a frequency of 0 takes the plain Gauss sums, as every phase is
+    1 and j_k(0) = δ_k0 there.
     """
     if truncation_radius <= 0:
         raise ValueError("truncation_radius must be positive")
     T = truncation_radius
     head_end = min(_HEAD_END, T)
     nodes = [_head_nodes(head_end, order) for order in (20, 14)]
-    values = np.asarray(f(np.concatenate([t.ravel() for t, _ in nodes])), dtype=complex)
+    fit_t = np.geomspace(fit_start, T, _TAIL_FIT_POINTS)
+    values = np.asarray(f(np.concatenate([t.ravel() for t, _ in nodes] + [fit_t])),
+                        dtype=complex)
     columns = len(values)
-    if not columns == len(ladders) == len(fits):
-        raise ValueError(f"{columns} columns need as many ladders and fits, "
-                         f"got {len(ladders)} and {len(fits)}")
+    if columns != len(ladders):
+        raise ValueError(f"{columns} columns need as many ladders, got {len(ladders)}")
+    head_20, head_14, tail = np.split(values, np.cumsum([t.size for t, _ in nodes]),
+                                      axis=-1)
+    fits = [fit_power_tail(fit_t, v, lam) if len(lam)
+            else (np.empty(0, dtype=complex), float(np.abs(v).max()))
+            for v, lam in zip(tail, ladders)]
+    coeffs = [c for c, _ in fits]
+    resid = np.array([r for _, r in fits], dtype=float)
     edges = _build_edges(head_end, T)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     # Weighted values of the order-20 head rule and of its order-14 check,
     # and the body panel sums of the order-12 rule and of its order-8 check.
-    weighted = [w.ravel() * v for (_, w), v in
-                zip(nodes, np.split(values, [nodes[0][0].size], axis=-1))]
+    weighted = [w.ravel() * v for (_, w), v in zip(nodes, (head_20, head_14))]
     sums = [panel_sums(f, edges, order, _filon_basis(order)) for order in (_FILON_ORDER, 8)]
     plain = np.array([wv.sum(axis=-1) for wv in weighted]
                      + [s[..., 0].sum(axis=-1) for s in sums])
@@ -428,8 +440,6 @@ def oscillatory_halfline(f, truncation_radius: float, ladders, fits):
     heads = [(t.ravel(), np.concatenate([wv.real, wv.imag]))
              for (t, _), wv in zip(nodes, weighted)]
     bodies = [np.concatenate([s.real, s.imag]) for s in sums]
-    coeffs = [c for c, _ in fits]
-    resid = np.array([r for _, r in fits], dtype=float)
     # float64 values per frequency of a block's largest temporaries: the head
     # phases at the order-20 nodes, and the body's (columns × panels) complex
     # sums over the order.
@@ -467,7 +477,7 @@ def oscillatory_halfline(f, truncation_radius: float, ladders, fits):
                 (np.abs(parts[0] - parts[1]) + np.abs(parts[2] - parts[3])
                  + err_tail).reshape(shape))
 
-    return transform
+    return transform, coeffs
 
 
 def contour_coefficients(g, radius: float, count: int):

@@ -23,8 +23,7 @@ import numpy as np
 
 from crackwave import fields
 from crackwave.fields import FieldKind
-from crackwave.numerics import (TAIL_FIT_POINTS, fit_power_tail, oscillatory_halfline,
-                                panel_nodes)
+from crackwave.numerics import oscillatory_halfline, panel_nodes
 
 ABS_TOL = 1e-11     # stop of the averaging limit
 MAX_HALVES = 600    # half periods summed past the head
@@ -105,17 +104,16 @@ def averaged_halfline(f, a, truncation_radius=2.0e3, *, sqrt_singularity=False,
 def field_unfolded(split, kind: FieldKind, X: float) -> complex:
     """The field ``kind`` at X with both half-lines integrated by the
     laddered engine, each with its own ladder fit on the window of
-    ``fields._tail_fits``: the complex value before taking the real part."""
+    ``fields._field_values``: the complex value before taking the real part."""
     fields._check_domain(kind, X)
     radius = fields._truncation_radius(split)
     a = X / split.ell
     ladder = fields._LADDERS[kind]
-    ts = np.geomspace(max(40.0, 30.0 * split.kernel.params.zeta, radius / 50.0), radius,
-                      TAIL_FIT_POINTS)
+    fit_start = max(40.0, 30.0 * split.kernel.params.zeta, radius / 50.0)
 
     def halfline(f, freq):
-        fit = fit_power_tail(ts, f(ts)[0], ladder)
-        return oscillatory_halfline(f, radius, [ladder], [fit])(freq)[0][0]
+        transform, _ = oscillatory_halfline(f, radius, [ladder], fit_start)
+        return transform(freq)[0][0]
 
     def f(t):
         return fields._integrands(split, (kind,), t)

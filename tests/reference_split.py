@@ -10,8 +10,7 @@ Cauchy integral over the coefficient circle near it.
 import numpy as np
 
 from crackwave.loading import _CONTOUR_RADIUS, _g_minus_u, _pole_factor
-from crackwave.numerics import (TAIL_FIT_POINTS, fit_power_tail,
-                                oscillatory_halfline)
+from crackwave.numerics import oscillatory_halfline
 
 _NEAR_POLE = 0.35      # g_plus takes the contour integral inside this |u|
 # Trapezoid nodes of g_plus's Cauchy integral on |u| = 0.4.  Its error at u
@@ -74,9 +73,8 @@ def appendix_ratio_two_calls(kernel, coeffs, profile, ell):
         return np.stack([gm(t) * h_pos + gm(-t) * h_neg, h_pos + h_neg])
 
     radius = max(2.0e3, 50.0 * zeta, 2.0e3 / Lt)
-    ts = np.geomspace(min(max(30.0 * zeta, radius / 50.0), radius / 2.0),
-                      radius, TAIL_FIT_POINTS)
+    fit_start = min(max(30.0 * zeta, radius / 50.0), radius / 2.0)
     ladders = ((-3.5, -4.5, -5.5), (-2.5, -3.5, -4.5))
-    fits = [fit_power_tail(ts, v, lam) for v, lam in zip(folded(ts), ladders)]
-    (i1, i2), _ = oscillatory_halfline(folded, radius, ladders, fits)(0.0)
+    transform, _ = oscillatory_halfline(folded, radius, ladders, fit_start)
+    (i1, i2), _ = transform(0.0)
     return complex(i1 / i2)

@@ -2,6 +2,7 @@
 import logging
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -71,6 +72,35 @@ class TestDeterminant:
         mB = shear_phase_speed(1.0, 0.707)
         with pytest.raises(DomainError):
             _scaled_det(1.01 * mB, 0.5, 0.707, omega_norm=1.01 * mB)
+
+
+    def test_domain_error_names_the_first_offending_point(self):
+        mB = shear_phase_speed(1.0, 0.707)
+        m = mB * np.array([0.5, 1.01, 1.02])
+        with pytest.raises(DomainError) as info:
+            _scaled_det(m, 0.5, 0.707, k_norm=1.0)
+        assert str(info.value) == (f"point (mR={m[1]}, k=1.0) lies off the "
+                                   f"decaying-mode branch")
+
+
+class TestBranchBoundary:
+    @pytest.mark.parametrize("h0", [0.0, 0.8, 1.044106202793004])
+    def test_boundary_against_extended_precision(self, h0):
+        # b = 1 − h0²omega² runs from 1 to −1.1e6 on this grid; the root
+        # (b + sqrt(b² + 2omega²))/2 of m² cancels where b < 0.
+        omega = np.geomspace(0.05, 1e3, 40)
+        m_b = dispersion._branch_boundary_omega(omega, h0)
+        with mpmath.workdps(40):
+            for w, m in zip(omega, m_b):
+                b = 1 - mpmath.mpf(h0) ** 2 * mpmath.mpf(w) ** 2
+                ref = mpmath.sqrt((b + mpmath.sqrt(b * b + 2 * mpmath.mpf(w) ** 2)) / 2)
+                assert abs(m / ref - 1) < 4e-16, w
+
+    def test_high_frequency_point_above_h0_star(self):
+        # The cancelling form put m_b 7.1e-11 above the boundary here, so
+        # the top scan point had beta² < 0 and the trace raised DomainError.
+        (pt,) = trace_curve([1e3], 0.3547794353823026, 1.044106202793004, "omega")
+        assert pt.mR == pytest.approx(0.6755508952, rel=1e-9)
 
 
 class TestTraceCurve:

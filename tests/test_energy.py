@@ -1,15 +1,13 @@
 """Energy release rate: closed form, classical comparison, ratio identities,
-vanishing-microstructure limit and sweeps."""
+vanishing-microstructure limit and the approach to the limiting speed."""
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from crackwave import energy
 from crackwave.classical import classical_err
-from crackwave.energy import (LIMIT_SPEED_FACTOR, err_max_sweep, err_result,
-                              err_smalllength_limit, solve_crack)
+from crackwave.energy import err_result, err_smalllength_limit, solve_crack
 from crackwave.errors import RegimeError
 from crackwave.kernel import KernelParams, factorize
 from crackwave.loading import (LoadProfile, build_split, kp_coefficient,
@@ -117,19 +115,21 @@ class TestSweeps:
         # Below h0* the limit is the shear-wave speed, where E stays finite and
         # E_cl diverges, so E/E_cl -> 0 like sqrt(1 - m^2); above h0* the
         # surface-wave limit keeps both finite.
-        mat = Material(eta=-0.9, h0=0.5, **MAT)
         hs = h0_star(-0.9)
         prof = LoadProfile(T0=1.0, L=10.0, p=0)
-        near, nearer = (err_max_sweep(mat, [0.5 * hs, 2.0 * hs], prof,
-                                      m_factor=1.0 - gap)
-                        for gap in (1e-5, 1e-7))
-        assert all(row["error"] == "" for row in near + nearer)
-        (below5, above5), (below7, above7) = near, nearer
-        assert below7["ratio"] / below5["ratio"] < 0.2  # sqrt(1-m^2) gives 0.1
-        assert abs(below7["E"] / below5["E"] - 1.0) < 0.1  # E stays bounded
-        assert below7["ratio"] <= 0.05          # shear-limited: ratio -> 0
+
+        def near_limit(h0, gap):
+            mat = Material(eta=-0.9, h0=h0, **MAT)
+            return err_result(solve_crack(mat, (1.0 - gap) * critical_speed(-0.9, h0),
+                                          prof))
+
+        (below5, above5), (below7, above7) = (
+            [near_limit(h0, gap) for h0 in (0.5 * hs, 2.0 * hs)] for gap in (1e-5, 1e-7))
+        assert below7.ratio / below5.ratio < 0.2  # sqrt(1-m^2) gives 0.1
+        assert abs(below7.E / below5.E - 1.0) < 0.1  # E stays bounded
+        assert below7.ratio <= 0.05          # shear-limited: ratio -> 0
         for above in (above5, above7):
-            assert abs(above["ratio"] - 1.0) < 0.1  # eta=-0.9, h0 > h0*: ratio ~ 1
+            assert abs(above.ratio - 1.0) < 0.1  # eta=-0.9, h0 > h0*: ratio ~ 1
 
     def test_shear_limit_split_is_accurate(self):
         # The slow approach of E/E_cl to 0 is not a defect of the split: at
@@ -152,31 +152,3 @@ class TestSweeps:
         assert kernel.cauchy_integral(1j * y) == pytest.approx(ref, rel=1e-12)
         split = build_split(kernel, Material(eta=-0.9, h0=0.5 * hs, **MAT), prof)
         assert abs(split.F - split.F_alt) <= 1e-8 * abs(split.F)
-
-    def test_failed_row_continues(self):
-        mat = Material(eta=-0.9, h0=0.5, **MAT)
-        rows = err_max_sweep(mat, [-1.0, 2.0 * h0_star(-0.9)],
-                             LoadProfile(T0=1.0, L=10.0, p=0))
-        bad, good = rows
-        assert "nonnegative" in bad["error"]
-        assert (bad["h0"], bad["eta"], bad["p"], bad["L_over_ell"]) \
-            == (-1.0, -0.9, 0, 10.0)
-        assert np.isnan(bad["E"]) and np.isnan(bad["ratio"])
-        assert good["error"] == ""
-        assert np.isfinite(good["E"])
-
-    def test_one_critical_speed_solve_for_all_rows(self, monkeypatch):
-        calls = []
-        real = energy.critical_speed
-        monkeypatch.setattr(energy, "critical_speed",
-                            lambda eta, h0: calls.append(np.shape(h0)) or real(eta, h0))
-        h0s = [-1.0, 0.5 * h0_star(-0.9), 0.707, 3.0]
-        prof = LoadProfile(T0=1.0, L=10.0, p=0)
-        rows = err_max_sweep(Material(eta=-0.9, h0=0.5, **MAT), h0s, prof)
-        assert calls == [(3,)]
-        assert "nonnegative" in rows[0]["error"]
-        # Each good row is bit for bit the row computed alone.
-        for h0, row in zip(h0s[1:], rows[1:]):
-            m = LIMIT_SPEED_FACTOR * real(-0.9, h0)
-            alone = err_result(solve_crack(Material(eta=-0.9, h0=h0, **MAT), m, prof))
-            assert (row["m"], row["E"], row["ratio"]) == (m, alone.E, alone.ratio)

@@ -18,7 +18,6 @@ from crackwave.fields import (FieldKind, _field_values, balance_integral,
                               traction_ahead)
 from crackwave.loading import LoadProfile, build_split
 from crackwave.material import Material
-from crackwave.numerics import oscillatory_halfline
 from reference_quadrature import averaged_halfline, field_unfolded
 
 TUPLE = (0.3, 0.9, 0.707, 1.0, 1)  # (m, eta, h0, L, p)
@@ -64,7 +63,7 @@ class TestNearTipAsymptotics:
     def test_total_shear_slope_and_prefactor(self, split):
         nt = neartip_coefficients(split)
         Xs = np.geomspace(1e-5, 1e-3, 9)
-        t = _field_values(split, (FieldKind.TOTAL_SHEAR,))(Xs)[0][0]
+        t = _field_values(split, (FieldKind.TOTAL_SHEAR,))[0](Xs)[0][0]
         slope = np.polyfit(np.log(Xs), np.log(np.abs(t)), 1)[0]
         assert slope == pytest.approx(-1.5, abs=0.02)
         basis = np.vstack([Xs**-1.5, Xs**-0.5]).T
@@ -74,7 +73,7 @@ class TestNearTipAsymptotics:
     def test_couple_stress_slope_and_prefactor(self, split):
         nt = neartip_coefficients(split)
         Xs = np.geomspace(1e-6, 1e-4, 9)
-        mu = _field_values(split, (FieldKind.COUPLE_STRESS,))(Xs)[0][0]
+        mu = _field_values(split, (FieldKind.COUPLE_STRESS,))[0](Xs)[0][0]
         slope = np.polyfit(np.log(Xs), np.log(np.abs(mu)), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.02)
         basis = np.vstack([Xs**-0.5, np.ones_like(Xs)]).T
@@ -115,6 +114,21 @@ class TestBalance:
         sp = split_factory(0.3, 0.9, 0.707, 1000.0, 1)
         assert balance_integral(sp) == pytest.approx(1.0, abs=1e-4)
 
+    def test_one_tail_fit_of_the_traction(self, split, monkeypatch):
+        # The singular coefficients come from the traction transform's own
+        # tail fit; the other two fits are the balance's tip and far tail.
+        ladders = []
+        real_fit = numerics.fit_power_tail
+
+        def counted(t, values, exponents):
+            ladders.append(tuple(exponents))
+            return real_fit(t, values, exponents)
+        monkeypatch.setattr(numerics, "fit_power_tail", counted)
+        monkeypatch.setattr(fields, "fit_power_tail", counted)
+        balance_integral(split)
+        assert ladders == [fields._LADDERS[FieldKind.TRACTION], (-0.5, 0.0, 0.5),
+                           (-2.5, -3.5)]
+
     def test_traction_decays(self, split):
         assert abs(traction_ahead(300.0, split)) < 1e-3 * abs(
             traction_ahead(0.5, split))
@@ -129,7 +143,7 @@ class TestFoldConsistency:
         (FieldKind.COUPLE_STRESS, 0.7),
     ])
     def test_unfolded_imaginary_residue(self, split, kind, X):
-        folded = _field_values(split, (kind,))(abs(X))[0][0]
+        folded = _field_values(split, (kind,))[0](abs(X))[0][0]
         unfolded = field_unfolded(split, kind, X)
         scale = max(abs(unfolded), 1e-300)
         assert abs(unfolded.imag) / scale < 1e-8
@@ -174,7 +188,7 @@ class TestMaxTotalShear:
         t23max, x_at = max_total_shear(sp)
         grid = np.geomspace(*crack_line_window(sp), 90)
         assert (x_at not in grid) == refined
-        assert t23max == _field_values(sp, (FieldKind.TOTAL_SHEAR,))(x_at)[0][0]
+        assert t23max == _field_values(sp, (FieldKind.TOTAL_SHEAR,))[0](x_at)[0][0]
 
 
 class TestSplitData:
@@ -185,18 +199,21 @@ class TestSplitData:
         with pytest.raises(dataclasses.FrozenInstanceError):
             split.F = 0j
         fits = []
-        real_fit = fields.fit_power_tail
-        monkeypatch.setattr(fields, "fit_power_tail",
+        real_fit = numerics.fit_power_tail
+        monkeypatch.setattr(numerics, "fit_power_tail",
                             lambda *args: fits.append(args) or real_fit(*args))
         kinds = (FieldKind.OPENING, FieldKind.TRACTION)
         x = np.array([0.2, 0.5, 3.0])
-        first = fields._field_values(split, kinds)(x)
+        values, coeffs = fields._field_values(split, kinds)
+        first = values(x)
         assert len(fits) == 2
-        second = fields._field_values(split, kinds)(x)
+        values, again = fields._field_values(split, kinds)
+        second = values(x)
         assert len(fits) == 4
         for a, b in zip(fits[:2], fits[2:]):
             assert all(np.array_equal(u, v) for u, v in zip(a, b))
         assert all(np.array_equal(u, v) for u, v in zip(first, second))
+        assert all(np.array_equal(u, v) for u, v in zip(coeffs, again))
         assert fits[0][0][-1] == fields._truncation_radius(split)
 
 
@@ -225,7 +242,7 @@ class TestBatchedInversion:
                                       FieldKind.TOTAL_SHEAR, FieldKind.COUPLE_STRESS])
     def test_profile_equals_pointwise_values(self, split, kind):
         prof = field_profile(split, kind, n=40, x_lo=1e-4)
-        value = _field_values(split, (kind,))
+        value, _ = _field_values(split, (kind,))
         pointwise = np.array([value(abs(x))[0][0] for x in prof.X])
         scale = np.abs(pointwise).max()
         assert np.abs(prof.values - pointwise).max() <= 1e-13 * scale
@@ -281,19 +298,18 @@ class TestSmallLoadLength:
     def short(self, split_factory):
         return split_factory(0.3, 0.9, 0.707, 0.05, 1)
 
-    def test_total_shear_is_converged_in_the_radius(self, short):
+    def test_total_shear_is_converged_in_the_radius(self, short, monkeypatch):
         kind = FieldKind.TOTAL_SHEAR
-        radius = 10.0 * fields._truncation_radius(short)
-        val, _ = oscillatory_halfline(
-            lambda t: fields._integrands(short, (kind,), t), radius,
-            [fields._LADDERS[kind]], fields._tail_fits(short, (kind,), radius))(0.01)
-        wide = 2.0 * float(np.real(fields._prefactor(short, kind) * val[0]))
-        assert _field_values(short, (kind,))(0.01)[0][0] == pytest.approx(wide, rel=1e-8)
+        value = _field_values(short, (kind,))[0](0.01)[0][0]
+        radius = fields._truncation_radius(short)
+        monkeypatch.setattr(fields, "_truncation_radius", lambda split: 10.0 * radius)
+        wide = _field_values(short, (kind,))[0](0.01)[0][0]
+        assert value == pytest.approx(wide, rel=1e-8)
 
     def test_ladder_agrees_with_the_averaging_route(self, short):
         kind = FieldKind.TOTAL_SHEAR
         ref, _ = _averaged(short, kind, 2.4)
-        assert _field_values(short, (kind,))(2.4)[0][0] == pytest.approx(ref, rel=1e-6)
+        assert _field_values(short, (kind,))[0](2.4)[0][0] == pytest.approx(ref, rel=1e-6)
 
 
 class TestMomentTable:
@@ -331,7 +347,7 @@ class TestMomentTable:
                           ("sigma23", FieldKind.SIGMA_SHEAR),
                           ("tau23", FieldKind.TAU_SHEAR),
                           ("mu22", FieldKind.COUPLE_STRESS)):
-            single = _field_values(split, (kind,))(x)[0][0]
+            single = _field_values(split, (kind,))[0](x)[0][0]
             assert np.all(np.abs(fl[key] - single) <= 1e-15 * np.abs(single)), key
         assert np.array_equal(fl["w"], crack_opening(-x, split))
         assert np.array_equal(fl["t23"], stresses_on_line(x, split)["t23"])

@@ -139,8 +139,6 @@ UNCALLED_PUBLIC = {
     "fields.py: stresses_on_line": "a wrap point of the benchmark tracer",
     "fields.py: neartip_coefficients": "a wrap point of the benchmark tracer, "
                                        "and the fields' closed-form near-tip route",
-    "energy.py: err_max_sweep": "the limiting energy release rate over h0, "
-                                "for an exact limit at the critical speed",
     # The loading's transform, which the transform tests compare against.
     "loading.py: traction_transform": "the loading's transform",
 }

@@ -34,7 +34,7 @@ T = 2.0e3                  # truncation radius of the engine calls below
 # panel.
 STEP = float(numerics._build_edges(numerics._HEAD_END, T)[48])
 SLOW_LADDER = (-1.5, -2.5, -3.5)
-NO_TAIL = ((), 0.0)        # the fit of an empty ladder
+FIT_START = 100.0          # start of the tail-fit window [FIT_START, T]
 
 
 def _beyond_step(t):
@@ -54,11 +54,10 @@ def _on_step(g):
     return lambda t: np.where(np.asarray(t) < STEP, g(np.asarray(t)), 0.0)[None]
 
 
-def _fits(f, ladders):
-    """Tail fits of the stacked columns of ``f`` on [100, T]."""
-    ts = np.geomspace(100.0, T, numerics.TAIL_FIT_POINTS)
-    vals = np.asarray(f(ts), dtype=complex)
-    return [fit_power_tail(ts, v, lam) for v, lam in zip(vals, ladders)]
+def _transform(f, ladders):
+    """The engine's transform of the stacked columns of ``f``, with their
+    ladders fitted on [FIT_START, T]."""
+    return oscillatory_halfline(f, T, ladders, FIT_START)[0]
 
 
 class TestOscillatoryHalfline:
@@ -77,8 +76,7 @@ class TestOscillatoryHalfline:
         assert abs(val - OSC_SQRT_JUMP) < 1e-8
 
     def test_slow_oscillation_ladder(self):
-        val, _ = oscillatory_halfline(_beyond_step, T, [SLOW_LADDER],
-                                      _fits(_beyond_step, [SLOW_LADDER]))(0.05)
+        val, _ = _transform(_beyond_step, [SLOW_LADDER])(0.05)
         assert abs(val[0] - _beyond_step_exact(0.05)) < 1e-9
 
     def test_sqrt_singular_head(self):
@@ -91,19 +89,18 @@ class TestOscillatoryHalfline:
         assert abs(val - OSC_SING) < 1e-9
 
     def test_finite_support_polynomial(self):
-        val, err = oscillatory_halfline(_on_step(lambda t: t * t), T, [()], [NO_TAIL])(0.0)
+        val, err = _transform(_on_step(lambda t: t * t), [()])(0.0)
         assert abs(val[0] - STEP**3 / 3.0) <= max(err[0], 1e-14)
 
     def test_finite_support_complex_integrand(self):
-        val, _ = oscillatory_halfline(_on_step(lambda t: np.exp(1j * t)), T,
-                                      [()], [NO_TAIL])(0.0)
+        val, _ = _transform(_on_step(lambda t: np.exp(1j * t)), [()])(0.0)
         assert abs(val[0] - (np.exp(1j * STEP) - 1.0) / 1j) < 1e-10
 
     def test_error_estimate_honest(self):
         # Polynomial and t^{−1/2}-singular integrands, both through the √t head.
         for g, exact in ((lambda t: t * t, STEP**3 / 3.0),
                          (lambda t: t ** -0.5, 2.0 * math.sqrt(STEP))):
-            val, err = oscillatory_halfline(_on_step(g), T, [()], [NO_TAIL])(0.0)
+            val, err = _transform(_on_step(g), [()])(0.0)
             assert abs(val[0] - exact) <= max(err[0], 1e-13)
 
     def test_determinism(self):
@@ -114,33 +111,30 @@ class TestOscillatoryHalfline:
 
 
 class TestBatchedHalfline:
-    FITS = _fits(_beyond_step, [SLOW_LADDER])
-
     def test_array_frequency_matches_closed_form_and_scalar_calls(self):
         a = np.array([0.05, 1.0, 10.0])
-        transform = oscillatory_halfline(_beyond_step, T, [SLOW_LADDER], self.FITS)
+        transform = _transform(_beyond_step, [SLOW_LADDER])
         vals, errs = transform(a)
         assert vals.shape == errs.shape == (1,) + a.shape
         for ai, v, e in zip(a, vals[0], errs[0]):
             exact = _beyond_step_exact(ai)
             assert abs(v - exact) < 1e-13
             assert abs(v - exact) <= e
-            scalar, scalar_err = oscillatory_halfline(
-                _beyond_step, T, [SLOW_LADDER], self.FITS)(float(ai))
+            scalar, scalar_err = _transform(_beyond_step, [SLOW_LADDER])(float(ai))
             assert scalar.shape == scalar_err.shape == (1,)
             assert scalar[0] == v and scalar_err[0] == e
 
-    def test_every_column_needs_a_ladder_and_a_fit(self):
-        with pytest.raises(ValueError, match="1 columns need as many ladders and fits"):
-            oscillatory_halfline(_beyond_step, T, [SLOW_LADDER] * 2, self.FITS * 2)
+    def test_every_column_needs_a_ladder(self):
+        with pytest.raises(ValueError, match="1 columns need as many ladders"):
+            _transform(_beyond_step, [SLOW_LADDER] * 2)
         with pytest.raises(ValueError):
-            oscillatory_halfline(_beyond_step, T, [SLOW_LADDER], [])
+            _transform(_beyond_step, [])
 
     def test_high_frequencies_up_to_the_head_limit(self):
         # The Filon body resolves any frequency; the head [0, 1e-6] spans
         # more than two periods once |a| > 4π·1e6.
         a = np.array([1e3, 1e5, 1.2e7])
-        transform = oscillatory_halfline(_beyond_step, T, [SLOW_LADDER], self.FITS)
+        transform = _transform(_beyond_step, [SLOW_LADDER])
         vals, errs = transform(a)
         for ai, v, e in zip(a, vals[0], errs[0]):
             exact = _beyond_step_exact(ai)
@@ -176,12 +170,11 @@ class TestStackedColumns:
     @pytest.mark.parametrize("freq", [np.array([0.05, 1.0, 10.0, 3e3]), 2.5,
                                       np.array([0.0])], ids=["array", "scalar", "zero"])
     def test_each_column_matches_its_single_column_call(self, freq):
-        fits = _fits(self._columns, self.LADDERS)
-        vals, errs = oscillatory_halfline(self._columns, T, self.LADDERS, fits)(freq)
+        vals, errs = _transform(self._columns, self.LADDERS)(freq)
         assert vals.shape == errs.shape == (3,) + np.shape(freq)
-        for c, (lam, fit) in enumerate(zip(self.LADDERS, fits)):
-            single, single_err = oscillatory_halfline(
-                lambda t, c=c: self._columns(t)[c:c + 1], T, [lam], [fit])(freq)
+        for c, lam in enumerate(self.LADDERS):
+            single, single_err = _transform(lambda t, c=c: self._columns(t)[c:c + 1],
+                                            [lam])(freq)
             assert np.all(np.abs(vals[c] - single[0]) <= 1e-15 * np.abs(single[0]))
             assert np.all(np.abs(errs[c] - single_err[0]) <= 1e-15 * single_err[0])
 
@@ -190,8 +183,7 @@ class TestStackedColumns:
         real = numerics._bessel_table
         monkeypatch.setattr(numerics, "_bessel_table",
                             lambda x: built.append(np.shape(x)) or real(x))
-        fits = _fits(self._columns, self.LADDERS)
-        transform = oscillatory_halfline(self._columns, T, self.LADDERS, fits)
+        transform = _transform(self._columns, self.LADDERS)
         transform(np.array([1.0, 2.0]))
         assert len(built) == 1
         transform(np.array([0.0, 0.0]))
@@ -200,8 +192,7 @@ class TestStackedColumns:
     def test_calls_of_one_transform_match_one_call_on_their_union(self):
         # A's frequencies sit in other row blocks of the union than of their
         # own call; a zero frequency takes the plain sums in both.
-        transform = oscillatory_halfline(self._columns, T, self.LADDERS,
-                                         _fits(self._columns, self.LADDERS))
+        transform = _transform(self._columns, self.LADDERS)
         A = np.array([0.05, 3e3, 0.0, 1.0])
         B = np.geomspace(1e-4, 1e4, 37)
         val_u, err_u = transform(np.concatenate([B[:20], A, B[20:]]))
@@ -220,8 +211,31 @@ class TestStackedColumns:
             runs.clear()
             columns = lambda t, cols=cols: self._columns(t)[cols]
             ladders = self.LADDERS[cols]
-            oscillatory_halfline(columns, T, ladders, _fits(columns, ladders))(freq)
+            _transform(columns, ladders)(freq)
             assert len(runs) == 1
+
+    def test_three_integrand_calls_per_transform(self):
+        # One for the head and the fit window, one per body rule.
+        calls = []
+        oscillatory_halfline(lambda t: calls.append(t) or self._columns(t), T,
+                             self.LADDERS, FIT_START)
+        assert len(calls) == 3
+        window = np.geomspace(FIT_START, T, numerics._TAIL_FIT_POINTS)
+        assert np.array_equal(calls[0][-window.size:], window)
+
+    @pytest.mark.parametrize("cols,ladders", [
+        (slice(0, 1), LADDERS[:1]),
+        (slice(0, 3), LADDERS),
+        (slice(1, 3), [(), LADDERS[2]]),
+    ], ids=["one", "stacked", "empty-ladder"])
+    def test_coefficients_are_the_fit_on_the_window(self, cols, ladders):
+        columns = lambda t: self._columns(t)[cols]
+        _, coeffs = oscillatory_halfline(columns, T, ladders, FIT_START)
+        window = np.geomspace(FIT_START, T, numerics._TAIL_FIT_POINTS)
+        assert len(coeffs) == len(ladders)
+        for c, v, lam in zip(coeffs, columns(window), ladders):
+            expected = fit_power_tail(window, v, lam)[0] if lam else np.empty(0)
+            assert np.array_equal(c, expected)
 
 
 class TestBesselTable:
@@ -433,4 +447,4 @@ class TestBracketedRoot:
 
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
-        oscillatory_halfline(lambda t: np.exp(-t)[None], 0.0, [()], [NO_TAIL])
+        oscillatory_halfline(lambda t: np.exp(-t)[None], 0.0, [()], FIT_START)
