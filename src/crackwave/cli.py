@@ -32,15 +32,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_REGIME = 4
 
-SUBCOMMANDS = ("dispersion", "regime-map", "fields", "tmax-sweep",
-               "err-sweep", "limit-study", "validate")
-# The sweep variables of the subcommands that run a sweep.
-_SWEEP_VARIABLES = {
-    "dispersion": ("omega", "k"),
-    **dict.fromkeys(("tmax-sweep", "err-sweep", "limit-study"),
-                    ("m", "m_of_limit", "L_over_ell")),
-}
-
 CONFIG_KEYS = frozenset({
     "material.G", "material.rho", "material.ell", "material.eta", "material.h0",
     "load.T0", "load.L_over_ell", "load.p", "state.m",
@@ -132,6 +123,9 @@ class RunConfig:
                 count=_get(cfg, "sweep.count", int),
                 scale=cfg.get("sweep.scale", "linear"),
             )
+            for key in ("sweep.start", "sweep.stop"):
+                if not math.isfinite(float(cfg[key])):
+                    raise ConfigError(f"{key} must be finite, got {cfg[key]}")
             if sweep["scale"] not in ("linear", "log"):
                 raise ConfigError("sweep.scale must be linear or log, "
                                   f"got {sweep['scale']!r}")
@@ -200,16 +194,18 @@ def _write_csv(path: Path, header, rows):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_dispersion(run: RunConfig, out: Path, jobs: int):
+# Each subcommand but validate returns the header and rows of
+# ``<subcommand>.csv``.
+
+def _cmd_dispersion(run: RunConfig):
     pts = disp.trace_curve(run.grid(), run.material.eta, run.material.h0,
                            axis=run.sweep["variable"])
     rows = [(run.material.eta, run.material.h0, p.omega_norm, p.k_norm, p.mR)
             for p in pts]
-    return _write_csv(out / "dispersion.csv",
-                      ["eta", "h0", "omega_ell_over_cs", "k_ell", "m_R"], rows)
+    return ["eta", "h0", "omega_ell_over_cs", "k_ell", "m_R"], rows
 
 
-def _cmd_regime_map(run: RunConfig, out: Path, jobs: int):
+def _cmd_regime_map(run: RunConfig):
     eta = run.material.eta
     h0s = np.linspace(0.02, 1.2, 60)
     etas = np.linspace(-0.95, 0.95, 39)
@@ -217,11 +213,10 @@ def _cmd_regime_map(run: RunConfig, out: Path, jobs: int):
             for h0, m_c in zip(h0s, critical_speed(eta, h0s))]
     rows += [("h0_star_vs_eta", e, float("nan"), h)
              for e, h in zip(etas, h0_star(etas))]
-    return _write_csv(out / "regime-map.csv",
-                      ["curve", "eta", "h0", "value"], rows)
+    return ["curve", "eta", "h0", "value"], rows
 
 
-def _cmd_fields(run: RunConfig, out: Path, jobs: int):
+def _cmd_fields(run: RunConfig):
     split = solve_crack(run.material, run.m, run.profile)
     T0, ell = run.profile.T0, run.material.ell
     header = ["m", "eta", "h0", "p", "L_over_ell", "X", "X_over_ell",
@@ -238,7 +233,7 @@ def _cmd_fields(run: RunConfig, out: Path, jobs: int):
                     fl["tau23"][i] * ell / T0, fl["mu22"][i] / T0,
                     fl["t23"][i] * ell / T0)
             for i, x in enumerate(xs)]
-    return _write_csv(out / "fields.csv", header, rows)
+    return header, rows
 
 
 def _tmax_row(material: Material, profile: LoadProfile, m: float):
@@ -281,36 +276,34 @@ def _sweep_args(run: RunConfig):
     return [(mat, replace(prof, L=v * mat.ell), run.m) for v in grid]
 
 
-def _run_rows(worker, run: RunConfig, jobs: int):
-    """worker(material, profile, m) at every point of the run's sweep."""
+# The sweep subcommands: the worker that computes a row at each point of
+# the sweep, and the CSV header.
+_SWEEPS = {
+    "tmax-sweep": (_tmax_row, ["m", "eta", "h0", "p", "L_over_ell", "t23max",
+                               "t23max_ell_over_T0", "X_at_over_ell"]),
+    "err-sweep": (_err_row, ["m", "eta", "h0", "p", "L_over_ell", "E",
+                             "E_G_ell_over_T0sq", "E_classical", "ratio"]),
+    "limit-study": (_limit_row, ["m", "eta", "h0", "p", "L_over_ell", "E",
+                                 "E_classical", "ratio", "abs_ratio_minus_1",
+                                 "F_limit_drift"]),
+}
+# The sweep variables of the subcommands that run a sweep.
+_SWEEP_VARIABLES = {
+    "dispersion": ("omega", "k"),
+    **dict.fromkeys(_SWEEPS, ("m", "m_of_limit", "L_over_ell")),
+}
+
+
+def _cmd_sweep(worker, header, run: RunConfig, jobs: int):
+    """worker(material, profile, m) at every point of the run's sweep, in
+    ``jobs`` worker processes when more than one."""
     args = _sweep_args(run)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, *zip(*args)))
-    return [worker(*a) for a in args]
-
-
-def _cmd_tmax_sweep(run: RunConfig, out: Path, jobs: int):
-    rows = _run_rows(_tmax_row, run, jobs)
-    return _write_csv(out / "tmax-sweep.csv",
-                      ["m", "eta", "h0", "p", "L_over_ell", "t23max",
-                       "t23max_ell_over_T0", "X_at_over_ell"], rows)
-
-
-def _cmd_err_sweep(run: RunConfig, out: Path, jobs: int):
-    rows = _run_rows(_err_row, run, jobs)
-    return _write_csv(out / "err-sweep.csv",
-                      ["m", "eta", "h0", "p", "L_over_ell", "E",
-                       "E_G_ell_over_T0sq", "E_classical", "ratio"], rows)
-
-
-def _cmd_limit_study(run: RunConfig, out: Path, jobs: int):
-    rows = _run_rows(_limit_row, run, jobs)
-    return _write_csv(out / "limit-study.csv",
-                      ["m", "eta", "h0", "p", "L_over_ell", "E", "E_classical",
-                       "ratio", "abs_ratio_minus_1", "F_limit_drift"], rows)
+            return header, list(pool.map(worker, *zip(*args)))
+    return header, [worker(*a) for a in args]
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +390,8 @@ _DISPATCH = {
     "dispersion": _cmd_dispersion,
     "regime-map": _cmd_regime_map,
     "fields": _cmd_fields,
-    "tmax-sweep": _cmd_tmax_sweep,
-    "err-sweep": _cmd_err_sweep,
-    "limit-study": _cmd_limit_study,
 }
+SUBCOMMANDS = (*_DISPATCH, *_SWEEPS, "validate")
 
 
 def main(argv=None) -> int:
@@ -428,7 +419,11 @@ def main(argv=None) -> int:
             run = RunConfig.from_file(args.config)
             _check_sweep(args.subcommand, run)
             _check_out(out)
-            path = _DISPATCH[args.subcommand](run, out, args.jobs)
+            if args.subcommand in _SWEEPS:
+                header, rows = _cmd_sweep(*_SWEEPS[args.subcommand], run, args.jobs)
+            else:
+                header, rows = _DISPATCH[args.subcommand](run)
+            path = _write_csv(out / f"{args.subcommand}.csv", header, rows)
         print(f"wrote {path}")
         return 0
     except ConfigError as exc:

@@ -19,11 +19,12 @@ rule, which is exact for both the t^{−1/2} endpoint of the opening and
 stresses and the t^{1/2} endpoint of the traction.
 
 The traction's rational piece is transformed in closed form through
-e^w·E_q(w) (``_scaled_expn``: a power series below w = 1, a continued
-fraction above).  The balance ∫p3 dX = T0 (``balance_integral``) is
-integrated on Gauss panels in log X after the tip singularity is
-subtracted (its coefficients from the traction transform's own tail fit),
-with closed-form tip and tail pieces fitted on the same nodes.
+e^w·E_q(w) = S(1 − q, w), in the scaled incomplete gamma that also sums
+the ladder tails (``upper_gamma_ladder``).  The balance ∫p3 dX = T0
+(``balance_integral``) is integrated on Gauss panels in log X after the
+tip singularity is subtracted (its coefficients from the traction
+transform's own tail fit), with closed-form tip and tail pieces fitted on
+the same nodes.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .errors import DomainError, RealnessError
 from .kernel import sqrt_plus, wave_exponents
 from .loading import SplitData, g_minus
 from .numerics import (fit_power_tail, oscillatory_halfline, panel_nodes,
-                       scaled_upper_gamma)
+                       upper_gamma_ladder)
 
 __all__ = [
     "FieldKind",
@@ -56,7 +57,6 @@ __all__ = [
 
 TIP_WINDOW_FLOOR = 1e-3  # t23-max window starts at 1e-3·ell (singular zone excluded)
 _TMAX_POINTS = 90        # log-spaced points of the t23-max window
-_EXPN_SERIES_TERMS = 20  # terms of the E_q power series, w < 1
 _BALANCE_ORDER = 12      # Gauss nodes per half-decade panel of the balance integral
 
 
@@ -174,47 +174,13 @@ def _check_domain(kind: FieldKind, X):
                           f"got {X.min()}")
 
 
-def _scaled_expn(q: int, w):
-    """e^w · E_q(w) for integer q ≥ 1 and w ≥ 0, elementwise, without
-    overflow.
-
-    Below w = 1 it sums the power series
-    E_q(w) = (−w)^{q−1}/(q−1)!·(ψ(q) − ln w) − Σ_{k≠q−1} (−w)^k/((k−q+1)·k!)
-    and multiplies by e^w.  From w = 1 on it evaluates the continued fraction
-    e^w·E_q(w) = e^w·w^{q−1}·Γ(1−q, w) (``scaled_upper_gamma``), which is
-    already scaled.  Each w's value does not depend on the rest of the
-    array.
-    """
-    w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    near = w < 1.0
-    if near.any():
-        x = w[near]
-        psi = -np.euler_gamma + sum(1.0 / j for j in range(1, q))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lead = (-x) ** (q - 1) * (psi - np.log(x))
-        # At x = 0 the log term is 0 for q ≥ 2, and E_1 is infinite.
-        lead = np.where(x > 0.0, lead, np.inf if q == 1 else 0.0)
-        total = lead / math.factorial(q - 1)
-        term = np.ones_like(x)  # (−x)^k/k!
-        for k in range(_EXPN_SERIES_TERMS):
-            if k != q - 1:
-                total -= term / (k - q + 1)
-            term = term * (-x) / (k + 1)
-        out[near] = np.exp(x) * total
-    far = ~near
-    if far.any():
-        out[far] = scaled_upper_gamma(1.0 - q, w[far])
-    return out
-
-
 def _rational_transform(split: SplitData, a):
     """Closed form of ∫₀^∞ (1+i·t·L̃)^{−1−p} e^{−iat} dt for a > 0:
-    e^{w}·E_{p+1}(w)/(i·L̃) with w = a/L̃."""
+    e^{w}·E_{p+1}(w)/(i·L̃) = S(−p, w)/(i·L̃) with w = a/L̃, in the scaled
+    incomplete gamma of ``upper_gamma_ladder``."""
     Lt = split.L_over_ell
-    q = split.profile.p + 1
-    w = a / Lt
-    return _scaled_expn(q, w) / (1j * Lt)
+    ((scaled,),) = upper_gamma_ladder([[-split.profile.p]], a / Lt)
+    return scaled / (1j * Lt)
 
 
 def _field_values(split: SplitData, kinds):

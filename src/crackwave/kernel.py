@@ -74,11 +74,9 @@ def sqrt_plus(z):
 
 def sqrt_minus(z):
     """Half-power xi^{1/2} analytic for Im z < 0, cut along the positive
-    imaginary axis; sqrt_plus(z)·sqrt_minus(z) = |z| on the real axis."""
-    z = np.asarray(z, dtype=complex)
-    ang = np.angle(z)
-    ang = np.where(ang > _HALF_PI, ang - 2.0 * np.pi, ang)
-    out = np.sqrt(np.abs(z)) * np.exp(0.5j * ang)
+    imaginary axis, the mirror image conj(sqrt_plus(conj(z)));
+    sqrt_plus(z)·sqrt_minus(z) = |z| on the real axis."""
+    out = np.conj(sqrt_plus(np.conj(z)))
     return out if out.ndim else complex(out)
 
 

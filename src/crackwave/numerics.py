@@ -30,11 +30,12 @@ time, in row blocks of frequencies (``row_blocks``), and adds the tails.
   coefficient table (DLMF §10.53.1).  At a frequency of 0 the head and the
   body are the plain Gauss-Legendre sums, as every phase is 1 and
   j_k(0) = δ_k0, and when every frequency is 0 no table is built.
-* Tail [T, ∞): the fitted ladder in closed form through Γ(λ+1, iaT) for
-  half-integer λ (``power_tail``), computed in numpy by recurrence in λ
-  from the power series of γ(1/2, z) for |z| < 2 and from a continued
-  fraction for |z| ≥ 2 (``_upper_gamma_half``), one batch for all columns;
-  at a = 0 any λ < −1.
+* Tail [T, ∞): the fitted ladder in closed form, T^{λ+1}·e^{−iaT}·S(λ+1,
+  iaT) through the scaled incomplete gamma S(s, z) = z^{−s}·e^z·Γ(s, z)
+  (``power_tail``).  ``upper_gamma_ladder`` computes S in numpy on a
+  half-integer or integer ladder of orders by the scaled recurrences, from
+  a power series for |z| < 2 and from a continued fraction for |z| ≥ 2,
+  one batch for all columns; at a = 0 any λ < −1.
 
 Each column's error estimate adds the order-14 head and order-8 body
 differences and the tail bound max_residual·min(T, 2/|a|).  The columns
@@ -60,7 +61,7 @@ __all__ = [
     "oscillatory_halfline",
     "contour_coefficients",
     "bracketed_root",
-    "scaled_upper_gamma",
+    "upper_gamma_ladder",
 ]
 
 
@@ -72,7 +73,7 @@ CONTOUR_NODES = 64
 _HEAD_END = 1e-6       # end of the fixed Gauss head of a half-line call
 _FILON_ORDER = 12      # Gauss points and Legendre degree + 1 of a body panel
 _MILLER_START = 40     # start order of the downward Bessel recurrence
-_GAMMA_SERIES_TERMS = 30  # terms of the γ(1/2, z) series, |z| < 2
+_GAMMA_SERIES_TERMS = 30  # terms of the S(1/2, z) and S(0, z) series, |z| < 2
 _BESSEL_SERIES_TERMS = 10  # terms of the j_k power series, |x| < 1
 
 _gauss = lru_cache(maxsize=None)(leggauss)
@@ -118,15 +119,15 @@ def panel_sums(f, edges, order, basis):
     return (vals.reshape(-1, order) @ basis.T).reshape(vals.shape[:-1] + basis.shape[:1])
 
 
-def scaled_upper_gamma(s, z):
-    """z^{−s}·e^z·Γ(s, z) for real ``s`` and ``z`` (real or complex) away
-    from the origin and the negative real axis, broadcast together, by the
-    even continued fraction Γ(s, z) = z^s e^{−z} / (z+1−s − 1(1−s)/(z+3−s
-    − 2(2−s)/(z+5−s − …))) evaluated by modified Lentz (Gil, Segura & Temme
-    2007, Numerical Methods for Special Functions, §6.5).  It converges the
-    faster the larger |z| is; for s = 1 − q it is e^z·E_q(z).  Each element
-    stops at its own convergence and does the arithmetic of its lone run, so
-    an (orders × z) batch gives every value bit for bit as that run does.
+def _scaled_upper_gamma(s, z):
+    """S(s, z) = z^{−s}·e^z·Γ(s, z) for real ``s`` and ``z`` (real or
+    complex) away from the origin and the negative real axis, broadcast
+    together, by the even continued fraction Γ(s, z) = z^s e^{−z} / (z+1−s −
+    1(1−s)/(z+3−s − 2(2−s)/(z+5−s − …))) evaluated by modified Lentz (Gil,
+    Segura & Temme 2007, Numerical Methods for Special Functions, §6.5).  It
+    converges the faster the larger |z| is.  Each element stops at its own
+    convergence and does the arithmetic of its lone run, so an (orders × z)
+    batch gives every value bit for bit as that run does.
     """
     tiny = 1e-300
     b = z + 1.0 - s
@@ -147,65 +148,81 @@ def scaled_upper_gamma(s, z):
     raise QuadratureError("incomplete-gamma continued fraction did not converge")
 
 
-def _upper_gamma_half(orders, z):
-    """Upper incomplete gamma Γ(s, z) for stacked columns of half-integer
-    orders and complex z ≠ 0 (1-D): one array of shape (len(orders[j]),
-    len(z)) per column j.
+def _gamma_anchor(anchor: float, z):
+    """S(1/2, z) or S(0, z) by power series, for |z| < 2: S(1/2) = √π·e^z/√z
+    − Σ_k z^k/((1/2)(3/2)⋯(k+1/2)), as Γ(1/2, z) = √π − γ(1/2, z), and
+    S(0) = e^z·E_1(z) = e^z·(−γ − ln z − Σ_{k≥1} (−z)^k/(k·k!)) (DLMF
+    §8.7.1, §6.6.2)."""
+    if anchor == 0.5:
+        term = np.full_like(z, 2.0)
+        total = term.copy()
+        for k in range(1, _GAMMA_SERIES_TERMS):
+            term = term * z / (k + 0.5)
+            total += term
+        return math.sqrt(math.pi) * np.exp(z) / np.sqrt(z) - total
+    # −Σ = z·(1 − z/2·(1/2 − z/3·(1/3 − …))) by Horner's rule, which keeps
+    # the rounding of the large leading terms out of the cancellation.
+    acc = np.full_like(z, 1.0 / _GAMMA_SERIES_TERMS)
+    for k in range(_GAMMA_SERIES_TERMS - 1, 0, -1):
+        acc = 1.0 / k - z * acc / (k + 1)
+    return np.exp(z) * (z * acc - np.euler_gamma - np.log(z))
 
-    For |z| < 2 it starts from Γ(1/2, z) = √π − γ(1/2, z), with the power
-    series γ(1/2, z) = √z·e^{−z}·Σ_k z^k/((1/2)(3/2)⋯(k+1/2)), shared by
-    the columns, and recurs down with Γ(s−1, z) = (Γ(s, z) −
-    z^{s−1}e^{−z})/(s−1) and up with Γ(s+1, z) = s·Γ(s, z) + z^s·e^{−z}.
-    For |z| ≥ 2 it evaluates the continued fraction (``scaled_upper_gamma``)
-    at every column's lowest s in one batch and recurs up.  The switch sits
-    where the two recurrences lose about equally: the downward one amplifies
-    the error of Γ(1/2, z) more the larger |z| is, the upward one that of the
-    lowest Γ(s, z) more the smaller |z| is.
+
+def _gamma_walk(ladder, i0, first, z):
+    """Rows S(ladder[i], z) from S(ladder[i0], z) = ``first`` by the scaled
+    recurrences S(s−1) = (z·S(s) − 1)/(s − 1) down and S(s+1) = (s·S(s) +
+    1)/z up (DLMF §8.8.1)."""
+    rows = np.empty((ladder.size,) + z.shape, dtype=first.dtype)
+    rows[i0] = first
+    for i in range(i0, 0, -1):
+        rows[i - 1] = (z * rows[i] - 1.0) / (ladder[i] - 1.0)
+    for i in range(i0, ladder.size - 1):
+        rows[i + 1] = (ladder[i] * rows[i] + 1.0) / z
+    return rows
+
+
+def upper_gamma_ladder(orders, z):
+    """The scaled upper incomplete gamma S(s, z) = z^{−s}·e^z·Γ(s, z) for
+    stacked columns of orders and an array z away from the origin and the
+    negative real axis (complex, or real and positive): one array of shape
+    (len(orders[j]),) + z.shape per column j, each z's value independent of
+    the others.  A column's orders lie on one
+    unit lattice, half-integers or integers, or ``QuadratureError`` is
+    raised; S(1 − q, w) = e^w·E_q(w).
+
+    For |z| < 2 each column walks its lattice down and up from the series
+    anchor S(1/2) or S(0) (``_gamma_anchor``), shared by the columns.  For
+    |z| ≥ 2 it evaluates the continued fraction (``_scaled_upper_gamma``) at
+    every column's lowest order in one batch and walks up.  The switch sits
+    where the two walks lose about equally: the downward one amplifies the
+    anchor's error more the larger |z| is, the upward one that of the lowest
+    order more the smaller |z| is.
     """
     orders = [np.asarray(s_values, dtype=float) for s_values in orders]
-    for s_values in orders:
-        if np.any(np.mod(s_values - 0.5, 1.0) != 0.0):
-            raise QuadratureError(f"tail exponents must be half-integers, got {s_values}")
-    z = np.asarray(z, dtype=complex)
-    lows = [min(float(s_values.min()), 0.5) for s_values in orders]
-    ez = np.exp(-z)
+    anchors = [float(np.mod(s_values[0], 1.0)) for s_values in orders]
+    for s_values, anchor in zip(orders, anchors):
+        if anchor not in (0.0, 0.5) or np.any(np.mod(s_values, 1.0) != anchor):
+            raise QuadratureError(
+                f"orders must lie on one half-integer or integer lattice, got {s_values}")
+    z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
+    lows = [min(float(s_values.min()), a) for s_values, a in zip(orders, anchors)]
 
     near = np.abs(z) < 2.0
     far = ~near
-    zn, en, zf, ef = z[near], ez[near], z[far], ez[far]
-    if zn.size:
-        term = np.full_like(zn, 2.0)
-        series = term.copy()
-        for k in range(1, _GAMMA_SERIES_TERMS):
-            term = term * zn / (k + 0.5)
-            series += term
-        g_half = math.sqrt(math.pi) - np.sqrt(zn) * en * series
+    zn, zf = z[near], z[far]
+    series = {a: _gamma_anchor(a, zn) for a in set(anchors)} if zn.size else {}
     if zf.size:
-        lowest = scaled_upper_gamma(np.array(lows)[:, None], zf)
+        lowest = _scaled_upper_gamma(np.array(lows)[:, None], zf)
 
     out = []
-    for j, (s_values, lo) in enumerate(zip(orders, lows)):
-        ladder = np.arange(lo, max(float(s_values.max()), 0.5) + 0.5)
-        g = np.empty((ladder.size, z.size), dtype=complex)
+    for j, (s_values, anchor, lo) in enumerate(zip(orders, anchors, lows)):
+        ladder = np.arange(lo, max(float(s_values.max()), anchor) + 0.5)
+        rows = np.empty((ladder.size,) + z.shape, dtype=z.dtype)
         if zn.size:
-            gn = np.empty((ladder.size, zn.size), dtype=complex)
-            i0 = int(round(0.5 - lo))
-            gn[i0] = g_half
-            for i in range(i0, 0, -1):
-                s = ladder[i] - 1.0
-                gn[i - 1] = (gn[i] - zn**s * en) / s
-            for i in range(i0, ladder.size - 1):
-                s = ladder[i]
-                gn[i + 1] = s * gn[i] + zn**s * en
-            g[:, near] = gn
+            rows[:, near] = _gamma_walk(ladder, int(round(anchor - lo)), series[anchor], zn)
         if zf.size:
-            gf = np.empty((ladder.size, zf.size), dtype=complex)
-            gf[0] = zf**lo * ef * lowest[j]
-            for i in range(ladder.size - 1):
-                s = ladder[i]
-                gf[i + 1] = s * gf[i] + zf**s * ef
-            g[:, far] = gf
-        out.append(g[np.round(s_values - lo).astype(int)])
+            rows[:, far] = _gamma_walk(ladder, 0, lowest[j], zf)
+        out.append(rows[np.round(s_values - lo).astype(int)])
     return out
 
 
@@ -215,9 +232,11 @@ def power_tail(coeffs, ladders, freq, t0):
     coefficients ``coeffs[j]`` of the exponents ``ladders[j]`` (possibly
     none); shape (columns, freq.size).
 
-    Uses ∫_T^∞ t^λ e^{−iat} dt = (ia)^{−λ−1} Γ(λ+1, iaT), which needs
-    half-integer λ, for freq ≠ 0 (one continued-fraction batch for all
-    columns) and the elementary power integral at freq = 0 (which then
+    Uses ∫_T^∞ t^λ e^{−iat} dt = T^{λ+1}·e^{−iaT}·S(λ+1, iaT) with the
+    scaled S(s, z) = z^{−s}·e^z·Γ(s, z) for freq ≠ 0, which needs each
+    column's λ on one half-integer or integer lattice
+    (``upper_gamma_ladder``, one continued-fraction batch for all
+    columns), and the elementary power integral at freq = 0 (which then
     needs λ < −1).
     """
     af = np.asarray(freq, dtype=float)
@@ -233,14 +252,15 @@ def power_tail(coeffs, ladders, freq, t0):
                 )
             out[j, zero] = np.sum(c * t0 ** (lam + 1.0) / (-lam - 1.0))
     if not zero.all() and columns:
-        ia = 1j * af[~zero]
-        gammas = _upper_gamma_half([lam + 1.0 for _, _, lam in columns], ia * t0)
-        for (j, c, lam), gam in zip(columns, gammas):
+        z = 1j * af[~zero] * t0
+        phase = np.exp(-z)
+        scaled = upper_gamma_ladder([lam + 1.0 for _, _, lam in columns], z)
+        for (j, c, lam), rows in zip(columns, scaled):
             # Term by term, so a frequency's sum does not depend on the batch.
-            total = np.zeros(ia.shape, dtype=complex)
-            for ck, lk, gk in zip(c, lam, gam):
-                total = total + ck * ia ** (-lk - 1.0) * gk
-            out[j, ~zero] = total
+            total = np.zeros(z.shape, dtype=complex)
+            for ck, lk, sk in zip(c, lam, rows):
+                total = total + ck * t0 ** (lk + 1.0) * sk
+            out[j, ~zero] = phase * total
     return out
 
 

@@ -1,6 +1,8 @@
 """Command-line configuration: a bad key or value is a config error (exit 2)
 before any computation starts."""
 import csv
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,8 @@ from crackwave import cli, material
 from crackwave import dispersion as disp
 from crackwave.material import critical_speed
 
-PRESETS = Path(__file__).resolve().parents[1] / "presets"
+ROOT = Path(__file__).resolve().parents[1]
+PRESETS = ROOT / "presets"
 
 ERR_SWEEP = """\
 material.eta = 0
@@ -117,6 +120,30 @@ def test_nonfinite_value_exits_with_regime_error(tmp_path, capsys, subcommand, k
     rc = cli.main([subcommand, "--config", str(config), "--out", str(out)])
     assert rc == cli.EXIT_REGIME
     assert f"got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+L_SWEEP = LIMIT_STUDY.replace("variable = m", "variable = L_over_ell") \
+    .replace("start = 0.1", "start = 1").replace("stop = 0.3", "stop = 3")
+
+
+@pytest.mark.parametrize("subcommand,text,key,value", [
+    # dispersion traced omega = nan and exited 3 ("no dispersion root found").
+    ("dispersion", DISPERSION, "sweep.stop", "inf"),
+    # The L/ell sweeps exited 4 ("L must be positive and finite, got nan").
+    ("tmax-sweep", L_SWEEP, "sweep.stop", "1e400"),
+    ("err-sweep", L_SWEEP, "sweep.stop", "inf"),
+    ("limit-study", L_SWEEP, "sweep.start", "-inf"),
+], ids=["dispersion", "tmax-sweep", "err-sweep", "limit-study"])
+def test_nonfinite_sweep_bound_exits_with_config_error(tmp_path, capsys, subcommand,
+                                                       text, key, value):
+    lines = [line for line in text.splitlines() if not line.startswith(key + " ")]
+    config = tmp_path / "run.conf"
+    config.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    out = tmp_path / "out"
+    rc = cli.main([subcommand, "--config", str(config), "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"{key} must be finite, got {value}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -313,3 +340,10 @@ def test_rewrite_gives_identical_bytes(tmp_path):
     first = (tmp_path / "regime-map.csv").read_bytes()
     assert cli.main(argv) == 0
     assert (tmp_path / "regime-map.csv").read_bytes() == first
+
+
+def test_every_golden_matches():
+    # Every preset's CSV and the validate report against bench/golden.
+    proc = subprocess.run([sys.executable, "bench/run.py", "--check"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -376,13 +376,13 @@ def test_warm_crack_line_fields_traced_peak(split_factory):
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_scaled_expn_matches_mpmath(q):
-    # e^w·E_q(w) on both sides of the switch from the power series to the
-    # continued fraction at w = 1, and far out, where the fraction is
-    # already scaled.
+    # The traction's rational piece e^w·E_q(w) = S(1 − q, w) on both sides
+    # of the switch from the series to the continued fraction at w = 2, and
+    # far out, where the fraction is already scaled.
     w = np.concatenate([np.geomspace(1e-6, 600.0, 120),
                         np.linspace(45.0, 130.0, 35), [499.9, 500.0, 500.1],
-                        [0.999, 1.0, 1.001, 1e4, 1e6]])
-    got = fields._scaled_expn(q, w)
+                        [0.999, 1.0, 1.001, 1.999, 2.0, 2.001, 1e4, 1e6]])
+    ((got,),) = numerics.upper_gamma_ladder([[1.0 - q]], w)
     with mpmath.workdps(30):
         ref = [float(mpmath.exp(wi) * mpmath.expint(q, wi)) for wi in w]
     for wi, g, r in zip(w, got, ref):

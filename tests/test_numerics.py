@@ -15,9 +15,9 @@ from scipy import special
 
 from crackwave import numerics
 from crackwave.errors import BracketError, QuadratureError
-from crackwave.numerics import (_bessel_table, _upper_gamma_half, bracketed_root,
+from crackwave.numerics import (_bessel_table, _scaled_upper_gamma, bracketed_root,
                                 contour_coefficients, fit_power_tail,
-                                oscillatory_halfline, power_tail, scaled_upper_gamma)
+                                oscillatory_halfline, power_tail, upper_gamma_ladder)
 from crackwave.material import lambda_surface
 from reference_quadrature import averaged_halfline
 
@@ -203,8 +203,8 @@ class TestStackedColumns:
 
     def test_one_continued_fraction_batch_per_call(self, monkeypatch):
         runs = []
-        real = numerics.scaled_upper_gamma
-        monkeypatch.setattr(numerics, "scaled_upper_gamma",
+        real = numerics._scaled_upper_gamma
+        monkeypatch.setattr(numerics, "_scaled_upper_gamma",
                             lambda s, z: runs.append(np.shape(z)) or real(s, z))
         freq = np.array([1e-4, 0.05, 1.0, 3e3])   # |a·T| on both sides of 2
         for cols in (slice(0, 1), slice(0, 3)):
@@ -278,7 +278,15 @@ class TestBesselTable:
         assert np.array_equal(_bessel_table(-x), sign * _bessel_table(x))
 
 
+def _scaled_gamma_ref(s, z):
+    """z^{−s}·e^z·Γ(s, z) in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        z = mpmath.mpmathify(z)
+        return complex(z ** -s * mpmath.exp(z) * mpmath.gammainc(s, a=z))
+
+
 class TestUpperGamma:
+    """The scaled upper incomplete gamma S(s, z) = z^{−s}·e^z·Γ(s, z)."""
     S = np.arange(-5.5, 2.0, 1.0)
     # Both sides of the switch from the series to the continued fraction at
     # |z| = 2, where each recurrence loses the most.
@@ -288,15 +296,35 @@ class TestUpperGamma:
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper", "lower"])
     def test_matches_mpmath_on_the_imaginary_axis(self, sign):
         z = 1j * sign * self.Y
-        (got,) = _upper_gamma_half([self.S], z)
+        (got,) = upper_gamma_ladder([self.S], z)
         for i, s in enumerate(self.S):
             for j, zj in enumerate(z):
-                ref = complex(mpmath.gammainc(s, a=zj))
+                ref = _scaled_gamma_ref(s, zj)
                 assert abs(got[i, j] - ref) <= 1e-13 * abs(ref), (s, zj)
 
-    def test_rejects_non_half_integer_orders(self):
+    @pytest.mark.parametrize("z", [np.concatenate([np.geomspace(1e-6, 1e6, 40),
+                                                   np.linspace(1.9, 2.1, 21)]),
+                                   1j * np.geomspace(1e-6, 1e6, 40),
+                                   -1j * np.linspace(1.9, 2.1, 21)],
+                             ids=["real", "upper", "lower"])
+    def test_integer_orders_match_mpmath(self, z):
+        s_values = np.arange(-4.0, 1.0)
+        (got,) = upper_gamma_ladder([s_values], z)
+        for i, s in enumerate(s_values):
+            for j, zj in enumerate(z):
+                ref = _scaled_gamma_ref(s, zj)
+                assert abs(got[i, j] - ref) <= 1e-13 * abs(ref), (s, zj)
+
+    @pytest.mark.parametrize("orders", [[-1.25], [-1.5, -1.0]], ids=["off-lattice", "mixed"])
+    def test_rejects_off_lattice_orders(self, orders):
         with pytest.raises(QuadratureError):
-            _upper_gamma_half([[-1.25]], np.array([1j]))
+            upper_gamma_ladder([[0.5], orders], np.array([1j, 3j]))
+
+    def test_columns_on_both_lattices_match_their_lone_runs(self):
+        z = 1j * np.geomspace(0.1, 40.0, 11)
+        half, whole = upper_gamma_ladder([self.S, [-3.0, 0.0]], z)
+        assert np.array_equal(half, upper_gamma_ladder([self.S], z)[0])
+        assert np.array_equal(whole, upper_gamma_ladder([[-3.0, 0.0]], z)[0])
 
     @pytest.mark.parametrize("z", [1j * np.geomspace(2.0, 1e6, 40),
                                    np.geomspace(1.0, 1e3, 40) * np.exp(0.3j),
@@ -305,12 +333,32 @@ class TestUpperGamma:
     def test_order_rows_equal_their_lone_runs(self, z):
         # Each element of an (orders × z) batch stops at its own step.
         s = np.array([-5.5, -2.5, -1.0, 0.5])
-        rows = scaled_upper_gamma(s[:, None], z)
+        rows = _scaled_upper_gamma(s[:, None], z)
         assert rows.shape == (s.size, z.size)
         for si, row in zip(s, rows):
-            assert np.array_equal(row, scaled_upper_gamma(float(si), z))
+            assert np.array_equal(row, _scaled_upper_gamma(float(si), z))
             for zj, value in zip(z[::9], row[::9]):
-                assert scaled_upper_gamma(float(si), zj[None])[0] == value
+                assert _scaled_upper_gamma(float(si), zj[None])[0] == value
+
+    def test_power_tail_matches_the_incomplete_gamma_form(self):
+        # ∫_T^∞ t^λ e^{−iat} dt = (ia)^{−λ−1}·Γ(λ+1, iaT) at 40 digits, for a
+        # half-integer and an integer ladder on both sides of |aT| = 2.  T is
+        # a power of 2, so a·T is exact and the phase carries no rounding.
+        t0 = 4.0
+        ladders = [[0.5, -0.5, -1.5, -2.5, -3.5], [-2.0, -3.0]]
+        coeffs = [[1.0 - 2.0j, 0.5j, -3.0, 2.0 + 1.0j, 0.25], [1.5, -1.0 + 0.5j]]
+        freq = np.concatenate([np.geomspace(1e-5, 1e4, 25), -np.geomspace(1e-5, 1e4, 8),
+                               np.linspace(0.45, 0.55, 5)])
+        got = power_tail(coeffs, ladders, freq, t0)
+        with mpmath.workdps(40):
+            for c, lam, row in zip(coeffs, ladders, got):
+                for a, value in zip(freq, row):
+                    ia = mpmath.mpc(0, a)
+                    terms = [mpmath.mpmathify(ck) * ia ** (-lk - 1)
+                             * mpmath.gammainc(lk + 1, a=ia * t0) for ck, lk in zip(c, lam)]
+                    ref = complex(mpmath.fsum(terms))
+                    scale = max(abs(complex(term)) for term in terms)
+                    assert abs(value - ref) <= 1e-13 * scale, (lam, a)
 
 
 class TestContourCoefficients:
