@@ -7,16 +7,16 @@ stacked columns, and the caller gives each column the algebraic ladder
 the truncation radius on which the transform fits it (``fit_power_tail``).
 It runs in two stages.  ``oscillatory_halfline`` evaluates f once, on
 nodes that do not depend on ``a`` (one vectorized call for the head and the
-fit window and one per body rule, whatever the number of columns), fits
-the ladders and returns the transform, a callable of ``a``, with the
-fitted coefficients.  Each call of the transform contracts those values
-with the phases and moments of its frequencies, one (array of) ``a`` at a
-time, in row blocks of frequencies (``row_blocks``), and adds the tails.
+fit window and one for the body, whatever the number of columns), fits the
+ladders and returns the transform, a callable of ``a``, with the fitted
+coefficients.  Each call of the transform contracts those values with the
+phases and moments of its frequencies, one (array of) ``a`` at a time, in
+row blocks of frequencies (``row_blocks``), and adds the tails.
 
-* Head [0, 1e-6]: Gauss panels (orders 20 and 14) in v = √t, graded
-  geometrically toward 0, so a t^{−1/2} endpoint singularity is integrated
-  exactly; the phase is applied at the nodes, so the head must span at most
-  two periods (|a| ≤ 4π·1e6), or ``QuadratureError`` is raised.
+* Head [0, 1e-6]: order-20 Gauss panels in v = √t, graded geometrically
+  toward 0, so a t^{−1/2} endpoint singularity is integrated exactly; the
+  phase is applied at the nodes, so the head must span at most two periods
+  (|a| ≤ 4π·1e6), or ``QuadratureError`` is raised.
 * Body [1e-6, T]: Legendre–Filon panels, eight per decade.  ``panel_sums``
   turns each panel's order-12 Gauss values into the Legendre coefficients
   of the interpolant, whose transform is a sum of the closed-form moments
@@ -37,11 +37,17 @@ time, in row blocks of frequencies (``row_blocks``), and adds the tails.
   a power series for |z| < 2 and from a continued fraction for |z| ≥ 2,
   one batch for all columns; at a = 0 any λ < −1.
 
-Each column's error estimate adds the order-14 head and order-8 body
-differences and the tail bound max_residual·min(T, 2/|a|).  The columns
-share the integrand calls, the rules, the moment table and the phases.  A
-frequency's value does not depend on the other frequencies of a call, nor
-on which call of the transform it comes in.
+Each column's error estimate sums, over the head and body panels, the
+magnitudes of each panel's last two Legendre-mode integrals (its
+``_filon_basis`` sums of degrees 18, 19 in the head, 10, 11 in the body),
+and adds the tail bound max_residual·min(T, 2/|a|).  A body mode's
+transform is its sum times j_k(ω·h), and |j_k| ≤ 1, so the bound holds at
+every frequency alike: an interpolant's error is of the size of its trailing
+coefficients (Trefethen 2013, Approximation Theory and Approximation
+Practice, chs. 7–8).  The columns share the integrand calls, the rules,
+the moment table and the phases.  A frequency's value does not depend on
+the other frequencies of a call, nor on which call of the transform it
+comes in.
 
 Every routine is deterministic (no randomized algorithms) and every
 quadrature returns ``(value, error_estimate)``.
@@ -71,6 +77,7 @@ _TAIL_FIT_POINTS = 32  # log-spaced samples of a tail-ladder fit
 # (r/R)^N; at the split's r = 0.4, R = 1 that is 0.4^64 ≈ 3e-26.
 CONTOUR_NODES = 64
 _HEAD_END = 1e-6       # end of the fixed Gauss head of a half-line call
+_HEAD_ORDER = 20       # Gauss points of a head panel in v = √t
 _FILON_ORDER = 12      # Gauss points and Legendre degree + 1 of a body panel
 _MILLER_START = 40     # start order of the downward Bessel recurrence
 _GAMMA_SERIES_TERMS = 30  # terms of the S(1/2, z) and S(0, z) series, |z| < 2
@@ -276,9 +283,9 @@ def fit_power_tail(t, values, exponents):
     return coeffs, resid
 
 
-def _head_nodes(b, order):
+def _head_nodes(b):
     """Nodes ``t`` and weights ``w`` of the head rule on [0, b], both of
-    shape (panels, order).
+    shape (panels, ``_HEAD_ORDER``).
 
     The panels live in v = √t, so a t^{−1/2} endpoint singularity is
     integrated exactly (the weights carry dt = 2v·dv), and are graded
@@ -286,7 +293,7 @@ def _head_nodes(b, order):
     (|t| kinks, t·log t terms).
     """
     graded = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 16)])
-    v, w = panel_nodes(math.sqrt(b) * graded, order)
+    v, w = panel_nodes(math.sqrt(b) * graded, _HEAD_ORDER)
     return v * v, 2.0 * v * w
 
 
@@ -380,11 +387,11 @@ def _filon_body(sums, phase, table):
     (columns, freq), from the ``_filon_basis`` panel sums as real and
     imaginary rows (2·columns × panels × order).  ``phase`` is
     e^{−i·freq·mid} (freq × panels) and ``table`` holds j_k(freq·half)
-    (freq × panels × ≥ order).  Each (row, frequency, panel) is contracted
+    (freq × panels × order).  Each (row, frequency, panel) is contracted
     over the order alone and each (column, frequency) over the panels alone,
     so a frequency's value does not depend on the other frequencies or
     columns."""
-    inner = np.einsum("fpk,cpk->cfp", table[..., :sums.shape[-1]], sums)
+    inner = np.einsum("fpk,cpk->cfp", table, sums)
     half = len(sums) // 2
     return (phase * (inner[:half] + 1j * inner[half:])).sum(axis=-1)
 
@@ -419,83 +426,75 @@ def oscillatory_halfline(f, truncation_radius: float, ladders, fit_start: float)
     ``coeffs[k]`` holds its coefficients, none for an empty ladder, whose
     residual is then the column's largest magnitude on the window.
 
-    This call makes every evaluation of f: one call for the head values of
-    both head rules and the fit window, and one for each of the order-12 and
-    order-8 ``panel_sums``, on nodes that do not depend on the frequencies.
-    Each call of the transform then contracts them with that call's phases
-    and moment table (built once per call, not at all when every frequency
-    is 0) and adds the tails, one continued-fraction batch for all columns.
-    Every frequency's value does not depend on the other frequencies of the
-    call, and a frequency of 0 takes the plain Gauss sums, as every phase is
-    1 and j_k(0) = δ_k0 there.
+    This call makes every evaluation of f, in two calls on nodes that do not
+    depend on the frequencies: one for the head and the fit window and one
+    for the body's ``panel_sums``.  Each call of the transform then contracts
+    them with that call's phases and moment table (built once per call, not
+    at all when every frequency is 0) and adds the tails, one
+    continued-fraction batch for all columns.  Every frequency's value does
+    not depend on the other frequencies of the call, and a frequency of 0
+    takes the plain Gauss sums, as every phase is 1 and j_k(0) = δ_k0 there.
     """
     if truncation_radius <= 0:
         raise ValueError("truncation_radius must be positive")
     T = truncation_radius
     head_end = min(_HEAD_END, T)
-    nodes = [_head_nodes(head_end, order) for order in (20, 14)]
+    t_head, w_head = (x.ravel() for x in _head_nodes(head_end))
     fit_t = np.geomspace(fit_start, T, _TAIL_FIT_POINTS)
-    values = np.asarray(f(np.concatenate([t.ravel() for t, _ in nodes] + [fit_t])),
-                        dtype=complex)
+    values = np.asarray(f(np.concatenate([t_head, fit_t])), dtype=complex)
     columns = len(values)
     if columns != len(ladders):
         raise ValueError(f"{columns} columns need as many ladders, got {len(ladders)}")
-    head_20, head_14, tail = np.split(values, np.cumsum([t.size for t, _ in nodes]),
-                                      axis=-1)
     fits = [fit_power_tail(fit_t, v, lam) if len(lam)
             else (np.empty(0, dtype=complex), float(np.abs(v).max()))
-            for v, lam in zip(tail, ladders)]
+            for v, lam in zip(values[:, t_head.size:], ladders)]
     coeffs = [c for c, _ in fits]
     resid = np.array([r for _, r in fits], dtype=float)
     edges = _build_edges(head_end, T)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    # Weighted values of the order-20 head rule and of its order-14 check,
-    # and the body panel sums of the order-12 rule and of its order-8 check.
-    weighted = [w.ravel() * v for (_, w), v in zip(nodes, (head_20, head_14))]
-    sums = [panel_sums(f, edges, order, _filon_basis(order)) for order in (_FILON_ORDER, 8)]
-    plain = np.array([wv.sum(axis=-1) for wv in weighted]
-                     + [s[..., 0].sum(axis=-1) for s in sums])
+    # The weighted head values and the body's Legendre panel sums; the
+    # rule's error is each panel's last two Legendre modes, head and body.
+    wv = w_head * values[:, :t_head.size]
+    sums = panel_sums(f, edges, _FILON_ORDER, _filon_basis(_FILON_ORDER))
+    plain = wv.sum(axis=-1) + sums[..., 0].sum(axis=-1)
+    modes = wv.reshape(columns, -1, _HEAD_ORDER) @ _filon_basis(_HEAD_ORDER)[-2:].T
+    err_rule = np.abs(modes).sum(axis=(1, 2)) + np.abs(sums[..., -2:]).sum(axis=(1, 2))
     # The contractions run on real and imaginary rows.
-    heads = [(t.ravel(), np.concatenate([wv.real, wv.imag]))
-             for (t, _), wv in zip(nodes, weighted)]
-    bodies = [np.concatenate([s.real, s.imag]) for s in sums]
+    head = np.concatenate([wv.real, wv.imag])
+    body = np.concatenate([sums.real, sums.imag])
     # float64 values per frequency of a block's largest temporaries: the head
-    # phases at the order-20 nodes, and the body's (columns × panels) complex
-    # sums over the order.
-    width = max(nodes[0][0].size, 2 * columns * mid.size)
+    # phases, and the body's (columns × panels) complex sums over the order.
+    width = max(t_head.size, 2 * columns * mid.size)
 
     def transform(freq):
         a = np.asarray(freq, dtype=float)
         af = a.ravel()
-        # The order-20 head keeps ~1e-14 up to two periods on [0, head_end].
+        # The head keeps ~1e-14 up to two periods on [0, head_end].
         if np.abs(af).max(initial=0.0) * head_end > 4.0 * math.pi:
             raise QuadratureError(
                 f"frequency {np.abs(af).max():g} oscillates more than two periods "
                 f"on the head [0, {head_end:g}]"
             )
-        # Rows: the head, its check, the body and its check.
-        parts = np.empty((4, columns, af.size), dtype=complex)
+        # The head plus the body, as the Gauss sums at a frequency of 0.
+        rule = np.empty((columns, af.size), dtype=complex)
         zero = af == 0.0
-        parts[:, :, zero] = plain[:, :, None]
+        rule[:, zero] = plain[:, None]
         live = af[~zero]
         if live.size:
             table = _bessel_table(live[:, None] * half)
-            out = np.empty((4, columns, live.size), dtype=complex)
+            out = np.empty((columns, live.size), dtype=complex)
             for rows in row_blocks(live.size, width):
                 fr = live[rows]
                 phase = np.exp(-1j * fr[:, None] * mid)
-                out[:2, :, rows] = [_head_sums(wv, t, fr) for t, wv in heads]
-                out[2:, :, rows] = [_filon_body(body, phase, table[rows])
-                                    for body in bodies]
-            parts[:, :, ~zero] = out
+                out[:, rows] = (_head_sums(head, t_head, fr)
+                                + _filon_body(body, phase, table[rows]))
+            rule[:, ~zero] = out
         val_tail = power_tail(coeffs, ladders, af, T)
         with np.errstate(divide="ignore"):
             err_tail = resid[:, None] * np.minimum(T, 2.0 / np.abs(af))
         shape = (columns,) + a.shape
-        return ((parts[0] + parts[2] + val_tail).reshape(shape),
-                (np.abs(parts[0] - parts[1]) + np.abs(parts[2] - parts[3])
-                 + err_tail).reshape(shape))
+        return (rule + val_tail).reshape(shape), (err_rule[:, None] + err_tail).reshape(shape)
 
     return transform, coeffs
 

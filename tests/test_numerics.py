@@ -45,8 +45,22 @@ def _beyond_step(t):
 
 
 def _beyond_step_exact(a):
-    """∫_e^∞ t^{−3/2} e^{−iat} dt = (ia)^{1/2}·Γ(−1/2, iae), e = STEP."""
+    """∫_e^∞ t^{−3/2} e^{−iat} dt = (ia)^{1/2}·Γ(−1/2, iae), e = STEP, and
+    2/√e at a = 0."""
+    if a == 0.0:
+        return 2.0 / math.sqrt(STEP)
     return complex(mpmath.sqrt(1j * a) * mpmath.gammainc(-0.5, a=1j * a * STEP))
+
+
+def _lorentzian_exact(a):
+    """∫₀^∞ e^{−iat}/(1+t²) dt = (π/2)e^{−a} − (i/2)(e^{−a}Ei(a) − e^{a}Ei(−a))
+    for a > 0, and π/2 at a = 0."""
+    if a == 0.0:
+        return math.pi / 2.0
+    with mpmath.workdps(40):   # the Ei terms cancel at small a
+        a = mpmath.mpf(a)
+        sine = (mpmath.exp(-a) * mpmath.ei(a) - mpmath.exp(a) * mpmath.ei(-a)) / 2
+        return complex(float(mpmath.pi / 2 * mpmath.exp(-a)), float(-sine))
 
 
 def _on_step(g):
@@ -102,6 +116,20 @@ class TestOscillatoryHalfline:
                          (lambda t: t ** -0.5, 2.0 * math.sqrt(STEP))):
             val, err = _transform(_on_step(g), [()])(0.0)
             assert abs(val[0] - exact) <= max(err[0], 1e-13)
+
+    @pytest.mark.parametrize("f,ladder,exact", [
+        (_beyond_step, SLOW_LADDER, _beyond_step_exact),
+        (lambda t: (np.exp(-t) / np.sqrt(t))[None], (),
+         lambda a: complex(mpmath.sqrt(mpmath.pi) / mpmath.sqrt(1 + 1j * a))),
+        (lambda t: (1.0 / (1.0 + t * t))[None], (-2.0, -4.0, -6.0), _lorentzian_exact),
+    ], ids=["beyond-step", "sqrt-exp", "lorentzian"])
+    def test_error_estimate_honest_at_every_frequency(self, f, ladder, exact):
+        # The last Legendre modes bound the rule at every frequency alike,
+        # from a = 0 to 1e6.
+        a = np.array([0.0, 1e-3, 0.05, 1.0, 10.0, 1e3, 1e6])
+        vals, errs = _transform(f, [ladder])(a)
+        for ai, v, e in zip(a, vals[0], errs[0]):
+            assert abs(v - exact(ai)) <= e <= 1e-8, ai
 
     def test_determinism(self):
         f = lambda t: 1.0 / (1.0 + np.asarray(t) ** 2)
@@ -214,14 +242,20 @@ class TestStackedColumns:
             _transform(columns, ladders)(freq)
             assert len(runs) == 1
 
-    def test_three_integrand_calls_per_transform(self):
-        # One for the head and the fit window, one per body rule.
+    def test_two_integrand_calls_per_transform(self):
+        # One for the 16 order-20 head panels and the fit window, one for
+        # the order-12 body panels.
         calls = []
         oscillatory_halfline(lambda t: calls.append(t) or self._columns(t), T,
                              self.LADDERS, FIT_START)
-        assert len(calls) == 3
+        assert len(calls) == 2
+        head, body = calls
         window = np.geomspace(FIT_START, T, numerics._TAIL_FIT_POINTS)
-        assert np.array_equal(calls[0][-window.size:], window)
+        assert head.size == 16 * 20 + window.size
+        assert np.all(head[:16 * 20] <= numerics._HEAD_END)
+        assert np.array_equal(head[16 * 20:], window)
+        panels = numerics._build_edges(numerics._HEAD_END, T).size - 1
+        assert body.size == panels * 12
 
     @pytest.mark.parametrize("cols,ladders", [
         (slice(0, 1), LADDERS[:1]),
