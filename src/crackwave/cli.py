@@ -328,6 +328,17 @@ def _validate_checks():
     m_inf = disp.trace_curve(np.array([1e3]), 0.9, 0.8, axis="omega")[0].mR
     checks.append(("dispersion_highfreq_limit", critical_speed(0.9, 0.8),
                    m_inf, 1e-3))
+    # The determinant, a second route to the curve: at fig1's material it
+    # changes sign across [m_R(1 − 1e-9), m_R(1 + 1e-9)] at every point of
+    # fig1's grid.
+    grid = np.geomspace(0.05, 50.0, 120)
+    flips = 0
+    for axis in ("omega", "k"):
+        m_r = np.array([p.mR for p in disp.trace_curve(grid, 0.9, 0.8, axis)])
+        d = disp._scaled_det(m_r[:, None] * np.array([1.0 - 1e-9, 1.0 + 1e-9]),
+                             0.9, 0.8, **{f"{axis}_norm": grid[:, None]})
+        flips += int(np.sum(d[:, 0] * d[:, 1] < 0.0))
+    checks.append(("dispersion_det_sign_change", 2 * grid.size, flips, 0.0))
 
     hj = h_coefficients(3, 2.0)
     hj2 = h_coefficients_contour(3, 2.0)

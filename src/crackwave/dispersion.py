@@ -6,24 +6,42 @@ the planar-shear curve m_B(k)² = (1 + k²ℓ²/2)/(1 + h0²k²ℓ²), where bot
 decay exponents are real; at eta = 0 the root sits exactly on that boundary
 (the surface wave degenerates to the planar shear wave).
 
-Every grid point is solved on its own, with no continuation from its
-neighbour: a fixed scan in m below m_B takes the primary (fastest) branch,
-the last sign change of the determinant, and one lockstep root solve
-refines the brackets of the whole curve.  The scan runs from the top: the
-points nearest m_B first, and the lower ones only where those hold no sign
-change.  Neighbouring points that differ by more than 5% are reported
-after the solve.
+In q = alpha·beta, with q² = 2k²(1 − m²) + k⁴(1 − 2h0²m²), the determinant
+factors as D = (alpha − beta)·Q, where
+
+    Q = q² + 2q(1 + (1 + eta)k² − h0²k²m²) − eta²k⁴.
+
+q falls from its m = 0 value to 0 on the boundary m_B, so the curve is a
+root of Q with q ≥ 0, the one root of a small polynomial on each axis:
+
+* at fixed k, (1 + h0²k²)·Q is the cubic Q_k(q) = h0²q³ + (1 + h0²k²)q²
+  + (2 + 2k²(1 + eta) + h0²k⁴(1 + 2eta))q − eta²k⁴(1 + h0²k²), with
+  exactly one positive root (Descartes' rule) below q(m = 0) = k·sqrt(2 + k²),
+  and m_R² = (k²(2 + k²) − q²)/(2k²(1 + h0²k²));
+* at fixed omega, k² = K(q) = sqrt(g² + 2omega² + q²) − g with
+  g = 1 − h0²omega², m_R = omega/sqrt(K), and the root is the sign change
+  of F = −Q = eta²K² − 2(1 + eta)qK − q² − 2gq on [0, q_hi]: F(0) ≥ 0,
+  and the bounds q − g ≤ K ≤ q + c, c = |g| − g + sqrt(2)·omega, give
+  F(q_hi) ≤ 0 at the positive root q_hi of
+  (3 − eta)(1 + eta)q² − 2eta(g + eta·c)q − eta²c².
+
+Every grid point is solved on its own bracket, in one lockstep root solve
+over the grid, to float precision; at eta = 0 the root is q = 0 exactly
+and m_R = m_B.  Neighbouring points that differ by more than 5% are
+reported after the solve.
 """
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, RootLossError
 from .kernel import wave_exponents
-from .numerics import bracketed_root, row_blocks
+from .material import SQRT2, _check_eta
+from .numerics import bracketed_root
 
 __all__ = [
     "DispersionPoint",
@@ -54,17 +72,16 @@ def shear_phase_speed(k_norm: float, h0: float):
     return float(out) if np.ndim(k_norm) == 0 else out
 
 
-def _branch_boundary_omega(omega_norm, h0: float):
-    """m_B at fixed omega: solves m² = (1 + (omega/m)²/2)/(1 + h0²(omega/m)²);
-    vectorized over omega_norm.
-
-    The root m² = (b + s)/2, with b = 1 − h0²omega² and s = sqrt(b² +
-    2omega²), cancels where b < 0 (h0·omega > 1); there it is formed as the
-    equal omega²/(s − b)."""
+def _omega_k2(omega_norm, h0: float, q):
+    """k² = K(q) = sqrt(g² + 2omega² + q²) − g at fixed omega, with
+    g = 1 − h0²omega² and q = alpha·beta; vectorized.  The difference
+    cancels where g > 0, and is formed there as the equal
+    (2omega² + q²)/(sqrt(…) + g).  At q = 0, omega/sqrt(K) is the branch
+    boundary m_B at fixed omega."""
     w2 = omega_norm * omega_norm
-    b = 1.0 - h0 * h0 * w2
-    s = np.sqrt(b * b + 2.0 * w2)
-    return np.sqrt(np.where(b >= 0.0, 0.5 * (b + s), w2 / (s - b)))
+    g = 1.0 - h0 * h0 * w2
+    r = np.sqrt(g * g + 2.0 * w2 + q * q)
+    return np.where(g > 0.0, (2.0 * w2 + q * q) / (r + g), r - g)
 
 
 def _scaled_det(m, eta: float, h0: float, *, k_norm=None, omega_norm=None):
@@ -96,106 +113,74 @@ def _scaled_det(m, eta: float, h0: float, *, k_norm=None, omega_norm=None):
     return (d11 * d22 - d12 * d21) / (1.0 + k) ** 5
 
 
-# Branch scan in m below the boundary m_b: 160 linear points, then 80
-# geometric ones closing in on m_b, in blocks of grid points
-# (numerics.row_blocks).  The primary branch is the last sign change, so
-# the scan runs from the top: scan points _SCAN_TOP on first (the top 33
-# linear points and the geometric ones, m ≥ 0.78·m_b), and the lower ones
-# only for the grid points with no sign change there.
-_SCAN_LINEAR = 160
-_SCAN_GEOMETRIC = 80
-_SCAN_TOP = 127
-
-
-def _brackets(det, g, m_b, axis):
-    """Primary-branch bracket (lo, hi) of each grid point from the scan of
-    ``det(m, g)``; both NaN where the scan finds no sign change.
-
-    Each part of the scan, the top one and then the rest for the points it
-    left open, keeps its last sign change; the top part's is the last of
-    the whole scan.  The debug line on multiple roots lists only the sign
-    changes of the part scanned, so roots below a top-part root go unlisted."""
-    lo = np.full(g.shape, np.nan)
-    hi = np.full(g.shape, np.nan)
-    approach = 1.0 - np.geomspace(2e-2, 1e-11, _SCAN_GEOMETRIC)
-    for part in (slice(_SCAN_TOP, None), slice(0, _SCAN_TOP + 1)):
-        rest = np.flatnonzero(np.isnan(lo))
-        for block in row_blocks(rest.size, _SCAN_LINEAR + _SCAN_GEOMETRIC):
-            rows = rest[block]
-            top = m_b[rows]
-            m = np.concatenate([np.linspace(1e-2, top * 0.98, _SCAN_LINEAR, axis=-1),
-                                top[:, None] * approach], axis=1)[:, part]
-            vals = det(m, g[rows, None])
-            change = vals[:, :-1] * vals[:, 1:] < 0.0
-            for r in np.flatnonzero(change.sum(axis=1) > 1):
-                log.debug("multiple dispersion roots at %s=%s: brackets %s", axis,
-                          g[rows[r]], [(m[r, i], m[r, i + 1])
-                                       for i in np.flatnonzero(change[r])])
-            found = np.flatnonzero(change.any(axis=1))
-            # The last sign change of a row is the fastest (primary) branch.
-            i = change.shape[1] - 1 - np.argmax(change[found, ::-1], axis=1)
-            lo[rows[found]] = m[found, i]
-            hi[rows[found]] = m[found, i + 1]
-    return lo, hi
-
-
+# A grid point where the polynomial over- or underflows is named by the
+# RootLossError below, not by numpy warnings.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def trace_curve(grid, eta: float, h0: float, axis: str = "omega"):
     """Trace m_R along an increasing grid of omega_norm (axis='omega') or
     k_norm (axis='k') as a list of DispersionPoint.
 
-    Each point takes the primary branch of its own scan (no continuation
-    hint), and one lockstep ``bracketed_root`` call refines every bracket to
-    1e-13.  A point whose scan has no sign change is a boundary root m_b
-    when |det| falls towards m_b (the eta = 0 degeneracy); otherwise
-    RootLossError is raised, with ``last_good`` the point before the first
-    lost one.  Jumps above 5% between neighbours are logged as warnings
-    after the solve.
+    Each point is the root q = alpha·beta of Q_k (k axis) or F (omega
+    axis) on its closed-form bracket [0, q_hi] (see the module docstring),
+    and one lockstep ``bracketed_root`` call solves every bracket to float
+    precision.  RootLossError names the first point whose bracket shows no
+    sign change or whose m_R is not a positive float (a grid so large or
+    small that the polynomial over- or underflows).  Jumps above 5%
+    between neighbours are logged as warnings after the solve.
     """
+    _check_eta(eta)
+    if not 0.0 <= h0 < math.inf:
+        raise DomainError(f"h0 must be nonnegative and finite, got {h0}")
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
+    if grid.ndim != 1 or grid.size == 0:
+        raise DomainError(f"grid must be a nonempty 1-D array, got shape {grid.shape}")
+    if not np.all(np.isfinite(grid)):
+        raise DomainError(f"grid must be finite, got {grid[~np.isfinite(grid)][0]}")
+    if np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise DomainError("grid must be strictly increasing and positive")
-    if axis not in ("omega", "k"):
-        raise DomainError(f"axis must be 'omega' or 'k', got {axis!r}")
 
     if axis == "k":
-        m_b = shear_phase_speed(grid, h0)
+        k2 = grid * grid
+        hk = 1.0 + h0 * h0 * k2
+        c1 = 2.0 + 2.0 * (1.0 + eta) * k2 + h0 * h0 * (1.0 + 2.0 * eta) * k2 * k2
+        c0 = -(eta * k2) ** 2 * hk
+        top = k2 * (2.0 + k2)  # q² at m = 0
+        q_hi = np.sqrt(top)
+
+        def f(q):
+            return ((h0 * h0 * q + hk) * q + c1) * q + c0
+
+        def speed(q):
+            return np.sqrt((top - q * q) / (2.0 * k2 * hk))
+    elif axis == "omega":
+        g = 1.0 - h0 * h0 * grid * grid
+        c = np.abs(g) - g + SQRT2 * grid
+        a, b = (3.0 - eta) * (1.0 + eta), eta * (g + eta * c)
+        q_hi = (b + np.sqrt(b * b + a * (eta * c) ** 2)) / a
+
+        def f(q):
+            k2 = _omega_k2(grid, h0, q)
+            return (eta * k2) ** 2 - 2.0 * (1.0 + eta) * q * k2 - q * q - 2.0 * g * q
+
+        def speed(q):
+            return grid / np.sqrt(_omega_k2(grid, h0, q))
     else:
-        m_b = _branch_boundary_omega(grid, h0)
+        raise DomainError(f"axis must be 'omega' or 'k', got {axis!r}")
 
-    def det(m, g):
-        return _scaled_det(m, eta, h0, **{f"{axis}_norm": g})
-
-    lo, hi = _brackets(det, grid, m_b, axis)
-    m_r = m_b.copy()
-    inner = np.flatnonzero(~np.isnan(lo))
-    if inner.size:
-        m_r[inner] = bracketed_root(lambda m: det(m, grid[inner]),
-                                    lo[inner], hi[inner], tol=1e-13)
-
-    # No interior sign change: a boundary root (det ∝ beta → 0 at m_b with no
-    # crossing) when |det| near m_b is small against |det| further in.
-    edge = np.flatnonzero(np.isnan(lo))
-    if edge.size:
-        d = np.abs(det(m_b[edge, None] * np.array([1.0 - 1e-4, 1.0 - 1e-8]),
-                       grid[edge, None]))
-        lost = edge[~((d[:, 1] <= 0.05 * d[:, 0]) | (d[:, 0] == 0.0))]
-        if lost.size:
-            i = lost[0]
-            raise RootLossError(
-                f"no dispersion root found (eta={eta}, h0={h0}, {axis}={grid[i]})",
-                last_good=_point(grid[i - 1], m_r[i - 1], axis) if i else None,
-            )
+    lo = np.zeros_like(grid)
+    f_lo, f_hi = f(lo), f(q_hi)
+    lost = ~(np.isfinite(f_lo) & np.isfinite(f_hi) & (f_lo * f_hi <= 0.0))
+    if not lost.any():
+        m_r = speed(bracketed_root(f, lo, q_hi, tol=0.0))
+        lost = ~((0.0 < m_r) & (m_r < math.inf))
+    if lost.any():
+        raise RootLossError(f"no dispersion root found (eta={eta}, h0={h0}, "
+                            f"{axis}={grid[np.argmax(lost)]})")
 
     jumps = np.flatnonzero(np.abs(np.diff(m_r)) > 0.05 * m_r[:-1])
     for i in jumps:
         log.warning("dispersion curve jump at %s=%g: %g -> %g",
                     axis, grid[i + 1], m_r[i], m_r[i + 1])
-    return [_point(g, m, axis) for g, m in zip(grid.tolist(), m_r.tolist())]
-
-
-def _point(g: float, m: float, axis: str) -> DispersionPoint:
-    g, m = float(g), float(m)
-    if axis == "k":
-        return DispersionPoint(omega_norm=m * g, k_norm=g, mR=m)
-    return DispersionPoint(omega_norm=g, k_norm=g / m, mR=m)
-
+    omega, k = (m_r * grid, grid) if axis == "k" else (grid, grid / m_r)
+    return [DispersionPoint(omega_norm=w, k_norm=kn, mR=m)
+            for w, kn, m in zip(omega.tolist(), k.tolist(), m_r.tolist())]

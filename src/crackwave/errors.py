@@ -26,15 +26,8 @@ class QuadratureError(CrackwaveError, RuntimeError):
 
 
 class RootLossError(CrackwaveError, RuntimeError):
-    """A dispersion scan found no root at a grid point: no sign change and
-    no boundary root.
-
-    ``last_good`` holds the point before the first lost one, if any.
-    """
-
-    def __init__(self, message, last_good=None):
-        super().__init__(message)
-        self.last_good = last_good
+    """A dispersion grid point has no root: its closed-form bracket shows no
+    sign change, or the root gives no finite positive speed."""
 
 
 class CrossCheckError(CrackwaveError, RuntimeError):

@@ -1,26 +1,33 @@
 """Surface-wave dispersion: determinant, branch tracing and oracles."""
 import logging
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crackwave import dispersion, numerics
+from crackwave import dispersion
 from crackwave.dispersion import _scaled_det, shear_phase_speed, trace_curve
 from crackwave.errors import DomainError, RootLossError
 from crackwave.material import critical_speed, lambda_surface
-from reference_dispersion import full_scan_brackets
+from crackwave.numerics import bracketed_root
+from reference_dispersion import full_scan_brackets, mp_root
 
 FIG_GRID = np.geomspace(0.05, 50.0, 120)  # fig1's and fig2's grid
 
 
-def _scan_setup(eta, h0, axis, grid):
-    """The determinant and branch boundary that ``trace_curve`` scans."""
+def _branch_boundary(grid, h0, axis):
     if axis == "k":
-        m_b = shear_phase_speed(grid, h0)
-    else:
-        m_b = dispersion._branch_boundary_omega(grid, h0)
+        return shear_phase_speed(grid, h0)
+    return grid / np.sqrt(dispersion._omega_k2(grid, h0, 0.0))
+
+
+def _scan_setup(eta, h0, axis, grid):
+    """The determinant and branch boundary of the full scan."""
+    m_b = _branch_boundary(grid, h0, axis)
 
     def det(m, g):
         return _scaled_det(m, eta, h0, **{f"{axis}_norm": g})
@@ -42,8 +49,8 @@ class TestShearPhaseSpeed:
 
 
 class TestDeterminant:
-    """The boundary-system determinant scaled by (1 + k)^5, which the branch
-    scan and the root solve of ``trace_curve`` evaluate."""
+    """The boundary-system determinant scaled by (1 + k)^5, which ``validate``
+    checks ``trace_curve``'s roots against."""
 
     def test_zero_on_shear_branch_at_eta0(self):
         for k in (0.3, 1.0, 4.0):
@@ -86,10 +93,11 @@ class TestDeterminant:
 class TestBranchBoundary:
     @pytest.mark.parametrize("h0", [0.0, 0.8, 1.044106202793004])
     def test_boundary_against_extended_precision(self, h0):
-        # b = 1 − h0²omega² runs from 1 to −1.1e6 on this grid; the root
-        # (b + sqrt(b² + 2omega²))/2 of m² cancels where b < 0.
+        # m_B = omega/sqrt(K(0)), K(0) = sqrt(g² + 2omega²) − g; g = 1 −
+        # h0²omega² runs from 1 to −1.1e6 on this grid, and K cancels where
+        # g > 0 unless formed as 2omega²/(sqrt(…) + g).
         omega = np.geomspace(0.05, 1e3, 40)
-        m_b = dispersion._branch_boundary_omega(omega, h0)
+        m_b = _branch_boundary(omega, h0, "omega")
         with mpmath.workdps(40):
             for w, m in zip(omega, m_b):
                 b = 1 - mpmath.mpf(h0) ** 2 * mpmath.mpf(w) ** 2
@@ -97,8 +105,7 @@ class TestBranchBoundary:
                 assert abs(m / ref - 1) < 4e-16, w
 
     def test_high_frequency_point_above_h0_star(self):
-        # The cancelling form put m_b 7.1e-11 above the boundary here, so
-        # the top scan point had beta² < 0 and the trace raised DomainError.
+        # h0 > h0*(eta) and h0·omega > 1 (g < 0).
         (pt,) = trace_curve([1e3], 0.3547794353823026, 1.044106202793004, "omega")
         assert pt.mR == pytest.approx(0.6755508952, rel=1e-9)
 
@@ -130,82 +137,62 @@ class TestTraceCurve:
             pt = trace_curve(np.array([1e3]), eta, h0, axis="omega")[0]
             assert abs(pt.mR - critical_speed(eta, h0)) < 1e-3
 
-    def test_scan_blocks_join(self):
-        # A grid longer than one scan block gives the points of its pieces,
-        # bit for bit.
-        cols = dispersion._SCAN_LINEAR + dispersion._SCAN_GEOMETRIC
-        block = numerics.row_blocks(10**6, cols)[0].stop
-        grid = np.geomspace(0.05, 50.0, 2 * block + 7)
-        whole = [p.mR for p in trace_curve(grid, 0.9, 0.8, axis="k")]
-        cut = block + 3
-        parts = [p.mR for g in (grid[:cut], grid[cut:])
-                 for p in trace_curve(g, 0.9, 0.8, axis="k")]
-        assert whole == parts
-
     @pytest.mark.parametrize("axis", ["omega", "k"])
     @pytest.mark.parametrize("eta,h0", [
-        (0.9, 0.8),     # every bracket in the top part
-        (-0.9, 0.707),  # about half the rows scan the lower part too
+        (0.9, 0.8),     # fig1's and fig2's material
+        (-0.9, 0.707),  # a root far below m_B at some points
         (0.9, 0.0),     # roots above m = 1
         (0.0, 0.707),   # no sign change: boundary roots
     ])
     def test_top_down_scan_matches_full_scan(self, eta, h0, axis):
-        cols = dispersion._SCAN_LINEAR + dispersion._SCAN_GEOMETRIC
-        block = numerics.row_blocks(10**6, cols)[0].stop
-        for grid in (FIG_GRID, np.geomspace(0.01, 100.0, 2 * block + 7)):
+        # The closed-form root against the primary branch of the full
+        # determinant scan (its last sign change, the first met scanning
+        # down from m_B), refined there, or m_B where the scan finds no sign
+        # change.
+        for grid in (FIG_GRID, np.geomspace(0.01, 100.0, 71)):
             det, m_b = _scan_setup(eta, h0, axis, grid)
-            ref = full_scan_brackets(det, grid, m_b)
-            new = dispersion._brackets(det, grid, m_b, axis)
-            for a, b in zip(ref, new):
-                assert np.array_equal(a, b, equal_nan=True)
+            lo, hi = full_scan_brackets(det, grid, m_b)
+            ref = m_b.copy()
+            inner = ~np.isnan(lo)
+            if inner.any():
+                ref[inner] = bracketed_root(lambda m: det(m, grid[inner]),
+                                            lo[inner], hi[inner], tol=1e-15)
+            got = np.array([p.mR for p in trace_curve(grid, eta, h0, axis)])
+            np.testing.assert_allclose(got, ref, rtol=1e-11, atol=0.0)
 
-    @pytest.mark.parametrize("eta,h0", [(0.9, 0.8), (-0.9, 0.707)])
-    def test_lower_scan_only_where_the_top_has_no_root(self, monkeypatch,
-                                                       eta, h0):
-        # Every grid point scans the top part, the last 113 of 240 scan
-        # points; only the points with no sign change there scan the lower
-        # 128.  All of fig1's brackets lie in the top part (the whole scan
-        # took 120 × 240 = 28 800 points); at eta = −0.9 about half do not.
-        real = dispersion._scaled_det
-        points = []
+    @pytest.mark.parametrize("axis", ["omega", "k"])
+    @pytest.mark.parametrize("eta,h0", [
+        (0.0, 0.707),   # boundary roots, m_R = m_B
+        (0.9, 0.0),     # h0 = 0: roots above m = 1
+        (0.5, 1.3),     # h0 > 1
+        (0.9, 0.8),
+        (0.99, 0.8),
+        (-0.99, 0.707),
+    ])
+    def test_root_against_extended_precision(self, eta, h0, axis):
+        # The reference is the root of the 50-digit determinant itself, not
+        # of the polynomial that trace_curve solves; 1e3 is the omega of the
+        # high-frequency limit.
+        grid = np.array([0.05, 1.0, 20.0, 1e3])
+        for p, g in zip(trace_curve(grid, eta, h0, axis), grid):
+            ref = mp_root(p.mR, eta, h0, axis, g)
+            assert abs(p.mR / ref - 1) <= 1e-13, (g, p.mR, ref)
 
-        def det(m, *args, **kwargs):
-            if np.ndim(m) == 2:  # a scan block, not a root-solve step
-                points.append(np.size(m))
-            return real(m, *args, **kwargs)
-
-        monkeypatch.setattr(dispersion, "_scaled_det", det)
-        trace_curve(FIG_GRID, eta, h0, axis="omega")
-        lower, rest = divmod(sum(points) - FIG_GRID.size * 113, 128)
-        assert rest == 0
-        if eta > 0:
-            assert lower == 0
-        else:
-            assert 0 < lower < FIG_GRID.size
-
-    @pytest.mark.parametrize("first_lost", [0, 6])
-    def test_root_loss_keeps_last_good(self, monkeypatch, first_lost):
-        # From grid point first_lost on, a determinant that never changes
-        # sign and does not fall towards m_b: those roots are lost.
-        grid = np.geomspace(0.5, 5.0, 10)
-        real = dispersion._scaled_det
-
-        def det(m, eta, h0, *, k_norm=None, omega_norm=None):
-            d = real(m, eta, h0, k_norm=k_norm, omega_norm=omega_norm)
-            lost = np.broadcast_to(k_norm, np.shape(d)) >= grid[first_lost]
-            return np.where(lost, 1.0 + np.abs(d), d)
-
-        monkeypatch.setattr(dispersion, "_scaled_det", det)
-        with pytest.raises(RootLossError) as info:
-            trace_curve(grid, 0.9, 0.8, axis="k")
-        monkeypatch.undo()
-        if first_lost == 0:
-            assert info.value.last_good is None
-        else:
-            ref = trace_curve(grid, 0.9, 0.8, axis="k")[first_lost - 1]
-            good = info.value.last_good
-            assert good.k_norm == ref.k_norm == grid[first_lost - 1]
-            assert good.mR == pytest.approx(ref.mR, rel=1e-12)
+    @given(eta=st.floats(-0.99, 0.99), h0=st.floats(0.0, 1.5),
+           axis=st.sampled_from(["omega", "k"]),
+           grid=st.lists(st.floats(1e-2, 1e3), min_size=1, max_size=6,
+                         unique=True).map(sorted))
+    @settings(max_examples=60, deadline=None)
+    def test_root_on_the_branch(self, eta, h0, axis, grid):
+        # 0 < m_R ≤ m_B (up to rounding: at eta = 0 the two coincide), and
+        # omega = m_R·k.
+        grid = np.array(grid)
+        pts = trace_curve(grid, eta, h0, axis)
+        m_r = np.array([p.mR for p in pts])
+        assert np.all(m_r > 0.0)
+        assert np.all(m_r <= _branch_boundary(grid, h0, axis) * (1.0 + 1e-15))
+        for p in pts:
+            assert p.omega_norm == pytest.approx(p.mR * p.k_norm, rel=1e-15)
 
     def test_jump_warning(self, caplog):
         # h0 = 0: the supersonic branch climbs by more than 5% per step.
@@ -229,3 +216,30 @@ class TestTraceCurve:
             trace_curve(np.array([1.0, 0.5]), 0.0, 0.0)
         with pytest.raises(DomainError):
             trace_curve(np.array([1.0, 2.0]), 0.0, 0.0, axis="frequency")
+
+    @pytest.mark.parametrize("grid,eta,h0,message", [
+        ([1.0, 2.0], 1.5, 0.8, "eta must lie in (-1, 1), got 1.5"),
+        ([1.0, 2.0], -1.0, 0.8, "eta must lie in (-1, 1), got -1.0"),
+        ([1.0, 2.0], math.nan, 0.8, "eta must lie in (-1, 1), got nan"),
+        ([1.0, 2.0], 0.9, -0.5, "h0 must be nonnegative and finite, got -0.5"),
+        ([1.0, 2.0], 0.9, math.nan, "h0 must be nonnegative and finite, got nan"),
+        ([1.0, math.inf], 0.9, 0.8, "grid must be finite, got inf"),
+        ([1.0, math.nan], 0.9, 0.8, "grid must be finite, got nan"),
+    ], ids=["eta-above", "eta-minus-one", "eta-nan", "h0-negative", "h0-nan",
+            "grid-inf", "grid-nan"])
+    @pytest.mark.parametrize("axis", ["omega", "k"])
+    def test_bad_material_or_grid_is_named(self, grid, eta, h0, message, axis):
+        with pytest.raises(DomainError) as info:
+            trace_curve(grid, eta, h0, axis)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("axis,value", [
+        ("k", 1e100),      # the cubic overflows: no sign change
+        ("omega", 1e-170),  # 2omega² underflows: K(0) = 0, m_R infinite
+    ])
+    def test_lost_root_is_named(self, axis, value):
+        with warnings.catch_warnings(), pytest.raises(RootLossError) as info:
+            warnings.simplefilter("error")  # and no numpy RuntimeWarning
+            trace_curve(sorted([0.5, value]), 0.9, 0.8, axis)
+        assert str(info.value) == (f"no dispersion root found (eta=0.9, h0=0.8, "
+                                   f"{axis}={value})")
