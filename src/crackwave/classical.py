@@ -54,7 +54,7 @@ def classical_err(profile: LoadProfile, m: float, G: float) -> float:
     if not 0.0 <= m < 1.0:
         raise RegimeError(f"classical energy release rate needs m < 1, got {m}")
     kp = kp_coefficient(profile.p)
-    return profile.T0**2 * kp * kp / (G * profile.L * math.sqrt(1.0 - m * m))
+    return profile.T0**2 * kp * kp / (G * profile.L * math.sqrt((1.0 - m) * (1.0 + m)))
 
 
 def half_power_moment_quadrature(tau) -> float:

@@ -368,6 +368,18 @@ def _validate_checks():
     checks.append(("balance_T0", 1.0, fields.balance_integral(split), 1e-5))
     split_30 = build_split(kernel, material, LoadProfile(T0=1.0, L=30.0, p=3))
     checks.append(("balance_T0_L30_p3", 1.0, fields.balance_integral(split_30), 1e-5))
+    # The fields near the tip against their closed-form singular terms,
+    # t23 ~ C_t·x^{−3/2} ahead and w ~ C_w·x^{3/2} behind, at x = 1e-5·ℓ on
+    # either side of C_t's sign change at m = 0.316 (eta = −0.9, h0 = 0.707).
+    # The inverted fields approach them with an error proportional to x.
+    tip_material = replace(material, eta=-0.9)
+    x = 1e-5
+    for m in (0.2, 0.433):
+        tip_split = solve_crack(tip_material, m, LoadProfile(T0=1.0, L=1.0, p=1))
+        near = fields.neartip_coefficients(tip_split)
+        fl = fields.crack_line_fields(x, tip_split)
+        checks.append((f"neartip_t23_m{m}", 1.0, fl["t23"] / (near.C_t * x**-1.5), 1e-3))
+        checks.append((f"neartip_w_m{m}", 1.0, fl["w"] / (near.C_w * x**1.5), 2e-4))
     res = err_result(split)
     checks.append(("err_positive", 1.0, 1.0 if res.E > 0 else 0.0, 0.5))
     # The vanishing-microstructure limit by quadrature of the loading

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RootLossError
-from .kernel import wave_exponents
 from .material import SQRT2, _check_eta
 from .numerics import bracketed_root
 
@@ -84,6 +83,22 @@ def _omega_k2(omega_norm, h0: float, q):
     return np.where(g > 0.0, (2.0 * w2 + q * q) / (r + g), r - g)
 
 
+def _wave_exponents(xi, m, h0: float):
+    """Decay-exponent pieces (chi, alpha, beta²) at real xi and speed m
+    (vectorized over both): with base = 1 + (1 − h0²m²)·xi², alpha² =
+    base + chi and beta² = base − chi, formed without cancellation as
+    (2(1 − m)(1 + m) + xi²(1 − 2h0²m²))·xi²/(base + chi), so that
+    beta ≈ sqrt(1 − m²)·|xi| keeps its relative accuracy as xi → 0 and as
+    m → 1.  beta² is negative off the decaying-mode branch."""
+    x2 = xi * xi
+    hm2 = (h0 * m) ** 2
+    chi = np.sqrt(1.0 + 2.0 * (1.0 - h0 * h0) * (m * m) * x2 + (h0 * m) ** 4 * x2 * x2)
+    base = 1.0 + (1.0 - hm2) * x2
+    alpha = np.sqrt(base + chi)
+    beta2 = (2.0 * (1.0 - m) * (1.0 + m) + x2 * (1.0 - 2.0 * hm2)) * x2 / (base + chi)
+    return chi, alpha, beta2
+
+
 def _scaled_det(m, eta: float, h0: float, *, k_norm=None, omega_norm=None):
     """Determinant of the traction-free boundary system at (m_R, k) scaled
     by (1 + k)^5, in real arithmetic, vectorized over m.
@@ -94,7 +109,7 @@ def _scaled_det(m, eta: float, h0: float, *, k_norm=None, omega_norm=None):
     """
     k = omega_norm / m if k_norm is None else k_norm
     k2 = k * k
-    _, alpha, b2 = wave_exponents(k, m, h0)
+    _, alpha, b2 = _wave_exponents(k, m, h0)
     off = b2 < -1e-10 * (alpha * alpha)
     if np.any(off):
         i = np.flatnonzero(off)[0]

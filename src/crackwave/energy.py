@@ -54,7 +54,7 @@ def err_smalllength_limit(tau, m: float, G: float) -> float:
     if m >= 1.0:
         raise RegimeError(f"limit energy release rate needs m < 1, got {m}")
     moment = half_power_moment_quadrature(tau)
-    return moment * moment / (math.pi * G * math.sqrt(1.0 - m * m))
+    return moment * moment / (math.pi * G * math.sqrt((1.0 - m) * (1.0 + m)))
 
 
 def err_result(split: SplitData) -> ErrResult:

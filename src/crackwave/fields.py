@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RealnessError
-from .kernel import sqrt_plus, wave_exponents
+from .kernel import KernelParams, sqrt_plus
 from .loading import SplitData, g_minus
 from .numerics import (fit_power_tail, oscillatory_halfline, panel_nodes,
                        upper_gamma_ladder)
@@ -103,16 +103,28 @@ _STRESS_KINDS = (FieldKind.SIGMA_SHEAR, FieldKind.TAU_SHEAR,
                  FieldKind.COUPLE_STRESS, FieldKind.TOTAL_SHEAR)
 
 
+def _stress_multipliers(params: KernelParams, xi):
+    """(r_sigma, r_tau), which take the opening's q to the integrands of
+    sigma23 and tau23 at signed real xi, in ``KernelParams.root_sums``."""
+    eta, u2 = params.eta, params.u * params.u
+    r, a, s = params.root_sums(xi)
+    xi2 = xi * xi
+    ab = np.abs(xi) * r  # alpha·beta
+    r_tau = ab * ab + (a + ab) * eta * xi2 - u2 * xi2 * (eta * xi2 - ab)
+    return (ab - eta * xi2) / s, r_tau / s
+
+
 def _integrands(split: SplitData, kinds, xi):
     """Signed-argument integrands of the inversion integrals of ``kinds``,
     stacked: shape (len(kinds),) + xi.shape.
 
     Evaluated through the explicit branch functions so that they are valid
     on both half-lines (the folded evaluation only uses xi > 0).  The
-    opening and the stresses share the factor q, and the stresses the wave
-    exponents α, β; each is computed once for all ``kinds``.  The traction
-    integrand here is only the half-integer-ladder part; its rational piece
-    (1+i·xi·L/ℓ)^{−1−p} is transformed in closed form by the caller.
+    opening and the stresses share the factor q, and the stresses its
+    multipliers r_sigma, r_tau; each is computed once for all ``kinds``.
+    The traction integrand here is only the half-integer-ladder part; its
+    rational piece (1+i·xi·L/ℓ)^{−1−p} is transformed in closed form by the
+    caller.
     """
     xi = np.asarray(xi, dtype=float)
     gm = g_minus(xi / split.ell, split)
@@ -125,20 +137,10 @@ def _integrands(split: SplitData, kinds, xi):
         q = (gm - split.F) / kernel.symbol_minus_line(xi)
         rows[FieldKind.OPENING] = q
     if stresses:
-        m, eta, h0 = kernel.params.m, kernel.params.eta, kernel.params.h0
-        _, alpha, beta2 = wave_exponents(xi, m, h0)
-        beta = np.sqrt(beta2)
-        xi2 = xi * xi
-        num, den = alpha * beta - eta * xi2, alpha + beta
-        r_sigma = num / den
-        r_tau = (
-            alpha**2 * beta2
-            + (alpha**2 + beta2 + alpha * beta) * eta * xi2
-            - (1.0 - 2.0 * (h0 * m) ** 2) * xi2 * (eta * xi2 - alpha * beta)
-        ) / den
+        r_sigma, r_tau = _stress_multipliers(kernel.params, xi)
         rows[FieldKind.SIGMA_SHEAR] = r_sigma * q
         rows[FieldKind.TAU_SHEAR] = r_tau * q
-        rows[FieldKind.COUPLE_STRESS] = xi * num / den * q
+        rows[FieldKind.COUPLE_STRESS] = xi * r_sigma * q
         rows[FieldKind.TOTAL_SHEAR] = (2.0 * r_sigma + r_tau) * q
     return np.array([rows[k] for k in kinds])
 

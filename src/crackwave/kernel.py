@@ -3,12 +3,12 @@ factorization into half-plane-analytic factors.
 
 The symbol is normalized so that on the real axis
 
-    k(xi) = [alpha·beta·(alpha² + beta² + 2·eta·xi²) + alpha²beta² − eta²xi⁴]
-            / ( |xi| · Psi(xi) · (alpha + beta) ),
+    k(xi) = [r·(a + 2·eta·xi²) + |xi|·(r² − eta²xi²)] / ( Psi(xi) · s )
 
-which is even, real, positive in the sub-Rayleigh regime, and tends to 1 at
-both xi = 0 and |xi| → ∞.  A zero-index Cauchy-integral factorization then
-applies:
+in the decay-exponent sums r, a, s of ``KernelParams.root_sums``.  It is
+even, real, positive in the sub-Rayleigh regime, and tends to 1 at both
+xi = 0 (exactly, with no special case) and |xi| → ∞.  A zero-index
+Cauchy-integral factorization then applies:
 
     k±(z) = exp( −(1/2πi) ∫_R log k(t)/(t − z) dt ),   Im z ≷ 0,
 
@@ -44,14 +44,13 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
 from .errors import DomainError, RegimeError
-from .material import _u_radical
+from .material import SQRT2, _u_radical
 from .material import upsilon as _upsilon
 from .numerics import panel_nodes, row_blocks
 
 __all__ = [
     "sqrt_plus",
     "sqrt_minus",
-    "wave_exponents",
     "KernelParams",
     "CauchyFactorization",
     "FactorizedKernel",
@@ -80,34 +79,12 @@ def sqrt_minus(z):
     return out if out.ndim else complex(out)
 
 
-def wave_exponents(xi, m, h0: float):
-    """Decay-exponent pieces (chi, alpha, beta²) at real transform variable
-    xi for normalized speed m (vectorized over both).
-
-    With base = 1 + (1 − h0²m²)·xi², alpha² = base + chi and
-
-        beta² = base − chi = (2(1 − m²) + xi²(1 − 2h0²m²))·xi² / (base + chi),
-
-    formed in that cancellation-free form so that beta ≈ sqrt(1 − m²)·|xi|
-    keeps full relative accuracy as xi → 0.  beta² is returned rather than
-    beta because it is negative off the decaying-mode branch, where
-    2(1 − m²) + xi²(1 − 2h0²m²) < 0 (the unclipped 1 − 2h0²m² may itself be
-    negative there); on the branch beta = sqrt(beta²) ≥ 0.
-    """
-    x2 = xi * xi
-    hm2 = (h0 * m) ** 2
-    chi = np.sqrt(1.0 + 2.0 * (1.0 - h0 * h0) * (m * m) * x2 + (h0 * m) ** 4 * x2 * x2)
-    base = 1.0 + (1.0 - hm2) * x2
-    alpha = np.sqrt(base + chi)
-    beta2 = (2.0 * (1.0 - m * m) + x2 * (1.0 - 2.0 * hm2)) * x2 / (base + chi)
-    return chi, alpha, beta2
-
-
 @dataclass(frozen=True)
 class KernelParams:
     """Sub-Rayleigh parameter point (m, eta, h0) of the crack symbol, and
     the one home of its scalar quantities: Upsilon, nu = sqrt(1 − m²), the
-    radical u = sqrt(1 − 2h0²m²), the pole zeta, Psi and c2 (log k ~ c2/xi²)."""
+    radical u = sqrt(1 − 2h0²m²), the pole zeta, Psi, c2 (log k ~ c2/xi²),
+    and the decay-exponent sums of the symbol and the stress multipliers."""
 
     m: float
     eta: float
@@ -138,7 +115,7 @@ class KernelParams:
 
     @cached_property
     def nu(self) -> float:
-        return math.sqrt(1.0 - self.m * self.m)
+        return math.sqrt((1.0 - self.m) * (1.0 + self.m))
 
     @cached_property
     def u(self) -> float:
@@ -153,6 +130,16 @@ class KernelParams:
     def psi(self, xi):
         """Psi(xi) = Upsilon·xi² + 2·nu, for real or complex xi."""
         return self.upsilon * (xi * xi) + 2.0 * self.nu
+
+    def root_sums(self, xi):
+        """(r, a, s) of the decay exponents alpha, beta at real xi: r =
+        sqrt(2·nu² + u²·xi²) = alpha·beta/|xi|, a = alpha² + beta² =
+        2 + (1 + u²)·xi² and s = alpha + beta = sqrt(a + 2|xi|·r), sums of
+        nonnegative terms.  r is a hypot, so r(0) = sqrt(2)·nu and k(0) = 1."""
+        u = self.u
+        r = np.hypot(SQRT2 * self.nu, u * xi)
+        a = 2.0 + (1.0 + u * u) * (xi * xi)
+        return r, a, np.sqrt(a + 2.0 * np.abs(xi) * r)
 
     @cached_property
     def c2(self) -> float:
@@ -451,19 +438,13 @@ class FactorizedKernel(CauchyFactorization):
         super().__init__(self._symbol_line, xi_hi=xi_hi, c2=params.c2)
 
     def _symbol_line(self, t):
-        """Normalized symbol on the real axis (vectorized, t ≥ 0)."""
+        """Normalized symbol on the real axis (vectorized, t ≥ 0), in the
+        closed form of the module docstring."""
         p = self.params
         t = np.asarray(t, dtype=float)
         t2 = t * t
-        # beta² ≥ 0 on the whole axis in the sub-Rayleigh regime.
-        _, alpha, b2 = wave_exponents(t, p.m, p.h0)
-        beta = np.sqrt(b2)
-        num = alpha * beta * (alpha * alpha + b2 + 2.0 * p.eta * t2)
-        num = num + alpha * alpha * b2 - p.eta**2 * t2 * t2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = num / (t * p.psi(t) * (alpha + beta))
-        k = np.where(t < 1e-140, 1.0, k)
-        return k
+        r, a, s = p.root_sums(t)
+        return (r * (a + 2.0 * p.eta * t2) + t * (r * r - p.eta**2 * t2)) / (p.psi(t) * s)
 
     def symbol_minus_line(self, xi):
         """xi₋^{1/2}·Psi(xi)·k⁻(xi) on the real axis: the factor of the

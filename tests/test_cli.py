@@ -245,6 +245,18 @@ def test_validate_checks_the_balance():
         assert abs(computed - target) <= tol
 
 
+
+def test_validate_checks_the_fields_near_the_tip():
+    # One point on each side of C_t's sign change at m = 0.316.
+    checks = {check_id: (target, computed, tol)
+              for check_id, target, computed, tol in cli._validate_checks()}
+    for field, tol in (("t23", 1e-3), ("w", 2e-4)):
+        for m in (0.2, 0.433):
+            target, computed, got_tol = checks[f"neartip_{field}_m{m}"]
+            assert (target, got_tol) == (1.0, tol)
+            assert abs(computed - target) <= tol
+
+
 class TestRootSolves:
     """One lockstep bracketed_root call per dispersion curve and per
     regime-map curve, and one critical speed per m_of_limit sweep."""

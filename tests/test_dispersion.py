@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crackwave import dispersion
-from crackwave.dispersion import _scaled_det, shear_phase_speed, trace_curve
+from crackwave.dispersion import (_scaled_det, _wave_exponents, shear_phase_speed,
+                                  trace_curve)
 from crackwave.errors import DomainError, RootLossError
 from crackwave.material import critical_speed, lambda_surface
 from crackwave.numerics import bracketed_root
@@ -46,6 +47,30 @@ class TestShearPhaseSpeed:
 
     def test_hand_value(self):
         assert shear_phase_speed(1.0, 0.0) == pytest.approx(math.sqrt(1.5))
+
+
+class TestWaveExponents:
+    """The decay exponents (chi, alpha, beta²) of the determinant route."""
+
+    def test_origin(self):
+        chi, alpha, beta2 = _wave_exponents(0.0, 0.3, 0.707)
+        assert chi == pytest.approx(1.0)
+        assert alpha == pytest.approx(math.sqrt(2.0))
+        assert beta2 == pytest.approx(0.0)
+
+    def test_static_collapse(self):
+        xi = np.array([0.5, 3.0, 40.0])
+        chi, alpha, beta2 = _wave_exponents(xi, 0.0, 0.3)
+        assert chi == pytest.approx(1.0)
+        assert alpha == pytest.approx(np.sqrt(2.0 + xi * xi))
+        assert np.sqrt(beta2) == pytest.approx(np.abs(xi))
+
+    def test_small_xi_beta_keeps_relative_accuracy(self):
+        # beta ~ sqrt(1 - m²)·xi as xi -> 0; base - chi would cancel to 0.
+        m = 0.3
+        _, _, beta2 = _wave_exponents(1e-9, m, 0.707)
+        assert math.sqrt(beta2) / (math.sqrt(1.0 - m * m) * 1e-9) \
+            == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDeterminant:

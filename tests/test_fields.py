@@ -11,6 +11,7 @@ import pytest
 
 from crackwave import cli, fields, numerics
 from crackwave.errors import DomainError
+from crackwave.kernel import KernelParams
 from crackwave.fields import (FieldKind, _field_values, balance_integral,
                               crack_line_fields, crack_line_window,
                               crack_opening, field_profile, max_total_shear,
@@ -94,6 +95,33 @@ class TestNearTipAsymptotics:
         p3 = np.array([traction_ahead(x, split) for x in Xs])
         slope = np.polyfit(np.log(Xs), np.log(np.abs(p3)), 1)[0]
         assert slope == pytest.approx(-1.5, abs=0.02)
+
+
+def _mp_stress_multipliers(m, eta, h0, xi):
+    """(r_sigma, r_tau) at the float point (m, eta, h0) and xi from the
+    decay exponents alpha, beta, in 50 digits."""
+    with mpmath.workdps(50):
+        m, eta, h0, xi = (mpmath.mpf(float(v)) for v in (m, eta, h0, xi))
+        x2, hm2 = xi * xi, (h0 * m) ** 2
+        chi = mpmath.sqrt(1 + 2 * (1 - h0 * h0) * m * m * x2 + hm2 * hm2 * x2 * x2)
+        alpha = mpmath.sqrt(1 + (1 - hm2) * x2 + chi)
+        beta = mpmath.sqrt(1 + (1 - hm2) * x2 - chi)
+        ab, den = alpha * beta, alpha + beta
+        r_tau = (ab * ab + (alpha**2 + beta**2 + ab) * eta * x2
+                 - (1 - 2 * hm2) * x2 * (eta * x2 - ab)) / den
+        return float((ab - eta * x2) / den), float(r_tau)
+
+
+@pytest.mark.parametrize("m,eta,h0", [
+    (0.3, 0.9, 0.707), (0.3, -0.9, 0.707), (1.0 - 1e-10, 0.9, 0.01)])
+def test_stress_multipliers_match_50_digits(m, eta, h0):
+    # The multipliers in the sums (r, a, s) of the symbol against the
+    # alpha/beta form on both half-lines.
+    xi = np.geomspace(1e-8, 1e6, 60)
+    xi = np.concatenate([-xi, xi])
+    got = np.array(fields._stress_multipliers(KernelParams(m=m, eta=eta, h0=h0), xi))
+    ref = np.array([_mp_stress_multipliers(m, eta, h0, x) for x in xi]).T
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
 
 
 class TestBalance:

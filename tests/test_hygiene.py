@@ -137,8 +137,6 @@ UNCALLED_PUBLIC = {
     "fields.py: field_profile": "a wrap point of the benchmark tracer",
     "fields.py: traction_ahead": "a wrap point of the benchmark tracer",
     "fields.py: stresses_on_line": "a wrap point of the benchmark tracer",
-    "fields.py: neartip_coefficients": "a wrap point of the benchmark tracer, "
-                                       "and the fields' closed-form near-tip route",
     # The loading's transform, which the transform tests compare against.
     "loading.py: traction_transform": "the loading's transform",
 }

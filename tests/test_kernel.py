@@ -11,12 +11,12 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crackwave.errors import DomainError, RegimeError
 from crackwave.kernel import (CauchyFactorization, KernelParams, factorize,
-                              sqrt_minus, sqrt_plus, wave_exponents)
+                              sqrt_minus, sqrt_plus)
 from crackwave.material import critical_speed
 from crackwave.numerics import CONTOUR_NODES, row_blocks
 
@@ -160,34 +160,56 @@ class TestLargeXiCoefficients:
         assert p.c2 == pytest.approx(_limit_at_infinity(t2_log_k), rel=1e-8)
 
 
+class TestClosedForm:
+    """The symbol in the sums (r, a, s) of the decay exponents
+    (``KernelParams.root_sums``), against the alpha/beta form of
+    ``_mp_symbol_parts`` in 50 digits."""
+
+    @pytest.mark.parametrize("m,eta,h0", [
+        (0.3, 0.9, 0.707), (0.3, -0.9, 0.707), (0.6, 0.0, 0.707),
+        (1.0 - 1e-10, 0.9, 0.01), (1.0 - 1e-13, 0.9, 0.01)])
+    def test_symbol_matches_50_digits(self, kernel_factory, m, eta, h0):
+        # fig5's point, fig4's, a point with eta = 0 and fig9's material
+        # near m = 1.  There 1 − m² formed as written lost 2.5e-11 of nu,
+        # and of the symbol, at m = 1 − 1e-10.
+        t = np.geomspace(1e-12, 1e7, 96)
+        with mpmath.workdps(50):
+            nu = mpmath.sqrt(1 - mpmath.mpf(m) ** 2)
+            ref = []
+            for x in map(mpmath.mpf, t.tolist()):
+                a, ups = _mp_symbol_parts(m, eta, h0, x)
+                ref.append(float(a / (ups * x * x + 2 * nu)))
+        k = kernel_factory(m, eta, h0).k_real(t)
+        assert np.max(np.abs(k / np.array(ref) - 1.0)) <= 1e-14
+
+    @given(eta=st.floats(-0.95, 0.95), h0=st.floats(0.0, 1.2),
+           frac=st.one_of(st.floats(0.0, 0.999), st.just(1.0 - 1e-12)))
+    @settings(max_examples=60, deadline=None)
+    @example(eta=0.9, h0=0.01, frac=1.0 - 1e-12)  # m_c = 1
+    @example(eta=-0.9, h0=0.707, frac=1.0 - 1e-12)  # m_c < 1
+    def test_symbol_is_one_at_the_origin_and_positive(self, eta, h0, frac):
+        # Sub-Rayleigh points up to 1e-12 below m_c, which is 1 for
+        # h0 < h0*(eta).  No guard at t = 0: k(0) = 1 exactly, and no
+        # division by zero, overflow or invalid value on [0, 1e12].
+        m = frac * critical_speed(eta, h0)
+        k = factorize(KernelParams(m=m, eta=eta, h0=h0))
+        t = np.concatenate([[0.0, 5e-324], np.geomspace(1e-300, 1e12, 400)])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            vals = k.k_real(t)
+        assert vals[0] == 1.0
+        assert np.all(np.isfinite(vals) & (vals > 0.0))
+
+
 class TestKernelEval:
     def test_origin(self, kernel_factory):
-        chi, alpha, beta2 = wave_exponents(0.0, 0.3, 0.707)
-        assert chi == pytest.approx(1.0)
-        assert alpha == pytest.approx(math.sqrt(2.0))
-        assert beta2 == pytest.approx(0.0)
         psi = kernel_factory(0.3, 0.9, 0.707).params.psi(0.0)
         assert psi == pytest.approx(2.0 * math.sqrt(1.0 - 0.09))
         assert kernel_factory(0.3, 0.9, 0.707).k_real(0.0) == pytest.approx(1.0)
-
-    def test_static_collapse(self):
-        xi = np.array([0.5, 3.0, 40.0])
-        chi, alpha, beta2 = wave_exponents(xi, 0.0, 0.3)
-        assert chi == pytest.approx(1.0)
-        assert alpha == pytest.approx(np.sqrt(2.0 + xi * xi))
-        assert np.sqrt(beta2) == pytest.approx(np.abs(xi))
 
     def test_large_xi_near_unity(self, kernel_factory):
         k = kernel_factory(0.3, 0.9, 0.707)
         assert abs(k.k_real(1e3) - 1.0) <= 1e-2
         assert abs(k.k_real(-1e3) - 1.0) <= 1e-2
-
-    def test_small_xi_beta_keeps_relative_accuracy(self):
-        # beta ~ sqrt(1 - m²)·xi as xi -> 0; base - chi would cancel to 0.
-        m = 0.3
-        _, _, beta2 = wave_exponents(1e-9, m, 0.707)
-        assert math.sqrt(beta2) / (math.sqrt(1.0 - m * m) * 1e-9) \
-            == pytest.approx(1.0, abs=1e-12)
 
     def test_psi_zero_matches_zeta(self, kernel_factory):
         params = kernel_factory(0.3, 0.9, 0.707).params
