@@ -169,24 +169,36 @@ def _check_out(out: Path):
         raise OSError(f"{existing} is not a writable directory (--out {out})")
 
 
+def _fmt(v):
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))  # shortest round-trip decimal
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return v
+
+
+def _format_column(values):
+    """``_fmt`` of every value of a column: once for a column that holds
+    one object throughout (identity, so -0.0 beside 0.0 stays apart), by
+    ``float.__repr__`` for a column of plain floats."""
+    first = values[0]
+    if all(v is first for v in values):
+        return [_fmt(first)] * len(values)
+    if all(type(v) is float for v in values):
+        return list(map(float.__repr__, values))
+    return list(map(_fmt, values))
+
+
 def _write_csv(path: Path, header, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
-
-    def fmt(v):
-        if isinstance(v, (float, np.floating)):
-            return repr(float(v))  # shortest round-trip decimal
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        return v
-
+    columns = [_format_column(values) for values in zip(*rows)]
     # Truncating an existing file waits for its writeback; a fresh file
     # does not.
     path.unlink(missing_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        writer.writerows(zip(*columns))
     return path
 
 

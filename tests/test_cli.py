@@ -354,6 +354,42 @@ def test_rewrite_gives_identical_bytes(tmp_path):
     assert (tmp_path / "regime-map.csv").read_bytes() == first
 
 
+def _write_csv_per_value(path, header, rows):
+    """The per-value writer whose bytes `cli._write_csv` keeps."""
+    def fmt(v):
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return v
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+def test_csv_columns_write_the_per_value_bytes(tmp_path):
+    # Columns of mixed types, a NaN column whose last NaN is another object,
+    # -0.0 beside 0.0 (equal, not identical), one object throughout, and
+    # plain floats.
+    nan, shared = float("nan"), 0.1 + 0.2
+    header = ["str", "int", "bool", "np_bool", "f64", "f32", "nan", "signed_zero",
+              "shared", "float"]
+    rows = [("a", 1, True, np.bool_(True), np.float64(0.1), np.float32(0.1), nan,
+             -0.0, shared, 2.5),
+            ("b", np.int64(2), False, np.bool_(False), np.float64(1e-300),
+             np.float32(3.0), nan, 0.0, shared, 1e300),
+            ("b", 3, True, np.bool_(True), np.float64(-2.0), np.float32(-0.0),
+             float("nan"), -0.0, shared, -0.0)]
+    cli._write_csv(tmp_path / "columns.csv", header, rows)
+    _write_csv_per_value(tmp_path / "values.csv", header, rows)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
+    cli._write_csv(tmp_path / "empty.csv", header, [])
+    assert (tmp_path / "empty.csv").read_text().splitlines() == [",".join(header)]
+
+
 def test_every_golden_matches():
     # Every preset's CSV and the validate report against bench/golden.
     proc = subprocess.run([sys.executable, "bench/run.py", "--check"], cwd=ROOT,

@@ -168,8 +168,9 @@ class TestBatchedHalfline:
             exact = _beyond_step_exact(ai)
             assert abs(v - exact) < 1e-14
             assert abs(v - exact) <= e
-        with pytest.raises(QuadratureError):
-            transform(np.array([1.0, 1.3e7]))
+        for bad in (1.3e7, np.inf, np.nan):
+            with pytest.raises(QuadratureError):
+                transform(np.array([1.0, bad]))
 
     def test_zero_frequency_tail_is_the_power_integral(self):
         # ∫_T^∞ (2t^{−2.5} − t^{−3.5}) dt at T = 4, with a zero among the
@@ -181,6 +182,51 @@ class TestBatchedHalfline:
             lambda t: t**lam * mpmath.exp(-1j * t), [4.0, mpmath.inf], omega=1.0))
             for c, lam in ((2.0, -2.5), (-1.0, -3.5)))
         assert abs(out[1] - ref) < 1e-12
+
+
+class TestHeadRule:
+    """The head rule (``_head_nodes``) on [0, 1e-6] against 40-digit mpmath,
+    up to the head's two-period frequency limit."""
+    FREQS = [0.0, 1e4, 1e6, 0.99 * 4.0 * math.pi * 1e6]
+    U = 0.8
+
+    @staticmethod
+    def _knee(knee, u):
+        """t^{−1/2}/hypot(√2·ν, u·t), whose knee sits at ν/u = ``knee``."""
+        nu = knee * u
+        return (lambda t: 1.0 / (np.sqrt(t) * np.hypot(math.sqrt(2.0) * nu, u * t)),
+                lambda t: 1 / (mpmath.sqrt(t) * mpmath.sqrt(2 * nu**2 + (u * t) ** 2)))
+
+    @pytest.mark.parametrize("case", ["exp", "t-log-t", "knee-1e-5", "knee-1e-7", "knee-1e-9"])
+    def test_matches_mpmath(self, case):
+        # e^{−t}; 1 + t·log t, the t·log|t| term that θ (the Hilbert
+        # transform of a log k with a |t| kink) gives k⁺; and the knee of
+        # the symbol's r = hypot(√2·ν, u·t) inside the head.
+        if case == "exp":
+            f, f_mp = (lambda t: np.exp(-t) / np.sqrt(t),
+                       lambda t: mpmath.exp(-t) / mpmath.sqrt(t))
+        elif case == "t-log-t":
+            f, f_mp = (lambda t: (1.0 + t * np.log(t)) / np.sqrt(t),
+                       lambda t: (1 + t * mpmath.log(t)) / mpmath.sqrt(t))
+        else:
+            knee = float(case[5:])
+            f, f_mp = self._knee(knee, self.U)
+        b = numerics._HEAD_END
+        t, w = (x.ravel() for x in numerics._head_nodes(b))
+        with mpmath.workdps(40):
+            # In v = √t, with breaks around a knee at v ≈ √(ν/u).
+            vb = mpmath.sqrt(b)
+            breaks = [0, vb]
+            if case.startswith("knee"):
+                vk = mpmath.sqrt(knee)
+                breaks = [0, *(v for v in (vk / 10, vk, 10 * vk) if v < vb), vb]
+            refs = [complex(mpmath.quad(lambda v: 2 * v * f_mp(v * v) * mpmath.expj(-a * v * v),
+                                        breaks)) for a in self.FREQS]
+        # f > 0, so the integral's magnitude ∫|f| is its value at a = 0.
+        scale = abs(refs[0])
+        for a, ref in zip(self.FREQS, refs):
+            got = np.sum(w * f(t) * np.exp(-1j * a * t))
+            assert abs(got - ref) <= 1e-14 * scale, (case, a)
 
 
 class TestStackedColumns:
@@ -243,7 +289,7 @@ class TestStackedColumns:
             assert len(runs) == 1
 
     def test_two_integrand_calls_per_transform(self):
-        # One for the 16 order-20 head panels and the fit window, one for
+        # One for the 3 order-20 head panels and the fit window, one for
         # the order-12 body panels.
         calls = []
         oscillatory_halfline(lambda t: calls.append(t) or self._columns(t), T,
@@ -251,9 +297,9 @@ class TestStackedColumns:
         assert len(calls) == 2
         head, body = calls
         window = np.geomspace(FIT_START, T, numerics._TAIL_FIT_POINTS)
-        assert head.size == 16 * 20 + window.size
-        assert np.all(head[:16 * 20] <= numerics._HEAD_END)
-        assert np.array_equal(head[16 * 20:], window)
+        assert head.size == 3 * 20 + window.size
+        assert np.all(head[:3 * 20] <= numerics._HEAD_END)
+        assert np.array_equal(head[3 * 20:], window)
         panels = numerics._build_edges(numerics._HEAD_END, T).size - 1
         assert body.size == panels * 12
 
@@ -319,6 +365,25 @@ def _scaled_gamma_ref(s, z):
         return complex(z ** -s * mpmath.exp(z) * mpmath.gammainc(s, a=z))
 
 
+def _gamma_column_ref(anchor, lowest, z):
+    """S(s, z) for s = anchor, anchor − 1, …, lowest in mpmath: S(anchor, z)
+    from ``gammainc``, walked down by S(s − 1) = (z·S(s) − 1)/(s − 1) with
+    guard digits for the walk's growth |z|^n/n!, so every value keeps 40.
+    (``gammainc`` itself takes ~0.1 s per value at integer orders below −5
+    near |z| = 100, and on the real axis it is off by 4e-3 at S(−40, 201.7)
+    with 40 digits.)"""
+    n = int(round(anchor - lowest))
+    guard = max(0.0, n * math.log10(abs(z)) - math.lgamma(n + 1) / math.log(10.0))
+    with mpmath.workdps(40 + int(guard)):
+        z = mpmath.mpc(z)
+        value = z ** -anchor * mpmath.exp(z) * mpmath.gammainc(anchor, a=z)
+        out = {anchor: complex(value)}
+        for k in range(1, n + 1):
+            value = (z * value - 1) / (anchor - k)
+            out[anchor - k] = complex(value)
+    return out
+
+
 class TestUpperGamma:
     """The scaled upper incomplete gamma S(s, z) = z^{−s}·e^z·Γ(s, z)."""
     S = np.arange(-5.5, 2.0, 1.0)
@@ -373,6 +438,22 @@ class TestUpperGamma:
             assert np.array_equal(row, _scaled_upper_gamma(float(si), z))
             for zj, value in zip(z[::9], row[::9]):
                 assert _scaled_upper_gamma(float(si), zj[None])[0] == value
+
+    @pytest.mark.parametrize("unit", [1.0, np.exp(0.3j), np.exp(-0.3j), np.exp(0.6j),
+                                      np.exp(1.2j), 1j, -1j],
+                             ids=["real", "0.3", "-0.3", "0.6", "1.2", "upper", "lower"])
+    def test_continued_fraction_matches_mpmath(self, unit):
+        # The fraction runs at a column's lowest order, at most the anchor
+        # 1/2, for |z| ≥ 2.  Its depth comes from |z| alone, and the lowest
+        # orders converge the slowest at large |z|.
+        z = np.geomspace(2.0, 1e4, 41) * unit
+        for anchor, orders in ((0.5, np.arange(-6.5, 1.0)),
+                               (0.0, np.concatenate([[-40.0, -20.0, -10.0], np.arange(-6.0, 1.0)]))):
+            got = _scaled_upper_gamma(orders[:, None], z)
+            for j, zj in enumerate(z):
+                ref = _gamma_column_ref(anchor, orders.min(), zj)
+                for i, s in enumerate(orders):
+                    assert abs(got[i, j] - ref[s]) <= 1e-15 * abs(ref[s]), (s, zj)
 
     def test_power_tail_matches_the_incomplete_gamma_form(self):
         # ∫_T^∞ t^λ e^{−iat} dt = (ia)^{−λ−1}·Γ(λ+1, iaT) at 40 digits, for a
