@@ -8,7 +8,6 @@ directory that cannot be written), 3 numerical failure, 4 regime violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -169,36 +168,50 @@ def _check_out(out: Path):
         raise OSError(f"{existing} is not a writable directory (--out {out})")
 
 
-def _fmt(v):
+def _csv_field(v):
+    """One value as csv.writer writes it after the CLI's formatting: a float
+    as its shortest round-trip decimal, an integer by ``str(int(v))``, None
+    empty, anything else by ``str``; by the QUOTE_MINIMAL rule, text that
+    holds a comma, a double quote, CR or LF is quoted, its quotes doubled."""
     if isinstance(v, (float, np.floating)):
-        return repr(float(v))  # shortest round-trip decimal
+        return repr(float(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return v
+    text = "" if v is None else str(v)
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    if "," in text or "\r" in text or "\n" in text:
+        return '"' + text + '"'
+    return text
 
 
 def _format_column(values):
-    """``_fmt`` of every value of a column: once for a column that holds
-    one object throughout (identity, so -0.0 beside 0.0 stays apart), by
-    ``float.__repr__`` for a column of plain floats."""
+    """``_csv_field`` of every value of a column: once for a column that
+    holds one object throughout (identity, so -0.0 beside 0.0 stays apart),
+    by ``float.__repr__`` for a column of floats and float subclasses such
+    as ``np.float64``."""
     first = values[0]
     if all(v is first for v in values):
-        return [_fmt(first)] * len(values)
-    if all(type(v) is float for v in values):
+        return [_csv_field(first)] * len(values)
+    if all(issubclass(t, float) for t in set(map(type, values))):
         return list(map(float.__repr__, values))
-    return list(map(_fmt, values))
+    return list(map(_csv_field, values))
 
 
 def _write_csv(path: Path, header, rows):
+    """Write ``header`` and ``rows``, each row as wide as the header, in the
+    bytes of csv.writer's default dialect: QUOTE_MINIMAL fields and CRLF
+    line ends."""
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [_format_column(values) for values in zip(*rows)]
+    lines = list(map(",".join, [list(map(_csv_field, header)), *zip(*columns)]))
+    if len(header) == 1:  # csv.writer quotes a row's one field when empty
+        lines = [line or '""' for line in lines]
     # Truncating an existing file waits for its writeback; a fresh file
     # does not.
     path.unlink(missing_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        fh.write("\r\n".join(lines) + "\r\n")
     return path
 
 

@@ -389,6 +389,23 @@ def test_csv_columns_write_the_per_value_bytes(tmp_path):
     cli._write_csv(tmp_path / "empty.csv", header, [])
     assert (tmp_path / "empty.csv").read_text().splitlines() == [",".join(header)]
 
+    # Fields csv.writer quotes (a comma, a double quote, CR, LF) or converts
+    # (None to an empty field, np.bool_ by str), in the header too; and one
+    # column, where csv.writer writes a row's one empty field as "".
+    tables = [(["check, id", 'say "x"', "none", "np_bool"],
+               [("a,b", 'q"uote', None, np.bool_(True)),
+                ("cr\rhere", '""', "", np.bool_(False)),
+                ("lf\nhere", "plain", None, np.bool_(True)),
+                ("crlf\r\n", ",", "x", np.bool_(True))]),
+              (["only"], [("",), (None,), ("a",), ("",)]),
+              (["only"], [("",), ("",)]),
+              ([""], [(1.5,), (None,)])]
+    for header, rows in tables:
+        cli._write_csv(tmp_path / "columns.csv", header, rows)
+        _write_csv_per_value(tmp_path / "values.csv", header, rows)
+        assert ((tmp_path / "columns.csv").read_bytes()
+                == (tmp_path / "values.csv").read_bytes()), header
+
 
 def test_every_golden_matches():
     # Every preset's CSV and the validate report against bench/golden.

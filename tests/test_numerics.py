@@ -20,6 +20,7 @@ from crackwave.numerics import (_bessel_table, _scaled_upper_gamma, bracketed_ro
                                 oscillatory_halfline, power_tail, upper_gamma_ladder)
 from crackwave.material import lambda_surface
 from reference_quadrature import averaged_halfline
+import reference_roots
 
 # ∫₀^∞ e^{−it}/(1+t²) dt ; real part is pi/(2e) by residue calculus.
 OSC_LORENTZ = 0.57786367489546086 - 0.64676112277913007j
@@ -359,9 +360,10 @@ class TestBesselTable:
 
 
 def _scaled_gamma_ref(s, z):
-    """z^{−s}·e^z·Γ(s, z) in 40-digit mpmath."""
+    """z^{−s}·e^z·Γ(s, z) in 40-digit mpmath, with z passed as an mpc even on
+    the real axis: mpmath's real path is off by 2e-3 at S(−40, 201.7)."""
     with mpmath.workdps(40):
-        z = mpmath.mpmathify(z)
+        z = mpmath.mpc(z)
         return complex(z ** -s * mpmath.exp(z) * mpmath.gammainc(s, a=z))
 
 
@@ -418,6 +420,12 @@ class TestUpperGamma:
     def test_rejects_off_lattice_orders(self, orders):
         with pytest.raises(QuadratureError):
             upper_gamma_ladder([[0.5], orders], np.array([1j, 3j]))
+
+    def test_real_reference_agrees_with_the_recurrence_walk(self):
+        # With z as an mpf, 40-digit gammainc gives S(−40, 201.7) as
+        # 0.0041315, against 0.0041232 from the walk down from S(0, z).
+        ref = _gamma_column_ref(0.0, -40.0, 201.7)[-40.0]
+        assert abs(_scaled_gamma_ref(-40.0, 201.7) - ref) <= 1e-13 * abs(ref)
 
     def test_columns_on_both_lattices_match_their_lone_runs(self):
         z = 1j * np.geomspace(0.1, 40.0, 11)
@@ -606,6 +614,115 @@ class TestBracketedRoot:
         with pytest.raises(BracketError, match=r"\[1.0, 2.0\]"):
             bracketed_root(lambda x: x * x - np.array([2.0, -1.0, 3.0]),
                            np.ones(3), np.array([2.0, 2.0, 2.0]))
+
+
+def _family(p):
+    """f(x) = ±scale·(q·d³ + s·d − r), d = x − c, zero on |d| < flat and NaN
+    on [na, nb]; ``p`` holds scalars (one bracket) or arrays (a batch)."""
+    def f(x):
+        d = x - p["c"]
+        y = p["sign"] * p["scale"] * (p["q"] * d * d * d + p["s"] * d - p["r"])
+        y = np.where(np.abs(d) < p["flat"], 0.0, y)
+        return np.where((p["na"] <= x) & (x <= p["nb"]), np.nan, y)
+    return f
+
+
+def _bits(out):
+    """A BracketError message as it is, a root (float or array) as bytes."""
+    return out if isinstance(out, str) else np.asarray(out).tobytes()
+
+
+def _solve_counted(solver, f, lo, hi, tol):
+    """(result or BracketError message, the points f was called with)."""
+    calls = []
+    try:
+        out = solver(lambda x: calls.append(np.copy(x)) or f(x), lo, hi, tol=tol)
+    except BracketError as exc:
+        out = str(exc)
+    return out, calls
+
+
+_ELEMENT = st.fixed_dictionaries({
+    # Dyadic roots, which the steps can hit exactly, and arbitrary ones.
+    "c": st.integers(-64, 64).map(lambda k: k / 16.0) | st.floats(-4.0, 4.0),
+    # Affine (q = 0), triple (s = 0), mixed; f ≡ 0 when both vanish.
+    "q": st.sampled_from([0.0, 1.0, 3.0]),
+    "s": st.sampled_from([0.0, 1e-3, 1.0, 2.0]),
+    # r ≠ 0 moves the root off the float c, so that it is seldom hit.
+    "r": st.sampled_from([0.0, 1e-3 / 3.0]),
+    "sign": st.sampled_from([1.0, -1.0]),
+    # 1e-170 underflows f1·f2, so brackets without a sign change pass too.
+    "scale": st.sampled_from([1.0, 1.0, 1e-170]),
+    # A zero interval around c, which a step hits mid-run.
+    "flat": st.sampled_from([0.0, 0.0, 0.0, 1e-3, 0.1]),
+    # Ends on the root (0), near it, or far from it.
+    "below": st.sampled_from([0.0, 1e-9]) | st.floats(1e-3, 3.0) | st.floats(1e-3, 3.0),
+    "above": st.sampled_from([0.0, 1e-9]) | st.floats(1e-3, 3.0) | st.floats(1e-3, 3.0),
+    # NaN on a sub-interval (or nowhere), which may cover an end.
+    "nan": st.none() | st.none() | st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 0.5)),
+    "flip": st.booleans(),
+    # Both ends on one side: BracketError, unless f1·f2 underflows.
+    "one_side": st.sampled_from([False] * 9 + [True]),
+})
+
+
+def _brackets(elements):
+    """Per-element parameters and bracket ends, as arrays."""
+    p = {k: np.array([e[k] for e in elements]) for k in
+         ("c", "q", "s", "r", "sign", "scale", "flat")}
+    p["na"] = np.array([np.inf if e["nan"] is None else e["c"] + e["nan"][0]
+                        for e in elements])
+    p["nb"] = np.array([-np.inf if e["nan"] is None else e["c"] + e["nan"][0] + e["nan"][1]
+                        for e in elements])
+    lo = np.array([e["c"] + (0.5 + e["below"] if e["one_side"] else -e["below"])
+                   for e in elements])
+    hi = np.array([e["c"] + e["above"] + (0.6 + e["below"] if e["one_side"] else 0.0)
+                   for e in elements])
+    flip = np.array([e["flip"] for e in elements])
+    return p, np.where(flip, hi, lo), np.where(flip, lo, hi)
+
+
+class TestBracketedRootAgainstReference:
+    """The lockstep step against the solver it replaced, kept verbatim in
+    ``reference_roots``: the same result bits (or the same BracketError)
+    and the same number of ``f`` calls, for one bracket and for a batch."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(elements=st.lists(_ELEMENT, min_size=1, max_size=4),
+           tol=st.sampled_from([0.0, 1e-20, 1e-13]))
+    def test_same_bits_and_calls(self, elements, tol):
+        p, lo, hi = _brackets(elements)
+        with np.errstate(all="ignore"):
+            for i in range(len(elements)):
+                one = _family({k: v[i] for k, v in p.items()})
+                got, calls = _solve_counted(bracketed_root, one, lo[i], hi[i], tol)
+                ref, ref_calls = _solve_counted(reference_roots.bracketed_root, one,
+                                                lo[i], hi[i], tol)
+                assert type(got) is type(ref) and _bits(got) == _bits(ref)
+                assert len(calls) == len(ref_calls)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(calls, ref_calls))
+            got, calls = _solve_counted(bracketed_root, _family(p), lo, hi, tol)
+            ref, ref_calls = _solve_counted(reference_roots.bracketed_root, _family(p),
+                                            lo, hi, tol)
+        assert type(got) is type(ref) and _bits(got) == _bits(ref)
+        assert isinstance(ref, str) or (got.dtype == float and got.shape == ref.shape)
+        assert len(calls) == len(ref_calls)
+
+    def test_edge_brackets_held_beside_a_slow_one(self):
+        # Brackets that finish at once or early while a triple root runs
+        # on: the lower end on the root and the upper one NaN; a NaN
+        # interval that ends on the root; a root at -0.0, the lower end.
+        nan = [(0.5, 1.0), (-0.5, 0.0), None, None]
+        p = {"c": np.array([0.0, 0.0, -0.0, 0.3]), "q": np.array([0.0, 0.0, 0.0, 1.0]),
+             "s": np.array([1.0, 1.0, 1.0, 0.0]), "r": 0.0, "sign": 1.0, "scale": 1.0,
+             "flat": 0.0, "na": np.array([np.inf if w is None else w[0] for w in nan]),
+             "nb": np.array([-np.inf if w is None else w[1] for w in nan])}
+        lo, hi = np.array([0.0, -1.0, -0.0, -1.0]), np.array([1.0, 1.0, 1.0, 2.0])
+        with np.errstate(all="ignore"):
+            got, calls = _solve_counted(bracketed_root, _family(p), lo, hi, 0.0)
+            ref, ref_calls = _solve_counted(reference_roots.bracketed_root, _family(p),
+                                            lo, hi, 0.0)
+        assert _bits(got) == _bits(ref) and len(calls) == len(ref_calls) > 40
 
 
 def test_quadrature_spec_validation():
