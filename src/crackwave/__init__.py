@@ -4,13 +4,14 @@ elasticity.
 Surface-wave dispersion, critical crack speeds, multiplicative factorization
 of the crack symbol, crack-line fields, maximum total shear stress and the
 dynamic energy release rate.  Classical elasticity enters through the
-energy release rate, E/E_cl, and its vanishing-microstructure limit.
+energy release rate, E/E_cl, whose two ends of the L/ℓ axis have closed
+forms.
 """
 
 from .classical import classical_err, h_coefficients
 from .dispersion import DispersionPoint, shear_phase_speed, trace_curve
-from .energy import (ErrResult, err_result, err_smalllength_limit,
-                     solve_crack)
+from .energy import (ErrResult, err_ratio_large_length, err_result,
+                     err_small_length, solve_crack)
 from .errors import (BracketError, CrackwaveError, CrossCheckError,
                      DomainError, PoleError, QuadratureError, RealnessError,
                      RegimeError, RootLossError)

@@ -17,14 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import dispersion as disp
-from . import energy, fields
-from .classical import classical_err, h_coefficients, h_coefficients_contour
+from . import fields
+from .classical import h_coefficients, h_coefficients_contour
 from .errors import (ConfigError, CrackwaveError, DomainError, PoleError,
                      QuadratureError, RegimeError)
 from .kernel import KernelParams, factorize
-from .energy import err_result, solve_crack
-from .loading import (LoadProfile, build_split, kp_coefficient, limit_constant,
-                      traction)
+from .energy import (err_ratio_large_length, err_result, err_small_length,
+                     solve_crack)
+from .loading import LoadProfile, build_split, kp_coefficient, limit_constant
 from .material import Material, critical_speed, h0_star, lambda_surface
 
 EXIT_CONFIG = 2
@@ -407,12 +407,16 @@ def _validate_checks():
         checks.append((f"neartip_w_m{m}", 1.0, fl["w"] / (near.C_w * x**1.5), 2e-4))
     res = err_result(split)
     checks.append(("err_positive", 1.0, 1.0 if res.E > 0 else 0.0, 0.5))
-    # The vanishing-microstructure limit by quadrature of the loading
-    # itself, against E_cl's closed form.
-    checks.append(("err_smalllength_general_loading",
-                   classical_err(profile, 0.3, 1.0),
-                   energy.err_smalllength_limit(lambda X: traction(X, profile),
-                                                0.3, 1.0), 1e-12))
+    # E at both ends of the L/ℓ axis against its closed forms: E/E_cl to
+    # first order in ℓ/L, whose remainder is O((ℓ/L)²), so a tolerance of
+    # 2(ℓ/L)²; and E to leading order in L/ℓ, whose relative remainder is
+    # O(L/ℓ), so a tolerance of 10·L/ℓ.
+    large = build_split(kernel, material, LoadProfile(T0=1.0, L=1e4, p=1))
+    checks.append(("err_ratio_large_L1e4", err_ratio_large_length(large),
+                   err_result(large).ratio, 2e-7))
+    small = build_split(kernel, material, LoadProfile(T0=1.0, L=1e-4, p=1))
+    checks.append(("err_small_L1e-4", 1.0,
+                   err_result(small).E / err_small_length(small), 1e-3))
     return checks
 
 

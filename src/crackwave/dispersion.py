@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RootLossError
+from .errors import BracketError, DomainError, RootLossError
 from .material import SQRT2, _check_eta
 from .numerics import bracketed_root
 
@@ -183,11 +183,12 @@ def trace_curve(grid, eta: float, h0: float, axis: str = "omega"):
         raise DomainError(f"axis must be 'omega' or 'k', got {axis!r}")
 
     lo = np.zeros_like(grid)
-    f_lo, f_hi = f(lo), f(q_hi)
-    lost = ~(np.isfinite(f_lo) & np.isfinite(f_hi) & (f_lo * f_hi <= 0.0))
-    if not lost.any():
-        m_r = speed(bracketed_root(f, lo, q_hi, tol=0.0))
+    try:
+        m_r = speed(bracketed_root(f, lo, q_hi))
         lost = ~((0.0 < m_r) & (m_r < math.inf))
+    except BracketError:
+        f_lo, f_hi = f(lo), f(q_hi)
+        lost = ~(np.isfinite(f_lo) & np.isfinite(f_hi) & (f_lo * f_hi <= 0.0))
     if lost.any():
         raise RootLossError(f"no dispersion root found (eta={eta}, h0={h0}, "
                             f"{axis}={grid[np.argmax(lost)]})")

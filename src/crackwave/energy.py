@@ -5,27 +5,30 @@ reads it: the couple-stress closed form E = Re[2i·F²·T0²/(G·ℓ·Upsilon)]
 against its classical counterpart E_cl = T0²·K_p²/(G·L·sqrt(1−m²)), whose
 one closed form is ``classical.classical_err``.  Their quotient is E/E_cl;
 that it equals 2i·F²·L·sqrt(1−m²)/(ℓ·K_p²·Upsilon) follows by algebra from
-the same F, so it is no second route.  ``err_smalllength_limit``
-is the vanishing-microstructure limit of E for any integrable loading, by
-quadrature of its half-power moment; on the loading family it is a second
-route to E_cl, which ``validate`` checks.
+the same F, so it is no second route.
+
+Both ends of the L/ℓ axis have closed forms, which ``validate`` checks E
+against (B. Noble, *Methods Based on the Wiener–Hopf Technique*, 1958,
+ch. 4).  As ℓ/L → 0, k⁺(z) = 1 + iθ′(0)·z + o(z) in F gives
+``err_ratio_large_length``; as L/ℓ → 0 the transform pole i/L goes where
+k⁺ → 1, so F_j → (iℓ/L)^{−1/2}·K_j and E → ``err_small_length``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .classical import classical_err, half_power_moment_quadrature
-from .errors import RealnessError, RegimeError
+from .classical import classical_err
+from .errors import RealnessError
 from .kernel import KernelParams, factorize
-from .loading import LoadProfile, SplitData, build_split
+from .loading import LoadProfile, SplitData, build_split, kp_coefficient
 from .material import Material
 
 __all__ = [
     "ErrResult",
     "solve_crack",
-    "err_smalllength_limit",
     "err_result",
+    "err_ratio_large_length",
+    "err_small_length",
 ]
 
 @dataclass(frozen=True)
@@ -45,18 +48,6 @@ def solve_crack(material: Material, m: float, profile: LoadProfile) -> SplitData
     return build_split(kernel, material, profile)
 
 
-def err_smalllength_limit(tau, m: float, G: float) -> float:
-    """Vanishing-microstructure limit of the energy release rate:
-    (1/(pi·G·sqrt(1−m²)))·(∫tau|X|^{−1/2}dX)².
-
-    ``tau`` is a vectorized loading density on X < 0, called with numpy
-    arrays of negative X; its moment is integrated by panel quadrature."""
-    if m >= 1.0:
-        raise RegimeError(f"limit energy release rate needs m < 1, got {m}")
-    moment = half_power_moment_quadrature(tau)
-    return moment * moment / (math.pi * G * math.sqrt((1.0 - m) * (1.0 + m)))
-
-
 def err_result(split: SplitData) -> ErrResult:
     """E, E_cl and E/E_cl at the split's own point; E must be real to 1e-8
     relative.  The ratio equals 2i·F²·L·sqrt(1−m²)/(ℓ·K_p²·Upsilon) by
@@ -70,3 +61,22 @@ def err_result(split: SplitData) -> ErrResult:
     e = float(value.real)
     e_cl = classical_err(profile, params.m, split.G)
     return ErrResult(E=e, E_cl=e_cl, ratio=e / e_cl)
+
+
+def err_ratio_large_length(split: SplitData) -> float:
+    """E/E_cl to first order in ℓ/L at the split's point:
+    1 + 2(θ′(0) + 1/zeta)·ℓ/((2p − 1)L), with θ′(0) the kernel's
+    ``theta_slope``.  The remainder is O((ℓ/L)²)."""
+    p = split.profile.p
+    slope = split.kernel.theta_slope + 1.0 / split.kernel.params.zeta
+    return 1.0 + 2.0 * slope / ((2 * p - 1) * split.L_over_ell)
+
+
+def err_small_length(split: SplitData) -> float:
+    """E to leading order in L/ℓ at the split's point:
+    2(2p + 1)²K_p²·(L/ℓ)·T0²/(G·ℓ·Upsilon), using Σ_{j≤p} K_j = (2p + 1)K_p.
+    The relative remainder is O(L/ℓ)."""
+    p = split.profile.p
+    k_sum = (2 * p + 1) * kp_coefficient(p)
+    return (2.0 * k_sum * k_sum * split.L_over_ell * split.T0**2
+            / (split.G * split.ell * split.kernel.params.upsilon))

@@ -97,9 +97,11 @@ class KernelParams:
                 raise DomainError(f"{name} must be finite, got {value}")
         if not self.m >= 0:
             raise DomainError(f"m must be nonnegative, got {self.m}")
+        if not self.h0 >= 0:
+            raise DomainError(f"h0 must be nonnegative, got {self.h0}")
         if self.m >= 1.0:
             raise RegimeError(f"sub-Rayleigh regime requires m < 1, got {self.m}")
-        if self.h0 > 0 and 1.0 - 2.0 * (self.h0 * self.m) ** 2 < 0.0:
+        if 1.0 - 2.0 * (self.h0 * self.m) ** 2 < 0.0:
             raise RegimeError(
                 f"1 - 2 h0^2 m^2 < 0 at m={self.m}, h0={self.h0}"
             )
@@ -217,6 +219,10 @@ class CauchyFactorization:
     c2 : float
         The kernel's large-t coefficient, log k ~ c2/t², in closed form.
 
+    ``theta_slope`` is the boundary phase's slope at 0,
+    θ′(0) = (1/π)∫₀^∞ log k(t)·t⁻² dt, read off the interpolant at _xi_lo:
+    k⁺(z) = 1 + iθ′(0)·z + o(z) near z = 0.
+
     Raises ``RegimeError`` if log k is not finite on the θ lattice.
     """
 
@@ -269,7 +275,7 @@ class CauchyFactorization:
         vals = h / (2.0 * np.pi) * (weights @ L.T)  # (panel, position)
         self._theta_coef = _THETA_FIT @ vals.T  # (power, panel)
         self._theta_axis = (lo, panels / (hi - lo))  # start, panels per unit
-        self._theta_lo_slope = float(self._theta_panels(lo)) / self._xi_lo
+        self.theta_slope = float(self._theta_panels(lo)) / self._xi_lo
         self._theta_hi_edge = float(self._theta_panels(hi))
 
     def _theta_panels(self, u):
@@ -295,7 +301,7 @@ class CauchyFactorization:
         small = ax < self._xi_lo
         big = ax > self.xi_hi
         mid = ~(small | big)
-        out[small] = self._theta_lo_slope * ax[small]
+        out[small] = self.theta_slope * ax[small]
         out[big] = self._theta_hi_edge * self.xi_hi / ax[big]
         out[mid] = self._theta_panels(np.log(ax[mid]))
         out = np.copysign(1.0, x) * out

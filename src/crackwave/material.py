@@ -133,6 +133,6 @@ def h0_star(eta):
     c = (1.0 + eta) * (3.0 - eta)
     b = c + eta * eta
     w = bracketed_root(lambda w: c - w * b - w * (1.0 - w) * (3.0 - w),
-                       np.zeros(eta.shape), np.ones(eta.shape), tol=0.0)
+                       np.zeros(eta.shape), np.ones(eta.shape))
     hs = np.sqrt(w * (2.0 - w)) / SQRT2
     return float(hs) if hs.ndim == 0 else hs

@@ -18,9 +18,11 @@ row blocks of frequencies (``row_blocks``), and adds the tails.
   integrated exactly and the symbol's knee at t ≈ ν/u is resolved down to
   ν/u = 1e-9; the phase is applied at the nodes, so the head must span at
   most two periods (|a| ≤ 4π·1e6), or ``QuadratureError`` is raised.
-* Body [1e-6, T]: Legendre–Filon panels, eight per decade.  ``panel_sums``
-  turns each panel's order-12 Gauss values into the Legendre coefficients
-  of the interpolant, whose transform is a sum of the closed-form moments
+* Body [1e-6, T]: Legendre–Filon panels between ⌈8·log10(T/1e-6)⌉
+  geometric edges, just under eight panels per decade (76 panels on
+  [1e-6, 4e3]).  ``panel_sums`` turns each panel's order-12 Gauss values
+  into the Legendre coefficients of the interpolant, whose transform is a
+  sum of the closed-form moments
   ∫₋₁¹ P_k(x)e^{−iωx}dx = 2(−i)^k·j_k(ω) (Iserles & Nørsett 2005,
   Proc. R. Soc. A 461).  The table of j_0 … j_11 at ω·h (h the panel
   half-width) for every frequency and panel is built once per transform
@@ -420,7 +422,8 @@ def _head_sums(wv, t, freq):
 
 
 def _build_edges(lo, hi):
-    """Panel edges on [lo, hi]: eight geometric panels per decade."""
+    """Panel edges on [lo, hi]: ⌈8·log10(hi/lo)⌉ geometric edges (at least
+    two), so one panel fewer, just under eight per decade."""
     return np.geomspace(lo, hi, max(2, math.ceil(8 * math.log10(hi / lo))))
 
 
@@ -545,9 +548,10 @@ def contour_coefficients(g, radius: float, count: int):
     return c_full
 
 
-def bracketed_root(f, lo, hi, tol: float = 1e-12):
-    """Roots of ``f`` on sign-change brackets [lo, hi], each to bracket width
-    ``tol`` (or two float spacings, where that is wider) or after 300 steps.
+def bracketed_root(f, lo, hi):
+    """Roots of ``f`` on sign-change brackets [lo, hi], each to a bracket
+    width of two float spacings (the narrowest with a float strictly inside)
+    or after 300 steps.
 
     ``lo`` and ``hi`` may be arrays, broadcast together, one bracket per
     element.  The brackets advance in lockstep: each step makes one call
@@ -594,7 +598,7 @@ def bracketed_root(f, lo, hi, tol: float = 1e-12):
     for step in range(300):
         dx = x2 - x1
         width = np.abs(dx)
-        limit = np.maximum(tol, 2.0 * np.spacing(np.maximum(np.abs(x1), np.abs(x2))))
+        limit = 2.0 * np.spacing(np.maximum(np.abs(x1), np.abs(x2)))
         # Not width <= limit: a NaN width (both ends infinite) is held too.
         held = ~(width > limit) | (f1 == 0.0)
         if held.all():

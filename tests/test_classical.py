@@ -1,6 +1,6 @@
 """Classical-elasticity oracle: split coefficients, the classical traction
-ahead of the tip through the field inversion, energy release rate and the
-half-power moment of a general loading."""
+ahead of the tip through the field inversion and the energy release
+rate."""
 import math
 from types import SimpleNamespace
 
@@ -11,9 +11,8 @@ from scipy.special import hyperu
 
 from crackwave import fields
 from crackwave.classical import (classical_err, h_coefficients,
-                                 h_coefficients_contour,
-                                 half_power_moment_quadrature)
-from crackwave.errors import QuadratureError, RegimeError
+                                 h_coefficients_contour)
+from crackwave.errors import RegimeError
 from crackwave.loading import LoadProfile, SplitData, kp_coefficient
 
 
@@ -111,41 +110,3 @@ class TestSifAndErr:
         with pytest.raises(RegimeError):
             classical_err(LoadProfile(T0=1.0, L=1.0, p=0), 1.0, 1.0)
 
-
-class TestHalfPowerMoment:
-    """∫_{−∞}^0 tau(X)|X|^{−1/2} dX for loadings given as callables; the
-    weight is endpoint-singular at X = 0."""
-
-    def test_exponential(self):
-        val = half_power_moment_quadrature(np.exp)
-        assert val == pytest.approx(math.sqrt(math.pi), abs=1e-11)
-
-    @pytest.mark.parametrize("scale", [300.0, 500.0, 1000.0])
-    def test_slowly_decaying_exponential(self, scale):
-        # e^{X/s} still holds most of its moment beyond |X| = 2e3, so the
-        # panels must run on until the tail is negligible:
-        # ∫ e^{−t/s} t^{−1/2} dt = sqrt(pi·s).
-        val = half_power_moment_quadrature(lambda X: np.exp(X / scale))
-        assert val == pytest.approx(math.sqrt(math.pi * scale), rel=1e-12)
-
-    def test_gamma(self):
-        val = half_power_moment_quadrature(lambda X: np.abs(X) * np.exp(X))
-        assert val == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-11)
-
-    def test_algebraic(self):
-        # B(1/2, 5/2) = 3π/8; the slow algebraic decay goes through the
-        # engine's fitted power tail.
-        val = half_power_moment_quadrature(lambda X: (1.0 + np.abs(X)) ** -3)
-        assert val == pytest.approx(3.0 * math.pi / 8.0, rel=1e-9)
-
-    def test_negligible_tail(self):
-        # ∫₀^∞ e^{−t} dt: the integrand is below 1e-11 on [T/4, T], so no
-        # tail is fitted.
-        val = half_power_moment_quadrature(lambda X: np.sqrt(np.abs(X)) * np.exp(X))
-        assert abs(val - 1.0) < 1e-9
-
-    def test_divergent_moment_rejected(self):
-        # The integrand 1/(1 + t^{1/2}) decays like t^{−1/2}.
-        with pytest.raises(QuadratureError):
-            half_power_moment_quadrature(
-                lambda X: np.sqrt(np.abs(X)) / (1.0 + np.sqrt(np.abs(X))))

@@ -181,7 +181,7 @@ class TestTraceCurve:
             inner = ~np.isnan(lo)
             if inner.any():
                 ref[inner] = bracketed_root(lambda m: det(m, grid[inner]),
-                                            lo[inner], hi[inner], tol=1e-15)
+                                            lo[inner], hi[inner])
             got = np.array([p.mR for p in trace_curve(grid, eta, h0, axis)])
             np.testing.assert_allclose(got, ref, rtol=1e-11, atol=0.0)
 

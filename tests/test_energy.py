@@ -1,17 +1,19 @@
 """Energy release rate: closed form, classical comparison, ratio identities,
-vanishing-microstructure limit and the approach to the limiting speed."""
+the closed forms at both ends of the L/ℓ axis and the approach to the
+limiting speed."""
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from crackwave import cli, energy
 from crackwave.classical import classical_err
-from crackwave.energy import err_result, err_smalllength_limit, solve_crack
+from crackwave.energy import (err_ratio_large_length, err_result,
+                              err_small_length, solve_crack)
 from crackwave.errors import RegimeError
 from crackwave.kernel import KernelParams, factorize
-from crackwave.loading import (LoadProfile, build_split, kp_coefficient,
-                               traction, traction_half_power_moment)
+from crackwave.loading import LoadProfile, build_split, kp_coefficient
 from crackwave.material import Material, critical_speed, h0_star
 
 MAT = dict(G=1.0, rho=1.0, ell=1.0)
@@ -34,38 +36,59 @@ class TestClassical:
         assert e1 == pytest.approx(1.0 / 0.8)
 
 
-class TestSmallLengthLimit:
-    """The limit by quadrature of the loading density, against E_cl's closed
-    form on the loading family and the closed-form moments off it."""
+# fig10's point, the surface-wave regime (eta = −0.9, m_c = 0.441) and
+# eta = 0 at a high speed, as (eta, h0, m).
+LIMIT_POINTS = [(0.9, 0.6, 0.3), (-0.9, 0.707, 0.3), (0.0, 0.707, 0.8)]
 
-    @pytest.mark.parametrize("p", range(6))
-    def test_identity_with_classical(self, p):
-        # For the standard loading family the limit equals the classical
-        # value exactly (Gamma reflection identity).
-        prof = LoadProfile(T0=1.3, L=2.7, p=p)
-        a = err_smalllength_limit(lambda X: traction(X, prof), 0.4, 2.0)
-        b = classical_err(prof, 0.4, 2.0)
-        assert a == pytest.approx(b, rel=1e-12)
 
-    def test_static_p0(self):
-        prof = LoadProfile(T0=1.0, L=4.0, p=0)
-        assert err_smalllength_limit(lambda X: traction(X, prof), 0.0, 1.0) \
-            == pytest.approx(0.25)
+class TestLengthLimits:
+    """E at both ends of the L/ℓ axis against its closed forms.  The
+    remainder, scaled by its order, holds steady over a decade; an error in
+    a closed form's leading terms would make it grow tenfold."""
 
-    def test_general_callable(self):
-        # A loading outside the family: the sum of two members, whose
-        # moment is the sum of their closed-form moments.
-        a, b = LoadProfile(T0=1.0, L=2.0, p=1), LoadProfile(T0=0.5, L=7.0, p=3)
-        moment = traction_half_power_moment(a) + traction_half_power_moment(b)
-        got = err_smalllength_limit(lambda X: traction(X, a) + traction(X, b),
-                                    0.3, 1.0)
-        assert got == pytest.approx(moment**2 / (math.pi * math.sqrt(1.0 - 0.09)),
-                                    rel=1e-8)
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("eta,h0,m", LIMIT_POINTS)
+    def test_large_length_remainder_is_second_order(self, split_factory,
+                                                    eta, h0, m, p):
+        # (ratio − prediction)·(L/ℓ)² reads −8.18 and −8.21 at fig10's point
+        # with p = 1, and 0.290 and 0.288 at eta = 0 with p = 3.  L/ℓ = 1e5
+        # is left out: the ratio's rounding, about 3e-11, is amplified
+        # 1e10-fold there.
+        scaled = []
+        for L in (1e3, 1e4):
+            split = split_factory(m, eta, h0, L, p)
+            scaled.append((err_result(split).ratio - err_ratio_large_length(split))
+                          * L * L)
+        assert abs(scaled[1] - scaled[0]) <= 0.05 * abs(scaled[1])
 
-    def test_regime(self):
-        prof = LoadProfile(T0=1.0, L=1.0, p=0)
-        with pytest.raises(RegimeError):
-            err_smalllength_limit(lambda X: traction(X, prof), 1.0, 1.0)
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("eta,h0,m", LIMIT_POINTS)
+    def test_small_length_remainder_is_first_order(self, split_factory,
+                                                   eta, h0, m, p):
+        # (E/E_small − 1)·ℓ/L reads −3.70 and −3.71 at fig10's point with
+        # p = 1.
+        scaled = []
+        for L in (1e-3, 1e-4):
+            split = split_factory(m, eta, h0, L, p)
+            scaled.append((err_result(split).E / err_small_length(split) - 1.0) / L)
+        assert abs(scaled[1] - scaled[0]) <= 0.05 * abs(scaled[1])
+
+    def test_validate_catches_an_error_in_the_classical_err(self, monkeypatch):
+        # E_cl scaled by 1 + 1e-6 moves E/E_cl at L/ℓ = 1e4 from 1.0002269
+        # to 1.0002259, against the first-order form's 1.0002270: five
+        # times the row's tolerance of 2e-7.
+        def large_length_row():
+            rows = {check_id: (target, computed, tol)
+                    for check_id, target, computed, tol in cli._validate_checks()}
+            return rows["err_ratio_large_L1e4"]
+
+        target, computed, tol = large_length_row()
+        assert abs(computed - target) <= tol
+        real = energy.classical_err
+        monkeypatch.setattr(energy, "classical_err",
+                            lambda *args: real(*args) * (1.0 + 1e-6))
+        target, computed, tol = large_length_row()
+        assert abs(computed - target) > tol
 
 
 class TestCouple:

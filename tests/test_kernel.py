@@ -88,6 +88,13 @@ class TestKernelParams:
         with pytest.raises(DomainError):
             KernelParams(m=float("nan"), eta=0.0, h0=0.5)
 
+    def test_negative_h0_named(self):
+        # h0 enters the symbol squared, so a negative h0 would silently be
+        # |h0|; past the regime (h0·m > 1/√2) the error must still name h0.
+        for m, h0 in ((0.3, -0.707), (0.9, -0.9)):
+            with pytest.raises(DomainError, match="^h0 must be nonnegative"):
+                KernelParams(m=m, eta=0.9, h0=h0)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["m", "eta", "h0"])
     def test_non_finite_parameter_named(self, name, value):

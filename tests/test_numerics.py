@@ -510,7 +510,7 @@ class TestContourCoefficients:
 
 class TestBracketedRoot:
     def test_sqrt2(self):
-        root = bracketed_root(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-13)
+        root = bracketed_root(lambda x: x * x - 2.0, 1.0, 2.0)
         assert abs(root - math.sqrt(2.0)) < 1e-12
 
     def test_affine_one_secant_step(self):
@@ -525,8 +525,7 @@ class TestBracketedRoot:
         assert len(calls) == 3  # two endpoints + the exact secant hit
 
     def test_surface_function_bracket(self):
-        root = bracketed_root(lambda m: lambda_surface(-0.9, 0.707, m),
-                              0.2, 0.6, tol=1e-12)
+        root = bracketed_root(lambda m: lambda_surface(-0.9, 0.707, m), 0.2, 0.6)
         assert abs(root - 0.441) < 5e-3
 
     def test_no_sign_change(self):
@@ -558,9 +557,9 @@ class TestBracketedRoot:
         for i in range(c.size):
             calls = []
             ref.append(bracketed_root(lambda x: calls.append(x) or f(x, i),
-                                      lo[i], hi[i], tol=1e-13))
+                                      lo[i], hi[i]))
             steps.append(len(calls))
-        got = bracketed_root(f, lo, hi, tol=1e-13)
+        got = bracketed_root(f, lo, hi)
         assert got.dtype == float and got.shape == c.shape
         assert np.array_equal(got, np.array(ref))
         assert got[0] == 0.25 and got[1] == 1.5 and got[2] == 0.5
@@ -569,32 +568,34 @@ class TestBracketedRoot:
 
     @pytest.mark.parametrize("tol", [0.0, 1e-20])
     def test_tol_below_float_resolution(self, tol):
-        # A tol below the float spacing at the root stops at a bracket of
-        # two spacings, the narrowest with a float strictly inside, instead
-        # of running all 300 steps.
-        calls = []
-        root = bracketed_root(lambda x: calls.append(x) or x * x - 2.0, 1.0, 2.0, tol=tol)
-        assert root == math.sqrt(2.0)
+        # The bracket stops at two float spacings, the narrowest with a float
+        # strictly inside, instead of running all 300 steps: where the solver
+        # it replaced was given a tol below the float spacing at the root, it
+        # stopped there too, with the same root after the same calls.
+        calls, ref_calls = [], []
+        root = bracketed_root(lambda x: calls.append(x) or x * x - 2.0, 1.0, 2.0)
+        ref = reference_roots.bracketed_root(
+            lambda x: ref_calls.append(x) or x * x - 2.0, 1.0, 2.0, tol=tol)
+        assert root == math.sqrt(2.0) == ref
+        assert calls == ref_calls
         assert len(calls) <= 12
 
     @settings(max_examples=200, deadline=None)
     @given(c=st.floats(-5.0, 5.0), k=st.floats(0.1, 10.0),
            b=st.floats(0.0, 5.0), s=st.sampled_from([-1e3, -1.0, 1e-3, 1.0]),
-           below=st.floats(1e-3, 3.0), above=st.floats(1e-3, 3.0),
-           digits=st.integers(4, 13))
-    def test_smooth_bracket_property(self, c, k, b, s, below, above, digits):
+           below=st.floats(1e-3, 3.0), above=st.floats(1e-3, 3.0))
+    def test_smooth_bracket_property(self, c, k, b, s, below, above):
         # f increases (s > 0) or decreases through its one root c, and its
         # float values change sign exactly at c; the returned end lies
-        # within tol of c and has the smaller |f| of the final bracket's
-        # two ends.
+        # within two float spacings of c and has the smaller |f| of the
+        # final bracket's two ends.
         def f(x):
             d = x - c
             return s * (np.expm1(k * d) + b * d * d * d)
 
         seen = []
-        tol = 10.0 ** -digits
-        root = bracketed_root(lambda x: seen.append(x) or f(x), c - below, c + above, tol=tol)
-        assert abs(root - c) <= max(tol, 2.0 * np.spacing(abs(c) + 3.0))
+        root = bracketed_root(lambda x: seen.append(x) or f(x), c - below, c + above)
+        assert abs(root - c) <= 2.0 * np.spacing(abs(c) + 3.0)
         fr = f(root)
         if fr != 0.0:
             # The final bracket's other end is the nearest evaluated point
@@ -602,7 +603,7 @@ class TestBracketedRoot:
             other = min((x for x in seen if np.sign(f(x)) == -np.sign(fr)),
                         key=lambda x: abs(x - root))
             assert abs(fr) <= abs(f(other))
-            assert abs(other - root) <= max(tol, 2.0 * np.spacing(max(abs(root), abs(other))))
+            assert abs(other - root) <= 2.0 * np.spacing(max(abs(root), abs(other)))
 
     def test_brackets_broadcast(self):
         roots = bracketed_root(lambda x: x * x - np.array([[2.0], [3.0]]),
@@ -632,11 +633,11 @@ def _bits(out):
     return out if isinstance(out, str) else np.asarray(out).tobytes()
 
 
-def _solve_counted(solver, f, lo, hi, tol):
+def _solve_counted(solver, f, lo, hi, **options):
     """(result or BracketError message, the points f was called with)."""
     calls = []
     try:
-        out = solver(lambda x: calls.append(np.copy(x)) or f(x), lo, hi, tol=tol)
+        out = solver(lambda x: calls.append(np.copy(x)) or f(x), lo, hi, **options)
     except BracketError as exc:
         out = str(exc)
     return out, calls
@@ -684,26 +685,26 @@ def _brackets(elements):
 
 class TestBracketedRootAgainstReference:
     """The lockstep step against the solver it replaced, kept verbatim in
-    ``reference_roots``: the same result bits (or the same BracketError)
-    and the same number of ``f`` calls, for one bracket and for a batch."""
+    ``reference_roots`` and run there at tol 0, its two-spacing width limit:
+    the same result bits (or the same BracketError) and the same number of
+    ``f`` calls, for one bracket and for a batch."""
 
     @settings(max_examples=150, deadline=None)
-    @given(elements=st.lists(_ELEMENT, min_size=1, max_size=4),
-           tol=st.sampled_from([0.0, 1e-20, 1e-13]))
-    def test_same_bits_and_calls(self, elements, tol):
+    @given(elements=st.lists(_ELEMENT, min_size=1, max_size=4))
+    def test_same_bits_and_calls(self, elements):
         p, lo, hi = _brackets(elements)
         with np.errstate(all="ignore"):
             for i in range(len(elements)):
                 one = _family({k: v[i] for k, v in p.items()})
-                got, calls = _solve_counted(bracketed_root, one, lo[i], hi[i], tol)
+                got, calls = _solve_counted(bracketed_root, one, lo[i], hi[i])
                 ref, ref_calls = _solve_counted(reference_roots.bracketed_root, one,
-                                                lo[i], hi[i], tol)
+                                                lo[i], hi[i], tol=0.0)
                 assert type(got) is type(ref) and _bits(got) == _bits(ref)
                 assert len(calls) == len(ref_calls)
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(calls, ref_calls))
-            got, calls = _solve_counted(bracketed_root, _family(p), lo, hi, tol)
+            got, calls = _solve_counted(bracketed_root, _family(p), lo, hi)
             ref, ref_calls = _solve_counted(reference_roots.bracketed_root, _family(p),
-                                            lo, hi, tol)
+                                            lo, hi, tol=0.0)
         assert type(got) is type(ref) and _bits(got) == _bits(ref)
         assert isinstance(ref, str) or (got.dtype == float and got.shape == ref.shape)
         assert len(calls) == len(ref_calls)
@@ -719,9 +720,9 @@ class TestBracketedRootAgainstReference:
              "nb": np.array([-np.inf if w is None else w[1] for w in nan])}
         lo, hi = np.array([0.0, -1.0, -0.0, -1.0]), np.array([1.0, 1.0, 1.0, 2.0])
         with np.errstate(all="ignore"):
-            got, calls = _solve_counted(bracketed_root, _family(p), lo, hi, 0.0)
+            got, calls = _solve_counted(bracketed_root, _family(p), lo, hi)
             ref, ref_calls = _solve_counted(reference_roots.bracketed_root, _family(p),
-                                            lo, hi, 0.0)
+                                            lo, hi, tol=0.0)
         assert _bits(got) == _bits(ref) and len(calls) == len(ref_calls) > 40
 
 
