@@ -5,7 +5,8 @@ Surface-wave dispersion, critical crack speeds, multiplicative factorization
 of the crack symbol, crack-line fields, maximum total shear stress and the
 dynamic energy release rate.  Classical elasticity enters through the
 energy release rate, E/E_cl, whose two ends of the L/ℓ axis have closed
-forms.
+forms, and through the classical split coefficients H_j
+(``h_coefficients``), which the split tends to as L/ℓ → 0.
 """
 
 from .classical import classical_err, h_coefficients

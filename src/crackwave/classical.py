@@ -4,8 +4,9 @@ and the energy release rate.
 The couple-stress pipeline meets classical elasticity through the energy
 release rate: ``energy.err_result`` divides by ``classical_err``, the one
 closed form of E_cl, which ``energy.err_ratio_large_length`` approaches as
-ℓ/L → 0.  ``h_coefficients_contour`` runs the split's contour with a unit
-symbol, against the closed form ``h_coefficients``.
+ℓ/L → 0.  As L/ℓ → 0 the split tends to ``h_coefficients``, the one closed
+form of that end (``energy.err_small_length``, ``limit-study``'s drift);
+``h_coefficients_contour`` runs the split's contour with a unit symbol.
 """
 from __future__ import annotations
 

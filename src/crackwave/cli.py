@@ -24,7 +24,7 @@ from .errors import (ConfigError, CrackwaveError, DomainError, PoleError,
 from .kernel import KernelParams, factorize
 from .energy import (err_ratio_large_length, err_result, err_small_length,
                      solve_crack)
-from .loading import LoadProfile, build_split, kp_coefficient, limit_constant
+from .loading import LoadProfile, build_split, kp_coefficient
 from .material import Material, critical_speed, h0_star, lambda_surface
 
 EXIT_CONFIG = 2
@@ -32,7 +32,7 @@ EXIT_NUMERICAL = 3
 EXIT_REGIME = 4
 
 CONFIG_KEYS = frozenset({
-    "material.G", "material.rho", "material.ell", "material.eta", "material.h0",
+    "material.G", "material.ell", "material.eta", "material.h0",
     "load.T0", "load.L_over_ell", "load.p", "state.m",
     "sweep.variable", "sweep.start", "sweep.stop", "sweep.count", "sweep.scale",
     "fields.points",
@@ -101,7 +101,6 @@ class RunConfig:
                               f"known keys are {sorted(CONFIG_KEYS)}")
         material = Material(
             G=_get(cfg, "material.G", float, 1.0),
-            rho=_get(cfg, "material.rho", float, 1.0),
             ell=_get(cfg, "material.ell", float, 1.0),
             eta=_get(cfg, "material.eta", float),
             h0=_get(cfg, "material.h0", float),
@@ -278,13 +277,14 @@ def _err_row(material: Material, profile: LoadProfile, m: float):
 
 
 def _limit_row(material: Material, profile: LoadProfile, m: float):
-    """ERR ratio and the drift of F from its vanishing-microstructure limit."""
+    """ERR ratio and the drift of F from F_lim = H_p/(zeta·L/ℓ), the
+    vanishing-microstructure limit: 2i·F_lim²·T0²/(G·ℓ·Upsilon) = E_cl."""
     split = solve_crack(material, m, profile)
     res = err_result(split)
-    c_lim = limit_constant(profile, split.kernel.params.zeta)
-    drift = abs(split.F / (c_lim * math.sqrt(material.ell)) - 1.0)
-    return (m, material.eta, material.h0, profile.p, profile.L / material.ell,
-            res.E, res.E_cl, res.ratio, abs(res.ratio - 1.0), drift)
+    lo = split.L_over_ell
+    f_lim = h_coefficients(profile.p, lo)[-1] / (split.kernel.params.zeta * lo)
+    return (m, material.eta, material.h0, profile.p, lo, res.E, res.E_cl,
+            res.ratio, abs(res.ratio - 1.0), abs(split.F / f_lim - 1.0))
 
 
 def _sweep_args(run: RunConfig):
@@ -382,7 +382,7 @@ def _validate_checks():
                / abs(kernel.k_plus_line(x)) for x in xi)
     checks.append(("kplus_boundary_value", 0.0, float(jump), 1e-6))
 
-    material = Material(G=1.0, rho=1.0, ell=1.0, eta=0.9, h0=0.707)
+    material = Material(G=1.0, ell=1.0, eta=0.9, h0=0.707)
     profile = LoadProfile(T0=1.0, L=10.0, p=1)
     split = build_split(kernel, material, profile)
     checks.append(("liouville_cross_check", 0.0,

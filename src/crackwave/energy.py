@@ -11,16 +11,17 @@ Both ends of the L/ℓ axis have closed forms, which ``validate`` checks E
 against (B. Noble, *Methods Based on the Wiener–Hopf Technique*, 1958,
 ch. 4).  As ℓ/L → 0, k⁺(z) = 1 + iθ′(0)·z + o(z) in F gives
 ``err_ratio_large_length``; as L/ℓ → 0 the transform pole i/L goes where
-k⁺ → 1, so F_j → (iℓ/L)^{−1/2}·K_j and E → ``err_small_length``.
+k⁺ → 1, so F_j → H_j (``classical.h_coefficients``) and E → the closed form
+at F = Σ_j H_j, ``err_small_length``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classical import classical_err
+from .classical import classical_err, h_coefficients
 from .errors import RealnessError
 from .kernel import KernelParams, factorize
-from .loading import LoadProfile, SplitData, build_split, kp_coefficient
+from .loading import LoadProfile, SplitData, build_split
 from .material import Material
 
 __all__ = [
@@ -48,18 +49,23 @@ def solve_crack(material: Material, m: float, profile: LoadProfile) -> SplitData
     return build_split(kernel, material, profile)
 
 
-def err_result(split: SplitData) -> ErrResult:
-    """E, E_cl and E/E_cl at the split's own point; E must be real to 1e-8
-    relative.  The ratio equals 2i·F²·L·sqrt(1−m²)/(ℓ·K_p²·Upsilon) by
-    algebra, so it is formed as the quotient and not checked again."""
-    profile, F, T0 = split.profile, split.F, split.T0
-    params = split.kernel.params
-    value = 2j * F * F * T0 * T0 / (split.G * split.ell * params.upsilon)
+def _err_at(split: SplitData, F: complex) -> float:
+    """Re[2i·F²·T0²/(G·ℓ·Upsilon)] at the split's point, the closed form of
+    E at Liouville constant F; it must be real to 1e-8 relative."""
+    T0 = split.T0
+    value = 2j * F * F * T0 * T0 / (split.G * split.ell * split.kernel.params.upsilon)
     if abs(value.imag) > 1e-8 * max(abs(value), 1e-300):
         raise RealnessError("energy release rate has a large imaginary residue",
                             value)
-    e = float(value.real)
-    e_cl = classical_err(profile, params.m, split.G)
+    return float(value.real)
+
+
+def err_result(split: SplitData) -> ErrResult:
+    """E, E_cl and E/E_cl at the split's own point.  The ratio equals
+    2i·F²·L·sqrt(1−m²)/(ℓ·K_p²·Upsilon) by algebra, so it is formed as the
+    quotient and not checked again."""
+    e = _err_at(split, split.F)
+    e_cl = classical_err(split.profile, split.kernel.params.m, split.G)
     return ErrResult(E=e, E_cl=e_cl, ratio=e / e_cl)
 
 
@@ -73,10 +79,7 @@ def err_ratio_large_length(split: SplitData) -> float:
 
 
 def err_small_length(split: SplitData) -> float:
-    """E to leading order in L/ℓ at the split's point:
-    2(2p + 1)²K_p²·(L/ℓ)·T0²/(G·ℓ·Upsilon), using Σ_{j≤p} K_j = (2p + 1)K_p.
-    The relative remainder is O(L/ℓ)."""
-    p = split.profile.p
-    k_sum = (2 * p + 1) * kp_coefficient(p)
-    return (2.0 * k_sum * k_sum * split.L_over_ell * split.T0**2
-            / (split.G * split.ell * split.kernel.params.upsilon))
+    """E to leading order in L/ℓ at the split's point: the closed form at
+    F = Σ_{j≤p} H_j, the classical coefficients ``h_coefficients`` that the
+    F_j tend to.  The relative remainder is O(L/ℓ)."""
+    return _err_at(split, h_coefficients(split.profile.p, split.L_over_ell).sum())

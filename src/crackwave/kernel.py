@@ -21,9 +21,9 @@ the symbol is even, so k⁻(z) = 1/k⁺(−z).
 
 θ is computed once per factorization, by one trapezoid lattice in log t,
 at the 16 Gauss-Legendre nodes of each quarter-decade panel of log xi over
-[1e-6, xi_hi], and stored as one polynomial per panel (a constant matrix
+[xi_lo, xi_hi], and stored as one polynomial per panel (a constant matrix
 takes the node values to power coefficients in the panel coordinate).  The
-real-axis factors and k±_line evaluate it by Horner's rule; below 1e-6 it
+real-axis factors and k±_line evaluate it by Horner's rule; below xi_lo it
 continues linearly and beyond xi_hi as 1/xi.  ``theta_exact`` is an
 independent reference with panels refined about each xi.
 
@@ -212,6 +212,8 @@ class CauchyFactorization:
     ----------
     k_line : callable
         Vectorized kernel on the real axis (called with |t| ≥ 0).
+    xi_lo : float
+        Lower end of the interpolant, below which θ is continued linearly.
     xi_hi : float
         Upper end of the cached boundary-phase interpolant.  The off-axis
         Cauchy integrals and ``theta_exact`` are truncated at
@@ -220,17 +222,17 @@ class CauchyFactorization:
         The kernel's large-t coefficient, log k ~ c2/t², in closed form.
 
     ``theta_slope`` is the boundary phase's slope at 0,
-    θ′(0) = (1/π)∫₀^∞ log k(t)·t⁻² dt, read off the interpolant at _xi_lo:
+    θ′(0) = (1/π)∫₀^∞ log k(t)·t⁻² dt, read off the interpolant at xi_lo:
     k⁺(z) = 1 + iθ′(0)·z + o(z) near z = 0.
 
     Raises ``RegimeError`` if log k is not finite on the θ lattice.
     """
 
-    def __init__(self, k_line, xi_hi: float, c2: float):
+    def __init__(self, k_line, xi_lo: float, xi_hi: float, c2: float):
         self._k_line = k_line
+        self.xi_lo = float(xi_lo)
         self.xi_hi = float(xi_hi)
         self.t_cut = 40.0 * self.xi_hi
-        self._xi_lo = 1e-6
         self._c2 = float(c2)
         self._build_theta_interpolant()
 
@@ -246,7 +248,7 @@ class CauchyFactorization:
     def _build_theta_interpolant(self):
         """Piecewise-polynomial theta in log xi: its values at the
         _THETA_ORDER Gauss nodes of each of the equal panels, a quarter
-        decade or a little less, of log xi over [_xi_lo, xi_hi], turned into
+        decade or a little less, of log xi over [xi_lo, xi_hi], turned into
         power coefficients in the panel coordinate by the constant
         _THETA_FIT.
 
@@ -260,8 +262,8 @@ class CauchyFactorization:
         position.  The lattice spans t ∈ [1e-20, 1e9]: below, the omitted
         part is about L(0)·1e-20/(π·xi); above, L ~ c2/t² is below rounding.
         """
-        lo, hi = math.log(self._xi_lo), math.log(self.xi_hi)
-        panels = max(1, math.ceil(4.0 * math.log10(self.xi_hi / self._xi_lo)))
+        lo, hi = math.log(self.xi_lo), math.log(self.xi_hi)
+        panels = max(1, math.ceil(4.0 * math.log10(self.xi_hi / self.xi_lo)))
         h = 0.5 * (hi - lo) / panels
         u, _ = panel_nodes(np.linspace(lo, hi, panels + 1), _THETA_ORDER)
         j = np.arange(math.floor((math.log(1e-20) - lo) / h),
@@ -275,11 +277,11 @@ class CauchyFactorization:
         vals = h / (2.0 * np.pi) * (weights @ L.T)  # (panel, position)
         self._theta_coef = _THETA_FIT @ vals.T  # (power, panel)
         self._theta_axis = (lo, panels / (hi - lo))  # start, panels per unit
-        self.theta_slope = float(self._theta_panels(lo)) / self._xi_lo
+        self.theta_slope = float(self._theta_panels(lo)) / self.xi_lo
         self._theta_hi_edge = float(self._theta_panels(hi))
 
     def _theta_panels(self, u):
-        """The interpolant at log xi = u in [log _xi_lo, log xi_hi], by
+        """The interpolant at log xi = u in [log xi_lo, log xi_hi], by
         Horner's rule in the coordinate of u's panel."""
         lo, scale = self._theta_axis
         t = (np.asarray(u) - lo) * scale
@@ -294,11 +296,11 @@ class CauchyFactorization:
 
     def theta(self, xi):
         """Boundary phase (odd in xi) from the cached interpolant, continued
-        linearly below _xi_lo and as 1/xi beyond xi_hi."""
+        linearly below xi_lo and as 1/xi beyond xi_hi."""
         x = np.asarray(xi, dtype=float)
         ax = np.abs(x)
         out = np.empty_like(ax)
-        small = ax < self._xi_lo
+        small = ax < self.xi_lo
         big = ax > self.xi_hi
         mid = ~(small | big)
         out[small] = self.theta_slope * ax[small]
@@ -440,8 +442,10 @@ class FactorizedKernel(CauchyFactorization):
 
     def __init__(self, params: KernelParams):
         self.params = params
+        # θ is linear below the symbol's knee nu/u, below 1e-3 as m → 1.
+        xi_lo = min(1e-6, 1e-3 * params.nu / params.u)
         xi_hi = max(4.0e3, 60.0 * params.zeta)
-        super().__init__(self._symbol_line, xi_hi=xi_hi, c2=params.c2)
+        super().__init__(self._symbol_line, xi_lo, xi_hi, params.c2)
 
     def _symbol_line(self, t):
         """Normalized symbol on the real axis (vectorized, t ≥ 0), in the

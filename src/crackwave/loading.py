@@ -13,7 +13,8 @@ the independent ratio-of-integrals definition
     F = ∫ G⁻(s)/((sℓ)₋^{1/2} Ψ k⁻) ds / ∫ 1/((sℓ)₋^{1/2} Ψ k⁻) ds
 
 evaluated by quadrature along the real axis.  ``energy.solve_crack``
-builds the split of one parameter point.
+builds the split of one parameter point.  As L/ℓ → 0 the F_j tend to the
+classical H_j = K_j·(iℓ/L)^{−1/2} of ``classical.h_coefficients``.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ __all__ = [
     "SplitData",
     "traction",
     "traction_transform",
-    "traction_half_power_moment",
     "kp_coefficient",
     "split_coefficients",
     "g_minus",
@@ -96,11 +96,6 @@ def kp_coefficient(p: int) -> float:
     return out
 
 
-def traction_half_power_moment(profile: LoadProfile) -> float:
-    """∫_{−∞}^0 tau(X)|X|^{−1/2} dX = T0·Γ(p+1/2)/(Γ(p+1)·sqrt(L))."""
-    return profile.T0 * kp_coefficient(profile.p) * math.sqrt(math.pi / profile.L)
-
-
 def _pole_factor(k_plus, L: float, ell: float):
     """g(u) = k⁺(sℓ)/(sℓ)₊^{1/2} at s = i(1 − u)/L, vectorized in u."""
     zl = 1j * ell / L  # transform variable at the contour centre
@@ -135,7 +130,7 @@ class SplitData:
     ell: float
     coeffs: np.ndarray
     F: complex
-    F_alt: complex | None
+    F_alt: complex
     kernel: FactorizedKernel
 
     @property
@@ -235,10 +230,3 @@ def build_split(kernel: FactorizedKernel, material: Material,
         F_alt=F_alt,
         kernel=kernel,
     )
-
-
-def limit_constant(profile: LoadProfile, zeta_value: float) -> complex:
-    """Vanishing-microstructure limit of F·ℓ^{−1/2}:
-    e^{−iπ/4}·∫tau|X|^{−1/2}dX / (sqrt(pi)·zeta·T0)."""
-    moment = traction_half_power_moment(profile)
-    return np.exp(-1j * np.pi / 4.0) * moment / (math.sqrt(math.pi) * zeta_value * profile.T0)

@@ -20,7 +20,7 @@ def get_kernel(m, eta, h0):
 def get_split(m, eta, h0, L, p, T0=1.0, G=1.0, ell=1.0):
     key = (m, eta, h0, L, p, T0, G, ell)
     if key not in _SPLITS:
-        material = Material(G=G, rho=1.0, ell=ell, eta=eta, h0=h0)
+        material = Material(G=G, ell=ell, eta=eta, h0=h0)
         profile = LoadProfile(T0=T0, L=L, p=p)
         _SPLITS[key] = build_split(get_kernel(m, eta, h0), material, profile)
     return _SPLITS[key]

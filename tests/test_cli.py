@@ -77,9 +77,11 @@ sweep.count = 2
      "log sweep needs a positive start"),
     ("dispersion", DISPERSION.replace("scale = log", "scale = cubic"),
      "sweep.scale must be linear or log, got 'cubic'"),
+    # The density was read and checked, but no result depends on it.
+    ("fields", "material.rho = 1.0\n" + FIELDS, "unknown config key(s) ['material.rho']"),
 ], ids=["misspelt-key", "points-not-int", "points-negative", "variable-unknown",
         "limit-variable-unknown", "no-sweep-block", "repeated-key", "log-start",
-        "scale-unknown"])
+        "scale-unknown", "density-removed"])
 def test_bad_config_exits_with_config_error(tmp_path, capsys, subcommand, text, message):
     config = tmp_path / "run.conf"
     config.write_text(text)
@@ -98,7 +100,6 @@ def test_bad_config_exits_with_config_error(tmp_path, capsys, subcommand, text, 
 
 @pytest.mark.parametrize("subcommand,key,value", [
     ("limit-study", "material.G", "nan"),
-    ("limit-study", "material.rho", "inf"),
     ("limit-study", "material.ell", "inf"),
     ("limit-study", "material.h0", "nan"),
     ("limit-study", "load.T0", "nan"),
@@ -108,8 +109,8 @@ def test_bad_config_exits_with_config_error(tmp_path, capsys, subcommand, text, 
 ])
 def test_nonfinite_value_exits_with_regime_error(tmp_path, capsys, subcommand, key,
                                                  value):
-    # NaN and inf used to pass the positivity checks: G, rho and T0 ran with
-    # exit 0 (G and T0 writing NaN or inf columns), ell and L/ell ended in a
+    # NaN and inf used to pass the positivity checks: G and T0 ran with
+    # exit 0 and wrote NaN or inf columns, ell and L/ell ended in a
     # ValueError traceback with exit 1, and h0 and m reached the symbol.
     text = {"limit-study": LIMIT_STUDY, "fields": FIELDS,
             "err-sweep": ERR_SWEEP.replace("sweep.count = 24", "sweep.count = 2")}[subcommand]

@@ -5,18 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from crackwave import cli, energy
-from crackwave.classical import classical_err
+from crackwave.classical import classical_err, h_coefficients
 from crackwave.energy import (err_ratio_large_length, err_result,
                               err_small_length, solve_crack)
 from crackwave.errors import RegimeError
 from crackwave.kernel import KernelParams, factorize
 from crackwave.loading import LoadProfile, build_split, kp_coefficient
-from crackwave.material import Material, critical_speed, h0_star
+from crackwave.material import Material, critical_speed, h0_star, upsilon
 
-MAT = dict(G=1.0, rho=1.0, ell=1.0)
+MAT = dict(G=1.0, ell=1.0)
 
 
 class TestClassical:
@@ -72,6 +74,42 @@ class TestLengthLimits:
             split = split_factory(m, eta, h0, L, p)
             scaled.append((err_result(split).E / err_small_length(split) - 1.0) / L)
         assert abs(scaled[1] - scaled[0]) <= 0.05 * abs(scaled[1])
+
+    @pytest.mark.parametrize("p", range(4))
+    def test_small_length_form_is_the_err_form_at_the_classical_coefficients(
+            self, split_factory, p):
+        # E at F = Σ_j H_j, with T0, G and ℓ away from 1; Σ_{j≤p} K_j =
+        # (2p + 1)K_p gives it as 2(2p + 1)²K_p²·(L/ℓ)·T0²/(G·ℓ·Upsilon).
+        split = split_factory(0.3, 0.9, 0.6, 1e-3, p, T0=2.0, G=3.0, ell=0.5)
+        upsilon_ = split.kernel.params.upsilon
+        f = h_coefficients(p, 2e-3).sum()
+        e = (2j * f * f * 4.0 / (3.0 * 0.5 * upsilon_)).real
+        assert err_small_length(split) == pytest.approx(e, rel=1e-15)
+        k_sum = (2 * p + 1) * kp_coefficient(p)
+        assert err_small_length(split) == pytest.approx(
+            2.0 * k_sum * k_sum * 2e-3 * 4.0 / (3.0 * 0.5 * upsilon_), rel=1e-15)
+
+    @given(eta=st.one_of(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                         st.floats(0.0, 15.5).map(lambda d: -1.0 + 10.0 ** -d)),
+           h0=st.floats(0.0, 10.0), decades=st.floats(0.0, 15.0))
+    @example(eta=-1.0 + 1e-12, h0=0.707, decades=6.0)  # eta → −1
+    @example(eta=-0.9, h0=0.707, decades=14.0)        # m → m_c < 1
+    @example(eta=0.9, h0=0.01, decades=14.0)          # m → 1 (fig9)
+    @settings(max_examples=200, deadline=None)
+    def test_large_length_slope_is_positive(self, eta, h0, decades):
+        # E/E_cl − 1 ≈ 2S·ℓ/((2p − 1)L) with S = θ′(0) + 1/zeta, so S > 0
+        # means that at large L/ℓ a tip load (p = 0) is shielded and every
+        # p ≥ 1 weakens, at any material and speed.  m = m_c(1 − 10^−decades)
+        # runs from 0 to within 1e-15 of the critical speed.
+        m = critical_speed(eta, h0) * (1.0 - 10.0 ** -decades)
+        try:
+            kernel = factorize(KernelParams(m=m, eta=eta, h0=h0))
+        except RegimeError:
+            # Within rounding of the surface-wave limit, Upsilon or log k
+            # loses its sign in floating point (η → −1 and m → m_c).
+            assert upsilon(eta, h0, m) < 1e-15
+            return
+        assert kernel.theta_slope + 1.0 / kernel.params.zeta > 0.0
 
     def test_validate_catches_an_error_in_the_classical_err(self, monkeypatch):
         # E_cl scaled by 1 + 1e-6 moves E/E_cl at L/ℓ = 1e4 from 1.0002269

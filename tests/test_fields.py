@@ -362,7 +362,7 @@ class TestMomentTable:
         assert len(built) == 1
 
     def test_build_split_builds_none(self, built, kernel_factory):
-        material = Material(G=1.0, rho=1.0, ell=1.0, eta=0.9, h0=0.707)
+        material = Material(G=1.0, ell=1.0, eta=0.9, h0=0.707)
         split = build_split(kernel_factory(0.3, 0.9, 0.707), material,
                             LoadProfile(T0=1.0, L=2.0, p=1))
         assert split.F_alt is not None

@@ -58,16 +58,37 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def _names_in(root):
+def _bound_in(func) -> set[str]:
+    """Names that the function ``func`` binds itself: its parameters, the
+    targets of its assignments and loops, and the functions and classes it
+    defines (in nested scopes too)."""
+    args = func.args
+    bound = {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                 args.vararg, args.kwarg) if arg is not None}
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node is not func):
+            bound.add(node.name)
+    return bound
+
+
+def _names_in(root, local=frozenset()):
     """Each name, attribute or imported name in ``root``, once per
-    occurrence."""
-    for node in ast.walk(root):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name
+    occurrence.  A plain name that an enclosing function binds itself (in
+    ``local`` or below ``root``) names that binding and is left out."""
+    if isinstance(root, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        local = local | _bound_in(root)
+    if isinstance(root, ast.Name):
+        if root.id not in local:
+            yield root.id
+    elif isinstance(root, ast.Attribute):
+        yield root.attr
+    elif isinstance(root, ast.alias):
+        yield root.name
+    for child in ast.iter_child_nodes(root):
+        yield from _names_in(child, local)
 
 
 def _is_all(node) -> bool:
@@ -129,6 +150,15 @@ def test_detector_flags_an_unreferenced_public_definition():
         "__init__.py": "from .a import Orphan\n\ndef exempt():\n    pass\n",
     }
     assert unreferenced_definitions(sources, private=False) == ["a.py: Orphan"]
+    # A local variable, parameter or loop target of the same name is no
+    # reference: each function below reads its own binding.
+    sources["c.py"] = ("def _f(x):\n    used, Orphan = x\n    return Orphan\n\n"
+                       "def _g(Orphan):\n    return [Orphan for _ in Orphan]\n\n"
+                       "def _h(xs):\n    for Orphan in xs:\n        yield lambda: Orphan\n")
+    assert unreferenced_definitions(sources, private=False) == ["a.py: Orphan"]
+    # A name a function reads but does not bind is a reference.
+    sources["c.py"] = "def _f():\n    return Orphan\n"
+    assert unreferenced_definitions(sources, private=False) == []
 
 
 # Public names that no src code calls, each with the reason it stays.
@@ -137,7 +167,8 @@ UNCALLED_PUBLIC = {
     "fields.py: field_profile": "a wrap point of the benchmark tracer",
     "fields.py: traction_ahead": "a wrap point of the benchmark tracer",
     "fields.py: stresses_on_line": "a wrap point of the benchmark tracer",
-    # The loading's transform, which the transform tests compare against.
+    # The loading and its transform, which the transform tests compare.
+    "loading.py: traction": "the loading itself",
     "loading.py: traction_transform": "the loading's transform",
 }
 
@@ -192,6 +223,67 @@ UNCALLED_METHODS = {
 def test_methods_have_src_callers():
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
     assert unreferenced_methods(sources) == sorted(UNCALLED_METHODS)
+
+
+def _is_dataclass(cls) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in cls.decorator_list)
+
+
+def _attribute_reads(root) -> Counter:
+    return Counter(node.attr for node in ast.walk(root)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """Fields of the module-level dataclasses in the modules of ``sources``
+    (name → source) that no attribute read outside their own class refers
+    to, as ``module: Class.field``."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    everywhere = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    found = []
+    for name, tree in trees.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            own = _attribute_reads(cls)
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                        and everywhere[node.target.id] == own[node.target.id]):
+                    found.append(f"{name}: {cls.name}.{node.target.id}")
+    return sorted(found)
+
+
+def test_detector_flags_an_unread_field():
+    sources = {
+        "a.py": "from dataclasses import dataclass\n\n"
+                "@dataclass(frozen=True)\n"
+                "class A:\n    read: float\n    checked: float\n    set_only: float\n\n"
+                "    def __post_init__(self):\n        assert self.checked > 0\n\n"
+                "class Plain:\n    untracked: float\n",
+        "b.py": "from .a import A\nA(read=1.0, checked=1.0, set_only=1.0).read\n",
+    }
+    assert unread_fields(sources) == ["a.py: A.checked", "a.py: A.set_only"]
+
+
+# Dataclass fields that no src code reads, each with the reason it stays.
+UNREAD_FIELDS = {
+    # A field profile is a result for the library's callers; no run reads it.
+    "fields.py: FieldProfile.X": "a library result",
+    "fields.py: FieldProfile.values": "a library result",
+    "fields.py: FieldProfile.kind": "a library result",
+    "fields.py: FieldProfile.error": "a library result",
+    "fields.py: NearTipCoefficients.C_mu":
+        "the couple stress's singular coefficient, beside C_w and C_t",
+}
+
+
+def test_dataclass_fields_are_read():
+    # A field stays in src only if src reads it outside its own class, or
+    # it is listed above: an input that is only checked changes no result.
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert unread_fields(sources) == sorted(UNREAD_FIELDS)
 
 
 def undefined_exports(source: str) -> list[str]:

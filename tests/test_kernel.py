@@ -39,7 +39,7 @@ def rational_kminus(z):
 @pytest.fixture(scope="module")
 def rational():
     # log k = log(1 + (A² − B²)/(t² + B²)) ~ (A² − B²)/t².
-    return CauchyFactorization(rational_kernel, xi_hi=4e3,
+    return CauchyFactorization(rational_kernel, xi_lo=1e-6, xi_hi=4e3,
                                c2=RATIONAL_A**2 - RATIONAL_B**2)
 
 
@@ -255,7 +255,7 @@ class TestRationalReconstruction:
 
     def test_unit_kernel(self):
         cf = CauchyFactorization(lambda t: np.ones_like(np.asarray(t, float)),
-                                 xi_hi=4e3, c2=0.0)
+                                 xi_lo=1e-6, xi_hi=4e3, c2=0.0)
         for z in (0.5 + 0.5j, 1j, -3.0 + 2j):
             assert cf.k_plus(z) == pytest.approx(1.0, abs=1e-12)
         assert cf.k_plus_line(3.0) == pytest.approx(1.0, abs=1e-12)
@@ -303,6 +303,16 @@ class TestPhysicalFactorization:
         # there: theta_exact itself resolves only about 2e-11 at that point.
         for x in np.geomspace(2e-6, 3e3, 40):
             assert abs(k.theta(x) - k.theta_exact(x)) < 1e-12
+
+    @pytest.mark.parametrize("delta", [1e-10, 1e-13])
+    def test_theta_floor_lies_below_the_knee(self, delta):
+        # Near m = 1 the symbol's knee nu/u falls below 1e-6, and theta's
+        # linear continuation below a fixed floor of 1e-6 read −8.4e-4
+        # (delta = 1e-10) and −0.36 (delta = 1e-13) relative at xi = 1e-9
+        # (fig9's material).
+        k = factorize(KernelParams(m=1.0 - delta, eta=0.9, h0=0.01))
+        for x in (1e-11, 1e-9, 1e-7):
+            assert abs(k.theta(x) / k.theta_exact(x) - 1.0) < 1e-6
 
     def test_spline_knots_use_the_shared_node_rule(self, monkeypatch):
         # theta_exact is the independent reference; building the
@@ -400,7 +410,7 @@ class TestPhysicalFactorization:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RegimeError, match="not positive"):
-                CauchyFactorization(dipping, xi_hi=4e3, c2=0.0)
+                CauchyFactorization(dipping, xi_lo=1e-6, xi_hi=4e3, c2=0.0)
 
     def test_wrong_halfplane(self, kernel_factory):
         k = kernel_factory(0.3, 0.9, 0.707)

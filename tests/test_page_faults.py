@@ -36,7 +36,7 @@ FAULT_RUN = textwrap.dedent("""\
     from crackwave.loading import LoadProfile, build_split
     from crackwave.material import Material
 
-    material = Material(G=1.0, rho=1.0, ell=1.0, eta=0.9, h0=0.707)
+    material = Material(G=1.0, ell=1.0, eta=0.9, h0=0.707)
     profile = LoadProfile(T0=1.0, L=1.0, p=1)
 
     def split():
