@@ -7,6 +7,11 @@ dynamic energy release rate.  Classical elasticity enters through the
 energy release rate, E/E_cl, whose two ends of the L/ℓ axis have closed
 forms, and through the classical split coefficients H_j
 (``h_coefficients``), which the split tends to as L/ℓ → 0.
+
+Units: lengths are in units of the characteristic length ℓ, stresses in
+units of the shear modulus G, and every load has unit resultant, T0 = 1.
+A result is therefore its normalized value: L/ℓ, w·G/(T0·ℓ), a stress
+times ℓ/T0, and the energy release rate E in units of T0²/(G·ℓ).
 """
 
 from .classical import classical_err, h_coefficients

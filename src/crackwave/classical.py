@@ -41,15 +41,14 @@ class _UnitKernel:
 
 def h_coefficients_contour(p: int, L: float) -> np.ndarray:
     """H_j by the circle-contour definition (cross-check path)."""
-    profile = LoadProfile(T0=1.0, L=L, p=p)
-    return split_coefficients(_UnitKernel(), profile, 1.0)
+    return split_coefficients(_UnitKernel(), LoadProfile(L=L, p=p))
 
 
-def classical_err(profile: LoadProfile, m: float, G: float) -> float:
-    """Classical energy release rate T0²K_p²/(G·L·sqrt(1−m²)), the one
-    closed form of E_cl."""
+def classical_err(profile: LoadProfile, m: float) -> float:
+    """Classical energy release rate K_p²/(L·sqrt(1−m²)) in units of
+    T0²/(G·ℓ), with L in units of ℓ: the one closed form of E_cl."""
     if not 0.0 <= m < 1.0:
         raise RegimeError(f"classical energy release rate needs m < 1, got {m}")
     kp = kp_coefficient(profile.p)
-    return profile.T0**2 * kp * kp / (G * profile.L * math.sqrt((1.0 - m) * (1.0 + m)))
+    return kp * kp / (profile.L * math.sqrt((1.0 - m) * (1.0 + m)))
 

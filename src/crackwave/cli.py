@@ -32,8 +32,7 @@ EXIT_NUMERICAL = 3
 EXIT_REGIME = 4
 
 CONFIG_KEYS = frozenset({
-    "material.G", "material.ell", "material.eta", "material.h0",
-    "load.T0", "load.L_over_ell", "load.p", "state.m",
+    "material.eta", "material.h0", "load.L_over_ell", "load.p", "state.m",
     "sweep.variable", "sweep.start", "sweep.stop", "sweep.count", "sweep.scale",
     "fields.points",
 })
@@ -100,15 +99,11 @@ class RunConfig:
             raise ConfigError(f"unknown config key(s) {unknown}; "
                               f"known keys are {sorted(CONFIG_KEYS)}")
         material = Material(
-            G=_get(cfg, "material.G", float, 1.0),
-            ell=_get(cfg, "material.ell", float, 1.0),
             eta=_get(cfg, "material.eta", float),
             h0=_get(cfg, "material.h0", float),
         )
-        ell = material.ell
         profile = LoadProfile(
-            T0=_get(cfg, "load.T0", float, 1.0),
-            L=_get(cfg, "load.L_over_ell", float, 1.0) * ell,
+            L=_get(cfg, "load.L_over_ell", float, 1.0),
             p=_get(cfg, "load.p", int, 0),
         )
         m = _get(cfg, "state.m", float, 0.0)
@@ -242,20 +237,19 @@ def _cmd_regime_map(run: RunConfig):
 
 def _cmd_fields(run: RunConfig):
     split = solve_crack(run.material, run.m, run.profile)
-    T0, ell = run.profile.T0, run.material.ell
     header = ["m", "eta", "h0", "p", "L_over_ell", "X", "X_over_ell",
               "w", "w_G_over_T0_ell", "p3", "p3_ell_over_T0",
               "sigma23_ell_over_T0", "tau23_ell_over_T0", "mu22_over_T0",
               "t23_ell_over_T0"]
     meta = (run.m, run.material.eta, run.material.h0, run.profile.p,
-            run.profile.L / ell)
+            run.profile.L)
     xs = np.geomspace(*fields.crack_line_window(split), run.points)
     fl = fields.crack_line_fields(xs, split)
     w, p3 = fl["w"], fl["p3"]
-    rows = [meta + (x, x / ell, w[i], w[i] * run.material.G / (T0 * ell),
-                    p3[i], p3[i] * ell / T0, fl["sigma23"][i] * ell / T0,
-                    fl["tau23"][i] * ell / T0, fl["mu22"][i] / T0,
-                    fl["t23"][i] * ell / T0)
+    # The library is in units of ℓ, G and T0, so each normalized column
+    # repeats the raw one before it.
+    rows = [meta + (x, x, w[i], w[i], p3[i], p3[i], fl["sigma23"][i],
+                    fl["tau23"][i], fl["mu22"][i], fl["t23"][i])
             for i, x in enumerate(xs)]
     return header, rows
 
@@ -263,27 +257,24 @@ def _cmd_fields(run: RunConfig):
 def _tmax_row(material: Material, profile: LoadProfile, m: float):
     split = solve_crack(material, m, profile)
     t23max, x_at = fields.max_total_shear(split)
-    ell = material.ell
-    return (m, material.eta, material.h0, profile.p, profile.L / ell, t23max,
-            t23max * ell / profile.T0, x_at / ell)
+    return (m, material.eta, material.h0, profile.p, profile.L, t23max,
+            t23max, x_at)
 
 
 def _err_row(material: Material, profile: LoadProfile, m: float):
     res = err_result(solve_crack(material, m, profile))
-    T0, ell = profile.T0, material.ell
-    e_norm = res.E * material.G * ell / (T0 * T0)
-    return (m, material.eta, material.h0, profile.p, profile.L / ell, res.E,
-            e_norm, res.E_cl, res.ratio)
+    return (m, material.eta, material.h0, profile.p, profile.L, res.E,
+            res.E, res.E_cl, res.ratio)
 
 
 def _limit_row(material: Material, profile: LoadProfile, m: float):
-    """ERR ratio and the drift of F from F_lim = H_p/(zeta·L/ℓ), the
-    vanishing-microstructure limit: 2i·F_lim²·T0²/(G·ℓ·Upsilon) = E_cl."""
+    """ERR ratio and the drift of F from F_lim = H_p/(zeta·L), the
+    vanishing-microstructure limit: 2i·F_lim²/Upsilon = E_cl."""
     split = solve_crack(material, m, profile)
     res = err_result(split)
-    lo = split.L_over_ell
-    f_lim = h_coefficients(profile.p, lo)[-1] / (split.kernel.params.zeta * lo)
-    return (m, material.eta, material.h0, profile.p, lo, res.E, res.E_cl,
+    L = profile.L
+    f_lim = h_coefficients(profile.p, L)[-1] / (split.kernel.params.zeta * L)
+    return (m, material.eta, material.h0, profile.p, L, res.E, res.E_cl,
             res.ratio, abs(res.ratio - 1.0), abs(split.F / f_lim - 1.0))
 
 
@@ -298,7 +289,7 @@ def _sweep_args(run: RunConfig):
     if variable == "m_of_limit":
         m_limit = critical_speed(mat.eta, mat.h0)
         return [(mat, prof, v * m_limit) for v in grid]
-    return [(mat, replace(prof, L=v * mat.ell), run.m) for v in grid]
+    return [(mat, replace(prof, L=v), run.m) for v in grid]
 
 
 # The sweep subcommands: the worker that computes a row at each point of
@@ -382,25 +373,23 @@ def _validate_checks():
                / abs(kernel.k_plus_line(x)) for x in xi)
     checks.append(("kplus_boundary_value", 0.0, float(jump), 1e-6))
 
-    material = Material(G=1.0, ell=1.0, eta=0.9, h0=0.707)
-    profile = LoadProfile(T0=1.0, L=10.0, p=1)
-    split = build_split(kernel, material, profile)
+    split = build_split(kernel, LoadProfile(L=10.0, p=1))
     checks.append(("liouville_cross_check", 0.0,
                    abs(split.F - split.F_alt) / abs(split.F), 1e-6))
     w0 = fields.crack_opening(-1e-10, split)
     w_ref = abs(fields.crack_opening(-3.0, split))
     checks.append(("tip_closure", 0.0, abs(w0) / w_ref, 1e-6))
     checks.append(("balance_T0", 1.0, fields.balance_integral(split), 1e-5))
-    split_30 = build_split(kernel, material, LoadProfile(T0=1.0, L=30.0, p=3))
+    split_30 = build_split(kernel, LoadProfile(L=30.0, p=3))
     checks.append(("balance_T0_L30_p3", 1.0, fields.balance_integral(split_30), 1e-5))
     # The fields near the tip against their closed-form singular terms,
     # t23 ~ C_t·x^{−3/2} ahead and w ~ C_w·x^{3/2} behind, at x = 1e-5·ℓ on
     # either side of C_t's sign change at m = 0.316 (eta = −0.9, h0 = 0.707).
     # The inverted fields approach them with an error proportional to x.
-    tip_material = replace(material, eta=-0.9)
+    tip_material = Material(eta=-0.9, h0=0.707)
     x = 1e-5
     for m in (0.2, 0.433):
-        tip_split = solve_crack(tip_material, m, LoadProfile(T0=1.0, L=1.0, p=1))
+        tip_split = solve_crack(tip_material, m, LoadProfile(L=1.0, p=1))
         near = fields.neartip_coefficients(tip_split)
         fl = fields.crack_line_fields(x, tip_split)
         checks.append((f"neartip_t23_m{m}", 1.0, fl["t23"] / (near.C_t * x**-1.5), 1e-3))
@@ -411,10 +400,10 @@ def _validate_checks():
     # first order in ℓ/L, whose remainder is O((ℓ/L)²), so a tolerance of
     # 2(ℓ/L)²; and E to leading order in L/ℓ, whose relative remainder is
     # O(L/ℓ), so a tolerance of 10·L/ℓ.
-    large = build_split(kernel, material, LoadProfile(T0=1.0, L=1e4, p=1))
+    large = build_split(kernel, LoadProfile(L=1e4, p=1))
     checks.append(("err_ratio_large_L1e4", err_ratio_large_length(large),
                    err_result(large).ratio, 2e-7))
-    small = build_split(kernel, material, LoadProfile(T0=1.0, L=1e-4, p=1))
+    small = build_split(kernel, LoadProfile(L=1e-4, p=1))
     checks.append(("err_small_L1e-4", 1.0,
                    err_result(small).E / err_small_length(small), 1e-3))
     return checks

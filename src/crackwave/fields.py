@@ -2,12 +2,15 @@
 stresses sigma23/tau23/mu22, total shear t23 = sigma23 + tau23, the windowed
 maximum of t23, and the closed-form near-tip coefficients.
 
-Every field is a folded half-line integral 2·Re[pref·∫₀^∞ g(xi) e^{−iXxi/ℓ} dxi]
-evaluated by the shared oscillatory engine; the large-xi behaviour of each
-integrand is an algebraic half-integer ladder, which the engine fits on a
-window whose start is chosen here and sums in closed form beyond the
-truncation radius.  The total shear grows like xi^{1/2} (its transform is
-square-root singular), handled the same way.
+Lengths are in units of ℓ and the load has unit resultant, so each field
+is its normalized value: w·G/(T0·ℓ), p3 and the stresses times ℓ/T0, and
+mu22/T0.  Every field is a folded half-line integral
+2·Re[pref·∫₀^∞ g(xi) e^{−iX·xi} dxi] evaluated by the shared oscillatory
+engine; the large-xi behaviour of each integrand is an algebraic
+half-integer ladder, which the engine fits on a window whose start is
+chosen here and sums in closed form beyond the truncation radius.  The
+total shear grows like xi^{1/2} (its transform is square-root singular),
+handled the same way.
 
 The public evaluators take a scalar X (giving floats) or an array of X.
 Each is one transform per (split, field kinds): the integrands of all kinds
@@ -20,7 +23,7 @@ stresses and the t^{1/2} endpoint of the traction.
 
 The traction's rational piece is transformed in closed form through
 e^w·E_q(w) = S(1 − q, w), in the scaled incomplete gamma that also sums
-the ladder tails (``upper_gamma_ladder``).  The balance ∫p3 dX = T0
+the ladder tails (``upper_gamma_ladder``).  The balance ∫p3 dX = 1
 (``balance_integral``) is integrated on Gauss panels in log X after the
 tip singularity is subtracted (its coefficients from the traction
 transform's own tail fit), with closed-form tip and tail pieces fitted on
@@ -55,7 +58,7 @@ __all__ = [
     "balance_integral",
 ]
 
-TIP_WINDOW_FLOOR = 1e-3  # t23-max window starts at 1e-3·ell (singular zone excluded)
+TIP_WINDOW_FLOOR = 1e-3  # t23-max window starts at X = 1e-3 (singular zone excluded)
 _TMAX_POINTS = 90        # log-spaced points of the t23-max window
 _BALANCE_ORDER = 12      # Gauss nodes per half-decade panel of the balance integral
 
@@ -123,11 +126,11 @@ def _integrands(split: SplitData, kinds, xi):
     opening and the stresses share the factor q, and the stresses its
     multipliers r_sigma, r_tau; each is computed once for all ``kinds``.
     The traction integrand here is only the half-integer-ladder part; its
-    rational piece (1+i·xi·L/ℓ)^{−1−p} is transformed in closed form by the
+    rational piece (1+i·xi·L)^{−1−p} is transformed in closed form by the
     caller.
     """
     xi = np.asarray(xi, dtype=float)
-    gm = g_minus(xi / split.ell, split)
+    gm = g_minus(xi, split)
     kernel = split.kernel
     rows = {}
     if FieldKind.TRACTION in kinds:
@@ -146,24 +149,23 @@ def _integrands(split: SplitData, kinds, xi):
 
 
 def _prefactor(split: SplitData, kind: FieldKind) -> complex:
-    T0, ell = split.T0, split.ell
     if kind is FieldKind.OPENING:
-        return T0 / (math.pi * split.G)
+        return 1.0 / math.pi
     if kind is FieldKind.TRACTION:
-        return T0 / (2.0 * math.pi * ell)
+        return 1.0 / (2.0 * math.pi)
     if kind is FieldKind.SIGMA_SHEAR:
-        return -T0 / (math.pi * ell)
+        return -1.0 / math.pi
     if kind in (FieldKind.TAU_SHEAR, FieldKind.TOTAL_SHEAR):
-        return -T0 / (2.0 * math.pi * ell)
+        return -1.0 / (2.0 * math.pi)
     if kind is FieldKind.COUPLE_STRESS:
-        return -1j * T0 * (1.0 + split.kernel.params.eta) / math.pi
+        return -1j * (1.0 + split.kernel.params.eta) / math.pi
     raise DomainError(f"unknown field kind {kind!r}")
 
 
 def _truncation_radius(split: SplitData) -> float:
     """Truncation radius far beyond both scales of the integrands: zeta and
-    ℓ/L, on which G⁻ varies (the tail ladder is an expansion in 1/(xi·L/ℓ))."""
-    return max(4.0e3, 50.0 * split.kernel.params.zeta, 2.0e3 / split.L_over_ell)
+    1/L, on which G⁻ varies (the tail ladder is an expansion in 1/(xi·L))."""
+    return max(4.0e3, 50.0 * split.kernel.params.zeta, 2.0e3 / split.profile.L)
 
 
 def _check_domain(kind: FieldKind, X):
@@ -177,12 +179,12 @@ def _check_domain(kind: FieldKind, X):
 
 
 def _rational_transform(split: SplitData, a):
-    """Closed form of ∫₀^∞ (1+i·t·L̃)^{−1−p} e^{−iat} dt for a > 0:
-    e^{w}·E_{p+1}(w)/(i·L̃) = S(−p, w)/(i·L̃) with w = a/L̃, in the scaled
+    """Closed form of ∫₀^∞ (1+i·t·L)^{−1−p} e^{−iat} dt for a > 0:
+    e^{w}·E_{p+1}(w)/(i·L) = S(−p, w)/(i·L) with w = a/L, in the scaled
     incomplete gamma of ``upper_gamma_ladder``."""
-    Lt = split.L_over_ell
-    ((scaled,),) = upper_gamma_ladder([[-split.profile.p]], a / Lt)
-    return scaled / (1j * Lt)
+    L = split.profile.L
+    ((scaled,),) = upper_gamma_ladder([[-split.profile.p]], a / L)
+    return scaled / (1j * L)
 
 
 def _field_values(split: SplitData, kinds):
@@ -193,7 +195,7 @@ def _field_values(split: SplitData, kinds):
     fields and their error estimates, both of shape (len(kinds),) + x.shape.
     The integrands of all kinds are evaluated and their tails fitted once,
     here, on the window from max(40, 30·zeta, radius/50) to the truncation
-    radius; each call inverts at the frequencies x/ℓ, and a distance's value
+    radius; each call inverts at the frequencies x, and a distance's value
     does not depend on the other distances of the call.  ``coeffs`` holds
     each kind's fitted ladder coefficients (``_LADDERS``).
 
@@ -214,7 +216,7 @@ def _field_values(split: SplitData, kinds):
     pref = np.array([_prefactor(split, kind) for kind in kinds])
 
     def values(x):
-        a = np.asarray(x, dtype=float) / split.ell
+        a = np.asarray(x, dtype=float)
         val, err = transform(a)
         for i, kind in enumerate(kinds):
             if kind is FieldKind.OPENING:
@@ -271,18 +273,17 @@ def crack_line_fields(x, split: SplitData) -> dict:
 
 
 def crack_line_window(split: SplitData) -> tuple[float, float]:
-    """Distances 1e-3·ell … 1e2·max(L, ell) from the tip over which the
+    """Distances 1e-3 … 1e2·max(L, 1) from the tip over which the
     crack-line fields are tabulated and the t23 maximum is sought.  The
     lower end keeps out of the tip's singular zone."""
-    ell = split.ell
-    return TIP_WINDOW_FLOOR * ell, 1e2 * max(split.profile.L, ell)
+    return TIP_WINDOW_FLOOR, 1e2 * max(split.profile.L, 1.0)
 
 
 def field_profile(split: SplitData, kind: FieldKind, *, n: int = 400,
                   x_lo: float | None = None, x_hi: float | None = None) -> FieldProfile:
     """Sampled profile on a logarithmic |X| grid (signed for the opening),
-    by default from 1e-5·ell to the upper end of ``crack_line_window``."""
-    x_lo = 1e-5 * split.ell if x_lo is None else x_lo
+    by default from 1e-5 to the upper end of ``crack_line_window``."""
+    x_lo = 1e-5 if x_lo is None else x_lo
     x_hi = crack_line_window(split)[1] if x_hi is None else x_hi
     grid = np.geomspace(x_lo, x_hi, n)
     sign = -1.0 if kind is FieldKind.OPENING else 1.0
@@ -294,7 +295,7 @@ def max_total_shear(split: SplitData):
     """Maximum of t23 over 90 log-spaced points of ``crack_line_window``
     ahead of the tip, refined by a parabola in log X about the largest.
 
-    The window starts at 1e-3·ell: the total shear is square-root-cubed
+    The window starts at X = 1e-3: the total shear is square-root-cubed
     singular at the tip, so a maximum is only meaningful outside the
     singular zone.  The grid and the refined point are two calls of one
     transform.  Returns ``(t23max, X_at)``."""
@@ -322,18 +323,15 @@ def neartip_coefficients(split: SplitData) -> NearTipCoefficients:
     The half-power branch constants make all three real; a relative
     imaginary residue above 1e-10 raises RealnessError."""
     params = split.kernel.params
-    T0, ell, ups = split.T0, split.ell, params.upsilon
-    u, eta, h0 = params.u, params.eta, params.h0
+    ups, u, eta, h0 = params.upsilon, params.u, params.eta, params.h0
     F = split.F
     rt_pi = math.sqrt(math.pi)
     i_m32 = np.exp(-0.75j * np.pi)  # (i)^{−3/2} under the upper branch
     i_p12 = np.exp(0.25j * np.pi)   # (i)^{1/2}
 
-    cw = -8.0 * F * T0 * i_m32 * ell ** -1.5 / (3.0 * rt_pi * split.G * ups)
-    ct = -F * T0 * (1.0 + eta - 2.0 * (h0 * params.m) ** 2) * i_p12 * math.sqrt(ell) \
-        / (2.0 * rt_pi * ups)
-    cmu = 2.0 * F * T0 * (u - eta) * (1.0 + eta) * i_p12 * math.sqrt(ell) \
-        / (rt_pi * ups * (1.0 + u))
+    cw = -8.0 * F * i_m32 / (3.0 * rt_pi * ups)
+    ct = -F * (1.0 + eta - 2.0 * (h0 * params.m) ** 2) * i_p12 / (2.0 * rt_pi * ups)
+    cmu = 2.0 * F * (u - eta) * (1.0 + eta) * i_p12 / (rt_pi * ups * (1.0 + u))
 
     out = []
     for name, c in (("C_w", cw), ("C_t", ct), ("C_mu", cmu)):
@@ -344,7 +342,7 @@ def neartip_coefficients(split: SplitData) -> NearTipCoefficients:
 
 
 def balance_integral(split: SplitData) -> float:
-    """Finite-part integral ∫₀^∞ p3 dX, which equals T0.
+    """Finite-part integral ∫₀^∞ p3 dX, which equals 1, the load's resultant.
 
     p3 ~ C_p·X^{−3/2} at the tip is not locally integrable; the balance holds
     in the finite-part sense (the zero-transform value).  The singular model
@@ -355,18 +353,17 @@ def balance_integral(split: SplitData) -> float:
     X^{−1/2} one beside it, come from the tail fit of the one traction
     transform that also gives p3.
     """
-    ell, L = split.ell, split.profile.L
-    lam = max(L, ell)
+    lam = max(split.profile.L, 1.0)
     traction, (coeffs,) = _field_values(split, (FieldKind.TRACTION,))
     # Singular coefficients of the transform's own tail fit, so the
     # subtraction cancels identically at small X: the xi^{1/2} and
     # xi^{−1/2} ladder heads transform to X^{−3/2} and X^{−1/2} terms with
-    # c = 2·Re[pref·c_k·Γ(λ+1)e^{−iπ(λ+1)/2}]·ℓ^{λ+1}.
+    # c = 2·Re[pref·c_k·Γ(λ+1)e^{−iπ(λ+1)/2}].
     pref = _prefactor(split, FieldKind.TRACTION)
     c32 = math.sqrt(math.pi) * float(np.real(
-        pref * coeffs[0] * np.exp(-0.75j * np.pi))) * ell ** 1.5
+        pref * coeffs[0] * np.exp(-0.75j * np.pi)))
     c12 = 2.0 * math.sqrt(math.pi) * float(np.real(
-        pref * coeffs[1] * np.exp(-0.25j * np.pi))) * ell ** 0.5
+        pref * coeffs[1] * np.exp(-0.25j * np.pi)))
     c_sing = (c32, c12)
     # fp ∫₀^∞ X^{−3/2}e^{−X/λ} = −2·sqrt(pi/λ); ∫ X^{−1/2}e^{−X/λ} = sqrt(pi·λ).
     analytic = -2.0 * math.sqrt(math.pi / lam) * c32 \
@@ -375,9 +372,9 @@ def balance_integral(split: SplitData) -> float:
     # Middle: ∫ reg dX = ∫ reg·X d(log X) by Gauss panels of half a decade
     # in log X, on whose nodes the tip and tail are fitted as well.  A grid
     # ending at 400λ leaves the fitted tail off by up to 1.2e-5; at 4000λ
-    # the balance holds to 1e-7.  X stays below 1e7·ℓ, inside the engine's
-    # head limit X/ℓ ≤ 4π·1e6.
-    x_min, x_max = 1e-6 * ell, min(4000.0 * lam, 1e7 * ell)
+    # the balance holds to 1e-7.  X stays below 1e7, inside the engine's
+    # head limit X ≤ 4π·1e6.
+    x_min, x_max = 1e-6, min(4000.0 * lam, 1e7)
     panels = math.ceil(2.0 * math.log10(x_max / x_min))
     u, wu = panel_nodes(np.linspace(math.log(x_min), math.log(x_max), panels + 1),
                         _BALANCE_ORDER)
@@ -399,7 +396,7 @@ def balance_integral(split: SplitData) -> float:
     # F − ΣF_j); only the remainder ladder is fitted.
     g2 = split.F - g_minus(0.0, split)
     c_far = math.sqrt(math.pi) * float(np.real(
-        pref * g2 * np.exp(-0.75j * np.pi))) * ell ** 1.5
+        pref * g2 * np.exp(-0.75j * np.pi)))
     sel = grid >= x_max / 30.0
     c, _ = fit_power_tail(grid[sel], reg[sel] - c_far * grid[sel] ** -1.5, (-2.5, -3.5))
     tail = float(np.real(2.0 * c_far / math.sqrt(x_max)

@@ -1,20 +1,22 @@
 """Crack-face traction family, its transform, the additive split of the
 Wiener-Hopf right-hand side, and the Liouville constant.
 
-The split writes k⁺(sℓ)/((sℓ)₊^{1/2}(1+isL)^{1+p}) = G⁻(s) + G⁺(s) with
+Lengths are in units of ℓ, so the load length L is L/ℓ, and the load has
+unit resultant.  The split writes k⁺(s)/(s₊^{1/2}(1+isL)^{1+p}) =
+G⁻(s) + G⁺(s) with
 
     G⁻(s) = Σ_{j=0..p} F_j (1+isL)^{j-p-1},
 
-where F_j are the Taylor coefficients of k⁺(sℓ)/(sℓ)₊^{1/2} in powers of
+where F_j are the Taylor coefficients of k⁺(s)/s₊^{1/2} in powers of
 u = 1 + isL about the transform pole s = i/L; the split keeps only these.
-The Liouville constant is F = G⁻(−i·zeta/ℓ); it is cross-checked against
+The Liouville constant is F = G⁻(−i·zeta); it is cross-checked against
 the independent ratio-of-integrals definition
 
-    F = ∫ G⁻(s)/((sℓ)₋^{1/2} Ψ k⁻) ds / ∫ 1/((sℓ)₋^{1/2} Ψ k⁻) ds
+    F = ∫ G⁻(s)/(s₋^{1/2} Ψ k⁻) ds / ∫ 1/(s₋^{1/2} Ψ k⁻) ds
 
 evaluated by quadrature along the real axis.  ``energy.solve_crack``
 builds the split of one parameter point.  As L/ℓ → 0 the F_j tend to the
-classical H_j = K_j·(iℓ/L)^{−1/2} of ``classical.h_coefficients``.
+classical H_j = K_j·(i/L)^{−1/2} of ``classical.h_coefficients``.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ import numpy as np
 
 from .errors import CrossCheckError, DomainError, PoleError
 from .kernel import FactorizedKernel, sqrt_plus
-from .material import Material
 from .numerics import contour_coefficients, oscillatory_halfline
 
 __all__ = [
@@ -41,23 +42,21 @@ __all__ = [
 ]
 
 # |1 + isL| on the coefficient contour: clear of the branch point s = 0
-# (|u| = 1) and of the symbol pole s = −i·zeta/ℓ (|u| = 1 + zeta·L/ℓ).
+# (|u| = 1) and of the symbol pole s = −i·zeta (|u| = 1 + zeta·L).
 _CONTOUR_RADIUS = 0.4
 _F_CHECK_RTOL = 1e-6   # allowed |F − F_alt|/|F| of the Liouville cross-check
 
 
 @dataclass(frozen=True)
 class LoadProfile:
-    """Traction family on the crack faces: resultant T0, length scale L,
-    exponent p (the maximum sits at X = −p·L)."""
+    """Traction family on the crack faces, of unit resultant: length scale
+    L (in units of ℓ, so L/ℓ) and exponent p (the maximum sits at
+    X = −p·L)."""
 
-    T0: float
     L: float
     p: int
 
     def __post_init__(self):
-        if not 0 < self.T0 < math.inf:
-            raise DomainError(f"T0 must be positive and finite, got {self.T0}")
         if not 0 < self.L < math.inf:
             raise DomainError(f"L must be positive and finite, got {self.L}")
         if not isinstance(self.p, (int, np.integer)) or self.p < 0:
@@ -65,25 +64,25 @@ class LoadProfile:
 
 
 def traction(X, profile: LoadProfile):
-    """tau(X) ≥ 0 for X < 0; integrates to T0 over the crack faces."""
+    """tau(X) ≥ 0 for X < 0; integrates to 1 over the crack faces."""
     X = np.asarray(X, dtype=float)
     if np.any(X >= 0):
         raise DomainError("traction is defined on the crack faces X < 0")
     r = -X / profile.L
-    out = profile.T0 / profile.L * np.exp(
+    out = np.exp(
         profile.p * np.log(r, where=r > 0, out=np.zeros_like(r))
         - r - math.lgamma(profile.p + 1)
-    )
+    ) / profile.L
     return float(out) if out.ndim == 0 else out
 
 
 def traction_transform(s, profile: LoadProfile):
-    """T0/(1 + isL)^{1+p}; analytic for Im s < 0, pole at s = i/L."""
+    """1/(1 + isL)^{1+p}; analytic for Im s < 0, pole at s = i/L."""
     s = np.asarray(s, dtype=complex)
     u = 1.0 + 1j * s * profile.L
     if np.any(np.abs(u) < 1e-12):
         raise PoleError("traction transform evaluated at its pole s = i/L")
-    out = profile.T0 * u ** (-(1 + profile.p))
+    out = u ** (-(1 + profile.p))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -96,9 +95,9 @@ def kp_coefficient(p: int) -> float:
     return out
 
 
-def _pole_factor(k_plus, L: float, ell: float):
-    """g(u) = k⁺(sℓ)/(sℓ)₊^{1/2} at s = i(1 − u)/L, vectorized in u."""
-    zl = 1j * ell / L  # transform variable at the contour centre
+def _pole_factor(k_plus, L: float):
+    """g(u) = k⁺(s)/s₊^{1/2} at s = i(1 − u)/L, vectorized in u."""
+    zl = 1j / L  # transform variable at the contour centre
 
     def g(u):
         z = zl * (1.0 - np.atleast_1d(u))
@@ -106,14 +105,14 @@ def _pole_factor(k_plus, L: float, ell: float):
     return g
 
 
-def split_coefficients(kernel, profile: LoadProfile, ell: float) -> np.ndarray:
-    """Taylor coefficients F_0..F_p of k⁺(sℓ)/(sℓ)₊^{1/2} in powers of
+def split_coefficients(kernel, profile: LoadProfile) -> np.ndarray:
+    """Taylor coefficients F_0..F_p of k⁺(s)/s₊^{1/2} in powers of
     u = 1+isL, by a circle contour about s = i/L.
 
     ``kernel`` only needs a ``k_plus`` method: with k⁺ ≡ 1 the coefficients
     are the classical H_j (``classical.h_coefficients_contour``).
     """
-    return contour_coefficients(_pole_factor(kernel.k_plus, profile.L, ell),
+    return contour_coefficients(_pole_factor(kernel.k_plus, profile.L),
                                 _CONTOUR_RADIUS, profile.p + 1)
 
 
@@ -126,20 +125,10 @@ class SplitData:
     ``kernel.params``."""
 
     profile: LoadProfile
-    G: float
-    ell: float
     coeffs: np.ndarray
     F: complex
     F_alt: complex
     kernel: FactorizedKernel
-
-    @property
-    def L_over_ell(self) -> float:
-        return self.profile.L / self.ell
-
-    @property
-    def T0(self) -> float:
-        return self.profile.T0
 
 
 def _g_minus_u(u, coeffs, p: int):
@@ -160,21 +149,20 @@ def g_minus(s, split: SplitData):
     return complex(acc) if acc.ndim == 0 else acc
 
 
-def _appendix_ratio(kernel: FactorizedKernel, coeffs, profile: LoadProfile,
-                    ell: float) -> complex:
+def _appendix_ratio(kernel: FactorizedKernel, coeffs, profile: LoadProfile) -> complex:
     """Ratio-of-integrals definition of F, by real-axis quadrature.
 
     Both half-lines are evaluated explicitly through the branch functions,
     exercising the factor boundary values rather than any symmetry shortcut:
     each evaluation of the folded integrands makes one symbol call and one
     G⁻ call on the points ±t.  The truncation radius lies far beyond both
-    scales of the integrands, zeta and ℓ/L, on which G⁻ varies.
+    scales of the integrands, zeta and 1/L, on which G⁻ varies.
     """
     params = kernel.params
-    Lt = profile.L / ell
+    L = profile.L
 
     def gm(x):
-        return _g_minus_u(1.0 + 1j * x * Lt, coeffs, profile.p)
+        return _g_minus_u(1.0 + 1j * x * L, coeffs, profile.p)
 
     def h(x):
         return 1.0 / kernel.symbol_minus_line(x)
@@ -186,7 +174,7 @@ def _appendix_ratio(kernel: FactorizedKernel, coeffs, profile: LoadProfile,
         v = np.stack([gm(both) * h_both, h_both]).reshape(2, 2, t.size)
         return v[:, 0] + v[:, 1]
 
-    radius = max(2.0e3, 50.0 * params.zeta, 2.0e3 / Lt)
+    radius = max(2.0e3, 50.0 * params.zeta, 2.0e3 / L)
     fit_start = min(max(30.0 * params.zeta, radius / 50.0), radius / 2.0)
     ladders = ((-3.5, -4.5, -5.5), (-2.5, -3.5, -4.5))
     transform, _ = oscillatory_halfline(folded, radius, ladders, fit_start)
@@ -194,18 +182,16 @@ def _appendix_ratio(kernel: FactorizedKernel, coeffs, profile: LoadProfile,
     return complex(i1 / i2)
 
 
-def liouville_constant(kernel: FactorizedKernel, profile: LoadProfile,
-                       material: Material):
-    """Liouville constant F = G⁻(−i·zeta/ℓ), with the mandatory agreement
+def liouville_constant(kernel: FactorizedKernel, profile: LoadProfile):
+    """Liouville constant F = G⁻(−i·zeta), with the mandatory agreement
     check (relative 1e-6) against the ratio-of-integrals computation.
 
     Returns ``(F, F_alt, coeffs)`` with the coefficients F_0..F_p of G⁻.
     """
-    ell = material.ell
-    coeffs = split_coefficients(kernel, profile, ell)
-    u_pole = 1.0 + kernel.params.zeta * profile.L / ell  # real, > 1
+    coeffs = split_coefficients(kernel, profile)
+    u_pole = 1.0 + kernel.params.zeta * profile.L  # real, > 1
     F = complex(_g_minus_u(u_pole, coeffs, profile.p))
-    F_alt = _appendix_ratio(kernel, coeffs, profile, ell)
+    F_alt = _appendix_ratio(kernel, coeffs, profile)
     if abs(F - F_alt) > _F_CHECK_RTOL * abs(F):
         raise CrossCheckError(
             "Liouville constant disagrees with its ratio-of-integrals form",
@@ -214,17 +200,11 @@ def liouville_constant(kernel: FactorizedKernel, profile: LoadProfile,
     return F, F_alt, coeffs
 
 
-def build_split(kernel: FactorizedKernel, material: Material,
-                profile: LoadProfile) -> SplitData:
+def build_split(kernel: FactorizedKernel, profile: LoadProfile) -> SplitData:
     """Assemble the full split data for a sub-Rayleigh crack solution."""
-    params = kernel.params
-    if not (material.eta == params.eta and material.h0 == params.h0):
-        raise DomainError("kernel parameters do not match the material")
-    F, F_alt, coeffs = liouville_constant(kernel, profile, material)
+    F, F_alt, coeffs = liouville_constant(kernel, profile)
     return SplitData(
         profile=profile,
-        G=material.G,
-        ell=material.ell,
         coeffs=coeffs,
         F=F,
         F_alt=F_alt,

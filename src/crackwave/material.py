@@ -35,21 +35,16 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Material:
-    """Couple-stress material: shear modulus G, characteristic length ell,
-    length ratio eta (−1 < eta < 1) and normalized rotational inertia
-    h0 = sqrt(J/4rho)/ell ≥ 0, with J the rotational inertia and rho the
-    density.  Speeds enter as m = v/c_s, and h0 absorbs rho."""
+    """Couple-stress material in units of its shear modulus G and its
+    characteristic length ell: the length ratio eta (−1 < eta < 1) and the
+    normalized rotational inertia h0 = sqrt(J/4rho)/ell ≥ 0, with J the
+    rotational inertia and rho the density.  Speeds enter as m = v/c_s, and
+    h0 absorbs rho."""
 
-    G: float
-    ell: float
     eta: float
     h0: float
 
     def __post_init__(self):
-        if not 0 < self.G < math.inf:
-            raise DomainError(f"shear modulus must be positive and finite, got {self.G}")
-        if not 0 < self.ell < math.inf:
-            raise DomainError(f"ell must be positive and finite, got {self.ell}")
         if not -1.0 < self.eta < 1.0:
             raise DomainError(f"eta must lie in (-1, 1), got {self.eta}")
         if not 0 <= self.h0 < math.inf:

@@ -4,7 +4,6 @@ import pytest
 
 from crackwave.kernel import KernelParams, factorize
 from crackwave.loading import LoadProfile, build_split
-from crackwave.material import Material
 
 _KERNELS = {}
 _SPLITS = {}
@@ -17,12 +16,10 @@ def get_kernel(m, eta, h0):
     return _KERNELS[key]
 
 
-def get_split(m, eta, h0, L, p, T0=1.0, G=1.0, ell=1.0):
-    key = (m, eta, h0, L, p, T0, G, ell)
+def get_split(m, eta, h0, L, p):
+    key = (m, eta, h0, L, p)
     if key not in _SPLITS:
-        material = Material(G=G, ell=ell, eta=eta, h0=h0)
-        profile = LoadProfile(T0=T0, L=L, p=p)
-        _SPLITS[key] = build_split(get_kernel(m, eta, h0), material, profile)
+        _SPLITS[key] = build_split(get_kernel(m, eta, h0), LoadProfile(L=L, p=p))
     return _SPLITS[key]
 
 

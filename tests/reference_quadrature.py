@@ -107,7 +107,6 @@ def field_unfolded(split, kind: FieldKind, X: float) -> complex:
     ``fields._field_values``: the complex value before taking the real part."""
     fields._check_domain(kind, X)
     radius = fields._truncation_radius(split)
-    a = X / split.ell
     ladder = fields._LADDERS[kind]
     fit_start = max(40.0, 30.0 * split.kernel.params.zeta, radius / 50.0)
 
@@ -118,9 +117,9 @@ def field_unfolded(split, kind: FieldKind, X: float) -> complex:
     def f(t):
         return fields._integrands(split, (kind,), t)
 
-    total = halfline(f, a) + halfline(lambda t: f(-t), -a)
+    total = halfline(f, X) + halfline(lambda t: f(-t), -X)
     if kind is FieldKind.TRACTION:
         # Rational piece and its mirror on the negative half-line.
-        rational = fields._rational_transform(split, a)
+        rational = fields._rational_transform(split, X)
         total = total + rational + np.conj(rational)
     return fields._prefactor(split, kind) * total

@@ -2,7 +2,7 @@
 split tests compare G⁻ against; and the Liouville cross-check with each
 half-line from its own symbol call.
 
-``crackwave.loading`` writes k⁺(sℓ)/((sℓ)₊^{1/2}(1+isL)^{1+p}) = G⁻(s) + G⁺(s)
+``crackwave.loading`` writes k⁺(s)/(s₊^{1/2}(1+isL)^{1+p}) = G⁻(s) + G⁺(s)
 and keeps only G⁻'s coefficients; nothing in the package reads G⁺.  Here
 G⁺ is the direct difference away from the transform pole s = i/L and a
 Cauchy integral over the coefficient circle near it.
@@ -33,13 +33,13 @@ def _k_plus_closed(kernel):
 
 
 def g_plus(s, split):
-    """G⁺(s) = k⁺(sℓ)/((sℓ)₊^{1/2}(1+isL)^{1+p}) − G⁻(s), regular at s = i/L.
+    """G⁺(s) = k⁺(s)/(s₊^{1/2}(1+isL)^{1+p}) − G⁻(s), regular at s = i/L.
 
     Away from that point it is the direct difference.  Inside |1+isL| < 0.35
     it is the Cauchy integral of G⁺ over the coefficient circle |u| = 0.4,
     G⁺(u) = mean_k G⁺(u_k)·u_k/(u_k − u), by the trapezoid rule on
     ``_NEAR_POLE_NODES`` nodes, where the difference has no cancellation."""
-    g = _pole_factor(_k_plus_closed(split.kernel), split.profile.L, split.ell)
+    g = _pole_factor(_k_plus_closed(split.kernel), split.profile.L)
     p = split.profile.p
 
     def direct(u):
@@ -56,14 +56,14 @@ def g_plus(s, split):
     return complex(out[0]) if np.ndim(s) == 0 else out
 
 
-def appendix_ratio_two_calls(kernel, coeffs, profile, ell):
+def appendix_ratio_two_calls(kernel, coeffs, profile):
     """F_alt as ``loading._appendix_ratio`` forms it, on the same rules, but
     with G⁻ and the symbol evaluated at t and at −t in separate calls."""
-    Lt = profile.L / ell
+    L = profile.L
     zeta = kernel.params.zeta
 
     def gm(x):
-        return _g_minus_u(1.0 + 1j * x * Lt, coeffs, profile.p)
+        return _g_minus_u(1.0 + 1j * x * L, coeffs, profile.p)
 
     def h(x):
         return 1.0 / kernel.symbol_minus_line(x)
@@ -72,7 +72,7 @@ def appendix_ratio_two_calls(kernel, coeffs, profile, ell):
         h_pos, h_neg = h(t), h(-t)
         return np.stack([gm(t) * h_pos + gm(-t) * h_neg, h_pos + h_neg])
 
-    radius = max(2.0e3, 50.0 * zeta, 2.0e3 / Lt)
+    radius = max(2.0e3, 50.0 * zeta, 2.0e3 / L)
     fit_start = min(max(30.0 * zeta, radius / 50.0), radius / 2.0)
     ladders = ((-3.5, -4.5, -5.5), (-2.5, -3.5, -4.5))
     transform, _ = oscillatory_halfline(folded, radius, ladders, fit_start)

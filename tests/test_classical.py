@@ -29,24 +29,24 @@ class _UnitKernel:
         return np.ones_like(np.asarray(xi, dtype=complex))
 
 
-def unit_split(profile: LoadProfile, G: float) -> SplitData:
-    """Classical split with lengths measured in ell = 1: coefficients H_j,
-    a zero Liouville constant and the unit symbol."""
-    return SplitData(profile=profile, G=G, ell=1.0,
+def unit_split(profile: LoadProfile) -> SplitData:
+    """Classical split: coefficients H_j, a zero Liouville constant and the
+    unit symbol."""
+    return SplitData(profile=profile,
                      coeffs=h_coefficients(profile.p, profile.L), F=0j,
                      F_alt=None, kernel=_UnitKernel())
 
 
-def wrapped_cut_traction(X, L, p, T0):
+def wrapped_cut_traction(X, L, p):
     """Independent closed form for the classical traction ahead of the tip,
     from wrapping the inversion contour around the branch cut:
-    p3(X) = (T0/pi)·Σ_j K_j·sqrt(L)·Γ(3/2)·L^{−3/2}·U(3/2, 5/2−(p+1−j), X/L)."""
+    p3(X) = (1/pi)·Σ_j K_j·sqrt(L)·Γ(3/2)·L^{−3/2}·U(3/2, 5/2−(p+1−j), X/L)."""
     tot = 0.0
     for j in range(p + 1):
         nu = p + 1 - j
         tot += (kp_coefficient(j) * math.sqrt(L) * gamma_fn(1.5) * L ** -1.5
                 * hyperu(1.5, 2.5 - nu, X / L))
-    return T0 / math.pi * tot
+    return tot / math.pi
 
 
 class TestCoefficients:
@@ -74,39 +74,39 @@ class TestNearTip:
     def test_inversion_matches_closed_form(self):
         # The shared inversion machinery with a unit symbol reproduces the
         # classical traction, including the square-root tip behaviour.
-        # sigma23 ~ K_p·T0/sqrt(pi·L·X) at the tip.
-        prof = LoadProfile(T0=1.0, L=5.0, p=1)
-        split = unit_split(prof, 1.0)
+        # sigma23 ~ K_p/sqrt(pi·L·X) at the tip.
+        prof = LoadProfile(L=5.0, p=1)
+        split = unit_split(prof)
         for X in (1e-5, 1e-4):
             num = fields.traction_ahead(X, split)
-            ref = kp_coefficient(1) * prof.T0 / math.sqrt(math.pi * prof.L * X)
+            ref = kp_coefficient(1) / math.sqrt(math.pi * prof.L * X)
             assert num == pytest.approx(ref, rel=1e-2)
 
     def test_inversion_matches_wrapped_cut_form(self):
-        prof = LoadProfile(T0=1.0, L=5.0, p=1)
-        split = unit_split(prof, 1.0)
+        prof = LoadProfile(L=5.0, p=1)
+        split = unit_split(prof)
         for X in (0.01, 0.3, 2.0, 40.0):
             num = fields.traction_ahead(X, split)
-            ref = wrapped_cut_traction(X, 5.0, 1, 1.0)
+            ref = wrapped_cut_traction(X, 5.0, 1)
             assert num == pytest.approx(ref, rel=1e-7)
 
 
 class TestSifAndErr:
     def test_err_static_p0(self):
-        prof = LoadProfile(T0=1.0, L=2.0, p=0)
-        assert classical_err(prof, 0.0, 1.0) == pytest.approx(1.0 / 2.0)
+        prof = LoadProfile(L=2.0, p=0)
+        assert classical_err(prof, 0.0) == pytest.approx(1.0 / 2.0)
 
     def test_err_speed_dependence(self):
-        prof = LoadProfile(T0=1.0, L=1.0, p=2)
+        prof = LoadProfile(L=1.0, p=2)
         kp = kp_coefficient(2)
-        assert classical_err(prof, 0.6, 1.0) == pytest.approx(kp * kp / 0.8)
+        assert classical_err(prof, 0.6) == pytest.approx(kp * kp / 0.8)
 
     def test_err_decreasing_in_p(self):
-        vals = [classical_err(LoadProfile(T0=1.0, L=1.0, p=p), 0.0, 1.0)
+        vals = [classical_err(LoadProfile(L=1.0, p=p), 0.0)
                 for p in range(5)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_regime(self):
         with pytest.raises(RegimeError):
-            classical_err(LoadProfile(T0=1.0, L=1.0, p=0), 1.0, 1.0)
+            classical_err(LoadProfile(L=1.0, p=0), 1.0)
 

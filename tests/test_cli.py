@@ -79,9 +79,12 @@ sweep.count = 2
      "sweep.scale must be linear or log, got 'cubic'"),
     # The density was read and checked, but no result depends on it.
     ("fields", "material.rho = 1.0\n" + FIELDS, "unknown config key(s) ['material.rho']"),
+    # Results are in units of ell, G and T0, so the scales are no keys.
+    ("fields", "material.G = 2.0\nmaterial.ell = 0.5\nload.T0 = 3.0\n" + FIELDS,
+     "unknown config key(s) ['load.T0', 'material.G', 'material.ell']"),
 ], ids=["misspelt-key", "points-not-int", "points-negative", "variable-unknown",
         "limit-variable-unknown", "no-sweep-block", "repeated-key", "log-start",
-        "scale-unknown", "density-removed"])
+        "scale-unknown", "density-removed", "scales-removed"])
 def test_bad_config_exits_with_config_error(tmp_path, capsys, subcommand, text, message):
     config = tmp_path / "run.conf"
     config.write_text(text)
@@ -99,19 +102,14 @@ def test_bad_config_exits_with_config_error(tmp_path, capsys, subcommand, text, 
 
 
 @pytest.mark.parametrize("subcommand,key,value", [
-    ("limit-study", "material.G", "nan"),
-    ("limit-study", "material.ell", "inf"),
     ("limit-study", "material.h0", "nan"),
-    ("limit-study", "load.T0", "nan"),
-    ("err-sweep", "load.T0", "inf"),
     ("err-sweep", "load.L_over_ell", "nan"),
     ("fields", "state.m", "nan"),
 ])
 def test_nonfinite_value_exits_with_regime_error(tmp_path, capsys, subcommand, key,
                                                  value):
-    # NaN and inf used to pass the positivity checks: G and T0 ran with
-    # exit 0 and wrote NaN or inf columns, ell and L/ell ended in a
-    # ValueError traceback with exit 1, and h0 and m reached the symbol.
+    # NaN used to pass the positivity checks: L/ell ended in a ValueError
+    # traceback with exit 1, and h0 and m reached the symbol.
     text = {"limit-study": LIMIT_STUDY, "fields": FIELDS,
             "err-sweep": ERR_SWEEP.replace("sweep.count = 24", "sweep.count = 2")}[subcommand]
     lines = [line for line in text.splitlines() if not line.startswith(key + " ")]

@@ -18,12 +18,10 @@ from crackwave.kernel import KernelParams, factorize
 from crackwave.loading import LoadProfile, build_split, kp_coefficient
 from crackwave.material import Material, critical_speed, h0_star, upsilon
 
-MAT = dict(G=1.0, ell=1.0)
-
 
 class TestClassical:
     def test_static_p0(self):
-        assert classical_err(LoadProfile(T0=1.0, L=1.0, p=0), 0.0, 1.0) == 1.0
+        assert classical_err(LoadProfile(L=1.0, p=0), 0.0) == 1.0
 
     def test_kp_identity(self):
         for p in range(6):
@@ -33,8 +31,8 @@ class TestClassical:
             assert kp == pytest.approx(ref, rel=1e-14)
 
     def test_divergence_scaling(self):
-        prof = LoadProfile(T0=1.0, L=1.0, p=0)
-        e1 = classical_err(prof, 0.6, 1.0)
+        prof = LoadProfile(L=1.0, p=0)
+        e1 = classical_err(prof, 0.6)
         assert e1 == pytest.approx(1.0 / 0.8)
 
 
@@ -78,16 +76,16 @@ class TestLengthLimits:
     @pytest.mark.parametrize("p", range(4))
     def test_small_length_form_is_the_err_form_at_the_classical_coefficients(
             self, split_factory, p):
-        # E at F = Σ_j H_j, with T0, G and ℓ away from 1; Σ_{j≤p} K_j =
-        # (2p + 1)K_p gives it as 2(2p + 1)²K_p²·(L/ℓ)·T0²/(G·ℓ·Upsilon).
-        split = split_factory(0.3, 0.9, 0.6, 1e-3, p, T0=2.0, G=3.0, ell=0.5)
+        # E at F = Σ_j H_j; Σ_{j≤p} K_j = (2p + 1)K_p gives it as
+        # 2(2p + 1)²K_p²·L/Upsilon.
+        split = split_factory(0.3, 0.9, 0.6, 1e-3, p)
         upsilon_ = split.kernel.params.upsilon
-        f = h_coefficients(p, 2e-3).sum()
-        e = (2j * f * f * 4.0 / (3.0 * 0.5 * upsilon_)).real
+        f = h_coefficients(p, 1e-3).sum()
+        e = (2j * f * f / upsilon_).real
         assert err_small_length(split) == pytest.approx(e, rel=1e-15)
         k_sum = (2 * p + 1) * kp_coefficient(p)
         assert err_small_length(split) == pytest.approx(
-            2.0 * k_sum * k_sum * 2e-3 * 4.0 / (3.0 * 0.5 * upsilon_), rel=1e-15)
+            2.0 * k_sum * k_sum * 1e-3 / upsilon_, rel=1e-15)
 
     @given(eta=st.one_of(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
                          st.floats(0.0, 15.5).map(lambda d: -1.0 + 10.0 ** -d)),
@@ -137,37 +135,36 @@ class TestCouple:
     def test_regime_error(self):
         # m = 0.6 is above m_c = 0.441 at (eta, h0) = (−0.9, 0.707): no split
         # exists to read.
-        mat = Material(eta=-0.9, h0=0.707, **MAT)
+        mat = Material(eta=-0.9, h0=0.707)
         with pytest.raises(RegimeError):
-            solve_crack(mat, 0.6, LoadProfile(T0=1.0, L=10.0, p=0))
+            solve_crack(mat, 0.6, LoadProfile(L=10.0, p=0))
 
     def test_ratio_consistency(self, split_factory):
         sp = split_factory(0.3, 0.9, 0.707, 10.0, 1)
-        prof = LoadProfile(T0=1.0, L=10.0, p=1)
+        prof = LoadProfile(L=10.0, p=1)
         res = err_result(sp)
-        assert res.E_cl == classical_err(prof, 0.3, 1.0)
+        assert res.E_cl == classical_err(prof, 0.3)
         assert res.ratio == pytest.approx(res.E / res.E_cl, rel=1e-12)
 
     def test_shielding_weakening(self, kernel_factory):
         # Ratio below one for tip-concentrated loading (p = 0), above one
         # otherwise (p = 1).
-        mat = Material(eta=0.9, h0=0.707, **MAT)
         k = kernel_factory(0.3, 0.9, 0.707)
-        p0, p1 = LoadProfile(T0=1.0, L=10.0, p=0), LoadProfile(T0=1.0, L=10.0, p=1)
-        r0 = err_result(build_split(k, mat, p0)).ratio
-        r1 = err_result(build_split(k, mat, p1)).ratio
+        p0, p1 = LoadProfile(L=10.0, p=0), LoadProfile(L=10.0, p=1)
+        r0 = err_result(build_split(k, p0)).ratio
+        r1 = err_result(build_split(k, p1)).ratio
         assert r0 < 1.0 < r1
 
     def test_monotone_in_speed(self):
-        mat = Material(eta=0.0, h0=0.01, **MAT)
-        prof = LoadProfile(T0=1.0, L=10.0, p=0)
+        mat = Material(eta=0.0, h0=0.01)
+        prof = LoadProfile(L=10.0, p=0)
         es = [err_result(solve_crack(mat, m, prof)).E for m in (0.3, 0.5, 0.7, 0.9)]
         assert all(a < b for a, b in zip(es, es[1:]))
 
     def test_finite_at_surface_wave_limit(self):
-        mat = Material(eta=-0.9, h0=0.707, **MAT)
+        mat = Material(eta=-0.9, h0=0.707)
         mc = critical_speed(-0.9, 0.707)
-        res = err_result(solve_crack(mat, 0.999 * mc, LoadProfile(T0=1.0, L=0.5, p=0)))
+        res = err_result(solve_crack(mat, 0.999 * mc, LoadProfile(L=0.5, p=0)))
         assert np.isfinite(res.E) and res.E > 0.0
 
 
@@ -177,10 +174,10 @@ class TestSweeps:
         # E_cl diverges, so E/E_cl -> 0 like sqrt(1 - m^2); above h0* the
         # surface-wave limit keeps both finite.
         hs = h0_star(-0.9)
-        prof = LoadProfile(T0=1.0, L=10.0, p=0)
+        prof = LoadProfile(L=10.0, p=0)
 
         def near_limit(h0, gap):
-            mat = Material(eta=-0.9, h0=h0, **MAT)
+            mat = Material(eta=-0.9, h0=h0)
             return err_result(solve_crack(mat, (1.0 - gap) * critical_speed(-0.9, h0),
                                           prof))
 
@@ -201,15 +198,15 @@ class TestSweeps:
         m = 1.0 - 1e-5
         kernel = factorize(KernelParams(m=m, eta=-0.9, h0=0.5 * hs))
         par = kernel.params
-        prof = LoadProfile(T0=1.0, L=10.0, p=0)
+        prof = LoadProfile(L=10.0, p=0)
         # ∫_R log k(t)/(t − iy) dt = i·∫_0^∞ log k(t)·2y/(t² + y²) dt (k even)
-        # at the contour centre iy = iℓ/L.
-        y = MAT["ell"] / prof.L
+        # at the contour centre iy = i/L.
+        y = 1.0 / prof.L
         edges = [0.0, *sorted([par.nu, math.sqrt(par.nu), par.zeta]), math.inf]
         ref = 1j * sum(
             quad(lambda t: float(kernel.log_k(t)) * 2.0 * y / (t * t + y * y),
                  a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
             for a, b in zip(edges[:-1], edges[1:]))
         assert kernel.cauchy_integral(1j * y) == pytest.approx(ref, rel=1e-12)
-        split = build_split(kernel, Material(eta=-0.9, h0=0.5 * hs, **MAT), prof)
+        split = build_split(kernel, prof)
         assert abs(split.F - split.F_alt) <= 1e-8 * abs(split.F)

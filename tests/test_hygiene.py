@@ -6,8 +6,9 @@ non-dunder method of a package class (bar its own allow-list).  The package
 imports nothing beyond the standard library and numpy (scipy is a reference
 of the tests only, at module or function level alike, and no run loads it),
 importing the CLI loads no process pool, the package builds its Filon moment
-tables itself, and every name a module's ``__all__`` exports is defined in
-that module.
+tables itself, every name a module's ``__all__`` exports is defined in
+that module, and every config key of the CLI is set by some preset (bar an
+allow-list with a reason per key).
 
 Package ``__init__.py`` files are exempt from the unused-import and the
 private-definition checks (their imports are re-exports), as are
@@ -23,7 +24,10 @@ from pathlib import Path
 
 import pytest
 
+from crackwave import cli
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "crackwave"
+PRESETS = SRC.parents[1] / "presets"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
@@ -286,6 +290,30 @@ def test_dataclass_fields_are_read():
     assert unread_fields(sources) == sorted(UNREAD_FIELDS)
 
 
+def unset_config_keys(keys, configs) -> list[str]:
+    """Keys of ``keys`` that none of ``configs`` (each a key → value dict,
+    as ``cli.parse_config`` returns) sets."""
+    return sorted(set(keys).difference(*configs))
+
+
+def test_detector_flags_an_unset_config_key(tmp_path):
+    config = tmp_path / "a.conf"
+    config.write_text("a.x = 1  # a.z = 3\n# a.y = 2\n")
+    assert unset_config_keys({"a.x", "a.y", "a.z"}, [cli.parse_config(config)]) \
+        == ["a.y", "a.z"]
+
+
+# Config keys that no preset sets, each with the reason it stays.
+UNSET_CONFIG_KEYS = {}
+
+
+def test_every_config_key_is_set_by_a_preset():
+    # A key that no figure sets is a setting that no result of the paper
+    # needs, and whose behaviour only the tests would exercise.
+    configs = [cli.parse_config(path) for path in sorted(PRESETS.glob("*.conf"))]
+    assert unset_config_keys(cli.CONFIG_KEYS, configs) == sorted(UNSET_CONFIG_KEYS)
+
+
 def undefined_exports(source: str) -> list[str]:
     """Names in the ``__all__`` of ``source`` that no module-level
     definition, assignment or import of it binds."""
@@ -373,9 +401,8 @@ NO_SCIPY_RUNS = textwrap.dedent("""\
 
 def test_runs_load_no_scipy(tmp_path):
     # A fresh interpreter: the test session itself has imported scipy.
-    presets = SRC.parents[1] / "presets"
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUNS, str(presets), str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUNS, str(PRESETS), str(tmp_path)],
                           capture_output=True, text=True, cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr

@@ -18,13 +18,11 @@ SQRT2 = math.sqrt(2.0)
 
 class TestTypes:
     def test_material_validation(self):
-        Material(G=2.0, ell=0.1, eta=0.5, h0=0.7)
+        Material(eta=0.5, h0=0.7)
         with pytest.raises(DomainError):
-            Material(G=-1.0, ell=1.0, eta=0.0, h0=0.0)
+            Material(eta=1.0, h0=0.0)
         with pytest.raises(DomainError):
-            Material(G=1.0, ell=1.0, eta=1.0, h0=0.0)
-        with pytest.raises(DomainError):
-            Material(G=1.0, ell=1.0, eta=0.0, h0=-0.1)
+            Material(eta=0.0, h0=-0.1)
 
 
 class TestUpsilon:

@@ -34,14 +34,12 @@ FAULT_RUN = textwrap.dedent("""\
     from crackwave.dispersion import trace_curve
     from crackwave.kernel import KernelParams, factorize
     from crackwave.loading import LoadProfile, build_split
-    from crackwave.material import Material
 
-    material = Material(G=1.0, ell=1.0, eta=0.9, h0=0.707)
-    profile = LoadProfile(T0=1.0, L=1.0, p=1)
+    profile = LoadProfile(L=1.0, p=1)
 
     def split():
         kernel = factorize(KernelParams(m=0.3, eta=0.9, h0=0.707))
-        return build_split(kernel, material, profile)
+        return build_split(kernel, profile)
 
     split()  # warm-up
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
